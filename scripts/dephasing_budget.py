@@ -34,11 +34,16 @@ def main():
     print(f"{'motion':>7s} {'inhomo':>7s} {'scatter':>8s} {'tau_osc_us':>11s} {'tau_free_us':>12s}")
     for motion, inhomo, scatter in combos:
         flags = dp.SimulationFlags(motion=motion, inhomogeneity=inhomo, scattering=scatter)
-        r = dp.simulate_single_excitation(
-            cfg.geometry, cfg.ensemble, cfg.scheme, flags, args.samples, cfg.seed, t_grid
-        )
+        label = f"{str(motion):>7s} {str(inhomo):>7s} {str(scatter):>8s}"
+        try:
+            r = dp.simulate_single_excitation(
+                cfg.geometry, cfg.ensemble, cfg.scheme, flags, args.samples, cfg.seed, t_grid
+            )
+        except dp.FitError:
+            print(f"{label} {'fit failed':>11s}")
+            continue
         tau = f"{r.tau_osc_us:11.3f}" if r.tau_osc_us < 100 else "  undamped "
-        print(f"{str(motion):>7s} {str(inhomo):>7s} {str(scatter):>8s} {tau} {r.tau_free_us:12.3f}")
+        print(f"{label} {tau} {r.tau_free_us:12.3f}")
 
 
 if __name__ == "__main__":

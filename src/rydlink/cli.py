@@ -19,7 +19,6 @@ import numpy as np
 
 from . import collective, dephasing, measurement, repeater
 from .config import ConfigError, RunConfig, load_config
-from .core import NonConvergenceError
 from .measurement import DetectorModel, PhotonFieldModel
 
 ARTIFACT_VERSION = 1
@@ -140,9 +139,13 @@ def cmd_dephasing(cfg: RunConfig, args, writer: RunWriter):
     sim = cfg.parsed["simulation"]
     n_samples = args.samples if args.samples is not None else sim["dephasing_samples"]
     t_grid = np.linspace(0.0, sim["dephasing_t_max"] * 1e6, sim["dephasing_points"])
-    result = dephasing.simulate_single_excitation(
-        cfg.geometry, cfg.ensemble, cfg.scheme, flags, n_samples, cfg.seed, t_grid
-    )
+    try:
+        result = dephasing.simulate_single_excitation(
+            cfg.geometry, cfg.ensemble, cfg.scheme, flags, n_samples, cfg.seed, t_grid
+        )
+    except dephasing.SampleCountError as exc:
+        source = "--samples" if args.samples is not None else "simulation.dephasing_samples"
+        raise ConfigError(f"{source}: {exc}") from None
     tag = args.flags.replace(",", "-")
     writer.csv(
         f"dephasing_{tag}.csv",
@@ -229,7 +232,10 @@ def cmd_g2(cfg: RunConfig, args, writer: RunWriter):
         parameter = args.parameter
     b = _calibrated_background(cfg) if args.calibrated else 0.0
     det = DetectorModel(cfg.parsed["detector"]["calibration_chain_efficiency"], b)
-    field = PhotonFieldModel(kind, parameter, det)
+    try:
+        field = PhotonFieldModel(kind, parameter, det)
+    except ValueError as exc:
+        raise ConfigError(f"--parameter {parameter} for --field {args.field}: {exc}") from None
     trials = cfg.parsed["simulation"]["g2_trials"]
     g2_analytic = measurement.g2_hbt(field)
     g2_mc = measurement.g2_hbt(field, trials=trials, seed=cfg.seed)
@@ -362,7 +368,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NonConvergenceError as exc:
+    except dephasing.FitError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
     except FileNotFoundError as exc:

@@ -33,6 +33,14 @@ class SeedRequiredError(ValueError):
     """Monte Carlo runs must be seeded; silent nondeterminism is a bug."""
 
 
+class SampleCountError(ValueError):
+    """Too few sampled atoms for a meaningful ensemble average."""
+
+
+class FitError(RuntimeError):
+    """The envelope fit of the spin-wave projection did not converge."""
+
+
 @dataclass(frozen=True)
 class RamanLevelScheme:
     """Two-photon coupling of |s> and |r> through |e1> and |e2>.
@@ -300,7 +308,7 @@ def simulate_single_excitation(
     normalized to 1 at t = 0; it can never exceed the population.
     """
     if n_samples < 100:
-        raise ValueError("need at least 100 samples")
+        raise SampleCountError(f"need at least 100 samples, got {n_samples}")
     if seed is None:
         raise SeedRequiredError("an explicit RNG seed is required")
     t_grid_us = np.asarray(t_grid_us, dtype=float)
@@ -370,7 +378,8 @@ def fit_envelope_time_us(t_grid_us, projection, omega_guess_rad_s: float) -> flo
     """Fit exp(-(t/w)^2) (a cos(w_osc t) + b) and return w in us.
 
     An effectively undamped trace returns a very large w rather than
-    failing, so the caller can treat "no decay" uniformly.
+    failing, so the caller can treat "no decay" uniformly. A fit that does
+    not converge raises FitError.
     """
     t = np.asarray(t_grid_us, dtype=float)
     p = np.asarray(projection, dtype=float)
@@ -385,6 +394,6 @@ def fit_envelope_time_us(t_grid_us, projection, omega_guess_rad_s: float) -> flo
     bounds = ([0.0, 0.0, 1e-3 * t_span, 0.0, -np.pi], [2.0, 2.0, 1e4 * t_span, np.inf, np.pi])
     try:
         popt, _ = curve_fit(model, t, p, p0=p0, bounds=bounds, maxfev=40000)
-    except RuntimeError:
-        return float("nan")
+    except RuntimeError as exc:
+        raise FitError(f"envelope fit exp(-(t/w)^2) (a cos(w_osc t + phi) + b): {exc}") from None
     return float(popt[2])

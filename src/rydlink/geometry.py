@@ -142,17 +142,6 @@ def compose_mode(terms, geo: BeamGeometry) -> ModeLabel:
     return ModeLabel(ordered, WaveVector.from_array(numeric))
 
 
-def add_modes(m1: ModeLabel, m2: ModeLabel, geo: BeamGeometry) -> ModeLabel:
-    coeffs: dict = dict(m1.coeffs)
-    for b, c in m2.coeffs:
-        coeffs[b] = coeffs.get(b, 0) + c
-    numeric = np.zeros(3)
-    for b, c in coeffs.items():
-        numeric += c * beam_wavevector(b, geo).as_array()
-    ordered = tuple(sorted((b, c) for b, c in coeffs.items() if c != 0))
-    return ModeLabel(ordered, WaveVector.from_array(numeric))
-
-
 def retrieval_direction(spinwave: ModeLabel, read_beam: str, geo: BeamGeometry) -> WaveVector:
     """Photon momentum from phase-matched read-out: k_sw - k_read."""
     return spinwave.numeric - beam_wavevector(read_beam, geo)
@@ -188,8 +177,8 @@ def protocol_modes(geo: BeamGeometry) -> ProtocolModes:
     k1 = compose_mode([("A", +1), ("B", +1), ("C", -1), ("D", -1)], geo)
     k2 = compose_mode([("A", +1), ("B", +1)], geo)
     dk = compose_mode([("C", +1), ("E", +1)], geo)
-    k3 = add_modes(k1, dk, geo)
-    k4 = add_modes(k2, dk.negate(), geo)
+    k3 = compose_mode(k1.coeffs + dk.coeffs, geo)
+    k4 = compose_mode(k2.coeffs + dk.negate().coeffs, geo)
     return ProtocolModes(
         k1=k1,
         k2=k2,

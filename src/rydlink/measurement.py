@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import poisson
+from scipy.special import gammaln, xlogy
 
 from .collective import AtomPhotonState
 
@@ -268,7 +268,22 @@ def measure_three_bases(state: TwoPhotonState, det, trials: int, seed: int) -> M
 FIELD_KINDS = ("single_photon", "coherent", "thermal", "dlcz_pair")
 
 FOCK_CUTOFF = 30
-DLCZ_CUTOFF = 4
+DLCZ_CUTOFF = 4  # photon-number truncation of the DLCZ source
+
+
+def dlcz_occupation(p: float) -> np.ndarray:
+    """P(n), n = 0..DLCZ_CUTOFF, of a DLCZ source with excitation probability p.
+
+    The heralded-arm marginal of a weakly driven two-mode squeezed state,
+    p^n (1 - p), renormalized after truncation (Duan, Lukin, Cirac and
+    Zoller, Nature 414, 413 (2001)). p is limited to (0, 0.2], where the
+    truncation drops at most p^5 = 3.2e-4 of the probability.
+    """
+    if not 0.0 < p <= 0.2:
+        raise ValueError("dlcz excitation probability must lie in (0, 0.2]")
+    n = np.arange(DLCZ_CUTOFF + 1)
+    dist = p**n * (1.0 - p)
+    return dist / dist.sum()
 
 
 @dataclass(frozen=True)
@@ -280,23 +295,24 @@ class PhotonFieldModel:
     def __post_init__(self):
         if self.kind not in FIELD_KINDS:
             raise ValueError(f"kind must be one of {FIELD_KINDS}")
-        if self.parameter < 0:
-            raise ValueError("field parameter must be non-negative")
+        if not self.parameter > 0:  # also rejects NaN
+            raise ValueError("field parameter must be positive (the vacuum has no g2)")
+        self.occupation_distribution()  # each kind checks its own range
 
     def occupation_distribution(self) -> np.ndarray:
         if self.kind == "single_photon":
             if self.parameter > 1.0:
-                raise ValueError("retrieval efficiency must lie in [0, 1]")
+                raise ValueError("retrieval efficiency must lie in (0, 1]")
             return np.array([1.0 - self.parameter, self.parameter])
+        if self.kind == "dlcz_pair":
+            return dlcz_occupation(self.parameter)
         n = np.arange(FOCK_CUTOFF + 1)
         if self.kind == "coherent":
-            p = poisson.pmf(n, self.parameter)
-        elif self.kind == "thermal":
+            # Poisson pmf in the log form scipy.stats.poisson evaluates
+            p = np.exp(xlogy(n, self.parameter) - gammaln(n + 1) - self.parameter)
+        else:  # thermal
             nbar = self.parameter
             p = (nbar / (1.0 + nbar)) ** n / (1.0 + nbar)
-        else:  # dlcz_pair: heralded-arm marginal of a two-mode squeezed state
-            n = np.arange(DLCZ_CUTOFF + 1)
-            p = self.parameter**n * (1.0 - self.parameter)
         return p / p.sum()
 
 

@@ -16,14 +16,15 @@ state; {arm1H, arm1V} and {arm2H, arm2V} herald the other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import binom
+
+from .measurement import DLCZ_CUTOFF, dlcz_occupation
 
 SOURCE_KINDS = ("semi_deterministic", "dlcz")
 
-DLCZ_CUTOFF = 4  # emission-number truncation for the parametric source
 MAX_PHOTONS = 2 * DLCZ_CUTOFF
 
 PSI_MINUS_MASKS = (0b1001, 0b0110)  # one click in each arm, opposite polarizations
@@ -40,8 +41,7 @@ class SourceModel:
     semi_deterministic: an intrinsically heralded pair process that leaves
     an entangled memory and emits exactly one photon (then thinned by the
     retrieval efficiency) with probability 1/2, else zero photons.
-    dlcz: a weakly driven parametric process with thermal photon-number
-    statistics of mean ~ p/(1-p), truncated at DLCZ_CUTOFF.
+    dlcz: a weakly driven parametric process, measurement.dlcz_occupation.
     """
 
     kind: str
@@ -51,30 +51,18 @@ class SourceModel:
     def __post_init__(self):
         if self.kind not in SOURCE_KINDS:
             raise ValueError(f"kind must be one of {SOURCE_KINDS}")
-        if self.kind == "dlcz" and not 0.0 < self.emission_prob <= 0.2:
-            raise ValueError("dlcz emission probability must lie in (0, 0.2]")
+        if self.kind == "dlcz":
+            dlcz_occupation(self.emission_prob)  # raises for p outside (0, 0.2]
         if not 0.0 <= self.retrieval_efficiency <= 1.0:
             raise ValueError("retrieval efficiency must lie in [0, 1]")
 
     def emission_distribution(self) -> np.ndarray:
         """P(n photons at the source output), n = 0..DLCZ_CUTOFF."""
+        if self.kind == "dlcz":
+            return dlcz_occupation(self.emission_prob)
         p = np.zeros(DLCZ_CUTOFF + 1)
-        if self.kind == "semi_deterministic":
-            p[1] = 0.5 * self.retrieval_efficiency
-            p[0] = 1.0 - p[1]
-            return p
-        n = np.arange(DLCZ_CUTOFF + 1)
-        p = self.emission_prob**n * (1.0 - self.emission_prob)
-        return p / p.sum()
-
-    def single_excitation_distribution(self) -> np.ndarray:
-        """P(memory holds exactly one excitation AND n photons emitted)."""
-        p = np.zeros(DLCZ_CUTOFF + 1)
-        if self.kind == "semi_deterministic":
-            p[1] = 0.5 * self.retrieval_efficiency
-            return p
-        full = self.emission_distribution()
-        p[1] = full[1]
+        p[1] = 0.5 * self.retrieval_efficiency
+        p[0] = 1.0 - p[1]
         return p
 
 
@@ -117,37 +105,16 @@ class HeraldStats:
         }
 
 
-def pattern_herald_prob(m: int, background: float = 0.0) -> float:
-    """P(herald pattern | m photons at the analyzer).
+def pattern_herald_prob(m: int) -> float:
+    """P(herald pattern | m photons at the analyzer), without background.
 
     Each photon lands on one of the 4 detectors uniformly; the herald needs
     the occupied set to equal one of the 4 two-detector Bell patterns.
     """
-    if background != 0.0:
-        raise NotImplementedError("analytic herald probability assumes zero background")
     if m < 2:
         return 0.0
     # surjections of m photons onto a chosen detector pair: 2^m - 2
     return 4.0 * (2.0**m - 2.0) / 4.0**m
-
-
-def attempt_emission(source: SourceModel, rng: np.random.Generator) -> tuple:
-    """One emission attempt; returns (n_photons, memory_single_excitation)."""
-    dist = source.emission_distribution()
-    n = int(rng.choice(len(dist), p=dist))
-    return n, n == 1
-
-
-def bell_measure(m_left: int, m_right: int, link: LinkConfig, rng: np.random.Generator) -> int:
-    """Click-set bitmask from m_left + m_right surviving photons."""
-    occupied = 0
-    for _ in range(m_left + m_right):
-        occupied |= 1 << int(rng.integers(4))
-    if link.background_prob > 0.0:
-        for d in range(4):
-            if rng.random() < link.background_prob:
-                occupied |= 1 << d
-    return occupied
 
 
 def _simulate_chunk(source_left, source_right, link, n_trials, rng):
@@ -222,6 +189,7 @@ def analytic_link(source_left: SourceModel, source_right: SourceModel, link: Lin
     """Exact enumeration over emitted/surviving photon numbers (b = 0)."""
     if link.background_prob != 0.0:
         raise NotImplementedError("analytic link assumes zero background")
+    s = link.survival
     herald_rate = 0.0
     true_rate = 0.0
     for n_l, p_nl in enumerate(source_left.emission_distribution()):
@@ -229,9 +197,9 @@ def analytic_link(source_left: SourceModel, source_right: SourceModel, link: Lin
             if p_nl * p_nr == 0.0:
                 continue
             for m_l in range(n_l + 1):
-                q_l = binom.pmf(m_l, n_l, link.survival)
+                q_l = math.comb(n_l, m_l) * s**m_l * (1.0 - s) ** (n_l - m_l)
                 for m_r in range(n_r + 1):
-                    q_r = binom.pmf(m_r, n_r, link.survival)
+                    q_r = math.comb(n_r, m_r) * s**m_r * (1.0 - s) ** (n_r - m_r)
                     w = p_nl * p_nr * q_l * q_r
                     h = pattern_herald_prob(m_l + m_r)
                     herald_rate += w * h

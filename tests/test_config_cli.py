@@ -1,14 +1,15 @@
 import hashlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from rydlink import cli
+from rydlink import cli, dephasing
 from rydlink.config import ConfigError, load_config, parse_quantity
-from rydlink.core import NonConvergenceError
 
 TWO_PI = 2.0 * np.pi
 
@@ -128,10 +129,33 @@ class TestCli:
 
     def test_nonconvergence_maps_to_exit_3(self, tmp_path, monkeypatch):
         def boom(cfg, args, writer):
-            raise NonConvergenceError("no convergence")
+            raise dephasing.FitError("no convergence")
 
         monkeypatch.setattr(cli, "cmd_rabi", boom)
         assert run_cli(["rabi", "--single"], tmp_path / "o") == 3
+
+    def test_failed_envelope_fit_exits_3_without_summary(self, tmp_path, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise RuntimeError("Optimal parameters not found")
+
+        monkeypatch.setattr(dephasing, "curve_fit", no_fit)
+        out = tmp_path / "o"
+        assert run_cli(["dephasing", "--samples", "100"], out) == 3
+        assert not list(out.glob("dephasing_*.json"))
+
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            (["g2", "--field", "dlcz", "--parameter", "1.5"], "--parameter"),
+            (["dephasing", "--samples", "50"], "--samples"),
+            (["g2", "--field", "single", "--parameter", "2"], "--parameter"),
+            (["g2", "--field", "coherent", "--parameter", "0"], "--parameter"),
+        ],
+        ids=["dlcz-p-above-range", "too-few-samples", "single-efficiency-above-1", "coherent-vacuum"],
+    )
+    def test_out_of_range_option_is_config_error(self, tmp_path, capsys, args, named):
+        assert run_cli(args, tmp_path / "o") == 2
+        assert named in capsys.readouterr().err
 
     def test_unknown_dephasing_flag_is_config_error(self, tmp_path):
         assert run_cli(["dephasing", "--flags", "wobble"], tmp_path / "o") == 2
@@ -172,3 +196,10 @@ class TestCli:
         report = json.loads((out / "g2_single.json").read_text())
         assert report["g2_analytic"] < 1e-12
         assert report["version"] == 1
+
+    def test_cli_import_skips_scipy_stats(self):
+        # scipy.stats costs about half a second of every CLI start-up
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = f"import sys; sys.path.insert(0, {src!r}); import rydlink.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rydlink import repeater as rp
+from rydlink.measurement import DetectorModel, PhotonFieldModel
 from rydlink.repeater import LinkConfig, SourceModel
 
 SEMI = SourceModel("semi_deterministic")
@@ -29,6 +30,12 @@ class TestSourceModel:
             SourceModel("dlcz", emission_prob=0.5)
         with pytest.raises(ValueError):
             SourceModel("dlcz", emission_prob=0.0)
+        with pytest.raises(ValueError):
+            PhotonFieldModel("dlcz_pair", 1.5, DetectorModel())
+        # the repeater source and the g2 field share one DLCZ model
+        source = SourceModel("dlcz", emission_prob=0.05).emission_distribution()
+        field = PhotonFieldModel("dlcz_pair", 0.05, DetectorModel()).occupation_distribution()
+        assert np.array_equal(source, field)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -49,17 +56,14 @@ class TestHeraldPattern:
         assert rp.pattern_herald_prob(3) == pytest.approx(3.0 / 8.0)
 
     def test_mc_pattern_matches_analytic(self):
+        # place m photons on uniformly random detectors, independently of
+        # the repeater's own sampler
         rng = np.random.default_rng(0)
         for m in (2, 3):
-            hits = sum(
-                rp.bell_measure(m, 0, IDEAL_LINK, rng) in rp.HERALD_MASKS
-                for _ in range(40_000)
-            )
-            assert hits / 40_000 == pytest.approx(rp.pattern_herald_prob(m), abs=0.01)
-
-    def test_background_disallowed_analytically(self):
-        with pytest.raises(NotImplementedError):
-            rp.pattern_herald_prob(2, background=0.1)
+            detectors = rng.integers(4, size=(40_000, m))
+            occupied = np.bitwise_or.reduce(1 << detectors, axis=1)
+            hits = np.isin(occupied, rp.HERALD_MASKS).mean()
+            assert hits == pytest.approx(rp.pattern_herald_prob(m), abs=0.01)
 
 
 class TestAnalyticLink:
@@ -157,13 +161,3 @@ class TestLinkConfigValidation:
     def test_survival_product(self):
         link = LinkConfig(channel_transmission=0.5, detector_efficiency=0.4)
         assert link.survival == pytest.approx(0.2)
-
-
-class TestAttemptEmission:
-    def test_semi_statistics(self):
-        rng = np.random.default_rng(2)
-        outcomes = [rp.attempt_emission(SEMI, rng) for _ in range(20_000)]
-        rate = np.mean([n for n, _ in outcomes])
-        assert rate == pytest.approx(0.5, abs=0.02)
-        # a photon is emitted exactly when the memory is singly excited
-        assert all((n == 1) == tag for n, tag in outcomes)
