@@ -25,9 +25,7 @@ def main():
     cfg = load_config()
     modes = protocol_modes(cfg.geometry)
     omega = cfg.protocol_rabi
-    k1 = modes.k1.numeric.as_array()
-    k2 = modes.k2.numeric.as_array()
-    dk = modes.dk.numeric.as_array()
+    k1, k2, dk = modes.k1.numeric, modes.k2.numeric, modes.dk.numeric
     sigma = np.asarray(cfg.ensemble.cloud_sigma_um)
     rng = np.random.default_rng(args.seed)
 
@@ -41,7 +39,7 @@ def main():
             pos = rng.normal(scale=sigma, size=(n, 3))
             t = rng.uniform(0.0, 2.0) * col.pair_oscillation_period(omega)
             bf = col.brute_force_pair(n, omega, t, k1, k2, dk, pos)
-            pair = col.pair_evolution(omega, t, modes)
+            pair = col.pair_evolution(omega, t)
             worst = max(worst, 1.0 - bf.fidelity_with(pair))
         pos = rng.normal(scale=sigma, size=(n, 3))
         pn = col.brute_force_collective_trace(n, omega, t_grid, k2, pos)

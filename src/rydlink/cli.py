@@ -110,7 +110,7 @@ def cmd_rabi(cfg: RunConfig, args, writer: RunWriter):
     t = np.linspace(0.0, 2.0 * period, n_points)
     rows = []
     for ti in t:
-        state, _ = collective.run_protocol(cfg.geometry, cfg.ensemble, ti, omega)
+        state, _ = collective.run_protocol(ti, omega)
         pol = measurement.momentum_to_polarization(state, phase)
         probs = measurement.born_probabilities(pol, "pm")
         rows.append((ti * 1e9, probs[0] + probs[1], probs[2] + probs[3]))
@@ -165,11 +165,15 @@ def cmd_dephasing(cfg: RunConfig, args, writer: RunWriter):
     )
 
 
-def _entangled_polarization_state(cfg: RunConfig, phase: float) -> measurement.TwoPhotonState:
+def _entangled_state(cfg: RunConfig) -> collective.AtomPhotonState:
     """Protocol output at the maximally entangling Raman duration."""
     omega = cfg.protocol_rabi
-    t_ent = collective.pair_oscillation_period(omega) / 2.0
-    state, _ = collective.run_protocol(cfg.geometry, cfg.ensemble, t_ent, omega)
+    state, _ = collective.run_protocol(collective.pair_oscillation_period(omega) / 2.0, omega)
+    return state
+
+
+def _read_out(cfg: RunConfig, state: collective.AtomPhotonState, phase: float) -> measurement.TwoPhotonState:
+    """Two-photon polarization state after the phase shifter and the memory wait."""
     pol = measurement.momentum_to_polarization(state, phase)
     return measurement.apply_memory_decoherence(
         pol,
@@ -189,10 +193,11 @@ def _calibrated_background(cfg: RunConfig) -> float:
 def cmd_entangle(cfg: RunConfig, args, writer: RunWriter):
     if args.phi_sweep:
         phis = np.linspace(0.0, 2.0 * np.pi, 65)
+        entangled = _entangled_state(cfg)
+        states = [_read_out(cfg, entangled, float(phi) % (2.0 * np.pi)) for phi in phis]
         for basis, name in (("pm", "entangle_phi_sweep.csv"), ("hv", "entangle_phi_sweep_hv.csv")):
             rows = []
-            for phi in phis:
-                state = _entangled_polarization_state(cfg, float(phi) % (2.0 * np.pi))
+            for phi, state in zip(phis, states):
                 p = measurement.born_probabilities(state, basis)
                 par, perp = p[0] + p[1], p[2] + p[3]
                 v = abs(perp - par) / (perp + par)
@@ -202,7 +207,7 @@ def cmd_entangle(cfg: RunConfig, args, writer: RunWriter):
     # --fidelity: three-basis measurement with the calibrated noise chain
     b = _calibrated_background(cfg)
     det = DetectorModel(cfg.parsed["detector"]["entanglement_chain_efficiency"], b)
-    state = _entangled_polarization_state(cfg, cfg.parsed["readout"]["phase_shift"])
+    state = _read_out(cfg, _entangled_state(cfg), cfg.parsed["readout"]["phase_shift"])
     trials = cfg.parsed["simulation"]["coincidence_trials"]
     result = measurement.measure_three_bases(state, det, trials, cfg.seed)
     writer.json(
@@ -371,9 +376,6 @@ def main(argv=None) -> int:
     except dephasing.FitError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     return EXIT_OK
 
 

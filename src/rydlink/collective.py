@@ -1,24 +1,21 @@
 """Super-atom model of the blockaded ensemble.
 
 Covers the collectively enhanced Rabi oscillation, the blockaded
-two-excitation evolution with momentum-labeled modes, the full protocol
-run producing the atom-photon entangled state, and small-N brute-force
-oracles that evolve the complete blockaded many-atom state.
+two-excitation evolution, the full protocol run producing the atom-photon
+entangled state, and small-N brute-force oracles that evolve the complete
+blockaded many-atom state. The protocol depends only on the Raman
+duration and the Rabi frequency: that the Raman-kicked momentum modes are
+distinguishable is a property of the beam geometry, checked once when the
+configuration is loaded (``geometry.modes_distinguishable``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import curve_fit
-
-from .geometry import BeamGeometry, ModeLabel, ProtocolModes, modes_distinguishable, protocol_modes
-
-
-class BlockadeValidityError(RuntimeError):
-    """Raised when the Raman-kicked modes are not momentum-distinguishable."""
 
 
 @dataclass(frozen=True)
@@ -45,7 +42,6 @@ class PairState:
     """Amplitudes over (|R2,S1>, |R3,S4>, |S1,S4>); double-Rydberg absent."""
 
     amplitudes: np.ndarray
-    modes: ProtocolModes | None = None
 
     def __post_init__(self):
         amps = np.array(self.amplitudes, dtype=complex).ravel()
@@ -66,7 +62,6 @@ class AtomPhotonState:
     """Amplitudes over (|k_up>|S1>, |k_down>|S4>)."""
 
     amplitudes: np.ndarray
-    modes: ProtocolModes | None = None
 
     def __post_init__(self):
         amps = np.array(self.amplitudes, dtype=complex).ravel()
@@ -111,60 +106,33 @@ def pair_oscillation_period(omega: float) -> float:
     return 2.0 * np.pi / (np.sqrt(2.0) * omega)
 
 
-def pair_evolution(
-    omega: float,
-    t: float,
-    modes: ProtocolModes,
-    geo: BeamGeometry | None = None,
-    gate_threshold: float = 0.01,
-) -> PairState:
+def pair_evolution(omega: float, t: float) -> PairState:
     """Blockaded two-excitation evolution from |R2,S1> under the Raman drive.
 
     The antisymmetric combination of |R2,S1> and |R3,S4> is dark; the
     symmetric one oscillates to |S1,S4> at the sqrt(2)-enhanced rate.
     """
-    if geo is not None and not modes_distinguishable(geo, gate_threshold):
-        raise BlockadeValidityError(
-            "Raman-kicked spin-wave modes are not distinguishable (k2 = k3); "
-            "the momentum-entanglement scheme is invalid for this geometry"
-        )
     half = np.sqrt(2.0) * omega * t / 2.0
     c, s = np.cos(half), np.sin(half)
     amps = np.array([(1.0 + c) / 2.0, (c - 1.0) / 2.0, -1j * s / np.sqrt(2.0)])
-    return PairState(amps, modes)
+    return PairState(amps)
 
 
-def run_protocol(
-    geo: BeamGeometry,
-    ens: EnsembleConfig,
-    raman_duration: float,
-    omega: float,
-    pulse_area_errors: tuple = (0.0, 0.0, 0.0),
-    gate_threshold: float = 0.01,
-):
+def run_protocol(raman_duration: float, omega: float):
     """Execute the pi, pi, pi preparation, the Raman pulse, and the read-out.
 
     Returns (AtomPhotonState, success_probability). Success is conditioned
     on the Rydberg-containing subspace; the |S1,S4> branch emits no first
     photon and is reported as failure, not renormalized away silently.
-    Fractional pi-pulse area errors turn into preparation failures.
+    Its probability never exceeds 1/2, so the conditional state is always
+    defined.
     """
     if raman_duration < 0:
         raise ValueError("raman_duration must be >= 0")
-    if not modes_distinguishable(geo, gate_threshold):
-        raise BlockadeValidityError("geometry fails the mode-distinguishability gate")
-    modes = protocol_modes(geo)
-    prep = 1.0
-    for eps in pulse_area_errors:
-        prep *= np.sin((1.0 + eps) * np.pi / 2.0) ** 2
-    pair = pair_evolution(omega, raman_duration, modes)
-    a1, a2, a3 = pair.amplitudes
+    a1, a2, _ = pair_evolution(omega, raman_duration).amplitudes
     p_rydberg = abs(a1) ** 2 + abs(a2) ** 2
-    success = prep * p_rydberg
-    if p_rydberg < 1e-15:
-        raise BlockadeValidityError("no Rydberg-containing amplitude to read out")
     conditional = np.array([a1, a2]) / np.sqrt(p_rydberg)
-    return AtomPhotonState(conditional, modes), float(success)
+    return AtomPhotonState(conditional), float(p_rydberg)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import importlib.resources
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ import yaml
 
 from .collective import EnsembleConfig
 from .dephasing import AMU, RamanLevelScheme, scheme_from_geometry
-from .geometry import BEAM_IDS, Beam, BeamGeometry
+from .geometry import BEAM_IDS, Beam, BeamGeometry, modes_distinguishable
 from .measurement import DetectorModel
 
 DEFAULT_CONFIG_RESOURCE = "default.yaml"
@@ -56,11 +57,16 @@ class ConfigError(ValueError):
     """Any structural or unit problem in a run configuration."""
 
 
+def _finite_number(value) -> bool:
+    """A plain finite int or float (YAML booleans are not numbers)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def parse_quantity(value, dimension: str, path: str = "value") -> float:
     """Parse '3 MHz' -> 2 pi x 3e6 etc.; checks the dimension matches."""
     if dimension == "dimensionless":
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"{path}: expected a plain number, got {value!r}")
+        if not _finite_number(value):
+            raise ConfigError(f"{path}: expected a finite plain number, got {value!r}")
         return float(value)
     if not isinstance(value, str):
         raise ConfigError(f"{path}: expected a unit-suffixed string, got {value!r}")
@@ -71,6 +77,8 @@ def parse_quantity(value, dimension: str, path: str = "value") -> float:
         mag = float(parts[0])
     except ValueError:
         raise ConfigError(f"{path}: bad number in {value!r}") from None
+    if not math.isfinite(mag):
+        raise ConfigError(f"{path}: magnitude must be finite, got {value!r}")
     unit = parts[1]
     if unit not in _UNITS:
         raise ConfigError(f"{path}: unknown unit {unit!r}")
@@ -137,6 +145,28 @@ _SCHEMA = {
 }
 
 
+# dotted key -> (test of the parsed value, requirement as printed)
+_RANGES = {
+    "raman.single_excitation_period": (lambda v: v > 0.0, "be positive"),
+    "ensemble.atomic_mass": (lambda v: v > 0.0, "be positive"),
+    "detector.entanglement_chain_efficiency": (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
+    "detector.calibration_chain_efficiency": (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
+    "detector.g2_calibration_target": (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
+    "readout.second_read_delay": (lambda v: v >= 0.0, "be >= 0"),
+    "simulation.seed": (lambda v: v >= 0, "be >= 0"),
+    "simulation.dephasing_t_max": (lambda v: v > 0.0, "be positive"),
+    # the envelope fit has 5 parameters
+    "simulation.dephasing_points": (lambda v: v >= 5, "be >= 5"),
+    "simulation.coincidence_trials": (lambda v: v >= 1, "be >= 1"),
+    "simulation.g2_trials": (lambda v: v >= 1, "be >= 1"),
+    "repeater.channel_transmission": (lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]"),
+    "repeater.retrieval_efficiency": (lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]"),
+    # the range of measurement.dlcz_occupation
+    "repeater.dlcz_excitation": (lambda v: 0.0 < v <= 0.2, "lie in (0, 0.2]"),
+    "repeater.trials": (lambda v: v >= 1, "be >= 1"),
+}
+
+
 def _validate(node, schema, path: str):
     if not isinstance(node, dict):
         raise ConfigError(f"{path}: expected a mapping")
@@ -163,8 +193,8 @@ def _validate(node, schema, path: str):
                 raise ConfigError(f"{sub}: expected an integer")
             out[key] = val
         elif spec is float:
-            if not isinstance(val, (int, float)) or isinstance(val, bool):
-                raise ConfigError(f"{sub}: expected a number")
+            if not _finite_number(val):
+                raise ConfigError(f"{sub}: expected a finite number")
             out[key] = float(val)
         elif spec is str:
             if not isinstance(val, str):
@@ -206,13 +236,15 @@ def _build_geometry(parsed: dict) -> BeamGeometry:
     beams = {}
     for bid in BEAM_IDS:
         spec = g["beams"][bid]
-        direction = np.asarray(spec["direction"], dtype=float)
-        if direction.shape != (3,):
-            raise ConfigError(f"geometry.beams.{bid}.direction: expected 3 components")
+        direction = spec["direction"]
+        if len(direction) != 3 or not all(_finite_number(c) for c in direction):
+            raise ConfigError(
+                f"geometry.beams.{bid}.direction: expected 3 finite numbers, got {direction!r}"
+            )
         try:
             beams[bid] = Beam(
                 wavelength_nm=spec["wavelength"] * 1e3,  # canonical um -> nm
-                direction=direction,
+                direction=np.array(direction, dtype=float),
                 waist_um=spec["waist"],
                 rabi=spec["rabi"],
             )
@@ -226,6 +258,12 @@ def _build_geometry(parsed: dict) -> BeamGeometry:
         theta_2_deg=np.degrees(g["theta_2"]),
     )
     _check_angles(geo)
+    if not modes_distinguishable(geo):
+        raise ConfigError(
+            "geometry.beams.C/E: the Raman kick k_C + k_E leaves the kicked spin-wave "
+            "modes overlapping the unkicked ones (k3 ~ k2 or k4 ~ k1) across the "
+            "waist of beam A; tilt C or E away from the optical axis"
+        )
     return geo
 
 
@@ -269,8 +307,11 @@ def load_config(path=None) -> RunConfig:
         resource = importlib.resources.files("rydlink.data") / DEFAULT_CONFIG_RESOURCE
         text = resource.read_text()
     else:
-        with open(path) as fh:
-            text = fh.read()
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"{path}: {exc.strerror}") from None
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -286,10 +327,8 @@ def load_config(path=None) -> RunConfig:
         )
     except ValueError as exc:
         raise ConfigError(f"raman: {exc}") from None
-    for key in ("entanglement_chain_efficiency", "calibration_chain_efficiency"):
-        v = parsed["detector"][key]
-        if not 0.0 < v <= 1.0:
-            raise ConfigError(f"detector.{key}: must lie in (0, 1]")
-    if not 0.0 < parsed["detector"]["g2_calibration_target"] < 1.0:
-        raise ConfigError("detector.g2_calibration_target: must lie in (0, 1)")
+    for key, (allowed, requirement) in _RANGES.items():
+        section, name = key.split(".")
+        if not allowed(parsed[section][name]):
+            raise ConfigError(f"{key}: must {requirement}")
     return RunConfig(raw=raw, parsed=parsed, geometry=geometry, ensemble=ensemble, scheme=scheme)

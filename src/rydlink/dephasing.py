@@ -107,12 +107,6 @@ class SimulationFlags:
 
 
 @dataclass(frozen=True)
-class AtomSample:
-    position_um: np.ndarray
-    velocity: np.ndarray  # um/us (numerically identical to m/s)
-
-
-@dataclass(frozen=True)
 class DephasingResult:
     t_grid_us: np.ndarray
     population_r: np.ndarray
@@ -214,19 +208,24 @@ def raman_splitting_exact(scheme: RamanLevelScheme, intensity_scale_1: float = 1
     return float(abs(evals[idx[0]] - evals[idx[1]]))
 
 
-def sample_atoms(ens: EnsembleConfig, n_samples: int, seed: int) -> list:
-    """Deterministic per-sample streams derived from (seed, sample_index)."""
+def sample_atoms(ens: EnsembleConfig, n_samples: int, seed: int) -> tuple:
+    """(positions in um, velocities in um/us), each of shape (n_samples, 3).
+
+    Sample i comes from its own stream derived from (seed, i), so it does
+    not depend on how many samples are drawn. A velocity in um/us is
+    numerically identical to one in m/s.
+    """
     if seed is None:
         raise SeedRequiredError("an explicit RNG seed is required")
     sigma_x = np.asarray(ens.cloud_sigma_um, dtype=float)
     sigma_v = thermal_velocity_sigma(ens.temperature_uK, ens.atomic_mass_amu)
-    samples = []
+    positions = np.empty((n_samples, 3))
+    velocities = np.empty((n_samples, 3))
     for i in range(n_samples):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        pos = rng.normal(0.0, sigma_x, size=3)
-        vel = rng.normal(0.0, sigma_v, size=3)
-        samples.append(AtomSample(pos, vel))
-    return samples
+        positions[i] = rng.normal(0.0, sigma_x, size=3)
+        velocities[i] = rng.normal(0.0, sigma_v, size=3)
+    return positions, velocities
 
 
 def _vec_index(i, j):
@@ -314,12 +313,8 @@ def simulate_single_excitation(
     t_grid_us = np.asarray(t_grid_us, dtype=float)
     t_grid_s = t_grid_us * 1e-6
 
-    modes = protocol_modes(geo)
-    k_sw = modes.k2.numeric.as_array()  # Rydberg spin-wave wave vector, rad/um
-
-    samples = sample_atoms(ens, n_samples, seed)
-    pos = np.array([s.position_um for s in samples])
-    vel = np.array([s.velocity for s in samples])
+    k_sw = protocol_modes(geo).k2.numeric  # Rydberg spin-wave wave vector, rad/um
+    pos, vel = sample_atoms(ens, n_samples, seed)
 
     if flags.inhomogeneity:
         rho_sq = pos[:, 0] ** 2 + pos[:, 1] ** 2

@@ -1,9 +1,12 @@
 """Beam wave vectors and spin-wave/photon momentum bookkeeping.
 
-Wave vectors are in rad/um, wavelengths in nm, waists in um. Momentum
-modes carry both an exact integer coefficient vector over the beam
-identifiers and the assembled numeric wave vector, so algebraic identities
-(mode composition, retrieval direction) can be checked without float slop.
+Wave vectors are read-only ``(3,)`` float arrays in rad/um; wavelengths
+are in nm, waists in um, and z is the optical axis. Momentum modes carry
+both an exact integer coefficient vector over the beam identifiers and
+the assembled numeric wave vector, so algebraic identities (mode
+composition, retrieval direction) can be checked without float slop.
+``modes_distinguishable`` is the scheme's validity condition on the beam
+geometry; the configuration loader applies it once.
 """
 
 from __future__ import annotations
@@ -14,46 +17,16 @@ import numpy as np
 
 BEAM_IDS = ("A", "B", "C", "D", "E", "read")
 
-DEFAULT_OVERLAP_THRESHOLD = 0.01
+OVERLAP_THRESHOLD = 0.01
 
 
 class UnknownBeamError(KeyError):
     pass
 
 
-@dataclass(frozen=True)
-class WaveVector:
-    kx: float
-    ky: float
-    kz: float
-
-    def __post_init__(self):
-        if not all(np.isfinite([self.kx, self.ky, self.kz])):
-            raise ValueError("wave vector components must be finite")
-
-    @classmethod
-    def from_array(cls, v) -> "WaveVector":
-        v = np.asarray(v, dtype=float)
-        return cls(float(v[0]), float(v[1]), float(v[2]))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.kx, self.ky, self.kz])
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.as_array()))
-
-    def transverse_norm(self, axis=(0.0, 0.0, 1.0)) -> float:
-        """Magnitude of the component perpendicular to ``axis``."""
-        axis = np.asarray(axis, dtype=float)
-        axis = axis / np.linalg.norm(axis)
-        v = self.as_array()
-        return float(np.linalg.norm(v - np.dot(v, axis) * axis))
-
-    def __add__(self, other: "WaveVector") -> "WaveVector":
-        return WaveVector.from_array(self.as_array() + other.as_array())
-
-    def __sub__(self, other: "WaveVector") -> "WaveVector":
-        return WaveVector.from_array(self.as_array() - other.as_array())
+def _frozen(v: np.ndarray) -> np.ndarray:
+    v.setflags(write=False)
+    return v
 
 
 @dataclass(frozen=True)
@@ -65,14 +38,14 @@ class Beam:
 
     def __post_init__(self):
         d = np.asarray(self.direction, dtype=float)
+        if not np.all(np.isfinite(d)):
+            raise ValueError("beam direction must be finite")
         n = np.linalg.norm(d)
         if n == 0.0:
             raise ValueError("beam direction must be nonzero")
         if abs(n - 1.0) > 1e-6:
             raise ValueError(f"beam direction norm {n} is not 1")
-        d = d / n
-        d.setflags(write=False)
-        object.__setattr__(self, "direction", d)
+        object.__setattr__(self, "direction", _frozen(d / n))
         if self.waist_um <= 0:
             raise ValueError("waist must be positive")
         if self.wavelength_nm <= 0:
@@ -88,7 +61,6 @@ class BeamGeometry:
     detuning_2: float  # rad/s, signed, path via |e2>
     theta_1_deg: float
     theta_2_deg: float
-    optical_axis: tuple = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
         missing = [b for b in BEAM_IDS if b not in self.beams]
@@ -107,24 +79,21 @@ class ModeLabel:
     """Signed integer combination of beam wave vectors, plus its numeric value."""
 
     coeffs: tuple  # ((beam_id, int), ...) sorted by beam id
-    numeric: WaveVector
+    numeric: np.ndarray  # rad/um
 
     @property
     def coeff_dict(self) -> dict:
         return dict(self.coeffs)
 
     def negate(self) -> "ModeLabel":
-        return ModeLabel(
-            tuple((b, -c) for b, c in self.coeffs),
-            WaveVector.from_array(-self.numeric.as_array()),
-        )
+        return ModeLabel(tuple((b, -c) for b, c in self.coeffs), _frozen(-self.numeric))
 
 
-def beam_wavevector(beam_id: str, geo: BeamGeometry) -> WaveVector:
+def beam_wavevector(beam_id: str, geo: BeamGeometry) -> np.ndarray:
     """k = (2 pi / lambda) * direction, in rad/um."""
     beam = geo.beam(beam_id)
     k = 2.0 * np.pi / (beam.wavelength_nm * 1e-3)  # nm -> um
-    return WaveVector.from_array(k * beam.direction)
+    return _frozen(k * beam.direction)
 
 
 def compose_mode(terms, geo: BeamGeometry) -> ModeLabel:
@@ -137,26 +106,25 @@ def compose_mode(terms, geo: BeamGeometry) -> ModeLabel:
         coeffs[beam_id] = coeffs.get(beam_id, 0) + int(sign)
     numeric = np.zeros(3)
     for beam_id, c in coeffs.items():
-        numeric += c * beam_wavevector(beam_id, geo).as_array()
+        numeric += c * beam_wavevector(beam_id, geo)
     ordered = tuple(sorted((b, c) for b, c in coeffs.items() if c != 0))
-    return ModeLabel(ordered, WaveVector.from_array(numeric))
+    return ModeLabel(ordered, _frozen(numeric))
 
 
-def retrieval_direction(spinwave: ModeLabel, read_beam: str, geo: BeamGeometry) -> WaveVector:
+def retrieval_direction(spinwave: ModeLabel, read_beam: str, geo: BeamGeometry) -> np.ndarray:
     """Photon momentum from phase-matched read-out: k_sw - k_read."""
-    return spinwave.numeric - beam_wavevector(read_beam, geo)
+    return _frozen(spinwave.numeric - beam_wavevector(read_beam, geo))
 
 
-def mode_overlap(m1: ModeLabel, m2: ModeLabel, waist_um: float, axis=(0.0, 0.0, 1.0)) -> float:
+def mode_overlap(m1: ModeLabel, m2: ModeLabel, waist_um: float) -> float:
     """Gaussian transverse-mode overlap, exp(-|dk_perp|^2 w^2 / 4).
 
-    Only the component of the momentum mismatch transverse to ``axis``
-    matters; purely longitudinal mismatch gives overlap 1.
+    Only the momentum mismatch transverse to the optical axis (z) matters;
+    purely longitudinal mismatch gives overlap 1.
     """
     if waist_um <= 0:
         raise ValueError("waist must be positive")
-    dk = m1.numeric - m2.numeric
-    dk_perp = dk.transverse_norm(axis)
+    dk_perp = np.linalg.norm((m1.numeric - m2.numeric)[:2])
     return float(np.exp(-(dk_perp**2) * waist_um**2 / 4.0))
 
 
@@ -169,8 +137,8 @@ class ProtocolModes:
     k3: ModeLabel  # Rydberg excitation after the Raman kick
     k4: ModeLabel  # ground excitation after the Raman kick
     dk: ModeLabel  # Raman momentum kick
-    k_up: WaveVector  # read-out photon from k2
-    k_down: WaveVector  # read-out photon from k3
+    k_up: np.ndarray  # read-out photon from k2
+    k_down: np.ndarray  # read-out photon from k3
 
 
 def protocol_modes(geo: BeamGeometry) -> ProtocolModes:
@@ -190,16 +158,15 @@ def protocol_modes(geo: BeamGeometry) -> ProtocolModes:
     )
 
 
-def modes_distinguishable(
-    geo: BeamGeometry,
-    threshold: float = DEFAULT_OVERLAP_THRESHOLD,
-    waist_um: float | None = None,
-) -> bool:
-    """Validity gate: k2 != k3 and k1 != k4 at the transverse-overlap level."""
+def modes_distinguishable(geo: BeamGeometry) -> bool:
+    """Validity gate: k2 != k3 and k1 != k4 at the transverse-overlap level.
+
+    The overlaps are taken over the waist of the excitation beam A and must
+    both stay below ``OVERLAP_THRESHOLD``.
+    """
     modes = protocol_modes(geo)
-    w = waist_um if waist_um is not None else geo.beam("A").waist_um
-    axis = geo.optical_axis
+    w = geo.beam("A").waist_um
     return (
-        mode_overlap(modes.k2, modes.k3, w, axis) < threshold
-        and mode_overlap(modes.k1, modes.k4, w, axis) < threshold
+        mode_overlap(modes.k2, modes.k3, w) < OVERLAP_THRESHOLD
+        and mode_overlap(modes.k1, modes.k4, w) < OVERLAP_THRESHOLD
     )

@@ -27,18 +27,6 @@ class ZeroCoincidenceError(ZeroDivisionError):
 
 
 @dataclass(frozen=True)
-class AnalyzerConfig:
-    basis: str = "pm"
-    phase: float = 0.0  # phase-shifter setting, radians in [0, 2 pi)
-
-    def __post_init__(self):
-        if self.basis not in BASES:
-            raise ValueError(f"basis must be one of {BASES}")
-        if not 0.0 <= self.phase < 2.0 * np.pi:
-            raise ValueError("phase must lie in [0, 2 pi)")
-
-
-@dataclass(frozen=True)
 class DetectorModel:
     efficiency: float = 1.0
     background_prob: float = 0.0  # per detection gate (dark counts + stray light)
@@ -295,8 +283,8 @@ class PhotonFieldModel:
     def __post_init__(self):
         if self.kind not in FIELD_KINDS:
             raise ValueError(f"kind must be one of {FIELD_KINDS}")
-        if not self.parameter > 0:  # also rejects NaN
-            raise ValueError("field parameter must be positive (the vacuum has no g2)")
+        if not 0.0 < self.parameter < np.inf:  # also rejects NaN
+            raise ValueError("field parameter must be positive and finite (the vacuum has no g2)")
         self.occupation_distribution()  # each kind checks its own range
 
     def occupation_distribution(self) -> np.ndarray:

@@ -66,27 +66,25 @@ def test_criterion_01_sqrt2_enhancement():
         assert abs(pair_ns - 339.0) < 2.0 * sigma_combined
 
 
-def test_criterion_02_fifty_percent_branch(cfg, modes):
+def test_criterion_02_fifty_percent_branch():
     with criterion(2, "50% dark-state branch"):
         t = np.pi / (SQ2 * OMEGA)
-        pair = col.pair_evolution(OMEGA, t, modes)
+        pair = col.pair_evolution(OMEGA, t)
         assert abs(pair.psi_minus_probability() - 0.5) < 1e-9
-        state, _ = col.run_protocol(cfg.geometry, cfg.ensemble, t, OMEGA)
+        state, _ = col.run_protocol(t, OMEGA)
         assert abs(state.concurrence() - 1.0) < 1e-9
 
 
 def test_criterion_03_brute_force_equivalence(modes):
     with criterion(3, "brute-force pair equivalence"):
-        k1 = modes.k1.numeric.as_array()
-        k2 = modes.k2.numeric.as_array()
-        dk = modes.dk.numeric.as_array()
+        k1, k2, dk = modes.k1.numeric, modes.k2.numeric, modes.dk.numeric
         rng = np.random.default_rng(2024)
         for n in range(2, 7):
             for _ in range(100):
                 pos = rng.normal(scale=[3.5, 3.5, 6.5], size=(n, 3))
                 t = rng.uniform(0.0, 2.0) * col.pair_oscillation_period(OMEGA)
                 bf = col.brute_force_pair(n, OMEGA, t, k1, k2, dk, pos)
-                pair = col.pair_evolution(OMEGA, t, modes)
+                pair = col.pair_evolution(OMEGA, t)
                 assert bf.fidelity_with(pair) >= 1.0 - 1e-9
 
 
@@ -192,7 +190,7 @@ def test_criterion_10_fidelity_band(cfg):
         b = ms.calibrate_background(cfg.parsed["detector"]["g2_calibration_target"], chain)
         det = DetectorModel(cfg.parsed["detector"]["entanglement_chain_efficiency"], b)
         t_ent = col.pair_oscillation_period(OMEGA) / 2.0
-        aps, _ = col.run_protocol(cfg.geometry, cfg.ensemble, t_ent, OMEGA)
+        aps, _ = col.run_protocol(t_ent, OMEGA)
         state = ms.momentum_to_polarization(aps, cfg.parsed["readout"]["phase_shift"])
         state = ms.apply_memory_decoherence(
             state,

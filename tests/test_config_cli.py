@@ -126,6 +126,7 @@ class TestCli:
 
     def test_missing_config_file_exit_code(self, tmp_path):
         assert cli.main(["--config", str(tmp_path / "nope.yaml"), "rabi", "--single"]) == 2
+        assert cli.main(["--config", str(tmp_path), "rabi", "--single"]) == 2
 
     def test_nonconvergence_maps_to_exit_3(self, tmp_path, monkeypatch):
         def boom(cfg, args, writer):
@@ -150,12 +151,84 @@ class TestCli:
             (["dephasing", "--samples", "50"], "--samples"),
             (["g2", "--field", "single", "--parameter", "2"], "--parameter"),
             (["g2", "--field", "coherent", "--parameter", "0"], "--parameter"),
+            (["g2", "--field", "thermal", "--parameter", "inf"], "--parameter"),
         ],
-        ids=["dlcz-p-above-range", "too-few-samples", "single-efficiency-above-1", "coherent-vacuum"],
+        ids=[
+            "dlcz-p-above-range", "too-few-samples", "single-efficiency-above-1", "coherent-vacuum",
+            "thermal-infinite",
+        ],
     )
     def test_out_of_range_option_is_config_error(self, tmp_path, capsys, args, named):
         assert run_cli(args, tmp_path / "o") == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value, args",
+        [
+            ("geometry.beams.A.wavelength", "nan nm", ["dephasing"]),
+            ("geometry.beams.A.direction", [float("nan"), 0.0, 1.0], ["rabi", "--pair"]),
+            ("geometry.beams.A.direction", ["x", 0.0, 1.0], ["g2", "--field", "single"]),
+            ("geometry.beams.A.direction", [0.0, 1.0], ["rabi", "--single"]),
+            ("ensemble.temperature", "inf uK", ["dephasing"]),
+            ("raman.single_excitation_period", "nan ns", ["rabi", "--pair"]),
+            ("raman.single_excitation_period", "0 ns", ["rabi", "--pair"]),
+            ("detector.entanglement_chain_efficiency", float("nan"), ["entangle", "--fidelity"]),
+            ("ensemble.atomic_mass", "0 amu", ["dephasing"]),
+            ("readout.second_read_delay", "-1 us", ["entangle", "--fidelity"]),
+            ("simulation.dephasing_t_max", "0 us", ["dephasing"]),
+            ("simulation.seed", -1, ["g2", "--field", "single"]),
+            ("simulation.dephasing_points", 1, ["dephasing"]),
+            ("simulation.coincidence_trials", 0, ["entangle", "--fidelity"]),
+            ("simulation.g2_trials", 0, ["g2", "--field", "single"]),
+            ("repeater.trials", 0, ["repeater", "--source", "semi"]),
+            ("repeater.channel_transmission", 1.5, ["repeater", "--source", "semi"]),
+            ("repeater.retrieval_efficiency", -0.1, ["repeater", "--source", "semi"]),
+            ("repeater.dlcz_excitation", 0.5, ["repeater", "--source", "dlcz"]),
+            ("repeater.dlcz_excitation", 0.0, ["repeater", "--source", "dlcz"]),
+        ],
+        ids=[
+            "nan-wavelength", "nan-direction", "string-direction", "short-direction",
+            "inf-temperature", "nan-period", "zero-period", "nan-efficiency", "zero-mass",
+            "negative-read-delay", "zero-dephasing-window", "negative-seed",
+            "one-dephasing-point", "no-coincidence-trials", "no-g2-trials", "no-repeater-trials",
+            "transmission-above-1", "negative-retrieval", "dlcz-p-above-range", "dlcz-p-zero",
+        ],
+    )
+    def test_bad_config_value_exits_2_naming_key(self, tmp_path, capsys, default_raw, key, value, args):
+        raw = yaml.safe_load(yaml.safe_dump(default_raw))
+        *parents, leaf = key.split(".")
+        node = raw
+        for part in parents:
+            node = node[part]
+        node[leaf] = value
+        config = write_config(tmp_path, raw)
+        assert cli.main(["--config", config, "--out", str(tmp_path / "o"), *args]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["rabi", "--collective"],
+            ["rabi", "--pair"],
+            ["dephasing", "--flags", "motion"],
+            ["entangle", "--phi-sweep"],
+            ["g2", "--field", "single"],
+            ["repeater", "--source", "semi"],
+        ],
+        ids=lambda a: "-".join(a).replace("--", ""),
+    )
+    def test_indistinguishable_modes_exit_2(self, tmp_path, capsys, default_raw, args):
+        # C and E on the optical axis: the Raman kick is purely axial, so
+        # the kicked spin-wave modes overlap the unkicked ones
+        raw = yaml.safe_load(yaml.safe_dump(default_raw))
+        for beam in ("C", "E"):
+            raw["geometry"]["beams"][beam]["direction"] = [0.0, 0.0, 1.0]
+        raw["geometry"]["theta_1"] = "0 deg"
+        raw["geometry"]["theta_2"] = "0 deg"
+        config = write_config(tmp_path, raw)
+        assert cli.main(["--config", config, "--out", str(tmp_path / "o"), *args]) == 2
+        assert "geometry.beams" in capsys.readouterr().err
 
     def test_unknown_dephasing_flag_is_config_error(self, tmp_path):
         assert run_cli(["dephasing", "--flags", "wobble"], tmp_path / "o") == 2

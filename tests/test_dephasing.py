@@ -17,7 +17,7 @@ def cfg():
 
 @pytest.fixture(scope="module")
 def dk_norm(cfg):
-    return protocol_modes(cfg.geometry).k2.numeric.norm()
+    return np.linalg.norm(protocol_modes(cfg.geometry).k2.numeric)
 
 
 class TestThermalMotion:
@@ -96,15 +96,14 @@ class TestSampling:
 
     def test_per_index_streams_are_stable(self, cfg):
         # sample i must not depend on how many samples are drawn
-        a = dp.sample_atoms(cfg.ensemble, 5, 42)
-        b = dp.sample_atoms(cfg.ensemble, 50, 42)
-        for s1, s2 in zip(a, b[:5]):
-            assert np.array_equal(s1.position_um, s2.position_um)
-            assert np.array_equal(s1.velocity, s2.velocity)
+        pos_a, vel_a = dp.sample_atoms(cfg.ensemble, 5, 42)
+        pos_b, vel_b = dp.sample_atoms(cfg.ensemble, 50, 42)
+        assert pos_b.shape == vel_b.shape == (50, 3)
+        assert np.array_equal(pos_a, pos_b[:5])
+        assert np.array_equal(vel_a, vel_b[:5])
 
     def test_position_spread_matches_cloud(self, cfg):
-        samples = dp.sample_atoms(cfg.ensemble, 4000, 1)
-        pos = np.array([s.position_um for s in samples])
+        pos, _ = dp.sample_atoms(cfg.ensemble, 4000, 1)
         assert np.std(pos[:, 2]) == pytest.approx(6.5, rel=0.1)
         assert np.std(pos[:, 0]) == pytest.approx(3.5, rel=0.1)
 

@@ -1,0 +1,29 @@
+"""Smoke tests: the study scripts in scripts/ run to completion on small inputs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("blockade_scaling_scan.py", ["--draws", "1"]),
+        ("dephasing_budget.py", ["--samples", "100", "--points", "40"]),
+    ],
+    ids=["blockade_scaling_scan", "dephasing_budget"],
+)
+def test_script_exits_0(script, args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip()
