@@ -25,7 +25,7 @@ def main():
     cfg = load_config()
     modes = protocol_modes(cfg.geometry)
     omega = cfg.protocol_rabi
-    k1, k2, dk = modes.k1.numeric, modes.k2.numeric, modes.dk.numeric
+    k1, k2, dk = modes.k1, modes.k2, modes.dk
     sigma = np.asarray(cfg.ensemble.cloud_sigma_um)
     rng = np.random.default_rng(args.seed)
 

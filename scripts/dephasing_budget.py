@@ -7,7 +7,6 @@ decay time and the closed-form free-evolution lifetime.
 """
 
 import argparse
-import itertools
 
 import numpy as np
 

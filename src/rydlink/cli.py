@@ -35,14 +35,13 @@ def _fmt(x) -> str:
 
 
 class RunWriter:
-    """Single owner of an output directory; accumulates the manifest."""
+    """Single owner of an existing output directory; accumulates the manifest."""
 
     def __init__(self, outdir: Path, cfg: RunConfig, command: str):
         self.outdir = outdir
         self.cfg = cfg
         self.command = command
         self.checksums: dict = {}
-        outdir.mkdir(parents=True, exist_ok=True)
 
     def _record(self, name: str, data: bytes):
         (self.outdir / name).write_bytes(data)
@@ -77,7 +76,7 @@ class RunWriter:
 def _excitation_rabi(cfg: RunConfig) -> float:
     """Single-atom two-photon Rabi frequency of the excitation pair (A, B)."""
     geo = cfg.geometry
-    return geo.beam("A").rabi * geo.beam("B").rabi / (2.0 * abs(geo.detuning_1))
+    return geo.beams["A"].rabi * geo.beams["B"].rabi / (2.0 * abs(geo.detuning_1))
 
 
 def cmd_rabi(cfg: RunConfig, args, writer: RunWriter):
@@ -183,7 +182,7 @@ def _read_out(cfg: RunConfig, state: collective.AtomPhotonState, phase: float) -
 
 
 def _calibrated_background(cfg: RunConfig) -> float:
-    det = cfg.detector("calibration")
+    det = DetectorModel(cfg.parsed["detector"]["calibration_chain_efficiency"], 0.0)
     field = PhotonFieldModel("single_photon", 1.0, det)
     return measurement.calibrate_background(
         cfg.parsed["detector"]["g2_calibration_target"], field
@@ -355,12 +354,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_outdir(args, cfg: RunConfig) -> Path:
+    """Create the output directory; a path that cannot be one names its source."""
     if args.out is not None:
-        return Path(args.out)
-    env = os.environ.get(OUTDIR_ENV)
-    if env:
-        return Path(env)
-    return Path(cfg.parsed["output"]["directory"])
+        path, source = Path(args.out), "--out"
+    elif os.environ.get(OUTDIR_ENV):
+        path, source = Path(os.environ[OUTDIR_ENV]), OUTDIR_ENV
+    else:
+        path, source = Path(cfg.parsed["output"]["directory"]), "output.directory"
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{source}: cannot create directory {str(path)!r}: {exc.strerror}") from None
+    return path
 
 
 def main(argv=None) -> int:

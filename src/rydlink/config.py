@@ -21,7 +21,6 @@ import yaml
 from .collective import EnsembleConfig
 from .dephasing import AMU, RamanLevelScheme, scheme_from_geometry
 from .geometry import BEAM_IDS, Beam, BeamGeometry, modes_distinguishable
-from .measurement import DetectorModel
 
 DEFAULT_CONFIG_RESOURCE = "default.yaml"
 
@@ -222,10 +221,6 @@ class RunConfig:
         """Effective Raman Rabi frequency from the calibrated period, rad/s."""
         return TWO_PI / self.parsed["raman"]["single_excitation_period"]
 
-    def detector(self, chain: str) -> DetectorModel:
-        eff = self.parsed["detector"][f"{chain}_chain_efficiency"]
-        return DetectorModel(efficiency=eff, background_prob=0.0)
-
     def config_hash(self) -> str:
         blob = json.dumps(self.raw, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
@@ -271,7 +266,7 @@ def _check_angles(geo: BeamGeometry):
     """The declared crossing angles must match the beam directions."""
     pairs = (("A", "C", geo.theta_1_deg, "theta_1"), ("D", "E", geo.theta_2_deg, "theta_2"))
     for b1, b2, theta, name in pairs:
-        cosang = float(np.dot(geo.beam(b1).direction, geo.beam(b2).direction))
+        cosang = float(np.dot(geo.beams[b1].direction, geo.beams[b2].direction))
         ang = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
         if abs(ang - theta) > 0.1:
             raise ConfigError(

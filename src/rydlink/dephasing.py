@@ -59,8 +59,8 @@ class RamanLevelScheme:
     branch_1: float
     branch_2: float
     gamma_e: float  # intermediate-state decay rate, rad/s
-    waist_ground_um: float = 13.0
-    waist_rydberg_um: float = 520.0
+    waist_ground_um: float
+    waist_rydberg_um: float
 
     def __post_init__(self):
         if self.detuning_1 == 0.0 or self.detuning_2 == 0.0:
@@ -83,19 +83,20 @@ def shift_cancelling_branch_weights(detuning_1: float, detuning_2: float) -> tup
     return (np.sign(detuning_1) * w1, np.sign(detuning_2) * w2)
 
 
-def scheme_from_geometry(geo: BeamGeometry, gamma_e: float = 2 * np.pi * 5.746e6,
-                         ground_beam: str = "C", rydberg_beam: str = "E") -> RamanLevelScheme:
+def scheme_from_geometry(geo: BeamGeometry, gamma_e: float) -> RamanLevelScheme:
+    """The Raman scheme of beams C (ground side) and E (Rydberg side)."""
     b1, b2 = shift_cancelling_branch_weights(geo.detuning_1, geo.detuning_2)
+    ground, rydberg = geo.beams["C"], geo.beams["E"]
     return RamanLevelScheme(
-        omega_ground=geo.beam(ground_beam).rabi,
-        omega_rydberg=geo.beam(rydberg_beam).rabi,
+        omega_ground=ground.rabi,
+        omega_rydberg=rydberg.rabi,
         detuning_1=geo.detuning_1,
         detuning_2=geo.detuning_2,
         branch_1=b1,
         branch_2=b2,
         gamma_e=gamma_e,
-        waist_ground_um=geo.beam(ground_beam).waist_um,
-        waist_rydberg_um=geo.beam(rydberg_beam).waist_um,
+        waist_ground_um=ground.waist_um,
+        waist_rydberg_um=rydberg.waist_um,
     )
 
 
@@ -132,34 +133,16 @@ def motional_coherence_time_us(delta_k_rad_per_um: float, temperature_uK: float,
     return float(1.0 / (dk * sigma_v))
 
 
-def free_spinwave_envelope(delta_k, temperature_uK: float, mass_amu: float, t_grid_us) -> np.ndarray:
-    """Gaussian motional-dephasing envelope of the spin-wave amplitude.
-
-    C(t) = exp(-(|dk| sigma_v t)^2 / 2). A zero momentum mismatch gives a
-    constant envelope of 1 (no thermal dephasing), not an error.
-    """
-    dk_vec = np.atleast_1d(np.asarray(delta_k, dtype=float))
-    dk = float(np.linalg.norm(dk_vec))
-    t = np.asarray(t_grid_us, dtype=float)
-    if dk == 0.0:
-        return np.ones_like(t)
-    sigma_v = thermal_velocity_sigma(temperature_uK, mass_amu)
-    return np.exp(-((dk * sigma_v * t) ** 2) / 2.0)
-
-
-def raman_rabi_local(scheme: RamanLevelScheme, intensity_scale_1: float = 1.0,
-                     intensity_scale_2: float = 1.0) -> tuple:
+def raman_rabi_local(scheme: RamanLevelScheme) -> tuple:
     """Effective two-photon Rabi frequency and residual differential shift.
 
-    The scales are local field-amplitude factors in [0, 1] (Gaussian beam
-    profile evaluated at the atom). The differential shift vanishes by
-    construction for the shift-cancelling default weights.
+    Evaluated at the peak of both beams; the Gaussian profile across the
+    cloud enters the simulation through ``_four_level_hamiltonian``. The
+    differential shift vanishes by construction for the shift-cancelling
+    weights.
     """
-    for s in (intensity_scale_1, intensity_scale_2):
-        if not 0.0 <= s <= 1.0:
-            raise ValueError("intensity scales must lie in [0, 1]")
-    o1 = scheme.omega_ground * intensity_scale_1
-    o2 = scheme.omega_rydberg * intensity_scale_2
+    o1 = scheme.omega_ground
+    o2 = scheme.omega_rydberg
     path_sum = scheme.branch_1 / scheme.detuning_1 + scheme.branch_2 / scheme.detuning_2
     omega_eff = (o1 * o2 / 2.0) * path_sum
     shift_weight = abs(scheme.branch_1) / scheme.detuning_1 + abs(scheme.branch_2) / scheme.detuning_2
@@ -191,17 +174,14 @@ def _four_level_hamiltonian(scheme: RamanLevelScheme, s1, s2, doppler):
     return H
 
 
-def raman_splitting_exact(scheme: RamanLevelScheme, intensity_scale_1: float = 1.0,
-                          intensity_scale_2: float = 1.0) -> float:
+def raman_splitting_exact(scheme: RamanLevelScheme) -> float:
     """Exact s-r oscillation frequency from the 4-level eigenvalues.
 
     This is what the simulated homogeneous oscillation actually runs at;
     it deviates from the adiabatic-elimination formula at relative order
     (Omega / 2 Delta)^2, about a percent for the default parameters.
     """
-    H = _four_level_hamiltonian(
-        scheme, np.array([intensity_scale_1]), np.array([intensity_scale_2]), np.array([0.0])
-    )[0]
+    H = _four_level_hamiltonian(scheme, np.ones(1), np.ones(1), np.zeros(1))[0]
     evals, evecs = np.linalg.eigh(H)
     weights = abs(evecs[LEVEL_S, :]) ** 2 * abs(evecs[LEVEL_R, :]) ** 2
     idx = np.argsort(weights)[-2:]
@@ -313,7 +293,7 @@ def simulate_single_excitation(
     t_grid_us = np.asarray(t_grid_us, dtype=float)
     t_grid_s = t_grid_us * 1e-6
 
-    k_sw = protocol_modes(geo).k2.numeric  # Rydberg spin-wave wave vector, rad/um
+    k_sw = protocol_modes(geo).k2  # Rydberg spin-wave wave vector, rad/um
     pos, vel = sample_atoms(ens, n_samples, seed)
 
     if flags.inhomogeneity:

@@ -106,22 +106,14 @@ class TwoPhotonState:
         return cls(np.outer(v, v.conj()))
 
 
-def momentum_to_polarization(state, phase: float = 0.0) -> TwoPhotonState:
+def momentum_to_polarization(state: AtomPhotonState, phase: float) -> TwoPhotonState:
     """Map the momentum-mode pair onto polarization with the phase shifter.
 
     |k_up> -> |H| and |k_down> -> |V> on each photon; the variable phase
-    acts on the first photon's V component. Accepts an AtomPhotonState
-    (whose atomic excitation is subsequently retrieved into the second
-    photon) or a raw 2-amplitude vector over (|k_up k_down>, |k_down k_up>).
+    acts on the first photon's V component. The atomic excitation of
+    ``state`` is retrieved into the second photon.
     """
-    if isinstance(state, AtomPhotonState):
-        amps = state.amplitudes
-    else:
-        amps = np.asarray(state, dtype=complex).ravel()
-        if amps.shape != (2,):
-            raise ValueError("expected 2 amplitudes over (k_up k_down, k_down k_up)")
-        if abs(np.linalg.norm(amps) - 1.0) > 1e-9:
-            raise ValueError("input state is not normalized")
+    amps = state.amplitudes
     vec = np.zeros(4, dtype=complex)
     vec[HV] = amps[0]
     vec[VH] = amps[1] * np.exp(1j * phase)
@@ -168,33 +160,22 @@ def born_probabilities(state: TwoPhotonState, basis: str) -> np.ndarray:
     return probs
 
 
-def coincidence_probabilities(state: TwoPhotonState, basis: str, det) -> np.ndarray:
+def coincidence_probabilities(state: TwoPhotonState, basis: str, det: DetectorModel) -> np.ndarray:
     """Outcome probabilities conditioned on a coincidence.
 
-    ``det`` is one DetectorModel for both photons or a pair. Each photon is
-    detected with its efficiency; each of the two outcome channels per side
-    additionally fires with background probability b/2 per gate. A
-    coincidence is one click on each side; probabilities are renormalized
-    over coincidence events.
+    Both photons see the same detector model. Each photon is detected with
+    its efficiency; each of the two outcome channels per side additionally
+    fires with background probability b/2 per gate. A coincidence is one
+    click on each side; probabilities are renormalized over coincidence
+    events.
     """
-    det1, det2 = det if isinstance(det, (tuple, list)) else (det, det)
     p_sig = born_probabilities(state, basis)
     # signal outcomes: index o1, o2 in {0, 1} per side
     p_joint = np.array([[p_sig[0], p_sig[2]], [p_sig[3], p_sig[1]]])  # [o1][o2]
-
-    def click(det_model, hit):
-        miss = (1.0 - det_model.efficiency * hit) * (1.0 - det_model.background_prob / 2.0)
-        return 1.0 - miss
-
-    q = np.zeros((2, 2))
-    for o1 in range(2):
-        for o2 in range(2):
-            w = p_joint[o1][o2]
-            if w == 0.0:
-                continue
-            for x in range(2):
-                for y in range(2):
-                    q[x, y] += w * click(det1, float(o1 == x)) * click(det2, float(o2 == y))
+    # click[x, o]: channel x fires when the photon left through channel o
+    miss = (1.0 - det.efficiency * np.eye(2)) * (1.0 - det.background_prob / 2.0)
+    click = 1.0 - miss
+    q = click @ p_joint @ click.T
     total = q.sum()
     if total <= 0.0:
         raise ZeroCoincidenceError("no coincidence events possible")
@@ -236,7 +217,7 @@ def fidelity_bound(v_hv: float, v_pm: float, v_circ: float) -> float:
     return 0.25 * (1.0 + v_hv + v_pm + v_circ)
 
 
-def measure_three_bases(state: TwoPhotonState, det, trials: int, seed: int) -> MeasurementResult:
+def measure_three_bases(state: TwoPhotonState, det: DetectorModel, trials: int, seed: int) -> MeasurementResult:
     """Sampled visibilities in all three bases and the fidelity bound."""
     vs = []
     errs = []
@@ -345,7 +326,10 @@ def g2_hbt(field: PhotonFieldModel, trials: int | None = None, seed: int | None 
     return float(n12 * trials / (n1 * n2))
 
 
-def calibrate_background(target_g2: float, field: PhotonFieldModel, tol: float = 1e-8) -> float:
+CALIBRATION_TOL = 1e-8  # relative width of the final bisection bracket
+
+
+def calibrate_background(target_g2: float, field: PhotonFieldModel) -> float:
     """Solve g2(b) = target for the background probability by bisection.
 
     g2 is monotonically increasing in b for a sub-Poissonian source; a
@@ -367,6 +351,6 @@ def calibrate_background(target_g2: float, field: PhotonFieldModel, tol: float =
             lo = mid
         else:
             hi = mid
-        if hi - lo < tol * max(hi, 1e-12):
+        if hi - lo < CALIBRATION_TOL * max(hi, 1e-12):
             break
     return 0.5 * (lo + hi)

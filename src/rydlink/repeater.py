@@ -7,7 +7,10 @@ projection. Both a vectorized Monte Carlo and an exact enumeration over
 photon-number outcomes are provided; they share the same routing model,
 in which each arriving photon independently picks an analyzer arm with
 probability 1/2 and carries an H/V polarization that is uniformly random
-once averaged over the unobserved partner memories.
+once averaged over the unobserved partner memories. A link is set by its
+channel transmission alone: the analyzer's detectors are ideal and never
+fire without a photon (detector noise is modelled only in
+``measurement.DetectorModel``).
 
 Detector indices: 0 = arm1/H, 1 = arm1/V, 2 = arm2/H, 3 = arm2/V.
 Click-set bitmasks {arm1H, arm2V} and {arm1V, arm2H} herald one Bell
@@ -69,20 +72,16 @@ class SourceModel:
 @dataclass(frozen=True)
 class LinkConfig:
     channel_transmission: float = 1.0
-    detector_efficiency: float = 1.0
-    background_prob: float = 0.0  # per detector per attempt
 
     def __post_init__(self):
-        for name in ("channel_transmission", "detector_efficiency"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
-        if not 0.0 <= self.background_prob < 1.0:
-            raise ValueError("background probability must lie in [0, 1)")
+        if not 0.0 <= self.channel_transmission <= 1.0:
+            raise ValueError("channel_transmission must lie in [0, 1]")
 
+    # kept under its own name because perfbench/tracing.py reads link.survival
     @property
     def survival(self) -> float:
-        return self.channel_transmission * self.detector_efficiency
+        """Probability that an emitted photon reaches a detector and clicks."""
+        return self.channel_transmission
 
 
 @dataclass(frozen=True)
@@ -106,7 +105,7 @@ class HeraldStats:
 
 
 def pattern_herald_prob(m: int) -> float:
-    """P(herald pattern | m photons at the analyzer), without background.
+    """P(herald pattern | m photons at the analyzer).
 
     Each photon lands on one of the 4 detectors uniformly; the herald needs
     the occupied set to equal one of the 4 two-detector Bell patterns.
@@ -134,9 +133,6 @@ def _simulate_chunk(source_left, source_right, link, n_trials, rng):
     for j in range(MAX_PHOTONS):
         hit = j < m_tot
         occupied |= np.where(hit, np.int64(1) << detectors[:, j], 0)
-    if link.background_prob > 0.0:
-        dark = rng.random((n_trials, 4)) < link.background_prob
-        occupied |= (dark << np.arange(4)).sum(axis=1)
 
     herald = np.isin(occupied, HERALD_MASKS)
     true = herald & (m_l == 1) & (m_r == 1) & single_l & single_r
@@ -186,9 +182,7 @@ def simulate_link(
 
 
 def analytic_link(source_left: SourceModel, source_right: SourceModel, link: LinkConfig) -> HeraldStats:
-    """Exact enumeration over emitted/surviving photon numbers (b = 0)."""
-    if link.background_prob != 0.0:
-        raise NotImplementedError("analytic link assumes zero background")
+    """Exact enumeration over emitted/surviving photon numbers."""
     s = link.survival
     herald_rate = 0.0
     true_rate = 0.0

@@ -77,7 +77,7 @@ def test_criterion_02_fifty_percent_branch():
 
 def test_criterion_03_brute_force_equivalence(modes):
     with criterion(3, "brute-force pair equivalence"):
-        k1, k2, dk = modes.k1.numeric, modes.k2.numeric, modes.dk.numeric
+        k1, k2, dk = modes.k1, modes.k2, modes.dk
         rng = np.random.default_rng(2024)
         for n in range(2, 7):
             for _ in range(100):

@@ -116,7 +116,7 @@ class TestBruteForcePair:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_superatom_matches_full_space(self, n, modes):
         rng = np.random.default_rng(100 + n)
-        k1, k2, dk = modes.k1.numeric, modes.k2.numeric, modes.dk.numeric
+        k1, k2, dk = modes.k1, modes.k2, modes.dk
         for trial in range(5):
             pos = rng.normal(scale=[3.5, 3.5, 6.5], size=(n, 3))
             t = rng.uniform(0.0, 2.0) * col.pair_oscillation_period(OMEGA)

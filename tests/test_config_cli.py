@@ -239,6 +239,20 @@ class TestCli:
         assert cli.main(["rabi", "--single"]) == 0
         assert (target / "rabi_single.csv").exists()
 
+    @pytest.mark.parametrize("below_file", [False, True], ids=["file", "below-file"])
+    @pytest.mark.parametrize("source", ["--out", cli.OUTDIR_ENV])
+    def test_unusable_output_directory_exits_2(self, tmp_path, monkeypatch, capsys, source, below_file):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file\n")
+        target = blocker / "x" if below_file else blocker
+        if source == "--out":
+            argv = ["--out", str(target), "g2", "--field", "single"]
+        else:
+            monkeypatch.setenv(cli.OUTDIR_ENV, str(target))
+            argv = ["g2", "--field", "single"]
+        assert cli.main(argv) == 2
+        assert f"{source}: cannot create directory" in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):

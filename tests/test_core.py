@@ -139,6 +139,7 @@ class TestLindblad:
         scheme = dp.RamanLevelScheme(
             omega_ground=two_pi * 1e6, omega_rydberg=two_pi * 1e6,
             detuning_1=d1, detuning_2=d2, branch_1=b1, branch_2=b2, gamma_e=gamma,
+            waist_ground_um=13.0, waist_rydberg_um=520.0,
         )
         H = dp._four_level_hamiltonian(
             scheme, np.array([1.0, 0.6]), np.array([1.0, 0.9]), np.array([0.0, two_pi * 0.3e6])

@@ -102,10 +102,6 @@ class TestAnalyticLink:
         assert fractions[0] > 0.0
         assert fractions[0] < fractions[1] < fractions[2]
 
-    def test_background_unsupported(self):
-        with pytest.raises(NotImplementedError):
-            rp.analytic_link(SEMI, SEMI, LinkConfig(background_prob=0.01))
-
 
 class TestSimulateLink:
     def test_matches_analytic_semi(self):
@@ -140,12 +136,6 @@ class TestSimulateLink:
         lo, hi = mc.herald_rate_ci95
         assert lo < 0.125 < hi
 
-    def test_background_produces_spurious_heralds(self):
-        # dark counts can complete a pattern with a single real photon
-        link = LinkConfig(background_prob=0.02)
-        mc = rp.simulate_link(SEMI, SEMI, link, 200_000, 9)
-        assert mc.spurious_fraction > 0.0
-
     def test_trial_count_validation(self):
         with pytest.raises(ValueError):
             rp.simulate_link(SEMI, SEMI, IDEAL_LINK, 0, 1)
@@ -156,8 +146,7 @@ class TestLinkConfigValidation:
         with pytest.raises(ValueError):
             LinkConfig(channel_transmission=1.5)
         with pytest.raises(ValueError):
-            LinkConfig(background_prob=1.0)
+            LinkConfig(channel_transmission=-0.1)
 
-    def test_survival_product(self):
-        link = LinkConfig(channel_transmission=0.5, detector_efficiency=0.4)
-        assert link.survival == pytest.approx(0.2)
+    def test_survival_is_channel_transmission(self):
+        assert LinkConfig(channel_transmission=0.4).survival == 0.4
