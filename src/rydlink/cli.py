@@ -35,16 +35,24 @@ def _fmt(x) -> str:
 
 
 class RunWriter:
-    """Single owner of an existing output directory; accumulates the manifest."""
+    """Single owner of an output directory, made by the first write; accumulates the manifest."""
 
-    def __init__(self, outdir: Path, cfg: RunConfig, command: str):
+    def __init__(self, outdir: Path, source: str, cfg: RunConfig, command: str):
         self.outdir = outdir
+        self.source = source  # the option or setting that named outdir
         self.cfg = cfg
         self.command = command
         self.checksums: dict = {}
 
-    def _record(self, name: str, data: bytes):
+    def _write(self, name: str, data: bytes):
+        try:
+            self.outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"{self.source}: cannot create directory {str(self.outdir)!r}: {exc.strerror}") from None
         (self.outdir / name).write_bytes(data)
+
+    def _record(self, name: str, data: bytes):
+        self._write(name, data)
         self.checksums[name] = hashlib.sha256(data).hexdigest()
 
     def csv(self, name: str, header, rows):
@@ -65,8 +73,7 @@ class RunWriter:
             "seed": self.cfg.seed,
             "outputs": self.checksums,
         }
-        blob = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-        (self.outdir / "manifest.json").write_text(blob)
+        self._write("manifest.json", (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode())
 
 
 # ---------------------------------------------------------------------------
@@ -116,21 +123,14 @@ def cmd_rabi(cfg: RunConfig, args, writer: RunWriter):
     writer.csv("rabi_pair.csv", ("t_ns", "c_par", "c_perp"), rows)
 
 
-FLAG_NAMES = ("motion", "inhomo", "scatter")
+FLAG_NAMES = ("motion", "inhomo", "scatter")  # in the field order of SimulationFlags
 
 
 def _parse_flags(spec: str) -> dephasing.SimulationFlags:
-    if spec == "none":
-        return dephasing.SimulationFlags()
-    parts = [p.strip() for p in spec.split(",") if p.strip()]
-    unknown = sorted(set(parts) - set(FLAG_NAMES))
-    if unknown:
-        raise ConfigError(f"unknown dephasing flag {unknown[0]!r} (use {FLAG_NAMES} or 'none')")
-    return dephasing.SimulationFlags(
-        motion="motion" in parts,
-        inhomogeneity="inhomo" in parts,
-        scattering="scatter" in parts,
-    )
+    parts = [] if spec == "none" else [p.strip() for p in spec.split(",")]
+    if not set(parts) <= set(FLAG_NAMES) or len(set(parts)) < len(parts):
+        raise ConfigError(f"--flags {spec!r}: give distinct names from {FLAG_NAMES}, comma separated, or 'none'")
+    return dephasing.SimulationFlags(*(name in parts for name in FLAG_NAMES))
 
 
 def cmd_dephasing(cfg: RunConfig, args, writer: RunWriter):
@@ -353,26 +353,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_outdir(args, cfg: RunConfig) -> Path:
-    """Create the output directory; a path that cannot be one names its source."""
+def _resolve_outdir(args, cfg: RunConfig) -> tuple:
+    """(output directory, the option or setting that named it)."""
     if args.out is not None:
-        path, source = Path(args.out), "--out"
-    elif os.environ.get(OUTDIR_ENV):
-        path, source = Path(os.environ[OUTDIR_ENV]), OUTDIR_ENV
-    else:
-        path, source = Path(cfg.parsed["output"]["directory"]), "output.directory"
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"{source}: cannot create directory {str(path)!r}: {exc.strerror}") from None
-    return path
+        return Path(args.out), "--out"
+    if os.environ.get(OUTDIR_ENV):
+        return Path(os.environ[OUTDIR_ENV]), OUTDIR_ENV
+    return Path(cfg.parsed["output"]["directory"]), "output.directory"
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        writer = RunWriter(_resolve_outdir(args, cfg), cfg, args.command)
+        writer = RunWriter(*_resolve_outdir(args, cfg), cfg, args.command)
         args.func(cfg, args, writer)
         writer.finish()
     except ConfigError as exc:

@@ -152,15 +152,23 @@ class TestCli:
             (["g2", "--field", "single", "--parameter", "2"], "--parameter"),
             (["g2", "--field", "coherent", "--parameter", "0"], "--parameter"),
             (["g2", "--field", "thermal", "--parameter", "inf"], "--parameter"),
+            (["g2", "--field", "single", "--parameter", "nan"], "--parameter"),
+            (["dephasing", "--flags", ","], "--flags"),
+            (["dephasing", "--flags", ""], "--flags"),
+            (["dephasing", "--flags", "motion,motion"], "--flags"),
+            (["dephasing", "--flags", "motion,,inhomo"], "--flags"),
         ],
         ids=[
             "dlcz-p-above-range", "too-few-samples", "single-efficiency-above-1", "coherent-vacuum",
-            "thermal-infinite",
+            "thermal-infinite", "single-efficiency-nan", "empty-flag-list", "no-flags",
+            "repeated-flag", "empty-flag",
         ],
     )
     def test_out_of_range_option_is_config_error(self, tmp_path, capsys, args, named):
         assert run_cli(args, tmp_path / "o") == 2
         assert named in capsys.readouterr().err
+        # a run that fails before writing leaves no output directory behind
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "key, value, args",

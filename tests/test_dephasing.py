@@ -112,6 +112,74 @@ class TestKernelInvariants:
         assert np.max(np.abs(population - np.abs(amps) ** 2)) <= 1e-9
 
 
+def per_point_spectral_sum(weights, rates, t_grid_s):
+    """Oracle of dp._spectral_sum: a fresh exp(rates t) at every time point."""
+    return np.array([np.einsum("nk,nk->n", weights, np.exp(rates * t)) for t in t_grid_s])
+
+
+SPECTRAL_SUM = dp._spectral_sum  # the helper itself, while kernel_modes stands in for it
+
+
+class TestSpectralSum:
+    """The recurrence against the per-point sum on the 640-point grid of the
+    ``ensemble`` benchmark (the packaged 4 us window)."""
+
+    T_GRID_S = np.linspace(0.0, 4e-6, 640)
+
+    @staticmethod
+    def kernel_modes(monkeypatch, kernel, gamma):
+        """(weights, rates) that a kernel hands to the spectral sum for a batch
+        of eight atoms of the packaged scheme."""
+        rng = np.random.default_rng(11)
+        scheme = load_config().scheme
+        H = dp._four_level_hamiltonian(
+            scheme, rng.uniform(0.2, 1.0, 8), rng.uniform(0.2, 1.0, 8), rng.uniform(-5e6, 5e6, 8)
+        )
+        seen = []
+
+        def capture(weights, rates, t_grid_s):
+            seen.append((weights, rates))
+            return np.zeros((len(t_grid_s), len(weights)), dtype=complex)
+
+        monkeypatch.setattr(dp, "_spectral_sum", capture)
+        kernel(H, scheme.gamma_e * gamma, TestSpectralSum.T_GRID_S)
+        return seen[0]
+
+    @pytest.mark.parametrize("kernel", [dp._batched_amplitudes, dp._batched_lindblad_trace],
+                             ids=["amplitudes", "lindblad"])
+    @pytest.mark.parametrize("gamma", [1.0, 0.0], ids=["gamma_e", "lossless"])
+    def test_matches_per_point_sum_on_packaged_modes(self, monkeypatch, kernel, gamma):
+        weights, rates = self.kernel_modes(monkeypatch, kernel, gamma)
+        assert (rates.real.min() < -1e3) == (gamma > 0.0)  # damped modes exactly when gamma > 0
+        got = SPECTRAL_SUM(weights, rates, self.T_GRID_S)
+        assert np.max(np.abs(got - per_point_spectral_sum(weights, rates, self.T_GRID_S))) <= 1e-12
+
+    @pytest.mark.parametrize("start", [0, 100], ids=["from-zero", "from-point-100"])
+    @pytest.mark.parametrize("damping", [0.0, 3.6e7], ids=["undamped", "damped"])
+    def test_matches_per_point_sum_on_drawn_modes(self, damping, start):
+        # oscillation rates up to the 2 pi x 610 MHz single-photon detuning
+        rng = np.random.default_rng(5)
+        weights = rng.normal(size=(50, 16)) + 1j * rng.normal(size=(50, 16))
+        weights /= np.abs(weights).sum(axis=1, keepdims=True)
+        rates = -damping * rng.random((50, 16)) + 1j * rng.uniform(-4e9, 4e9, (50, 16))
+        t = self.T_GRID_S[start:]
+        assert np.max(np.abs(SPECTRAL_SUM(weights, rates, t) - per_point_spectral_sum(weights, rates, t))) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "t_grid_s",
+        [
+            np.geomspace(1e-9, 4e-6, 640),
+            np.r_[np.linspace(0.0, 2e-6, 320), np.linspace(2.1e-6, 4e-6, 320)],
+            T_GRID_S + np.where(np.arange(640) == 300, 1e-9 * T_GRID_S[1], 0.0),
+        ],
+        ids=["geometric", "gap", "one-point-off-by-1e-9-dt"],
+    )
+    def test_non_uniform_grid_raises(self, t_grid_s):
+        weights = np.ones((3, 4), dtype=complex)
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            SPECTRAL_SUM(weights, 1j * weights, t_grid_s)
+
+
 class TestSampling:
     def test_seed_required(self, cfg):
         with pytest.raises(SeedRequiredError):

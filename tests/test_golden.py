@@ -30,12 +30,17 @@ GOLDEN = {
         "entangle_fidelity.json": "e17542a985399a768eea9abc9157e3679fe2a24815190e1c4f419b351f158758",
     },
     ("dephasing", "--flags", "none"): {
-        "dephasing_none.csv": "710e73275bd97d72c7702d108e907841cee3baf374ae845fa1c84a486c6f1fa2",
-        "dephasing_none.json": "d1d679a75f4e1c9858ed161e761614a34aa280b80479cd02ecc0a35997da9904",
+        "dephasing_none.csv": "0c5e6cdf1b9f1ef092a744d64f83fe0578c139b993d9e2ab4ae4a0f110709c45",
+        "dephasing_none.json": "8d0f870624818f78327bf9418bacecf1c9484a5a9ef823830ed8189b575a0709",
     },
     ("dephasing", "--flags", "motion"): {
-        "dephasing_motion.csv": "bdb395c6e94f6855a18a36640da202f0df03709a1cb5532fcdc7639d7a2eb70d",
-        "dephasing_motion.json": "d8700f93af2cdf7d82c3586ed7af1d252c7929efe8740869738cf8116eb78fda",
+        "dephasing_motion.csv": "6958371d52a53a298f5ca7b94d8b581d6f9e1b9af1dddb9e23e6fe7e1657f675",
+        "dephasing_motion.json": "57311cc652b69d05271cd40f4d8d3f377b41146682b1f9caf9397a404ba88e7d",
+    },
+    # the only command that runs the Lindblad batch
+    ("dephasing", "--flags", "motion,inhomo,scatter"): {
+        "dephasing_motion-inhomo-scatter.csv": "89eab78589c67826d761613d714a5bc5e478b956bc9941b509259a3deef8b5ff",
+        "dephasing_motion-inhomo-scatter.json": "f98b104dd2fe5cb4f1b76aafbe7c9fc075fc5ab0d8b8455a399362d0f36490ff",
     },
     ("g2", "--field", "single"): {
         "g2_single.json": "f540495861bd7649e92a23e4e500877702ed11a3ad23ace302838ca8c18d750c",
