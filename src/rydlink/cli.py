@@ -93,33 +93,27 @@ def cmd_rabi(cfg: RunConfig, args, writer: RunWriter):
         n_eff = cfg.ensemble.effective_atom_number
         period = collective.single_excitation_period(np.sqrt(n_eff) * omega)
         t = np.linspace(0.0, 3.0 * period, n_points)
-        rows = [
-            (
-                ti * 1e9,
-                collective.collective_rabi_population(1.0, omega, ti),
-                collective.collective_rabi_population(n_eff, omega, ti),
-            )
-            for ti in t
-        ]
+        rows = zip(
+            t * 1e9,
+            collective.collective_rabi_population(1.0, omega, t),
+            collective.collective_rabi_population(n_eff, omega, t),
+        )
         writer.csv("rabi_collective.csv", ("t_ns", "p_single_atom", "p_collective"), rows)
         return
     omega = cfg.protocol_rabi
     if args.mode == "single":
         period = collective.single_excitation_period(omega)
         t = np.linspace(0.0, 3.0 * period, n_points)
-        rows = [(ti * 1e9, np.sin(omega * ti / 2.0) ** 2) for ti in t]
+        rows = zip(t * 1e9, np.sin(omega * t / 2.0) ** 2)
         writer.csv("rabi_single.csv", ("t_ns", "p_transferred"), rows)
         return
-    # pair: polarization correlations vs Raman duration at the configured phase
+    # pair: polarization correlations vs Raman duration at the configured
+    # phase, read out at once (no memory wait)
     period = collective.pair_oscillation_period(omega)
-    phase = cfg.parsed["readout"]["phase_shift"]
     t = np.linspace(0.0, 2.0 * period, n_points)
-    rows = []
-    for ti in t:
-        state, _ = collective.run_protocol(ti, omega)
-        pol = measurement.momentum_to_polarization(state, phase)
-        probs = measurement.born_probabilities(pol, "pm")
-        rows.append((ti * 1e9, probs[0] + probs[1], probs[2] + probs[3]))
+    amps, _ = collective.run_protocol(t, omega)
+    p = measurement.born_probabilities(amps, cfg.parsed["readout"]["phase_shift"], 1.0, "pm")
+    rows = zip(t * 1e9, p[:, 0] + p[:, 1], p[:, 2] + p[:, 3])
     writer.csv("rabi_pair.csv", ("t_ns", "c_par", "c_perp"), rows)
 
 
@@ -164,21 +158,17 @@ def cmd_dephasing(cfg: RunConfig, args, writer: RunWriter):
     )
 
 
-def _entangled_state(cfg: RunConfig) -> collective.AtomPhotonState:
+def _entangled_amplitudes(cfg: RunConfig) -> np.ndarray:
     """Protocol output at the maximally entangling Raman duration."""
     omega = cfg.protocol_rabi
-    state, _ = collective.run_protocol(collective.pair_oscillation_period(omega) / 2.0, omega)
-    return state
+    amps, _ = collective.run_protocol(collective.pair_oscillation_period(omega) / 2.0, omega)
+    return amps
 
 
-def _read_out(cfg: RunConfig, state: collective.AtomPhotonState, phase: float) -> measurement.TwoPhotonState:
-    """Two-photon polarization state after the phase shifter and the memory wait."""
-    pol = measurement.momentum_to_polarization(state, phase)
-    return measurement.apply_memory_decoherence(
-        pol,
-        cfg.parsed["readout"]["second_read_delay"],
-        cfg.ensemble.ground_spinwave_lifetime_us * 1e-6,
-    )
+def _memory_coherence(cfg: RunConfig) -> float:
+    """Coherence left by the ground-spin-wave decay before the second read."""
+    lifetime_s = cfg.ensemble.ground_spinwave_lifetime_us * 1e-6
+    return np.exp(-cfg.parsed["readout"]["second_read_delay"] / lifetime_s)
 
 
 def _calibrated_background(cfg: RunConfig) -> float:
@@ -190,25 +180,23 @@ def _calibrated_background(cfg: RunConfig) -> float:
 
 
 def cmd_entangle(cfg: RunConfig, args, writer: RunWriter):
+    amps = _entangled_amplitudes(cfg)
+    coherence = _memory_coherence(cfg)
     if args.phi_sweep:
         phis = np.linspace(0.0, 2.0 * np.pi, 65)
-        entangled = _entangled_state(cfg)
-        states = [_read_out(cfg, entangled, float(phi) % (2.0 * np.pi)) for phi in phis]
         for basis, name in (("pm", "entangle_phi_sweep.csv"), ("hv", "entangle_phi_sweep_hv.csv")):
-            rows = []
-            for phi, state in zip(phis, states):
-                p = measurement.born_probabilities(state, basis)
-                par, perp = p[0] + p[1], p[2] + p[3]
-                v = abs(perp - par) / (perp + par)
-                rows.append((phi, p[0], p[1], p[2], p[3], v))
-            writer.csv(name, ("phi_rad", "c_pp", "c_mm", "c_pm", "c_mp", "v"), rows)
+            p = measurement.born_probabilities(amps, phis % (2.0 * np.pi), coherence, basis)
+            par, perp = p[:, 0] + p[:, 1], p[:, 2] + p[:, 3]
+            v = abs(perp - par) / (perp + par)
+            writer.csv(name, ("phi_rad", "c_pp", "c_mm", "c_pm", "c_mp", "v"), np.column_stack([phis, p, v]))
         return
     # --fidelity: three-basis measurement with the calibrated noise chain
     b = _calibrated_background(cfg)
     det = DetectorModel(cfg.parsed["detector"]["entanglement_chain_efficiency"], b)
-    state = _read_out(cfg, _entangled_state(cfg), cfg.parsed["readout"]["phase_shift"])
     trials = cfg.parsed["simulation"]["coincidence_trials"]
-    result = measurement.measure_three_bases(state, det, trials, cfg.seed)
+    result = measurement.measure_three_bases(
+        amps, cfg.parsed["readout"]["phase_shift"], coherence, det, trials, cfg.seed
+    )
     writer.json(
         "entangle_fidelity.json",
         {
@@ -299,7 +287,7 @@ def cmd_repeater(cfg: RunConfig, args, writer: RunWriter):
             rows.append((eta, s.herald_rate, s.spurious_fraction, s.conditional_fidelity, *s.herald_rate_ci95))
     else:  # p sweep (dlcz only)
         if args.source != "dlcz":
-            raise ConfigError("a p sweep only applies to the dlcz source")
+            raise ConfigError(f"--sweep p: applies only to --source dlcz, not --source {args.source}")
         grid = [0.01, 0.02, 0.05, 0.1, 0.15, 0.2]
         rows = []
         for p in grid:

@@ -37,51 +37,6 @@ class EnsembleConfig:
             raise ValueError("temperature must be positive")
 
 
-@dataclass(frozen=True)
-class PairState:
-    """Amplitudes over (|R2,S1>, |R3,S4>, |S1,S4>); double-Rydberg absent."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=complex).ravel()
-        if amps.shape != (3,):
-            raise ValueError("pair state needs exactly 3 amplitudes")
-        if abs(np.linalg.norm(amps) - 1.0) > 1e-9:
-            raise ValueError("pair state is not normalized")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-    def psi_minus_probability(self) -> float:
-        a1, a2, _ = self.amplitudes
-        return abs((a1 - a2) / np.sqrt(2.0)) ** 2
-
-
-@dataclass(frozen=True)
-class AtomPhotonState:
-    """Amplitudes over (|k_up>|S1>, |k_down>|S4>)."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=complex).ravel()
-        if amps.shape != (2,):
-            raise ValueError("atom-photon state needs exactly 2 amplitudes")
-        if abs(np.linalg.norm(amps) - 1.0) > 1e-9:
-            raise ValueError("atom-photon state is not normalized")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-    def concurrence(self) -> float:
-        a, b = self.amplitudes
-        return float(2.0 * abs(a) * abs(b))
-
-    def entanglement_entropy_bits(self) -> float:
-        p = np.abs(self.amplitudes) ** 2
-        p = p[p > 1e-300]
-        return float(-np.sum(p * np.log2(p)))
-
-
 def collective_rabi_population(n_eff: float, omega: float, t) -> float | np.ndarray:
     """Rydberg population of the blockaded ensemble: sin^2(sqrt(N) Omega t / 2)."""
     if n_eff < 1:
@@ -106,33 +61,35 @@ def pair_oscillation_period(omega: float) -> float:
     return 2.0 * np.pi / (np.sqrt(2.0) * omega)
 
 
-def pair_evolution(omega: float, t: float) -> PairState:
+def pair_evolution(omega: float, t) -> np.ndarray:
     """Blockaded two-excitation evolution from |R2,S1> under the Raman drive.
 
-    The antisymmetric combination of |R2,S1> and |R3,S4> is dark; the
+    Returns the ``(..., 3)`` amplitudes over (|R2,S1>, |R3,S4>, |S1,S4>)
+    at each time in ``t``; the double-Rydberg state is blockaded. The
+    antisymmetric combination of |R2,S1> and |R3,S4> is dark; the
     symmetric one oscillates to |S1,S4> at the sqrt(2)-enhanced rate.
     """
-    half = np.sqrt(2.0) * omega * t / 2.0
+    half = np.sqrt(2.0) * omega * np.asarray(t, dtype=float) / 2.0
     c, s = np.cos(half), np.sin(half)
-    amps = np.array([(1.0 + c) / 2.0, (c - 1.0) / 2.0, -1j * s / np.sqrt(2.0)])
-    return PairState(amps)
+    return np.stack([(1.0 + c) / 2.0, (c - 1.0) / 2.0, -1j * s / np.sqrt(2.0)], axis=-1)
 
 
-def run_protocol(raman_duration: float, omega: float):
+def run_protocol(raman_duration, omega: float):
     """Execute the pi, pi, pi preparation, the Raman pulse, and the read-out.
 
-    Returns (AtomPhotonState, success_probability). Success is conditioned
-    on the Rydberg-containing subspace; the |S1,S4> branch emits no first
-    photon and is reported as failure, not renormalized away silently.
-    Its probability never exceeds 1/2, so the conditional state is always
-    defined.
+    Returns (amplitudes, success_probability) at each duration: the
+    ``(..., 2)`` amplitudes over (|k_up>|S1>, |k_down>|S4>), conditioned
+    on the Rydberg-containing subspace, and the probability of that
+    subspace. The |S1,S4> branch emits no first photon and is reported as
+    failure, not renormalized away silently. Its probability never exceeds
+    1/2, so the conditional amplitudes are always defined.
     """
-    if raman_duration < 0:
+    t = np.asarray(raman_duration, dtype=float)
+    if np.any(t < 0):
         raise ValueError("raman_duration must be >= 0")
-    a1, a2, _ = pair_evolution(omega, raman_duration).amplitudes
-    p_rydberg = abs(a1) ** 2 + abs(a2) ** 2
-    conditional = np.array([a1, a2]) / np.sqrt(p_rydberg)
-    return AtomPhotonState(conditional), float(p_rydberg)
+    amps = pair_evolution(omega, t)[..., :2]
+    p_rydberg = np.abs(amps[..., 0]) ** 2 + np.abs(amps[..., 1]) ** 2
+    return amps / np.sqrt(p_rydberg)[..., None], p_rydberg
 
 
 # ---------------------------------------------------------------------------
@@ -145,12 +102,13 @@ class BruteForcePairResult:
     state: np.ndarray  # full amplitudes in the pair basis
     kets: tuple  # the three collective kets (K3 unnormalized)
 
-    def fidelity_with(self, pair: PairState) -> float:
-        """Full-space overlap with the super-atom prediction mapped back
-        through the collective-ket definitions (K3 kept unnormalized, as
-        produced by the exact pairwise evolution)."""
+    def fidelity_with(self, pair) -> float:
+        """Full-space overlap with the super-atom amplitudes ``pair``
+        (``pair_evolution`` at one time) mapped back through the
+        collective-ket definitions (K3 kept unnormalized, as produced by
+        the exact pairwise evolution)."""
         k1, k2, k3 = self.kets
-        a1, a2, a3 = pair.amplitudes
+        a1, a2, a3 = pair
         pred = a1 * k1 + a2 * k2 + a3 * k3
         return abs(np.vdot(pred, self.state)) ** 2 / (
             np.vdot(pred, pred).real * np.vdot(self.state, self.state).real

@@ -146,7 +146,12 @@ _SCHEMA = {
 
 # dotted key -> (test of the parsed value, requirement as printed)
 _RANGES = {
+    "raman.intermediate_linewidth": (lambda v: v > 0.0, "be positive"),
     "raman.single_excitation_period": (lambda v: v > 0.0, "be positive"),
+    "ensemble.effective_atom_number": (lambda v: v >= 1, "be >= 1"),
+    "ensemble.temperature": (lambda v: v > 0.0, "be positive"),
+    "ensemble.free_rydberg_lifetime": (lambda v: v > 0.0, "be positive"),
+    "ensemble.ground_spinwave_lifetime": (lambda v: v > 0.0, "be positive"),
     "ensemble.atomic_mass": (lambda v: v > 0.0, "be positive"),
     "detector.entanglement_chain_efficiency": (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
     "detector.calibration_chain_efficiency": (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
@@ -283,17 +288,17 @@ def _build_ensemble(parsed: dict) -> EnsembleConfig:
     )
     if len(sigma) != 3:
         raise ConfigError("ensemble.cloud_sigma: expected 3 components")
-    try:
-        return EnsembleConfig(
-            effective_atom_number=float(e["effective_atom_number"]),
-            temperature_uK=e["temperature"] * 1e6,
-            cloud_sigma_um=sigma,
-            free_rydberg_lifetime_us=e["free_rydberg_lifetime"] * 1e6,
-            ground_spinwave_lifetime_us=e["ground_spinwave_lifetime"] * 1e6,
-            atomic_mass_amu=e["atomic_mass"] / AMU,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"ensemble: {exc}") from None
+    for i, s in enumerate(sigma):
+        if s <= 0.0:
+            raise ConfigError(f"ensemble.cloud_sigma[{i}]: must be positive")
+    return EnsembleConfig(
+        effective_atom_number=float(e["effective_atom_number"]),
+        temperature_uK=e["temperature"] * 1e6,
+        cloud_sigma_um=sigma,
+        free_rydberg_lifetime_us=e["free_rydberg_lifetime"] * 1e6,
+        ground_spinwave_lifetime_us=e["ground_spinwave_lifetime"] * 1e6,
+        atomic_mass_amu=e["atomic_mass"] / AMU,
+    )
 
 
 def load_config(path=None) -> RunConfig:
@@ -314,16 +319,17 @@ def load_config(path=None) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("top level must be a mapping")
     parsed = _validate(raw, _SCHEMA, "config")
-    geometry = _build_geometry(parsed)
-    ensemble = _build_ensemble(parsed)
-    try:
-        scheme = scheme_from_geometry(
-            geometry, gamma_e=parsed["raman"]["intermediate_linewidth"]
-        )
-    except ValueError as exc:
-        raise ConfigError(f"raman: {exc}") from None
     for key, (allowed, requirement) in _RANGES.items():
         section, name = key.split(".")
         if not allowed(parsed[section][name]):
             raise ConfigError(f"{key}: must {requirement}")
+    # the test of dephasing.shift_cancelling_branch_weights
+    if parsed["geometry"]["detuning_1"] * parsed["geometry"]["detuning_2"] >= 0.0:
+        raise ConfigError(
+            "geometry.detuning_1, geometry.detuning_2: light-shift cancellation needs "
+            "nonzero detunings of opposite sign"
+        )
+    geometry = _build_geometry(parsed)
+    ensemble = _build_ensemble(parsed)
+    scheme = scheme_from_geometry(geometry, gamma_e=parsed["raman"]["intermediate_linewidth"])
     return RunConfig(raw=raw, parsed=parsed, geometry=geometry, ensemble=ensemble, scheme=scheme)

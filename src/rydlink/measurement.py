@@ -4,7 +4,9 @@ The momentum qubits of the two read-out photons are mapped onto
 polarization (k_up -> H, k_down -> V, fixed by convention), analyzed in
 one of three bases with a simple detector model (finite efficiency plus
 uniform per-gate background clicks), and reduced to visibilities, the
-fidelity bound, and Hanbury Brown-Twiss g2(0) estimates.
+fidelity bound, and Hanbury Brown-Twiss g2(0) estimates. The entangled
+state enters as the two amplitudes of ``collective.run_protocol``, the
+phase-shifter setting and one memory-coherence factor.
 """
 
 from __future__ import annotations
@@ -14,12 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, xlogy
 
-from .collective import AtomPhotonState
-
 BASES = ("hv", "pm", "circ")
-
-# two-photon basis order
-HH, HV, VH, VV = 0, 1, 2, 3
 
 
 class ZeroCoincidenceError(ZeroDivisionError):
@@ -80,61 +77,6 @@ class MeasurementResult:
         }
 
 
-@dataclass(frozen=True)
-class TwoPhotonState:
-    """4x4 density matrix over (|HH>, |HV>, |VH>, |VV>)."""
-
-    dm: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.dm, dtype=complex)
-        if m.shape != (4, 4):
-            raise ValueError("two-photon density matrix must be 4x4")
-        if np.max(np.abs(m - m.conj().T)) > 1e-9 or abs(np.trace(m).real - 1.0) > 1e-9:
-            raise ValueError("invalid two-photon density matrix")
-        m = 0.5 * (m + m.conj().T)
-        m.setflags(write=False)
-        object.__setattr__(self, "dm", m)
-
-    @classmethod
-    def pure(cls, amplitudes) -> "TwoPhotonState":
-        v = np.asarray(amplitudes, dtype=complex)
-        norm = np.linalg.norm(v)
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError("two-photon amplitudes are not normalized")
-        v = v / norm
-        return cls(np.outer(v, v.conj()))
-
-
-def momentum_to_polarization(state: AtomPhotonState, phase: float) -> TwoPhotonState:
-    """Map the momentum-mode pair onto polarization with the phase shifter.
-
-    |k_up> -> |H| and |k_down> -> |V> on each photon; the variable phase
-    acts on the first photon's V component. The atomic excitation of
-    ``state`` is retrieved into the second photon.
-    """
-    amps = state.amplitudes
-    vec = np.zeros(4, dtype=complex)
-    vec[HV] = amps[0]
-    vec[VH] = amps[1] * np.exp(1j * phase)
-    return TwoPhotonState.pure(vec)
-
-
-def apply_memory_decoherence(state: TwoPhotonState, delay_s: float, lifetime_s: float) -> TwoPhotonState:
-    """Ground-spin-wave decoherence during the wait before the second read.
-
-    Damps the |HV><VH| coherence by exp(-delay/lifetime); populations are
-    untouched.
-    """
-    if delay_s < 0 or lifetime_s <= 0:
-        raise ValueError("delay must be >= 0 and lifetime > 0")
-    f = np.exp(-delay_s / lifetime_s)
-    dm = np.array(state.dm)
-    dm[HV, VH] *= f
-    dm[VH, HV] *= f
-    return TwoPhotonState(dm)
-
-
 def _basis_vectors(basis: str):
     if basis == "hv":
         return np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)
@@ -148,28 +90,42 @@ def _basis_vectors(basis: str):
     raise ValueError(f"basis must be one of {BASES}")
 
 
-def born_probabilities(state: TwoPhotonState, basis: str) -> np.ndarray:
-    """Ideal projection probabilities in outcome order (xx, yy, xy, yx)."""
+def born_probabilities(amps, phase, coherence: float, basis: str) -> np.ndarray:
+    """Ideal projection probabilities in outcome order (xx, yy, xy, yx).
+
+    ``amps`` holds the ``(..., 2)`` amplitudes (a, b) of |k_up>|S1> and
+    |k_down>|S4>. The first photon maps k_up -> H and k_down -> V, and the
+    phase shifter acts on its V component; the retrieved excitation maps
+    S1 -> V and S4 -> H, so the pair is a|HV> + b e^{i phase}|VH>.
+    ``coherence`` is the factor exp(-delay/lifetime) by which the
+    ground-spin-wave decoherence before the second read damps the
+    |HV><VH| coherence; populations are untouched. Broadcasts over
+    ``amps`` and ``phase``; returns ``(..., 4)``.
+    """
+    amps = np.asarray(amps)
+    if np.any(np.abs(np.abs(amps[..., 0]) ** 2 + np.abs(amps[..., 1]) ** 2 - 1.0) > 1e-9):
+        raise ValueError("amplitudes are not normalized")
+    if not 0.0 <= coherence <= 1.0:
+        raise ValueError("coherence must lie in [0, 1]")
     b0, b1 = _basis_vectors(basis)
-    outcomes = [(b0, b0), (b1, b1), (b0, b1), (b1, b0)]
-    probs = np.empty(4)
-    for i, (u, v) in enumerate(outcomes):
-        proj = np.kron(u, v)
-        probs[i] = (proj.conj() @ state.dm @ proj).real
-    probs = np.clip(probs, 0.0, None)
-    return probs
+    u = np.array([b0, b1, b0, b1])  # first photon, per outcome
+    v = np.array([b0, b1, b1, b0])  # second photon
+    x_hv = np.conj(u[:, 0] * v[:, 1]) * amps[..., :1]
+    x_vh = np.conj(u[:, 1] * v[:, 0]) * (amps[..., 1] * np.exp(1j * phase))[..., None]
+    probs = np.abs(x_hv) ** 2 + np.abs(x_vh) ** 2 + 2.0 * coherence * np.real(x_hv * np.conj(x_vh))
+    return np.clip(probs, 0.0, None)
 
 
-def coincidence_probabilities(state: TwoPhotonState, basis: str, det: DetectorModel) -> np.ndarray:
+def coincidence_probabilities(p_sig, det: DetectorModel) -> np.ndarray:
     """Outcome probabilities conditioned on a coincidence.
 
-    Both photons see the same detector model. Each photon is detected with
-    its efficiency; each of the two outcome channels per side additionally
-    fires with background probability b/2 per gate. A coincidence is one
-    click on each side; probabilities are renormalized over coincidence
-    events.
+    ``p_sig`` are the four Born probabilities of one basis (outcome order
+    of ``born_probabilities``). Both photons see the same detector model.
+    Each photon is detected with its efficiency; each of the two outcome
+    channels per side additionally fires with background probability b/2
+    per gate. A coincidence is one click on each side; probabilities are
+    renormalized over coincidence events.
     """
-    p_sig = born_probabilities(state, basis)
     # signal outcomes: index o1, o2 in {0, 1} per side
     p_joint = np.array([[p_sig[0], p_sig[2]], [p_sig[3], p_sig[1]]])  # [o1][o2]
     # click[x, o]: channel x fires when the photon left through channel o
@@ -217,12 +173,18 @@ def fidelity_bound(v_hv: float, v_pm: float, v_circ: float) -> float:
     return 0.25 * (1.0 + v_hv + v_pm + v_circ)
 
 
-def measure_three_bases(state: TwoPhotonState, det: DetectorModel, trials: int, seed: int) -> MeasurementResult:
-    """Sampled visibilities in all three bases and the fidelity bound."""
+def measure_three_bases(
+    amps, phase: float, coherence: float, det: DetectorModel, trials: int, seed: int
+) -> MeasurementResult:
+    """Sampled visibilities in all three bases and the fidelity bound.
+
+    ``amps``, ``phase`` and ``coherence`` are as in ``born_probabilities``,
+    for one state.
+    """
     vs = []
     errs = []
     for i, basis in enumerate(BASES):
-        probs = coincidence_probabilities(state, basis, det)
+        probs = coincidence_probabilities(born_probabilities(amps, phase, coherence, basis), det)
         record = sample_counts(probs, trials, seed + i)
         vs.append(visibility(record))
         errs.append(visibility_error(record))

@@ -69,10 +69,12 @@ def test_criterion_01_sqrt2_enhancement():
 def test_criterion_02_fifty_percent_branch():
     with criterion(2, "50% dark-state branch"):
         t = np.pi / (SQ2 * OMEGA)
-        pair = col.pair_evolution(OMEGA, t)
-        assert abs(pair.psi_minus_probability() - 0.5) < 1e-9
-        state, _ = col.run_protocol(t, OMEGA)
-        assert abs(state.concurrence() - 1.0) < 1e-9
+        a1, a2, _ = col.pair_evolution(OMEGA, t)
+        # weight of the dark state (|R2,S1> - |R3,S4>)/sqrt(2)
+        assert abs(abs((a1 - a2) / SQ2) ** 2 - 0.5) < 1e-9
+        (a, b), _ = col.run_protocol(t, OMEGA)
+        # concurrence 2|a||b| of the conditional atom-photon state
+        assert abs(2.0 * abs(a) * abs(b) - 1.0) < 1e-9
 
 
 def test_criterion_03_brute_force_equivalence(modes):
@@ -125,14 +127,13 @@ def test_criterion_06_motion_only_dephasing(cfg):
 
 def test_criterion_07_phi_sweep_complementarity():
     with criterion(7, "phi-sweep complementary sinusoids"):
-        aps = col.AtomPhotonState(np.array([1.0, -1.0]) / SQ2)
+        singlet = np.array([1.0, -1.0]) / SQ2
         for phi in np.linspace(0.0, 2.0 * np.pi, 101):
-            state = ms.momentum_to_polarization(aps, phi % (2.0 * np.pi))
-            p = ms.born_probabilities(state, "pm")
+            p = ms.born_probabilities(singlet, phi % (2.0 * np.pi), 1.0, "pm")
             c_par, c_perp = p[0] + p[1], p[2] + p[3]
             assert abs(c_par + c_perp - 1.0) < 1e-12
             assert c_par == pytest.approx((1.0 - np.cos(phi)) / 2.0, abs=1e-9)
-            hv = ms.born_probabilities(state, "hv")
+            hv = ms.born_probabilities(singlet, phi % (2.0 * np.pi), 1.0, "hv")
             assert hv[0] + hv[1] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -190,14 +191,13 @@ def test_criterion_10_fidelity_band(cfg):
         b = ms.calibrate_background(cfg.parsed["detector"]["g2_calibration_target"], chain)
         det = DetectorModel(cfg.parsed["detector"]["entanglement_chain_efficiency"], b)
         t_ent = col.pair_oscillation_period(OMEGA) / 2.0
-        aps, _ = col.run_protocol(t_ent, OMEGA)
-        state = ms.momentum_to_polarization(aps, cfg.parsed["readout"]["phase_shift"])
-        state = ms.apply_memory_decoherence(
-            state,
-            cfg.parsed["readout"]["second_read_delay"],
-            cfg.ensemble.ground_spinwave_lifetime_us * 1e-6,
+        amps, _ = col.run_protocol(t_ent, OMEGA)
+        coherence = np.exp(
+            -cfg.parsed["readout"]["second_read_delay"] / (cfg.ensemble.ground_spinwave_lifetime_us * 1e-6)
         )
-        result = ms.measure_three_bases(state, det, 200_000, cfg.seed)
+        result = ms.measure_three_bases(
+            amps, cfg.parsed["readout"]["phase_shift"], coherence, det, 200_000, cfg.seed
+        )
         assert 0.87 <= result.fidelity <= 0.93
 
 

@@ -157,11 +157,12 @@ class TestCli:
             (["dephasing", "--flags", ""], "--flags"),
             (["dephasing", "--flags", "motion,motion"], "--flags"),
             (["dephasing", "--flags", "motion,,inhomo"], "--flags"),
+            (["repeater", "--source", "semi", "--sweep", "p"], "--sweep p: applies only to --source dlcz"),
         ],
         ids=[
             "dlcz-p-above-range", "too-few-samples", "single-efficiency-above-1", "coherent-vacuum",
             "thermal-infinite", "single-efficiency-nan", "empty-flag-list", "no-flags",
-            "repeated-flag", "empty-flag",
+            "repeated-flag", "empty-flag", "p-sweep-of-semi-source",
         ],
     )
     def test_out_of_range_option_is_config_error(self, tmp_path, capsys, args, named):
@@ -193,6 +194,14 @@ class TestCli:
             ("repeater.retrieval_efficiency", -0.1, ["repeater", "--source", "semi"]),
             ("repeater.dlcz_excitation", 0.5, ["repeater", "--source", "dlcz"]),
             ("repeater.dlcz_excitation", 0.0, ["repeater", "--source", "dlcz"]),
+            ("ensemble.cloud_sigma[0]", ["-3.5 um", "3.5 um", "6.5 um"], ["dephasing", "--flags", "motion,inhomo"]),
+            ("ensemble.cloud_sigma[2]", ["3.5 um", "3.5 um", "0 um"], ["dephasing"]),
+            ("geometry.detuning_1", "0 MHz", ["rabi", "--pair"]),
+            ("geometry.detuning_2", "610 MHz", ["dephasing"]),
+            ("ensemble.effective_atom_number", 0, ["rabi", "--collective"]),
+            ("ensemble.ground_spinwave_lifetime", "-30 us", ["entangle", "--fidelity"]),
+            ("ensemble.temperature", "0 uK", ["dephasing"]),
+            ("raman.intermediate_linewidth", "-5.746 MHz", ["dephasing"]),
         ],
         ids=[
             "nan-wavelength", "nan-direction", "string-direction", "short-direction",
@@ -200,11 +209,14 @@ class TestCli:
             "negative-read-delay", "zero-dephasing-window", "negative-seed",
             "one-dephasing-point", "no-coincidence-trials", "no-g2-trials", "no-repeater-trials",
             "transmission-above-1", "negative-retrieval", "dlcz-p-above-range", "dlcz-p-zero",
+            "negative-cloud-sigma", "zero-cloud-sigma", "zero-detuning", "same-sign-detunings",
+            "no-atoms", "negative-spinwave-lifetime", "zero-temperature", "negative-linewidth",
         ],
     )
     def test_bad_config_value_exits_2_naming_key(self, tmp_path, capsys, default_raw, key, value, args):
         raw = yaml.safe_load(yaml.safe_dump(default_raw))
-        *parents, leaf = key.split(".")
+        # an indexed key ("ensemble.cloud_sigma[0]") is set by its whole list
+        *parents, leaf = key.split("[")[0].split(".")
         node = raw
         for part in parents:
             node = node[part]

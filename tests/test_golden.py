@@ -20,7 +20,7 @@ GOLDEN = {
         "rabi_single.csv": "8595eb147f80689db207606d9b9b4b814b6e11c9eeea2df23a10554cd831675e",
     },
     ("rabi", "--pair"): {
-        "rabi_pair.csv": "5ec6f78ab158bf12630324d0871229db9aae4003cc8617d3e90eda828a27b4a0",
+        "rabi_pair.csv": "4b1c4bda7322fa40db972b8a98c578953904097b89f59ff7e09503ee5b23551b",
     },
     ("entangle", "--phi-sweep"): {
         "entangle_phi_sweep.csv": "f673fc9814044979a42de5339d80e90c7df3862d71a83c66e542b0886613c63e",

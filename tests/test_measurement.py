@@ -4,27 +4,39 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rydlink import measurement as ms
-from rydlink.collective import AtomPhotonState
+from rydlink.collective import run_protocol
 from rydlink.measurement import (
     CoincidenceRecord,
     DetectorModel,
     PhotonFieldModel,
-    TwoPhotonState,
     ZeroCoincidenceError,
 )
 
 IDEAL = DetectorModel()
 SQ2 = 1.0 / np.sqrt(2.0)
+# (|k_up>|S1> - |k_down>|S4>)/sqrt(2): the protocol output at half the pair period
+BELL = np.array([SQ2, -SQ2])
 
 
-def bell_state(phase):
-    aps = AtomPhotonState(np.array([SQ2, -SQ2]))
-    return ms.momentum_to_polarization(aps, phase)
+def bell_probs(phase, basis, coherence=1.0):
+    return ms.born_probabilities(BELL, phase, coherence, basis)
 
 
-def coincidence_reference(state, basis, det):
+def density_matrix_probabilities(amps, phase, coherence, basis):
+    """Oracle: project the 4x4 two-photon density matrix over (HH, HV, VH, VV)."""
+    vec = np.zeros(4, dtype=complex)
+    vec[1] = amps[0]
+    vec[2] = amps[1] * np.exp(1j * phase)
+    dm = np.outer(vec, vec.conj())
+    dm[1, 2] *= coherence
+    dm[2, 1] *= coherence
+    b0, b1 = ms._basis_vectors(basis)
+    outcomes = [(b0, b0), (b1, b1), (b0, b1), (b1, b0)]
+    return np.array([(np.kron(u, v).conj() @ dm @ np.kron(u, v)).real for u, v in outcomes])
+
+
+def coincidence_reference(p_sig, det):
     """Explicit sum over signal outcomes (o1, o2) and click channels (x, y)."""
-    p_sig = ms.born_probabilities(state, basis)
     p_joint = [[p_sig[0], p_sig[2]], [p_sig[3], p_sig[1]]]  # [o1][o2]
 
     def click(hit):
@@ -44,78 +56,107 @@ def coincidence_reference(state, basis, det):
 
 class TestPolarizationMapping:
     def test_pure_mapping_and_phase(self):
-        state = bell_state(0.0)
-        # (|HV> - |VH>)/sqrt(2): HV and VH populations 1/2, coherence -1/2
-        assert state.dm[ms.HV, ms.HV].real == pytest.approx(0.5)
-        assert state.dm[ms.VH, ms.VH].real == pytest.approx(0.5)
-        assert state.dm[ms.HV, ms.VH].real == pytest.approx(-0.5)
+        # |k_up>|S1> reads out as |HV>, |k_down>|S4> as |VH>, at any phase
+        for phi in (0.0, 1.0, np.pi):
+            p = ms.born_probabilities(np.array([0.6, 0.8]), phi, 1.0, "hv")
+            assert np.allclose(p, [0.0, 0.0, 0.36, 0.64], atol=1e-15)
 
     def test_phase_rotates_coherence_only(self):
-        state = bell_state(np.pi / 3.0)
-        coh = state.dm[ms.HV, ms.VH]
-        assert abs(coh) == pytest.approx(0.5)
-        assert np.angle(coh) == pytest.approx(-np.pi / 3.0 + np.pi)
+        # c_par - c_perp = 2 Re(a conj(b) e^{-i phi}) in the pm basis
+        amps = np.array([0.6, 0.8])
+        for phi in np.linspace(0.0, 2.0 * np.pi, 13):
+            p = ms.born_probabilities(amps, phi, 1.0, "pm")
+            assert p[0] + p[1] - p[2] - p[3] == pytest.approx(0.96 * np.cos(phi), abs=1e-12)
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="not normalized"):
-            ms.momentum_to_polarization(AtomPhotonState(np.array([1.0, 1.0])), 0.0)
+            ms.born_probabilities(np.array([1.0, 1.0]), 0.0, 1.0, "pm")
 
 
 class TestMemoryDecoherence:
     def test_damps_coherence_by_exponential(self):
-        state = bell_state(0.0)
-        out = ms.apply_memory_decoherence(state, 300e-9, 30e-6)
         f = np.exp(-300e-9 / 30e-6)
-        assert out.dm[ms.HV, ms.VH].real == pytest.approx(-0.5 * f)
-        assert out.dm[ms.HV, ms.HV].real == pytest.approx(0.5)
+        p = bell_probs(0.0, "pm", f)
+        # c_par = (1 - f cos phi)/2: the visibility is the coherence factor
+        assert p[2] + p[3] - p[0] - p[1] == pytest.approx(f, abs=1e-12)
+        assert np.allclose(bell_probs(0.0, "hv", f), [0.0, 0.0, 0.5, 0.5], atol=1e-15)
 
     def test_zero_delay_is_identity(self):
-        state = bell_state(1.0)
-        out = ms.apply_memory_decoherence(state, 0.0, 30e-6)
-        assert np.allclose(out.dm, state.dm)
+        # coherence exp(0) = 1: the pure singlet, anti-correlated in every basis
+        for basis in ms.BASES:
+            p = bell_probs(0.0, basis, np.exp(-0.0 / 30e-6))
+            assert p[0] + p[1] == pytest.approx(0.0, abs=1e-15)
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            ms.apply_memory_decoherence(bell_state(0.0), -1.0, 30e-6)
-        with pytest.raises(ValueError):
-            ms.apply_memory_decoherence(bell_state(0.0), 1.0, 0.0)
+        with pytest.raises(ValueError, match="coherence"):
+            bell_probs(0.0, "pm", -0.1)
+        with pytest.raises(ValueError, match="coherence"):
+            bell_probs(0.0, "pm", 1.5)
 
 
 class TestBornProbabilities:
     def test_phi_dependence_in_pm_basis(self):
         # C_par = (1 - cos phi)/2, C_perp = (1 + cos phi)/2
         for phi in np.linspace(0.0, 2.0 * np.pi, 13):
-            p = ms.born_probabilities(bell_state(phi), "pm")
+            p = bell_probs(phi, "pm")
             assert p[0] + p[1] == pytest.approx((1.0 - np.cos(phi)) / 2.0, abs=1e-12)
             assert p[2] + p[3] == pytest.approx((1.0 + np.cos(phi)) / 2.0, abs=1e-12)
 
     def test_hv_parallel_always_zero(self):
         for phi in np.linspace(0.0, 2.0 * np.pi, 13):
-            p = ms.born_probabilities(bell_state(phi), "hv")
+            p = bell_probs(phi, "hv")
             assert p[0] == pytest.approx(0.0, abs=1e-12)
             assert p[1] == pytest.approx(0.0, abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(0.0, 2.0 * np.pi), st.sampled_from(ms.BASES))
     def test_probabilities_sum_to_one(self, phi, basis):
-        p = ms.born_probabilities(bell_state(phi), basis)
+        p = bell_probs(phi, basis)
         assert np.all(p >= 0.0)
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_unknown_basis(self):
         with pytest.raises(ValueError):
-            ms.born_probabilities(bell_state(0.0), "diag")
+            bell_probs(0.0, "diag")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(0.0, np.pi / 2.0),
+        st.floats(0.0, 2.0 * np.pi),
+        st.floats(0.0, 2.0 * np.pi),
+        st.floats(0.0, 1.0),
+        st.sampled_from(ms.BASES),
+    )
+    def test_matches_density_matrix_oracle(self, theta, alpha, phase, coherence, basis):
+        amps = np.array([np.cos(theta), np.sin(theta) * np.exp(1j * alpha)])
+        p = ms.born_probabilities(amps, phase, coherence, basis)
+        reference = density_matrix_probabilities(amps, phase, coherence, basis)
+        assert np.max(np.abs(p - reference)) <= 1e-15
+
+    @pytest.mark.parametrize("basis", ms.BASES)
+    def test_batch_equals_per_row_calls(self, basis):
+        omega = 2.0 * np.pi / 492e-9
+        amps, _ = run_protocol(np.linspace(0.0, 1e-6, 601), omega)
+        assert amps.shape == (601, 2)
+        batch = ms.born_probabilities(amps, 0.3, 0.99, basis)
+        rows = np.array([ms.born_probabilities(a, 0.3, 0.99, basis) for a in amps])
+        assert batch.shape == (601, 4)
+        assert np.array_equal(batch, rows)
+        # and over phases for one state
+        phis = np.linspace(0.0, 2.0 * np.pi, 65)
+        batch = ms.born_probabilities(BELL, phis, 0.99, basis)
+        assert np.array_equal(batch, [ms.born_probabilities(BELL, phi, 0.99, basis) for phi in phis])
 
 
 class TestCoincidenceModel:
     def test_ideal_detectors_reproduce_born(self):
-        p = ms.born_probabilities(bell_state(0.7), "pm")
-        q = ms.coincidence_probabilities(bell_state(0.7), "pm", IDEAL)
+        p = bell_probs(0.7, "pm")
+        q = ms.coincidence_probabilities(p, IDEAL)
         assert np.allclose(q, p, atol=1e-12)
 
     def test_background_washes_out_correlations(self):
         noisy = DetectorModel(efficiency=1e-6, background_prob=0.5)
-        q = ms.coincidence_probabilities(bell_state(np.pi), "pm", noisy)
+        q = ms.coincidence_probabilities(bell_probs(np.pi, "pm"), noisy)
         assert np.allclose(q, 0.25, atol=1e-3)
 
     @settings(max_examples=200, deadline=None)
@@ -126,20 +167,20 @@ class TestCoincidenceModel:
         st.sampled_from(ms.BASES),
     )
     def test_matrix_form_matches_enumeration(self, efficiency, background, phase, basis):
-        state = bell_state(phase)
+        p_sig = bell_probs(phase, basis)
         det = DetectorModel(efficiency, background)
-        reference = coincidence_reference(state, basis, det)
+        reference = coincidence_reference(p_sig, det)
         if reference is None:
             with pytest.raises(ZeroCoincidenceError):
-                ms.coincidence_probabilities(state, basis, det)
+                ms.coincidence_probabilities(p_sig, det)
             return
-        q = ms.coincidence_probabilities(state, basis, det)
+        q = ms.coincidence_probabilities(p_sig, det)
         assert np.max(np.abs(q - reference)) <= 1e-15
 
     def test_zero_everything_raises(self):
         dead = DetectorModel(efficiency=0.0, background_prob=0.0)
         with pytest.raises(ZeroCoincidenceError):
-            ms.coincidence_probabilities(bell_state(0.0), "pm", dead)
+            ms.coincidence_probabilities(bell_probs(0.0, "pm"), dead)
 
 
 class TestVisibilityAndFidelity:
@@ -176,8 +217,7 @@ class TestVisibilityAndFidelity:
         assert f == pytest.approx(0.25 * (1.0 + a + b + c), rel=1e-12)
 
     def test_ideal_three_basis_measurement(self):
-        state = bell_state(np.pi)
-        res = ms.measure_three_bases(state, IDEAL, 50000, 1)
+        res = ms.measure_three_bases(BELL, np.pi, 1.0, IDEAL, 50000, 1)
         assert res.v_hv == pytest.approx(1.0)
         assert res.v_pm == pytest.approx(1.0)
         assert res.v_circ == pytest.approx(1.0)
@@ -300,16 +340,3 @@ class TestDetectorValidation:
     def test_background_range(self):
         with pytest.raises(ValueError):
             DetectorModel(background_prob=1.0)
-
-
-class TestTwoPhotonStateValidation:
-    def test_rejects_non_hermitian(self):
-        m = np.zeros((4, 4), dtype=complex)
-        m[0, 1] = 1.0
-        m[0, 0] = 1.0
-        with pytest.raises(ValueError):
-            TwoPhotonState(m)
-
-    def test_rejects_wrong_trace(self):
-        with pytest.raises(ValueError):
-            TwoPhotonState(np.eye(4, dtype=complex))

@@ -10,6 +10,15 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def run_script(script, args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 @pytest.mark.parametrize(
     "script, args",
     [
@@ -19,11 +28,13 @@ ROOT = Path(__file__).resolve().parents[1]
     ids=["blockade_scaling_scan", "dephasing_budget"],
 )
 def test_script_exits_0(script, args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    result = run_script(script, args)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
+
+
+def test_default_dataset_exits_0(tmp_path):
+    # all 16 commands, repeater --source semi --sweep eta among them
+    result = run_script("run_default_dataset.py", ["--out", str(tmp_path)])
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "repeater_semi_sweep_eta.csv").is_file()
