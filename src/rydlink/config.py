@@ -84,7 +84,10 @@ def parse_quantity(value, dimension: str, path: str = "value") -> float:
     dim, factor = _UNITS[unit]
     if dim != dimension:
         raise ConfigError(f"{path}: expected a {dimension}, got {unit!r} ({dim})")
-    return mag * factor
+    converted = mag * factor
+    if not math.isfinite(converted):
+        raise ConfigError(f"{path}: {value!r} overflows in canonical units")
+    return converted
 
 
 # schema leaves: quantity dimensions, or python types for plain values

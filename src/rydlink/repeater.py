@@ -28,11 +28,10 @@ from .measurement import DLCZ_CUTOFF, dlcz_occupation
 
 SOURCE_KINDS = ("semi_deterministic", "dlcz")
 
-MAX_PHOTONS = 2 * DLCZ_CUTOFF
-
 PSI_MINUS_MASKS = (0b1001, 0b0110)  # one click in each arm, opposite polarizations
 PSI_PLUS_MASKS = (0b0011, 0b1100)  # two clicks in the same arm
 HERALD_MASKS = PSI_MINUS_MASKS + PSI_PLUS_MASKS
+HERALD_TABLE = np.isin(np.arange(16), HERALD_MASKS)  # click-set bitmask -> heralds
 
 CHUNK = 1 << 16  # Monte Carlo trials per RNG stream; fixed for reproducibility
 
@@ -117,25 +116,32 @@ def pattern_herald_prob(m: int) -> float:
 
 
 def _simulate_chunk(source_left, source_right, link, n_trials, rng):
-    """Vectorized trials; returns (heralds, true_heralds)."""
-    results = []
+    """Vectorized trials; returns (heralds, true_heralds).
+
+    Only trials with at least two photons at the analyzer can herald, so
+    only those are routed, over as many detector draws as the largest of
+    them needs.
+    """
+    n, m = [], []
     for src in (source_left, source_right):
         dist = src.emission_distribution()
-        n = rng.choice(len(dist), size=n_trials, p=dist)
-        m = rng.binomial(n, link.survival)
-        single = n == 1
-        results.append((n, m, single))
-    (n_l, m_l, single_l), (n_r, m_r, single_r) = results
+        n_src = rng.choice(len(dist), size=n_trials, p=dist)
+        m_src = np.zeros_like(n_src)  # binomial(0, s) = 0: draw only where emitted
+        emitted = n_src > 0
+        m_src[emitted] = rng.binomial(n_src[emitted], link.survival)
+        n.append(n_src)
+        m.append(m_src)
 
-    m_tot = m_l + m_r
-    occupied = np.zeros(n_trials, dtype=np.int64)
-    detectors = rng.integers(4, size=(n_trials, MAX_PHOTONS))
-    for j in range(MAX_PHOTONS):
-        hit = j < m_tot
-        occupied |= np.where(hit, np.int64(1) << detectors[:, j], 0)
-
-    herald = np.isin(occupied, HERALD_MASKS)
-    true = herald & (m_l == 1) & (m_r == 1) & single_l & single_r
+    m_tot = m[0] + m[1]
+    routed = np.flatnonzero(m_tot >= 2)
+    if routed.size == 0:
+        return 0, 0
+    photons = m_tot[routed]
+    detectors = rng.integers(4, size=(routed.size, int(photons.max())))
+    clicks = np.where(np.arange(detectors.shape[1]) < photons[:, None], 1 << detectors, 0)
+    herald = HERALD_TABLE[np.bitwise_or.reduce(clicks, axis=1)]
+    # a routed trial (m_l + m_r >= 2) with one photon per node has m_l = m_r = 1
+    true = herald & (n[0][routed] == 1) & (n[1][routed] == 1)
     return int(herald.sum()), int(true.sum())
 
 
@@ -168,7 +174,11 @@ def simulate_link(
         chunk_idx += 1
 
     rate = heralds / trials
-    half = 1.96 * np.sqrt(max(rate * (1.0 - rate), 0.0) / trials)
+    # Wilson score interval (Brown, Cai and DasGupta, Stat. Sci. 16, 101
+    # (2001)): unlike the Wald interval it keeps a nonzero width at rate 0 or 1
+    z2 = 1.96**2 / trials
+    centre = (rate + 0.5 * z2) / (1.0 + z2)
+    half = math.sqrt(z2 * rate * (1.0 - rate) + 0.25 * z2**2) / (1.0 + z2)
     spurious = (heralds - true_heralds) / heralds if heralds else 0.0
     fidelity = true_heralds / heralds if heralds else float("nan")
     return HeraldStats(
@@ -177,7 +187,7 @@ def simulate_link(
         conditional_fidelity=fidelity,
         trials=trials,
         seed=seed,
-        herald_rate_ci95=(rate - half, rate + half),
+        herald_rate_ci95=(max(centre - half, 0.0), min(centre + half, 1.0)),
     )
 
 

@@ -202,6 +202,7 @@ class TestCli:
             ("ensemble.ground_spinwave_lifetime", "-30 us", ["entangle", "--fidelity"]),
             ("ensemble.temperature", "0 uK", ["dephasing"]),
             ("raman.intermediate_linewidth", "-5.746 MHz", ["dephasing"]),
+            ("geometry.detuning_1", "1e308 GHz", ["dephasing"]),
         ],
         ids=[
             "nan-wavelength", "nan-direction", "string-direction", "short-direction",
@@ -211,6 +212,7 @@ class TestCli:
             "transmission-above-1", "negative-retrieval", "dlcz-p-above-range", "dlcz-p-zero",
             "negative-cloud-sigma", "zero-cloud-sigma", "zero-detuning", "same-sign-detunings",
             "no-atoms", "negative-spinwave-lifetime", "zero-temperature", "negative-linewidth",
+            "overflowing-detuning",
         ],
     )
     def test_bad_config_value_exits_2_naming_key(self, tmp_path, capsys, default_raw, key, value, args):

@@ -55,13 +55,17 @@ GOLDEN = {
         "g2_dlcz.json": "0280e930d2a5a1fb48eaa7aadb92a2a92b6fec22db9d7317376838510154fa90",
     },
     ("repeater", "--source", "semi"): {
-        "repeater_semi.json": "64427b95d7dea7e80433bf7bdf50a77123b6f7f8aa9bb9a3c98b8619e2f9ddb6",
+        "repeater_semi.json": "5663068c3483ae810a063261e6b2adb670aaea5706a1bbf083a2fb3a74ae4a83",
     },
     ("repeater", "--source", "dlcz"): {
-        "repeater_dlcz.json": "dd7cbf8def2630c5706c00ea3e768c0e3e611881b43e7f7dabd119367d55cb3b",
+        "repeater_dlcz.json": "f29d170e95a18aadcfa80e3a694c7b76a42d7b49596b861c36db05163fed9add",
+    },
+    # the repeater's largest cost: ten eta points of the semi source
+    ("repeater", "--source", "semi", "--sweep", "eta"): {
+        "repeater_semi_sweep_eta.csv": "1d660a778856e545d8e373a9f8ebbaefad0d26cd0205e232a44e82e59d802149",
     },
     ("repeater", "--source", "dlcz", "--sweep", "p"): {
-        "repeater_dlcz_sweep_p.csv": "1c5e520bdae1f15df6664ed080ef61668fad30c256ff8724459ca9bb0144e6a7",
+        "repeater_dlcz_sweep_p.csv": "f38244a84f261ab37efb91b648d0411f38763f9e9ac909f35a4f48e42d77ed59",
     },
 }
 

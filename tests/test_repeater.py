@@ -131,10 +131,40 @@ class TestSimulateLink:
         d = rp.simulate_link(SEMI, SEMI, IDEAL_LINK, 70_001, 3)
         assert c == d
 
+    def test_matches_analytic_dlcz_all_photon_numbers(self):
+        # at p = 0.2 and eta = 1 up to 8 photons reach the analyzer (about
+        # 3 such trials in 2^21), so every routing column is drawn
+        src = SourceModel("dlcz", emission_prob=0.2)
+        exact = rp.analytic_link(src, src, IDEAL_LINK)
+        trials = 1 << 21
+        mc = rp.simulate_link(src, src, IDEAL_LINK, trials, 9)
+        rate_sigma = np.sqrt(exact.herald_rate * (1.0 - exact.herald_rate) / trials)
+        assert abs(mc.herald_rate - exact.herald_rate) < 4.0 * rate_sigma
+        f = exact.conditional_fidelity
+        fid_sigma = np.sqrt(f * (1.0 - f) / (exact.herald_rate * trials))
+        assert abs(mc.conditional_fidelity - f) < 4.0 * fid_sigma
+
+    def test_chunk_without_two_photons_cannot_herald(self):
+        rng = np.random.default_rng(0)
+        assert rp._simulate_chunk(SEMI, SEMI, LinkConfig(channel_transmission=0.0), 1000, rng) == (0, 0)
+
+    def test_herald_table_is_mask_membership(self):
+        assert rp.HERALD_TABLE.shape == (16,)
+        for clicks in range(16):
+            assert rp.HERALD_TABLE[clicks] == (clicks in rp.HERALD_MASKS)
+
     def test_ci_covers_true_rate(self):
         mc = rp.simulate_link(SEMI, SEMI, IDEAL_LINK, 200_000, 21)
         lo, hi = mc.herald_rate_ci95
         assert lo < 0.125 < hi
+
+    def test_ci_has_width_at_zero_rate(self):
+        # the Wilson interval keeps an upper bound above a zero count
+        mc = rp.simulate_link(SEMI, SEMI, LinkConfig(channel_transmission=0.0), 1000, 1)
+        assert mc.herald_rate == 0.0
+        lo, hi = mc.herald_rate_ci95
+        assert lo == 0.0
+        assert hi == pytest.approx(1.96**2 / (1000 + 1.96**2), rel=1e-12)
 
     def test_trial_count_validation(self):
         with pytest.raises(ValueError):
