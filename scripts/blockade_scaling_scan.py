@@ -14,6 +14,7 @@ import numpy as np
 from rydlink import collective as col
 from rydlink.config import load_config
 from rydlink.geometry import protocol_modes
+from rydlink.measurement import rng_stream
 
 
 def main():
@@ -27,7 +28,7 @@ def main():
     omega = cfg.protocol_rabi
     k1, k2, dk = modes.k1, modes.k2, modes.dk
     sigma = np.asarray(cfg.ensemble.cloud_sigma_um)
-    rng = np.random.default_rng(args.seed)
+    rng = rng_stream(args.seed)
 
     print(f"{'N':>2s} {'worst 1-F':>12s} {'freq ratio':>12s} {'sqrt(N)':>9s}")
     t_grid = np.linspace(0.0, 4.0 * np.pi / omega, 600)

@@ -24,6 +24,7 @@ from scipy.optimize import curve_fit
 
 from .collective import EnsembleConfig
 from .geometry import BeamGeometry, protocol_modes
+from .measurement import ATOM_STREAM, rng_blocks
 
 K_BOLTZMANN = 1.380649e-23  # J/K
 AMU = 1.66053906892e-27  # kg
@@ -31,10 +32,6 @@ AMU = 1.66053906892e-27  # kg
 # level ordering in the four-level space
 LEVEL_S, LEVEL_E1, LEVEL_E2, LEVEL_R = 0, 1, 2, 3
 RHO_RR = 4 * LEVEL_R + LEVEL_R  # index of rho_rr in the row-major vec of rho
-
-
-class SeedRequiredError(ValueError):
-    """Monte Carlo runs must be seeded; silent nondeterminism is a bug."""
 
 
 class SampleCountError(ValueError):
@@ -195,21 +192,16 @@ def raman_splitting_exact(scheme: RamanLevelScheme) -> float:
 def sample_atoms(ens: EnsembleConfig, n_samples: int, seed: int) -> tuple:
     """(positions in um, velocities in um/us), each of shape (n_samples, 3).
 
-    Sample i comes from its own stream derived from (seed, i), so it does
-    not depend on how many samples are drawn. A velocity in um/us is
-    numerically identical to one in m/s.
+    Samples are drawn in blocks from streams (ATOM_STREAM, b) of
+    ``measurement.rng_blocks``, positions then velocities per sample, so
+    sample i does not depend on how many samples are drawn. A velocity in
+    um/us is numerically identical to one in m/s.
     """
-    if seed is None:
-        raise SeedRequiredError("an explicit RNG seed is required")
-    sigma_x = np.asarray(ens.cloud_sigma_um, dtype=float)
     sigma_v = thermal_velocity_sigma(ens.temperature_uK, ens.atomic_mass_amu)
-    positions = np.empty((n_samples, 3))
-    velocities = np.empty((n_samples, 3))
-    for i in range(n_samples):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        positions[i] = rng.normal(0.0, sigma_x, size=3)
-        velocities[i] = rng.normal(0.0, sigma_v, size=3)
-    return positions, velocities
+    scale = np.stack([np.asarray(ens.cloud_sigma_um, dtype=float), np.full(3, sigma_v)])
+    blocks = rng_blocks(seed, n_samples, ATOM_STREAM)
+    draws = np.concatenate([rng.normal(0.0, scale, size=(n, 2, 3)) for rng, n in blocks])
+    return draws[:, 0], draws[:, 1]
 
 
 def _spectral_sum(weights, rates, t_grid_s):

@@ -6,7 +6,8 @@ one of three bases with a simple detector model (finite efficiency plus
 uniform per-gate background clicks), and reduced to visibilities, the
 fidelity bound, and Hanbury Brown-Twiss g2(0) estimates. The entangled
 state enters as the two amplitudes of ``collective.run_protocol``, the
-phase-shifter setting and one memory-coherence factor.
+phase-shifter setting and one memory-coherence factor. Every Monte Carlo
+draw of the package comes from ``rng_stream`` or ``rng_blocks`` here.
 """
 
 from __future__ import annotations
@@ -17,6 +18,25 @@ import numpy as np
 from scipy.special import gammaln, xlogy
 
 BASES = ("hv", "pm", "circ")
+
+# Stream keys under the run seed: g2_hbt (), repeater trial block c (c,),
+# atom block b (ATOM_STREAM, b), coincidence basis i (COINCIDENCE_STREAM, i).
+BLOCK = 1 << 16  # draws per block; fixed, so block b does not depend on the total
+ATOM_STREAM = 1
+COINCIDENCE_STREAM = 2
+
+
+def rng_stream(seed: int, *key: int) -> np.random.Generator:
+    """Generator of stream ``key`` under ``seed``; ``rng_stream(seed)`` draws as ``default_rng(seed)``."""
+    if seed is None:
+        raise ValueError("Monte Carlo draws need an explicit seed")
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+def rng_blocks(seed: int, n: int, *key: int):
+    """Yield (generator, size) for n draws in blocks of BLOCK; block b draws from stream key + (b,)."""
+    for b, start in enumerate(range(0, n, BLOCK)):
+        yield rng_stream(seed, *key, b), min(BLOCK, n - start)
 
 
 class ZeroCoincidenceError(ZeroDivisionError):
@@ -139,11 +159,10 @@ def coincidence_probabilities(p_sig, det: DetectorModel) -> np.ndarray:
     return np.array([q[0, 0], q[1, 1], q[0, 1], q[1, 0]])
 
 
-def sample_counts(probs, trials: int, seed: int) -> CoincidenceRecord:
+def sample_counts(probs, trials: int, rng: np.random.Generator) -> CoincidenceRecord:
     if trials <= 0:
         raise ValueError("trials must be positive")
     probs = np.asarray(probs, dtype=float)
-    rng = np.random.default_rng(seed)
     counts = rng.multinomial(trials, probs / probs.sum())
     return CoincidenceRecord(tuple(int(c) for c in counts), trials)
 
@@ -179,13 +198,13 @@ def measure_three_bases(
     """Sampled visibilities in all three bases and the fidelity bound.
 
     ``amps``, ``phase`` and ``coherence`` are as in ``born_probabilities``,
-    for one state.
+    for one state. Basis i draws from stream (COINCIDENCE_STREAM, i).
     """
     vs = []
     errs = []
     for i, basis in enumerate(BASES):
         probs = coincidence_probabilities(born_probabilities(amps, phase, coherence, basis), det)
-        record = sample_counts(probs, trials, seed + i)
+        record = sample_counts(probs, trials, rng_stream(seed, COINCIDENCE_STREAM, i))
         vs.append(visibility(record))
         errs.append(visibility_error(record))
     fid = fidelity_bound(*vs)
@@ -270,9 +289,7 @@ def g2_hbt(field: PhotonFieldModel, trials: int | None = None, seed: int | None 
         if p1 * p2 == 0.0:
             raise ZeroCoincidenceError("no singles; g2 undefined")
         return p12 / (p1 * p2)
-    if seed is None:
-        raise ValueError("Monte Carlo g2 needs a seed")
-    rng = np.random.default_rng(seed)
+    rng = rng_stream(seed)
     eta, b = field.detector.efficiency, field.detector.background_prob
     n = rng.choice(len(dist), size=trials, p=dist)
     to_1 = rng.binomial(n, 0.5)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurement import DLCZ_CUTOFF, dlcz_occupation
+from .measurement import DLCZ_CUTOFF, dlcz_occupation, rng_blocks
 
 SOURCE_KINDS = ("semi_deterministic", "dlcz")
 
@@ -32,8 +32,6 @@ PSI_MINUS_MASKS = (0b1001, 0b0110)  # one click in each arm, opposite polarizati
 PSI_PLUS_MASKS = (0b0011, 0b1100)  # two clicks in the same arm
 HERALD_MASKS = PSI_MINUS_MASKS + PSI_PLUS_MASKS
 HERALD_TABLE = np.isin(np.arange(16), HERALD_MASKS)  # click-set bitmask -> heralds
-
-CHUNK = 1 << 16  # Monte Carlo trials per RNG stream; fixed for reproducibility
 
 
 @dataclass(frozen=True)
@@ -152,26 +150,18 @@ def simulate_link(
     trials: int,
     seed: int,
 ) -> HeraldStats:
-    """Monte Carlo link attempts in fixed-size chunks.
+    """Monte Carlo link attempts in blocks of ``measurement.BLOCK`` trials.
 
-    Chunk c draws from its own stream SeedSequence(seed, spawn_key=(c,)),
-    so results are reproducible for a given seed regardless of how chunks
-    are scheduled or aggregated.
+    Block c draws from stream (c,) of ``measurement.rng_blocks``, so a
+    full block does not depend on ``trials``.
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
-    heralds = 0
-    true_heralds = 0
-    done = 0
-    chunk_idx = 0
-    while done < trials:
-        n = min(CHUNK, trials - done)
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_idx,)))
+    heralds = true_heralds = 0
+    for rng, n in rng_blocks(seed, trials):
         h, t = _simulate_chunk(source_left, source_right, link, n, rng)
         heralds += h
         true_heralds += t
-        done += n
-        chunk_idx += 1
 
     rate = heralds / trials
     # Wilson score interval (Brown, Cai and DasGupta, Stat. Sci. 16, 101

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from rydlink import dephasing as dp
 from rydlink.collective import EnsembleConfig
 from rydlink.config import load_config
-from rydlink.dephasing import SeedRequiredError, SimulationFlags
+from rydlink.dephasing import SimulationFlags
 from rydlink.geometry import protocol_modes
+from rydlink.measurement import BLOCK
 
 
 @pytest.fixture(scope="module")
@@ -182,16 +183,18 @@ class TestSpectralSum:
 
 class TestSampling:
     def test_seed_required(self, cfg):
-        with pytest.raises(SeedRequiredError):
+        with pytest.raises(ValueError, match="explicit seed"):
             dp.sample_atoms(cfg.ensemble, 10, None)
 
     def test_per_index_streams_are_stable(self, cfg):
-        # sample i must not depend on how many samples are drawn
-        pos_a, vel_a = dp.sample_atoms(cfg.ensemble, 5, 42)
-        pos_b, vel_b = dp.sample_atoms(cfg.ensemble, 50, 42)
-        assert pos_b.shape == vel_b.shape == (50, 3)
-        assert np.array_equal(pos_a, pos_b[:5])
-        assert np.array_equal(vel_a, vel_b[:5])
+        # sample i must not depend on how many samples are drawn, also across block boundaries
+        sizes = (5, BLOCK + 1, 2 * BLOCK + 3)
+        draws = [dp.sample_atoms(cfg.ensemble, n, 42) for n in sizes]
+        for n, (pos, vel) in zip(sizes, draws):
+            assert pos.shape == vel.shape == (n, 3)
+        for (pos_a, vel_a), (pos_b, vel_b) in zip(draws, draws[1:]):
+            assert np.array_equal(pos_a, pos_b[: len(pos_a)])
+            assert np.array_equal(vel_a, vel_b[: len(vel_a)])
 
     def test_position_spread_matches_cloud(self, cfg):
         pos, _ = dp.sample_atoms(cfg.ensemble, 4000, 1)

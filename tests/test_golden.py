@@ -27,20 +27,20 @@ GOLDEN = {
         "entangle_phi_sweep_hv.csv": "e3692112a4a138e7425b730373c9337067ce25b0ae05d432099c10c1b9cb7c37",
     },
     ("entangle", "--fidelity"): {
-        "entangle_fidelity.json": "e17542a985399a768eea9abc9157e3679fe2a24815190e1c4f419b351f158758",
+        "entangle_fidelity.json": "afc50c04a6b64aed15362a4bbb617d0eba72e45edff45de4ff9805ad1541dd5e",
     },
     ("dephasing", "--flags", "none"): {
         "dephasing_none.csv": "0c5e6cdf1b9f1ef092a744d64f83fe0578c139b993d9e2ab4ae4a0f110709c45",
         "dephasing_none.json": "8d0f870624818f78327bf9418bacecf1c9484a5a9ef823830ed8189b575a0709",
     },
     ("dephasing", "--flags", "motion"): {
-        "dephasing_motion.csv": "6958371d52a53a298f5ca7b94d8b581d6f9e1b9af1dddb9e23e6fe7e1657f675",
-        "dephasing_motion.json": "57311cc652b69d05271cd40f4d8d3f377b41146682b1f9caf9397a404ba88e7d",
+        "dephasing_motion.csv": "acc8d7602af144e0614f315b5d09911c2de4c9cd143393801cb1e868c2256d35",
+        "dephasing_motion.json": "c6652fd2ac87cdc20dd5f770246c0c8fd569ab87f1fb6016f0e5ea77e96c36f3",
     },
     # the only command that runs the Lindblad batch
     ("dephasing", "--flags", "motion,inhomo,scatter"): {
-        "dephasing_motion-inhomo-scatter.csv": "89eab78589c67826d761613d714a5bc5e478b956bc9941b509259a3deef8b5ff",
-        "dephasing_motion-inhomo-scatter.json": "f98b104dd2fe5cb4f1b76aafbe7c9fc075fc5ab0d8b8455a399362d0f36490ff",
+        "dephasing_motion-inhomo-scatter.csv": "d65d21b8e01fa28ce7d03599403cd78f5746c1966ff4808af5ae5ed6c2aabfc0",
+        "dephasing_motion-inhomo-scatter.json": "40db1566b3f80e386b12b4c8cef3158c95030f827b56d9de83f7e0ecec478c21",
     },
     ("g2", "--field", "single"): {
         "g2_single.json": "f540495861bd7649e92a23e4e500877702ed11a3ad23ace302838ca8c18d750c",

@@ -3,8 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rydlink import dephasing as dp
 from rydlink import measurement as ms
+from rydlink import repeater as rp
 from rydlink.collective import run_protocol
+from rydlink.config import load_config
 from rydlink.measurement import (
     CoincidenceRecord,
     DetectorModel,
@@ -229,12 +232,12 @@ class TestVisibilityAndFidelity:
 class TestSampling:
     def test_deterministic_given_seed(self):
         probs = np.array([0.1, 0.2, 0.3, 0.4])
-        a = ms.sample_counts(probs, 1000, 7)
-        b = ms.sample_counts(probs, 1000, 7)
+        a = ms.sample_counts(probs, 1000, ms.rng_stream(7))
+        b = ms.sample_counts(probs, 1000, ms.rng_stream(7))
         assert a == b
 
     def test_counts_sum_to_trials(self):
-        rec = ms.sample_counts(np.array([0.25] * 4), 1234, 0)
+        rec = ms.sample_counts(np.array([0.25] * 4), 1234, ms.rng_stream(0))
         assert sum(rec.counts) == 1234
 
     def test_record_validation(self):
@@ -242,6 +245,33 @@ class TestSampling:
             CoincidenceRecord((5, 5, 5, 5), 10)  # counts exceed trials
         with pytest.raises(ValueError):
             CoincidenceRecord((1, 2, 3), 10)
+
+
+class TestRandomStreams:
+    def test_stream_families_do_not_overlap(self, monkeypatch):
+        """Each Monte Carlo entry point asks for the streams of the key table, and
+        no stream of seed s or s + 1 repeats another: the first draws of all of
+        them are pairwise distinct."""
+        requested = []
+        stream = ms.rng_stream
+
+        def recording_stream(seed, *key):
+            requested.append((seed, key))
+            return stream(seed, *key)
+
+        monkeypatch.setattr(ms, "rng_stream", recording_stream)
+        ensemble = load_config().ensemble
+        semi = rp.SourceModel("semi_deterministic")
+        for seed in (7, 8):
+            ms.g2_hbt(PhotonFieldModel("thermal", 0.5, IDEAL), trials=100, seed=seed)
+            rp.simulate_link(semi, semi, rp.LinkConfig(), ms.BLOCK + 1, seed)
+            dp.sample_atoms(ensemble, ms.BLOCK + 1, seed)
+            ms.measure_three_bases(BELL, np.pi, 1.0, IDEAL, 100, seed)
+        keys = [(), (0,), (1,), (ms.ATOM_STREAM, 0), (ms.ATOM_STREAM, 1)]
+        keys += [(ms.COINCIDENCE_STREAM, i) for i in range(len(ms.BASES))]
+        assert requested == [(seed, key) for seed in (7, 8) for key in keys]
+        first_draws = {stream(seed, *key).integers(2**63) for seed, key in requested}
+        assert len(first_draws) == len(requested)
 
 
 class TestPhotonStatistics:
