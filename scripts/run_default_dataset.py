@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
 """Produce the full default dataset: every subcommand, default config.
 
-Writes all CSV/JSON artifacts plus a manifest per command into --out
-(default: out/dataset). Useful as a one-shot regeneration of everything
-the plots in a writeup would be made from.
+Each command writes its CSV/JSON artifacts and its own manifest.json into
+a subdirectory of --out (default: out/dataset) named after the command,
+for example ``g2_field_single_calibrated/``, so every manifest lists
+exactly the files beside it. Useful as a one-shot regeneration of
+everything the plots in a writeup would be made from.
 """
 
 import argparse
 import sys
+from pathlib import Path
 
 from rydlink import cli
 
@@ -31,13 +34,18 @@ COMMANDS = [
 ]
 
 
+def slug(cmd) -> str:
+    """Directory name of a command: ``dephasing --flags motion,inhomo`` -> ``dephasing_flags_motion-inhomo``."""
+    return "_".join(arg.lstrip("-") for arg in cmd).replace(",", "-")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="out/dataset")
     ap.add_argument("--config", default=None)
     args = ap.parse_args()
     for cmd in COMMANDS:
-        argv = ["--out", args.out]
+        argv = ["--out", str(Path(args.out) / slug(cmd))]
         if args.config:
             argv += ["--config", args.config]
         code = cli.main(argv + cmd)

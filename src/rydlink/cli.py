@@ -186,9 +186,8 @@ def cmd_entangle(cfg: RunConfig, args, writer: RunWriter):
         phis = np.linspace(0.0, 2.0 * np.pi, 65)
         for basis, name in (("pm", "entangle_phi_sweep.csv"), ("hv", "entangle_phi_sweep_hv.csv")):
             p = measurement.born_probabilities(amps, phis % (2.0 * np.pi), coherence, basis)
-            par, perp = p[:, 0] + p[:, 1], p[:, 2] + p[:, 3]
-            v = abs(perp - par) / (perp + par)
-            writer.csv(name, ("phi_rad", "c_pp", "c_mm", "c_pm", "c_mp", "v"), np.column_stack([phis, p, v]))
+            rows = np.column_stack([phis, p, measurement.visibility(p)])
+            writer.csv(name, ("phi_rad", "c_pp", "c_mm", "c_pm", "c_mp", "v"), rows)
         return
     # --fidelity: three-basis measurement with the calibrated noise chain
     b = _calibrated_background(cfg)
@@ -204,7 +203,7 @@ def cmd_entangle(cfg: RunConfig, args, writer: RunWriter):
             "detector_efficiency": det.efficiency,
             "trials": trials,
             "seed": cfg.seed,
-            **result.as_dict(),
+            **result,
         },
     )
 
@@ -229,8 +228,14 @@ def cmd_g2(cfg: RunConfig, args, writer: RunWriter):
     except ValueError as exc:
         raise ConfigError(f"--parameter {parameter} for --field {args.field}: {exc}") from None
     trials = cfg.parsed["simulation"]["g2_trials"]
-    g2_analytic = measurement.g2_hbt(field)
-    g2_mc = measurement.g2_hbt(field, trials=trials, seed=cfg.seed)
+    try:
+        g2_analytic = measurement.g2_hbt(field)
+        g2_mc = measurement.g2_hbt(field, trials=trials, seed=cfg.seed)
+    except measurement.ZeroCoincidenceError as exc:
+        source = "--parameter" if args.parameter is not None else "default parameter"
+        raise ConfigError(
+            f"{source} {parameter} for --field {args.field} with simulation.g2_trials {trials}: {exc}"
+        ) from None
     tag = f"{args.field}_calibrated" if args.calibrated else args.field
     writer.json(
         f"g2_{tag}.json",

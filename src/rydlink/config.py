@@ -166,8 +166,8 @@ _RANGES = {
     "simulation.dephasing_points": (lambda v: v >= 5, "be >= 5"),
     "simulation.coincidence_trials": (lambda v: v >= 1, "be >= 1"),
     "simulation.g2_trials": (lambda v: v >= 1, "be >= 1"),
-    "repeater.channel_transmission": (lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]"),
-    "repeater.retrieval_efficiency": (lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]"),
+    "repeater.channel_transmission": (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
+    "repeater.retrieval_efficiency": (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
     # the range of measurement.dlcz_occupation
     "repeater.dlcz_excitation": (lambda v: 0.0 < v <= 0.2, "lie in (0, 0.2]"),
     "repeater.trials": (lambda v: v >= 1, "be >= 1"),

@@ -55,48 +55,6 @@ class DetectorModel:
             raise ValueError("background probability must lie in [0, 1)")
 
 
-@dataclass(frozen=True)
-class CoincidenceRecord:
-    """Counts in outcome order (xx, yy, xy, yx) for basis outcomes (x, y)."""
-
-    counts: tuple
-    trials: int
-
-    def __post_init__(self):
-        if len(self.counts) != 4 or any(c < 0 for c in self.counts):
-            raise ValueError("need 4 non-negative counts")
-        if sum(self.counts) > self.trials:
-            raise ValueError("counts exceed trials")
-
-    @property
-    def parallel(self) -> int:
-        return self.counts[0] + self.counts[1]
-
-    @property
-    def perpendicular(self) -> int:
-        return self.counts[2] + self.counts[3]
-
-
-@dataclass(frozen=True)
-class MeasurementResult:
-    v_hv: float
-    v_pm: float
-    v_circ: float
-    v_errors: tuple
-    fidelity: float
-    fidelity_error: float
-
-    def as_dict(self) -> dict:
-        return {
-            "V_hv": self.v_hv,
-            "V_pm": self.v_pm,
-            "V_circ": self.v_circ,
-            "V_errors": list(self.v_errors),
-            "F": self.fidelity,
-            "F_error": self.fidelity_error,
-        }
-
-
 def _basis_vectors(basis: str):
     if basis == "hv":
         return np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)
@@ -159,29 +117,19 @@ def coincidence_probabilities(p_sig, det: DetectorModel) -> np.ndarray:
     return np.array([q[0, 0], q[1, 1], q[0, 1], q[1, 0]])
 
 
-def sample_counts(probs, trials: int, rng: np.random.Generator) -> CoincidenceRecord:
-    if trials <= 0:
-        raise ValueError("trials must be positive")
-    probs = np.asarray(probs, dtype=float)
-    counts = rng.multinomial(trials, probs / probs.sum())
-    return CoincidenceRecord(tuple(int(c) for c in counts), trials)
+def visibility(outcomes) -> np.ndarray:
+    """|(C_perp - C_par) / (C_perp + C_par)| over the last axis.
 
-
-def visibility(record: CoincidenceRecord) -> float:
-    """|(C_perp - C_par) / (C_perp + C_par)|."""
-    par, perp = record.parallel, record.perpendicular
-    if par + perp == 0:
+    ``outcomes`` is any ``(..., 4)`` array of counts or probabilities in the
+    outcome order of ``born_probabilities``: (xx, yy) parallel, (xy, yx)
+    perpendicular. Returns ``(...)``.
+    """
+    outcomes = np.asarray(outcomes)
+    par = outcomes[..., 0] + outcomes[..., 1]
+    perp = outcomes[..., 2] + outcomes[..., 3]
+    if np.any(par + perp == 0):
         raise ZeroCoincidenceError("no coincidences recorded")
-    return abs(perp - par) / (perp + par)
-
-
-def visibility_error(record: CoincidenceRecord) -> float:
-    """Binomial standard error on the visibility."""
-    par, perp = record.parallel, record.perpendicular
-    n = par + perp
-    if n == 0:
-        raise ZeroCoincidenceError("no coincidences recorded")
-    return 2.0 * np.sqrt(par * perp / n) / n
+    return np.abs(perp - par) / (perp + par)
 
 
 def fidelity_bound(v_hv: float, v_pm: float, v_circ: float) -> float:
@@ -192,24 +140,31 @@ def fidelity_bound(v_hv: float, v_pm: float, v_circ: float) -> float:
     return 0.25 * (1.0 + v_hv + v_pm + v_circ)
 
 
-def measure_three_bases(
-    amps, phase: float, coherence: float, det: DetectorModel, trials: int, seed: int
-) -> MeasurementResult:
+def measure_three_bases(amps, phase: float, coherence: float, det: DetectorModel, trials: int, seed: int) -> dict:
     """Sampled visibilities in all three bases and the fidelity bound.
 
     ``amps``, ``phase`` and ``coherence`` are as in ``born_probabilities``,
-    for one state. Basis i draws from stream (COINCIDENCE_STREAM, i).
+    for one state. Basis i draws its ``trials`` coincidences from stream
+    (COINCIDENCE_STREAM, i). Returns V_hv, V_pm and V_circ, their binomial
+    standard errors V_errors, the bound F and its error F_error.
     """
-    vs = []
-    errs = []
+    if trials <= 0:
+        raise ValueError("trials must be positive")
+    counts = np.empty((len(BASES), 4), dtype=np.int64)
     for i, basis in enumerate(BASES):
         probs = coincidence_probabilities(born_probabilities(amps, phase, coherence, basis), det)
-        record = sample_counts(probs, trials, rng_stream(seed, COINCIDENCE_STREAM, i))
-        vs.append(visibility(record))
-        errs.append(visibility_error(record))
-    fid = fidelity_bound(*vs)
-    fid_err = 0.25 * float(np.sqrt(sum(e**2 for e in errs)))
-    return MeasurementResult(vs[0], vs[1], vs[2], tuple(errs), fid, fid_err)
+        counts[i] = rng_stream(seed, COINCIDENCE_STREAM, i).multinomial(trials, probs / probs.sum())
+    v_hv, v_pm, v_circ = visibility(counts).tolist()
+    par, perp = counts[:, 0] + counts[:, 1], counts[:, 2] + counts[:, 3]
+    errors = 2.0 * np.sqrt(par * perp / (par + perp)) / (par + perp)
+    return {
+        "V_hv": v_hv,
+        "V_pm": v_pm,
+        "V_circ": v_circ,
+        "V_errors": errors.tolist(),
+        "F": fidelity_bound(v_hv, v_pm, v_circ),
+        "F_error": 0.25 * float(np.sqrt(np.sum(errors**2))),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -198,7 +198,7 @@ def test_criterion_10_fidelity_band(cfg):
         result = ms.measure_three_bases(
             amps, cfg.parsed["readout"]["phase_shift"], coherence, det, 200_000, cfg.seed
         )
-        assert 0.87 <= result.fidelity <= 0.93
+        assert 0.87 <= result["F"] <= 0.93
 
 
 def test_criterion_11_determinism(tmp_path):

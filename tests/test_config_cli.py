@@ -158,11 +158,16 @@ class TestCli:
             (["dephasing", "--flags", "motion,motion"], "--flags"),
             (["dephasing", "--flags", "motion,,inhomo"], "--flags"),
             (["repeater", "--source", "semi", "--sweep", "p"], "--sweep p: applies only to --source dlcz"),
+            # no singles in the Monte Carlo trials: g2 is undefined
+            (
+                ["g2", "--field", "single", "--parameter", "1e-9"],
+                "--parameter 1e-09 for --field single with simulation.g2_trials",
+            ),
         ],
         ids=[
             "dlcz-p-above-range", "too-few-samples", "single-efficiency-above-1", "coherent-vacuum",
             "thermal-infinite", "single-efficiency-nan", "empty-flag-list", "no-flags",
-            "repeated-flag", "empty-flag", "p-sweep-of-semi-source",
+            "repeated-flag", "empty-flag", "p-sweep-of-semi-source", "g2-no-singles",
         ],
     )
     def test_out_of_range_option_is_config_error(self, tmp_path, capsys, args, named):
@@ -192,6 +197,10 @@ class TestCli:
             ("repeater.trials", 0, ["repeater", "--source", "semi"]),
             ("repeater.channel_transmission", 1.5, ["repeater", "--source", "semi"]),
             ("repeater.retrieval_efficiency", -0.1, ["repeater", "--source", "semi"]),
+            ("repeater.channel_transmission", 0.0, ["repeater", "--source", "semi"]),
+            ("repeater.retrieval_efficiency", 0.0, ["repeater", "--source", "semi", "--sweep", "eta"]),
+            # one trial of a single photon clicks one detector only: no g2
+            ("simulation.g2_trials", 1, ["g2", "--field", "single"]),
             ("repeater.dlcz_excitation", 0.5, ["repeater", "--source", "dlcz"]),
             ("repeater.dlcz_excitation", 0.0, ["repeater", "--source", "dlcz"]),
             ("ensemble.cloud_sigma[0]", ["-3.5 um", "3.5 um", "6.5 um"], ["dephasing", "--flags", "motion,inhomo"]),
@@ -209,7 +218,8 @@ class TestCli:
             "inf-temperature", "nan-period", "zero-period", "nan-efficiency", "zero-mass",
             "negative-read-delay", "zero-dephasing-window", "negative-seed",
             "one-dephasing-point", "no-coincidence-trials", "no-g2-trials", "no-repeater-trials",
-            "transmission-above-1", "negative-retrieval", "dlcz-p-above-range", "dlcz-p-zero",
+            "transmission-above-1", "negative-retrieval", "zero-transmission", "zero-retrieval",
+            "g2-single-trial", "dlcz-p-above-range", "dlcz-p-zero",
             "negative-cloud-sigma", "zero-cloud-sigma", "zero-detuning", "same-sign-detunings",
             "no-atoms", "negative-spinwave-lifetime", "zero-temperature", "negative-linewidth",
             "overflowing-detuning",

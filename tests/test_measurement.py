@@ -8,12 +8,7 @@ from rydlink import measurement as ms
 from rydlink import repeater as rp
 from rydlink.collective import run_protocol
 from rydlink.config import load_config
-from rydlink.measurement import (
-    CoincidenceRecord,
-    DetectorModel,
-    PhotonFieldModel,
-    ZeroCoincidenceError,
-)
+from rydlink.measurement import DetectorModel, PhotonFieldModel, ZeroCoincidenceError
 
 IDEAL = DetectorModel()
 SQ2 = 1.0 / np.sqrt(2.0)
@@ -188,17 +183,40 @@ class TestCoincidenceModel:
 
 class TestVisibilityAndFidelity:
     def test_visibility_definition(self):
-        rec = CoincidenceRecord((10, 10, 60, 60), 200)
-        assert ms.visibility(rec) == pytest.approx(100.0 / 140.0)
+        assert ms.visibility(np.array([10, 10, 60, 60])) == pytest.approx(100.0 / 140.0)
 
     def test_visibility_is_symmetric_in_sign(self):
-        a = ms.visibility(CoincidenceRecord((60, 60, 10, 10), 200))
-        b = ms.visibility(CoincidenceRecord((10, 10, 60, 60), 200))
+        a = ms.visibility(np.array([60, 60, 10, 10]))
+        b = ms.visibility(np.array([10, 10, 60, 60]))
         assert a == pytest.approx(b)
 
     def test_no_counts_raises(self):
         with pytest.raises(ZeroCoincidenceError):
-            ms.visibility(CoincidenceRecord((0, 0, 0, 0), 10))
+            ms.visibility(np.array([0, 0, 0, 0]))
+        # one empty row of a batch is enough
+        with pytest.raises(ZeroCoincidenceError):
+            ms.visibility(np.array([[10, 10, 60, 60], [0, 0, 0, 0]]))
+
+    def test_visibility_broadcasts_over_probability_batch(self):
+        # the phi sweep: (65, 4) Born probabilities give 65 visibilities, each
+        # the formula applied to its own row
+        phis = np.linspace(0.0, 2.0 * np.pi, 65)
+        p = ms.born_probabilities(BELL, phis, 0.9, "pm")
+        v = ms.visibility(p)
+        assert v.shape == (65,)
+        par, perp = p[:, 0] + p[:, 1], p[:, 2] + p[:, 3]
+        assert np.array_equal(v, np.abs(perp - par) / (perp + par))
+        assert np.array_equal(v, [ms.visibility(row) for row in p])
+        # the coherence factor is the visibility: |0.9 cos phi|
+        assert np.allclose(v, np.abs(0.9 * np.cos(phis)), atol=1e-12)
+
+    def test_visibility_of_integer_counts(self):
+        counts = np.array([[10, 10, 60, 60], [60, 60, 10, 10], [0, 5, 5, 0], [3, 0, 0, 0]])
+        v = ms.visibility(counts)
+        assert v.dtype == np.float64
+        assert np.allclose(v, [100.0 / 140.0, 100.0 / 140.0, 0.0, 1.0], rtol=1e-15)
+        # as exact as the quotient of Python ints
+        assert v.tolist() == [abs((c[2] + c[3]) - (c[0] + c[1])) / sum(c) for c in counts.tolist()]
 
     def test_fidelity_bound_reference_values(self):
         # (1/4)(1 + 0.897 + 0.828 + 0.879) = 0.901
@@ -221,30 +239,57 @@ class TestVisibilityAndFidelity:
 
     def test_ideal_three_basis_measurement(self):
         res = ms.measure_three_bases(BELL, np.pi, 1.0, IDEAL, 50000, 1)
-        assert res.v_hv == pytest.approx(1.0)
-        assert res.v_pm == pytest.approx(1.0)
-        assert res.v_circ == pytest.approx(1.0)
-        assert res.fidelity == pytest.approx(1.0)
+        assert set(res) == {"V_hv", "V_pm", "V_circ", "V_errors", "F", "F_error"}
+        assert res["V_hv"] == pytest.approx(1.0)
+        assert res["V_pm"] == pytest.approx(1.0)
+        assert res["V_circ"] == pytest.approx(1.0)
+        assert res["F"] == pytest.approx(1.0)
         # invariant: F is exactly the visibility average formula
-        assert res.fidelity == 0.25 * (1.0 + res.v_hv + res.v_pm + res.v_circ)
+        assert res["F"] == 0.25 * (1.0 + res["V_hv"] + res["V_pm"] + res["V_circ"])
+        # perfect correlations have no binomial spread
+        assert res["V_errors"] == [0.0, 0.0, 0.0]
+        assert res["F_error"] == 0.0
 
 
 class TestSampling:
+    @staticmethod
+    def counts(amps, phase, coherence, det, trials, seed):
+        """The (3, 4) counts of the key table: basis i draws from (COINCIDENCE_STREAM, i)."""
+        rows = []
+        for i, basis in enumerate(ms.BASES):
+            p = ms.coincidence_probabilities(ms.born_probabilities(amps, phase, coherence, basis), det)
+            rows.append(ms.rng_stream(seed, ms.COINCIDENCE_STREAM, i).multinomial(trials, p / p.sum()))
+        return np.array(rows)
+
     def test_deterministic_given_seed(self):
-        probs = np.array([0.1, 0.2, 0.3, 0.4])
-        a = ms.sample_counts(probs, 1000, ms.rng_stream(7))
-        b = ms.sample_counts(probs, 1000, ms.rng_stream(7))
+        det = DetectorModel(0.5, 0.01)
+        a = ms.measure_three_bases(BELL, 0.3, 0.95, det, 1000, 7)
+        b = ms.measure_three_bases(BELL, 0.3, 0.95, det, 1000, 7)
         assert a == b
+        assert a != ms.measure_three_bases(BELL, 0.3, 0.95, det, 1000, 8)
 
     def test_counts_sum_to_trials(self):
-        rec = ms.sample_counts(np.array([0.25] * 4), 1234, ms.rng_stream(0))
-        assert sum(rec.counts) == 1234
+        counts = self.counts(BELL, 0.3, 0.95, DetectorModel(0.5, 0.01), 1234, 0)
+        assert counts.shape == (len(ms.BASES), 4)
+        assert np.array_equal(counts.sum(axis=1), [1234] * len(ms.BASES))
 
-    def test_record_validation(self):
-        with pytest.raises(ValueError):
-            CoincidenceRecord((5, 5, 5, 5), 10)  # counts exceed trials
-        with pytest.raises(ValueError):
-            CoincidenceRecord((1, 2, 3), 10)
+    def test_result_is_array_expression_of_counts(self):
+        # visibilities, binomial errors and F from the (3, 4) counts, errors
+        # summed over Python ints as a reference
+        args = (BELL, 0.3, 0.95, DetectorModel(0.5, 0.01), 5000, 3)
+        counts, res = self.counts(*args), ms.measure_three_bases(*args)
+        v = ms.visibility(counts)
+        assert [res["V_hv"], res["V_pm"], res["V_circ"]] == v.tolist()
+        par, perp = counts[:, :2].sum(axis=1), counts[:, 2:].sum(axis=1)
+        n = par + perp
+        errors = [2.0 * np.sqrt(a * b / c) / c for a, b, c in zip(par.tolist(), perp.tolist(), n.tolist())]
+        assert res["V_errors"] == pytest.approx(errors, rel=1e-15)
+        assert res["F"] == ms.fidelity_bound(*v.tolist())
+        assert res["F_error"] == pytest.approx(0.25 * np.sqrt(sum(e**2 for e in errors)), rel=1e-15)
+
+    def test_rejects_no_trials(self):
+        with pytest.raises(ValueError, match="trials"):
+            ms.measure_three_bases(BELL, np.pi, 1.0, IDEAL, 0, 1)
 
 
 class TestRandomStreams:

@@ -1,5 +1,7 @@
 """Smoke tests: the study scripts in scripts/ run to completion on small inputs."""
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -37,4 +39,12 @@ def test_default_dataset_exits_0(tmp_path):
     # all 16 commands, repeater --source semi --sweep eta among them
     result = run_script("run_default_dataset.py", ["--out", str(tmp_path)])
     assert result.returncode == 0, result.stderr
-    assert (tmp_path / "repeater_semi_sweep_eta.csv").is_file()
+    assert (tmp_path / "repeater_source_semi_sweep_eta" / "repeater_semi_sweep_eta.csv").is_file()
+    # one directory per command, each with a manifest of exactly its own files
+    subdirs = sorted(p for p in tmp_path.iterdir())
+    assert len(subdirs) == 16 and all(p.is_dir() for p in subdirs)
+    for sub in subdirs:
+        manifest = json.loads((sub / "manifest.json").read_text())
+        files = {p.name: p.read_bytes() for p in sub.iterdir() if p.name != "manifest.json"}
+        assert files, sub.name
+        assert manifest["outputs"] == {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
