@@ -63,7 +63,7 @@ class RunWriter:
 
     def json(self, name: str, obj: dict):
         obj = {"version": ARTIFACT_VERSION, **obj}
-        self._record(name, (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode())
+        self._record(name, (json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n").encode())
 
     def finish(self):
         manifest = {

@@ -9,14 +9,18 @@ destroying the spin-wave coherence, which is exactly the gap between the
 population curve and the collective-projection curve.
 
 Per-atom Liouvillians are time independent, so the batch is propagated
-spectrally (one eigendecomposition per atom) rather than by stepping. The
-spectral sum over eigenmodes is evaluated on a uniform time grid by
-recurrence: one multiply by exp(rate dt) per mode and step, not one
-complex exponential per mode and time point.
+spectrally (one eigendecomposition per atom) rather than by stepping. On
+the 16 real coordinates of rho (populations, then Re and Im of each
+coherence) the Liouvillian is a real matrix, so its complex eigenmodes come
+in conjugate pairs and each pair is summed once. The spectral sum over
+eigenmodes is evaluated on a uniform time grid by recurrence: one multiply
+by exp(rate dt) per mode and step, not one complex exponential per mode and
+time point.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +35,31 @@ AMU = 1.66053906892e-27  # kg
 
 # level ordering in the four-level space
 LEVEL_S, LEVEL_E1, LEVEL_E2, LEVEL_R = 0, 1, 2, 3
-RHO_RR = 4 * LEVEL_R + LEVEL_R  # index of rho_rr in the row-major vec of rho
+
+
+@functools.cache
+def _liouville_maps():
+    """(dual, hmap, dissipator) of the real coordinates of a Hermitian 4x4 X: the populations
+    X_ii, then Re X_ij and Im X_ij for each i < j, so rho_rr is coordinate LEVEL_R.
+
+    x_k = Tr(dual[k] X). The real Liouvillian of H is (coords of H) @ hmap reshaped to
+    16 x 16, plus gamma dissipator, the collapse part of |s><e1| and |s><e2| at unit rate.
+    Column l of either holds the coordinates of the image of basis matrix l, which is
+    Hermitian, so both are real. Built on first use, so commands without scattering skip it.
+    """
+    i, j = np.triu_indices(4, 1)
+    re, im = np.arange(4, 16, 2), np.arange(5, 16, 2)
+    basis = np.zeros((16, 4, 4), dtype=complex)
+    basis[range(4), range(4), range(4)] = basis[re, i, j] = basis[re, j, i] = 1.0
+    basis[im, i, j], basis[im, j, i] = 1j, -1j
+    dual = basis / np.einsum("kab,kba->k", basis, basis)[:, None, None]
+    jump = np.zeros((2, 4, 4))
+    jump[0, LEVEL_S, LEVEL_E1] = jump[1, LEVEL_S, LEVEL_E2] = 1.0
+    excited = np.einsum("eab,eab->b", jump, jump)  # diagonal of |e1><e1| + |e2><e2|
+    commutators = -1j * (basis[:, None] @ basis - basis @ basis[:, None])  # -i[basis[k], basis[l]]
+    collapse = np.einsum("eab,lbc,edc->lad", jump, basis, jump) - 0.5 * (excited[:, None] + excited) * basis
+    hmap, dissipator = (np.einsum("mab,...ba->...m", dual, X).real for X in (commutators, collapse))
+    return dual, hmap.transpose(0, 2, 1).reshape(16, 256), dissipator.T
 
 
 class SampleCountError(ValueError):
@@ -223,30 +251,29 @@ def _spectral_sum(weights, rates, t_grid_s):
     return out
 
 
+def _real_liouvillian(H, gamma):
+    """(n, 16, 16) real Liouvillians of the Hamiltonians H (n, 4, 4) with the collapses
+    sqrt(gamma)|s><e1| and sqrt(gamma)|s><e2|, acting on the coordinates of rho."""
+    dual, hmap, dissipator = _liouville_maps()
+    h = np.einsum("kab,nba->nk", dual, H).real
+    return (h @ hmap).reshape(-1, 16, 16) + gamma * dissipator
+
+
 def _batched_lindblad_trace(H, gamma, t_grid_s):
     """Rydberg population for a batch of time-independent Liouvillians.
 
     H: (n, 4, 4); collapse: sqrt(gamma)|s><e1|, sqrt(gamma)|s><e2|.
-    Returns (n_t, n) array of rho_rr. Row-major vec convention.
+    Returns (n_t, n) array of rho_rr. The Liouvillian is real, so its complex modes come in
+    exactly conjugate pairs with conjugate terms: each pair is summed once, as twice the
+    mode with Im > 0, and the real part taken.
     """
-    eye = np.eye(4)
-
-    def kron_batch(A, B):
-        return np.einsum("...ij,...kl->...ikjl", A, B).reshape(-1, 16, 16)
-
-    L_super = -1j * (kron_batch(H, eye) - kron_batch(eye, np.transpose(H, (0, 2, 1))))
-    for e_level in (LEVEL_E1, LEVEL_E2):
-        L = np.zeros((4, 4), dtype=complex)
-        L[LEVEL_S, e_level] = np.sqrt(gamma)
-        LdL = L.conj().T @ L
-        L_super += kron_batch(L, L.conj())
-        L_super -= 0.5 * (kron_batch(LdL, eye) + kron_batch(eye, LdL.T))
-
-    evals, evecs = np.linalg.eig(L_super)
-    rho0 = np.zeros(16, dtype=complex)
-    rho0[RHO_RR] = 1.0
-    c0 = np.linalg.solve(evecs, np.broadcast_to(rho0, (len(H), 16)).copy()[..., None])[..., 0]
-    return _spectral_sum(evecs[:, RHO_RR, :] * c0, evals, t_grid_s).real
+    evals, evecs = np.linalg.eig(_real_liouvillian(H, gamma))
+    weights = evecs[:, LEVEL_R, :] * np.linalg.solve(evecs, np.eye(16)[:, [LEVEL_R]])[..., 0]
+    weights *= 2.0 * (evals.imag > 0) + (evals.imag == 0)
+    # Im >= 0 modes first, cut to the largest per-atom count; past its own count an atom has weight 0
+    kept = np.argsort(evals.imag < 0, axis=1, kind="stable")[:, : (evals.imag >= 0).sum(axis=1).max()]
+    weights, evals = (np.take_along_axis(a, kept, axis=1) for a in (weights, evals))
+    return _spectral_sum(weights, evals, t_grid_s).real
 
 
 def _batched_amplitudes(H, gamma, t_grid_s):

@@ -94,7 +94,8 @@ class HeraldStats:
         return {
             "herald_rate": self.herald_rate,
             "spurious_fraction": self.spurious_fraction,
-            "conditional_fidelity": self.conditional_fidelity,
+            # NaN when nothing heralded: JSON has no NaN, so null
+            "conditional_fidelity": None if math.isnan(self.conditional_fidelity) else self.conditional_fidelity,
             "trials": self.trials,
             "seed": self.seed,
             "herald_rate_ci95": list(self.herald_rate_ci95),

@@ -306,6 +306,27 @@ class TestCli:
         assert lines[0] == "sweep_value,herald_rate,spurious_fraction,conditional_fidelity,ci_low,ci_high"
         assert len(lines) == 7  # header + 6 grid points
 
+    def test_repeater_without_heralds_writes_null_fidelity(self, tmp_path, default_raw):
+        # one dlcz trial heralds nothing, so there is no conditional fidelity
+        raw = yaml.safe_load(yaml.safe_dump(default_raw))
+        raw["repeater"]["trials"] = 1
+        out = tmp_path / "o"
+        assert cli.main(["--config", write_config(tmp_path, raw), "--out", str(out), "repeater", "--source", "dlcz"]) == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not valid JSON")
+
+        report = json.loads((out / "repeater_dlcz.json").read_text(), parse_constant=reject)
+        assert report["monte_carlo"]["herald_rate"] == 0.0
+        assert report["monte_carlo"]["conditional_fidelity"] is None
+        assert report["analytic"]["conditional_fidelity"] > 0.0
+
+    def test_json_artifact_refuses_nan(self, tmp_path):
+        writer = cli.RunWriter(tmp_path / "o", "--out", load_config(), "repeater")
+        with pytest.raises(ValueError, match="JSON compliant"):
+            writer.json("bad.json", {"x": float("nan")})
+        assert not (tmp_path / "o").exists()
+
     def test_p_sweep_rejected_for_semi(self, tmp_path):
         assert run_cli(["repeater", "--source", "semi", "--sweep", "p"], tmp_path / "o") == 2
 

@@ -1,15 +1,22 @@
-"""Reference Lindblad integrator, and the check of the spectral batch against it.
+"""Reference Lindblad integrator and superoperator, and the checks of the spectral batch against them.
 
 ``lindblad_evolve`` is a fixed-step RK4 integrator on plain arrays. The
 step is halved until a further halving changes no output entry by more
 than CONVERGENCE_TOL; failing that raises NonConvergenceError. It shares
 no code with the eigendecomposition path in ``dephasing`` that it checks.
+
+``kron_liouvillian`` is the complex row-major superoperator of the same
+generator, and ``coordinate_map`` the map B from the 16 real coordinates of
+a Hermitian rho to its row-major vec; ``dephasing`` builds its real
+Liouvillian without either, and must equal B^-1 L B.
 """
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from rydlink import dephasing as dp
+from rydlink.config import load_config
 
 CONVERGENCE_TOL = 1e-8
 
@@ -81,6 +88,40 @@ def random_hermitian(rng, dim, scale=1.0):
 def random_state(rng, dim):
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
+
+
+def coordinate_map():
+    """B (16, 16): vec(rho) = B x for the coordinates x of rho (populations rho_ii,
+    then Re rho_ij and Im rho_ij for i < j), vec row-major."""
+    B = np.zeros((16, 16), dtype=complex)
+    col = 4
+    for i in range(4):
+        B[4 * i + i, i] = 1.0
+        for j in range(i + 1, 4):
+            B[4 * i + j, col], B[4 * j + i, col] = 1.0, 1.0
+            B[4 * i + j, col + 1], B[4 * j + i, col + 1] = 1j, -1j
+            col += 2
+    return B
+
+
+def kron_liouvillian(H, collapse):
+    """Row-major superoperator of -i[H, rho] + sum_C (C rho C^+ - {C^+ C, rho}/2)."""
+    eye = np.eye(len(H))
+    out = -1j * (np.kron(H, eye) - np.kron(eye, H.T))
+    for C in collapse:
+        CdC = C.conj().T @ C
+        out += np.kron(C, C.conj()) - 0.5 * (np.kron(CdC, eye) + np.kron(eye, CdC.T))
+    return out
+
+
+def raman_collapse(gamma):
+    """sqrt(gamma)|s><e1| and sqrt(gamma)|s><e2|."""
+    ops = []
+    for e_level in (dp.LEVEL_E1, dp.LEVEL_E2):
+        C = np.zeros((4, 4))
+        C[dp.LEVEL_S, e_level] = np.sqrt(gamma)
+        ops.append(C)
+    return ops
 
 
 class TestLindblad:
@@ -158,3 +199,73 @@ class TestLindblad:
             rhos = lindblad_evolve(rho0, H[atom], collapse, t_grid)
             rk4 = np.array([rho[dp.LEVEL_R, dp.LEVEL_R].real for rho in rhos])
             assert np.max(np.abs(rk4 - batched[:, atom])) < 1e-9
+
+
+class TestRealLiouvillian:
+    """dp._real_liouvillian against B^-1 L B, and the paired spectral sum against
+    the matrix exponential and the full 16-mode sum."""
+
+    B = coordinate_map()
+    B_INV = np.diag(1.0 / np.diag(B.conj().T @ B).real) @ B.conj().T  # B^+ B is diagonal
+
+    @staticmethod
+    def hamiltonians():
+        """Two drawn Hermitian H at the 100 MHz scale and three atoms of the packaged scheme."""
+        rng = np.random.default_rng(3)
+        scheme = load_config().scheme
+        drawn = [random_hermitian(rng, 4, scale=2.0 * np.pi * 1e8) for _ in range(2)]
+        packaged = dp._four_level_hamiltonian(
+            scheme, np.array([1.0, 0.7, 0.3]), np.array([1.0, 0.9, 0.4]), np.array([0.0, 3e6, -4e6])
+        )
+        return np.array([*drawn, *packaged]), scheme.gamma_e
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0], ids=["lossless", "gamma_e"])
+    def test_equals_transformed_kron_superoperator(self, gamma):
+        H, gamma_e = self.hamiltonians()
+        got = dp._real_liouvillian(H, gamma * gamma_e)
+        assert got.dtype == np.float64 and got.shape == (len(H), 16, 16)
+        for h, real in zip(H, got):
+            oracle = self.B_INV @ kron_liouvillian(h, raman_collapse(gamma * gamma_e)) @ self.B
+            scale = np.abs(oracle).max()
+            assert np.abs(oracle.imag).max() <= 1e-12 * scale
+            assert np.abs(real - oracle.real).max() <= 1e-12 * scale
+
+    def test_maps_are_exactly_real_images_of_the_basis(self):
+        # each coordinate's Hermitian matrix, and the collapse at unit rate, read off exactly
+        _, hmap, dissipator = dp._liouville_maps()
+        for k in range(16):
+            oracle = self.B_INV @ kron_liouvillian(self.B[:, k].reshape(4, 4), []) @ self.B
+            assert not oracle.imag.any()
+            assert np.array_equal(hmap[k].reshape(16, 16), oracle.real)
+        oracle = self.B_INV @ kron_liouvillian(np.zeros((4, 4)), raman_collapse(1.0)) @ self.B
+        assert not oracle.imag.any()
+        assert np.array_equal(dissipator, oracle.real)
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0], ids=["lossless", "gamma_e"])
+    def test_population_rows_preserve_trace(self, gamma):
+        H, gamma_e = self.hamiltonians()
+        L = dp._real_liouvillian(H, gamma * gamma_e)
+        scale = np.abs(L).max(axis=(1, 2))
+        assert np.all(np.abs(L[:, :4, :].sum(axis=1)).max(axis=1) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0], ids=["lossless", "gamma_e"])
+    def test_matrix_exponential_keeps_a_density_matrix(self, gamma):
+        H, gamma_e = self.hamiltonians()
+        t_grid = np.linspace(0.0, load_config().parsed["simulation"]["dephasing_t_max"], 41)
+        batched = dp._batched_lindblad_trace(H, gamma * gamma_e, t_grid)
+        x0 = np.eye(16)[dp.LEVEL_R]
+        for atom, L in enumerate(dp._real_liouvillian(H, gamma * gamma_e)):
+            x = np.array([expm(L * t) @ x0 for t in t_grid])
+            populations = x[:, :4]
+            assert np.abs(populations.sum(axis=1) - 1.0).max() <= 1e-12
+            assert populations.min() >= -1e-12 and populations.max() <= 1.0 + 1e-12
+            assert np.abs(x[:, dp.LEVEL_R] - batched[:, atom]).max() <= 1e-9
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0], ids=["lossless", "gamma_e"])
+    def test_pair_sum_equals_full_mode_sum(self, gamma):
+        H, gamma_e = self.hamiltonians()
+        t_grid = np.linspace(0.0, 4e-6, 640)
+        evals, evecs = np.linalg.eig(dp._real_liouvillian(H, gamma * gamma_e))
+        weights = evecs[:, dp.LEVEL_R, :] * np.linalg.solve(evecs, np.eye(16)[:, [dp.LEVEL_R]])[..., 0]
+        full = dp._spectral_sum(weights, evals, t_grid).real
+        assert np.abs(dp._batched_lindblad_trace(H, gamma * gamma_e, t_grid) - full).max() <= 1e-12
