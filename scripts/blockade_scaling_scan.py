@@ -12,6 +12,7 @@ import argparse
 import numpy as np
 
 from rydlink import collective as col
+from rydlink import oracles
 from rydlink.config import load_config
 from rydlink.geometry import protocol_modes
 from rydlink.measurement import rng_stream
@@ -32,19 +33,19 @@ def main():
 
     print(f"{'N':>2s} {'worst 1-F':>12s} {'freq ratio':>12s} {'sqrt(N)':>9s}")
     t_grid = np.linspace(0.0, 4.0 * np.pi / omega, 600)
-    p1 = col.brute_force_collective_trace(1, omega, t_grid, k2, np.zeros((1, 3)))
-    w1 = col.fit_oscillation_frequency(t_grid, p1, omega)
+    p1 = oracles.brute_force_collective_trace(1, omega, t_grid, k2, np.zeros((1, 3)))
+    w1 = oracles.fit_oscillation_frequency(t_grid, p1, omega)
     for n in range(2, 7):
         worst = 0.0
         for _ in range(args.draws):
             pos = rng.normal(scale=sigma, size=(n, 3))
             t = rng.uniform(0.0, 2.0) * col.pair_oscillation_period(omega)
-            bf = col.brute_force_pair(n, omega, t, k1, k2, dk, pos)
+            bf = oracles.brute_force_pair(n, omega, t, k1, k2, dk, pos)
             pair = col.pair_evolution(omega, t)
             worst = max(worst, 1.0 - bf.fidelity_with(pair))
         pos = rng.normal(scale=sigma, size=(n, 3))
-        pn = col.brute_force_collective_trace(n, omega, t_grid, k2, pos)
-        wn = col.fit_oscillation_frequency(t_grid, pn, np.sqrt(n) * omega)
+        pn = oracles.brute_force_collective_trace(n, omega, t_grid, k2, pos)
+        wn = oracles.fit_oscillation_frequency(t_grid, pn, np.sqrt(n) * omega)
         print(f"{n:2d} {worst:12.3e} {wn / w1:12.8f} {np.sqrt(n):9.6f}")
 
 

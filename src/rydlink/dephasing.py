@@ -24,7 +24,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .collective import EnsembleConfig
 from .geometry import BeamGeometry, protocol_modes
@@ -370,6 +369,14 @@ def simulate_single_excitation(
             ),
         },
     )
+
+
+def curve_fit(*args, **kwargs):
+    """``scipy.optimize.curve_fit``, imported on first call, so that commands
+    without an envelope fit start without loading scipy."""
+    from scipy.optimize import curve_fit as fit
+
+    return fit(*args, **kwargs)
 
 
 def fit_envelope_time_us(t_grid_us, projection, omega_guess_rad_s: float) -> float:

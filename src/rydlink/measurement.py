@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 BASES = ("hv", "pm", "circ")
 
@@ -213,7 +212,10 @@ class PhotonFieldModel:
             return dlcz_occupation(self.parameter)
         n = np.arange(FOCK_CUTOFF + 1)
         if self.kind == "coherent":
-            # Poisson pmf in the log form scipy.stats.poisson evaluates
+            # Poisson pmf in the log form scipy.stats.poisson evaluates;
+            # imported here so that no other field loads scipy
+            from scipy.special import gammaln, xlogy
+
             p = np.exp(xlogy(n, self.parameter) - gammaln(n + 1) - self.parameter)
         else:  # thermal
             nbar = self.parameter

@@ -14,6 +14,7 @@ from rydlink import cli
 from rydlink import collective as col
 from rydlink import dephasing as dp
 from rydlink import measurement as ms
+from rydlink import oracles
 from rydlink import repeater as rp
 from rydlink.config import load_config
 from rydlink.geometry import protocol_modes
@@ -85,7 +86,7 @@ def test_criterion_03_brute_force_equivalence(modes):
             for _ in range(100):
                 pos = rng.normal(scale=[3.5, 3.5, 6.5], size=(n, 3))
                 t = rng.uniform(0.0, 2.0) * col.pair_oscillation_period(OMEGA)
-                bf = col.brute_force_pair(n, OMEGA, t, k1, k2, dk, pos)
+                bf = oracles.brute_force_pair(n, OMEGA, t, k1, k2, dk, pos)
                 pair = col.pair_evolution(OMEGA, t)
                 assert bf.fidelity_with(pair) >= 1.0 - 1e-9
 
@@ -95,12 +96,12 @@ def test_criterion_04_collective_enhancement():
         rng = np.random.default_rng(8)
         k = np.array([0.3, -0.2, 5.35])
         t_grid = np.linspace(0.0, 4.0 * np.pi / OMEGA, 800)
-        p1 = col.brute_force_collective_trace(1, OMEGA, t_grid, k, np.zeros((1, 3)))
-        w1 = col.fit_oscillation_frequency(t_grid, p1, OMEGA)
+        p1 = oracles.brute_force_collective_trace(1, OMEGA, t_grid, k, np.zeros((1, 3)))
+        w1 = oracles.fit_oscillation_frequency(t_grid, p1, OMEGA)
         for n in (2, 3, 4, 6):
             pos = rng.normal(scale=[3.5, 3.5, 6.5], size=(n, 3))
-            pn = col.brute_force_collective_trace(n, OMEGA, t_grid, k, pos)
-            wn = col.fit_oscillation_frequency(t_grid, pn, np.sqrt(n) * OMEGA)
+            pn = oracles.brute_force_collective_trace(n, OMEGA, t_grid, k, pos)
+            wn = oracles.fit_oscillation_frequency(t_grid, pn, np.sqrt(n) * OMEGA)
             assert abs(wn / w1 - np.sqrt(n)) < 1e-6
 
 

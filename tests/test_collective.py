@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rydlink import collective as col
+from rydlink import oracles
 from rydlink.config import load_config
 from rydlink.geometry import protocol_modes
 
@@ -52,10 +53,10 @@ class TestCollectiveRabi:
         pos = rng.normal(scale=[3.5, 3.5, 6.5], size=(n, 3))
         k = np.array([0.3, -0.2, 5.35])
         t_grid = np.linspace(0.0, 4.0 * np.pi / OMEGA, 600)
-        p_g = col.brute_force_collective_trace(n, OMEGA, t_grid, k, pos)
-        w_n = col.fit_oscillation_frequency(t_grid, p_g, np.sqrt(n) * OMEGA)
-        p_1 = col.brute_force_collective_trace(1, OMEGA, t_grid, k, pos[:1])
-        w_1 = col.fit_oscillation_frequency(t_grid, p_1, OMEGA)
+        p_g = oracles.brute_force_collective_trace(n, OMEGA, t_grid, k, pos)
+        w_n = oracles.fit_oscillation_frequency(t_grid, p_g, np.sqrt(n) * OMEGA)
+        p_1 = oracles.brute_force_collective_trace(1, OMEGA, t_grid, k, pos[:1])
+        w_1 = oracles.fit_oscillation_frequency(t_grid, p_1, OMEGA)
         assert abs(w_n / w_1 - np.sqrt(n)) < 1e-6
 
 
@@ -140,15 +141,15 @@ class TestBruteForcePair:
         for trial in range(5):
             pos = rng.normal(scale=[3.5, 3.5, 6.5], size=(n, 3))
             t = rng.uniform(0.0, 2.0) * col.pair_oscillation_period(OMEGA)
-            bf = col.brute_force_pair(n, OMEGA, t, k1, k2, dk, pos)
+            bf = oracles.brute_force_pair(n, OMEGA, t, k1, k2, dk, pos)
             pair = col.pair_evolution(OMEGA, t)
             assert bf.fidelity_with(pair) >= 1.0 - 1e-9
 
     def test_rejects_out_of_range_n(self):
         with pytest.raises(ValueError):
-            col.brute_force_pair(1, OMEGA, 1e-9, np.zeros(3), np.zeros(3), np.zeros(3), np.zeros((1, 3)))
+            oracles.brute_force_pair(1, OMEGA, 1e-9, np.zeros(3), np.zeros(3), np.zeros(3), np.zeros((1, 3)))
         with pytest.raises(ValueError):
-            col.brute_force_pair(7, OMEGA, 1e-9, np.zeros(3), np.zeros(3), np.zeros(3), np.zeros((7, 3)))
+            oracles.brute_force_pair(7, OMEGA, 1e-9, np.zeros(3), np.zeros(3), np.zeros(3), np.zeros((7, 3)))
 
 
 class TestStateValidation:

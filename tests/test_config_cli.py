@@ -104,6 +104,31 @@ class TestSchema:
     def test_config_hash_stable(self):
         assert load_config().config_hash() == load_config().config_hash()
 
+    def test_libyaml_and_python_parsers_agree(self, monkeypatch):
+        if not hasattr(yaml, "CSafeLoader"):
+            pytest.skip("PyYAML built without libyaml")
+        fast = load_config()
+        monkeypatch.delattr(yaml, "CSafeLoader")
+        slow = load_config()
+        assert fast.raw == slow.raw
+        assert fast.config_hash() == slow.config_hash()
+
+    def test_beam_quantities_range_checked_at_load(self, tmp_path, default_raw):
+        # every beam quantity enters squared somewhere downstream
+        bad = {
+            "wavelength": ("-795 nm", "1e300 nm", "1e-300 nm"),
+            "waist": ("0 um", "1e300 um", "1e-300 um"),
+            "rabi": ("-3 MHz", "1e300 MHz", "1e-300 MHz"),
+        }
+        for beam in default_raw["geometry"]["beams"]:
+            for name, values in bad.items():
+                for value in values:
+                    raw = yaml.safe_load(yaml.safe_dump(default_raw))
+                    raw["geometry"]["beams"][beam][name] = value
+                    key = f"geometry.beams.{beam}.{name}"
+                    with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+                        load_config(write_config(tmp_path, raw))
+
 
 def run_cli(args, outdir):
     return cli.main(["--out", str(outdir), *args])
@@ -123,6 +148,17 @@ class TestCli:
         bad = tmp_path / "bad.yaml"
         bad.write_text("geometry: {}\n")
         assert cli.main(["--config", str(bad), "--out", str(tmp_path / "o"), "rabi", "--single"]) == 2
+
+    @pytest.mark.parametrize("loader", ["CSafeLoader", "SafeLoader"])
+    def test_malformed_yaml_exits_2_naming_file(self, tmp_path, monkeypatch, capsys, loader):
+        if loader == "SafeLoader":
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        elif not hasattr(yaml, loader):
+            pytest.skip("PyYAML built without libyaml")
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("geometry: [1, 2\n")
+        assert cli.main(["--config", str(bad), "--out", str(tmp_path / "o"), "g2", "--field", "single"]) == 2
+        assert f"{bad}: bad YAML" in capsys.readouterr().err
 
     def test_missing_config_file_exit_code(self, tmp_path):
         assert cli.main(["--config", str(tmp_path / "nope.yaml"), "rabi", "--single"]) == 2
@@ -212,6 +248,8 @@ class TestCli:
             ("ensemble.temperature", "0 uK", ["dephasing"]),
             ("raman.intermediate_linewidth", "-5.746 MHz", ["dephasing"]),
             ("geometry.detuning_1", "1e308 GHz", ["dephasing"]),
+            ("geometry.beams.A.rabi", "-3 MHz", ["rabi", "--collective"]),
+            ("geometry.beams.A.waist", "1e300 um", ["g2", "--field", "single"]),
         ],
         ids=[
             "nan-wavelength", "nan-direction", "string-direction", "short-direction",
@@ -222,7 +260,7 @@ class TestCli:
             "g2-single-trial", "dlcz-p-above-range", "dlcz-p-zero",
             "negative-cloud-sigma", "zero-cloud-sigma", "zero-detuning", "same-sign-detunings",
             "no-atoms", "negative-spinwave-lifetime", "zero-temperature", "negative-linewidth",
-            "overflowing-detuning",
+            "overflowing-detuning", "negative-rabi", "overflowing-waist",
         ],
     )
     def test_bad_config_value_exits_2_naming_key(self, tmp_path, capsys, default_raw, key, value, args):
@@ -338,8 +376,12 @@ class TestCli:
         assert report["version"] == 1
 
     def test_cli_import_skips_scipy_stats(self):
-        # scipy.stats costs about half a second of every CLI start-up
+        # importing scipy costs about half a second of every CLI start-up; only
+        # the envelope fit, the coherent field and the oracles load it
         src = str(Path(cli.__file__).resolve().parents[1])
-        code = f"import sys; sys.path.insert(0, {src!r}); import rydlink.cli; print('scipy.stats' in sys.modules)"
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import rydlink.cli; rydlink.cli.load_config(); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'rydlink.oracles'))"
+        )
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[]"

@@ -223,7 +223,7 @@ class TestSimulation:
     def test_homogeneous_period_matches_exact_splitting(self, cfg):
         # the oscillation with everything off runs at the exact 4-level
         # splitting, within 0.1%
-        from rydlink.collective import fit_oscillation_frequency
+        from rydlink.oracles import fit_oscillation_frequency
 
         t = self.grid(t_max=3.0, n=400)
         r = dp.simulate_single_excitation(
