@@ -104,7 +104,7 @@ def cmd_rabi(cfg: RunConfig, args, writer: RunWriter):
     if args.mode == "single":
         period = collective.single_excitation_period(omega)
         t = np.linspace(0.0, 3.0 * period, n_points)
-        rows = zip(t * 1e9, np.sin(omega * t / 2.0) ** 2)
+        rows = zip(t * 1e9, collective.collective_rabi_population(1.0, omega, t))
         writer.csv("rabi_single.csv", ("t_ns", "p_transferred"), rows)
         return
     # pair: polarization correlations vs Raman duration at the configured

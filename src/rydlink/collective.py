@@ -18,21 +18,11 @@ import numpy as np
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    effective_atom_number: float = 150.0
-    temperature_uK: float = 150.0
-    cloud_sigma_um: tuple = (3.5, 3.5, 6.5)
-    free_rydberg_lifetime_us: float = 1.6
-    ground_spinwave_lifetime_us: float = 30.0
-    atomic_mass_amu: float = 86.909
-
-    def __post_init__(self):
-        if self.effective_atom_number < 1:
-            raise ValueError("effective atom number must be >= 1")
-        for name in ("free_rydberg_lifetime_us", "ground_spinwave_lifetime_us"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.temperature_uK <= 0:
-            raise ValueError("temperature must be positive")
+    effective_atom_number: float
+    temperature_uK: float
+    cloud_sigma_um: tuple
+    ground_spinwave_lifetime_us: float
+    atomic_mass_amu: float
 
 
 def collective_rabi_population(n_eff: float, omega: float, t) -> float | np.ndarray:

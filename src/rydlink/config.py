@@ -4,12 +4,12 @@ Dimensioned values are strings like ``"3 MHz"`` or ``"7 um"``; frequencies
 are understood as cycles and converted to angular units (a "3 MHz" Rabi
 frequency becomes 2 pi x 3e6 rad/s). Unknown keys anywhere in the tree are
 rejected with the offending dotted path, so typos fail loudly instead of
-silently falling back to defaults.
+silently falling back to defaults. Each leaf of ``_SCHEMA`` also holds its
+key's range, so an out-of-range value fails at load naming its key.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import importlib.resources
 import json
@@ -20,7 +20,7 @@ import numpy as np
 import yaml
 
 from .collective import EnsembleConfig
-from .dephasing import AMU, RamanLevelScheme, scheme_from_geometry
+from .dephasing import AMU, RamanLevelScheme, scheme_from_geometry, thermal_velocity_sigma
 from .geometry import BEAM_IDS, Beam, BeamGeometry, modes_distinguishable
 
 DEFAULT_CONFIG_RESOURCE = "default.yaml"
@@ -57,15 +57,14 @@ class ConfigError(ValueError):
     """Any structural or unit problem in a run configuration."""
 
 
-def _finite_number(value) -> bool:
-    """A plain finite int or float (YAML booleans are not numbers)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-
-
 def parse_quantity(value, dimension: str, path: str = "value") -> float:
-    """Parse '3 MHz' -> 2 pi x 3e6 etc.; checks the dimension matches."""
+    """Parse '3 MHz' -> 2 pi x 3e6 etc.; checks the dimension matches.
+
+    A "dimensionless" value is a plain finite int or float (YAML booleans are
+    not numbers).
+    """
     if dimension == "dimensionless":
-        if not _finite_number(value):
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
             raise ConfigError(f"{path}: expected a finite plain number, got {value!r}")
         return float(value)
     if not isinstance(value, str):
@@ -91,100 +90,98 @@ def parse_quantity(value, dimension: str, path: str = "value") -> float:
     return converted
 
 
-# schema leaves: quantity dimensions, or python types for plain values
+# (test of the parsed value, requirement as printed)
+_POSITIVE = (lambda v: v > 0.0, "be positive")
+_FRACTION = (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")
+
+
+def _at_least(bound):
+    return (lambda v: v >= bound, f"be >= {bound}")
+
+
+# beam quantities enter squared (Gaussian profiles, light shifts, mode
+# overlaps), so each square must stay finite and nonzero too
+_SQUARABLE = (lambda v: v > 0.0 and 0.0 < v * v < math.inf, "be positive, with a finite nonzero square")
+
+# Schema leaves are (kind, check). A kind is a quantity dimension,
+# "dimensionless" (a plain number), int, str, or (element kind, length) for
+# a list, whose elements are checked one by one as key[i]. A check is a
+# (test, requirement) pair or None. The records built from the parsed tree
+# do not check again; the rules across keys are in load_config.
 _BEAM_SCHEMA = {
-    "wavelength": "length",
-    "direction": list,
-    "waist": "length",
-    "rabi": "frequency",
+    "wavelength": ("length", _SQUARABLE),
+    "direction": (("dimensionless", 3), None),  # Beam requires a unit vector
+    "waist": ("length", _SQUARABLE),
+    "rabi": ("frequency", _SQUARABLE),
 }
 
 _SCHEMA = {
     "geometry": {
         "beams": {b: _BEAM_SCHEMA for b in BEAM_IDS},
-        "detuning_1": "frequency",
-        "detuning_2": "frequency",
-        "theta_1": "angle",
-        "theta_2": "angle",
+        "detuning_1": ("frequency", None),
+        "detuning_2": ("frequency", None),
+        "theta_1": ("angle", None),
+        "theta_2": ("angle", None),
     },
     "raman": {
-        "intermediate_linewidth": "frequency",
-        "single_excitation_period": "time",
+        "intermediate_linewidth": ("frequency", _POSITIVE),
+        # the protocol's Rabi frequency is 2 pi / period
+        "single_excitation_period": (
+            "time",
+            (lambda v: v > 0.0 and math.tau / v < math.inf, "be positive, with a finite 2 pi / period"),
+        ),
     },
     "ensemble": {
-        "effective_atom_number": int,
-        "temperature": "temperature",
-        "cloud_sigma": list,
-        "free_rydberg_lifetime": "time",
-        "ground_spinwave_lifetime": "time",
-        "atomic_mass": "mass",
+        "effective_atom_number": (int, _at_least(1)),
+        "temperature": ("temperature", _POSITIVE),
+        "cloud_sigma": (("length", 3), _POSITIVE),
+        "ground_spinwave_lifetime": ("time", _POSITIVE),
+        "atomic_mass": ("mass", _POSITIVE),
     },
     "detector": {
-        "entanglement_chain_efficiency": float,
-        "calibration_chain_efficiency": float,
-        "g2_calibration_target": float,
+        "entanglement_chain_efficiency": ("dimensionless", _FRACTION),
+        "calibration_chain_efficiency": ("dimensionless", _FRACTION),
+        "g2_calibration_target": ("dimensionless", (lambda v: 0.0 < v < 1.0, "lie in (0, 1)")),
     },
     "readout": {
-        "second_read_delay": "time",
-        "phase_shift": "angle",
+        "second_read_delay": ("time", _at_least(0)),
+        "phase_shift": ("angle", None),
     },
     "simulation": {
-        "seed": int,
-        "dephasing_samples": int,
-        "dephasing_t_max": "time",
-        "dephasing_points": int,
-        "coincidence_trials": int,
-        "g2_trials": int,
+        "seed": (int, _at_least(0)),
+        "dephasing_samples": (int, None),
+        "dephasing_t_max": ("time", _POSITIVE),
+        # the envelope fit has 5 parameters
+        "dephasing_points": (int, _at_least(5)),
+        "coincidence_trials": (int, _at_least(1)),
+        "g2_trials": (int, _at_least(1)),
     },
     "repeater": {
-        "channel_transmission": float,
-        "retrieval_efficiency": float,
-        "dlcz_excitation": float,
-        "trials": int,
+        "channel_transmission": ("dimensionless", _FRACTION),
+        "retrieval_efficiency": ("dimensionless", _FRACTION),
+        # the range of measurement.dlcz_occupation
+        "dlcz_excitation": ("dimensionless", (lambda v: 0.0 < v <= 0.2, "lie in (0, 0.2]")),
+        "trials": (int, _at_least(1)),
     },
     "output": {
-        "directory": str,
+        "directory": (str, None),
     },
 }
 
 
-# dotted key -> (test of the parsed value, requirement as printed)
-_RANGES = {
-    "raman.intermediate_linewidth": (lambda v: v > 0.0, "be positive"),
-    "raman.single_excitation_period": (lambda v: v > 0.0, "be positive"),
-    "ensemble.effective_atom_number": (lambda v: v >= 1, "be >= 1"),
-    "ensemble.temperature": (lambda v: v > 0.0, "be positive"),
-    "ensemble.free_rydberg_lifetime": (lambda v: v > 0.0, "be positive"),
-    "ensemble.ground_spinwave_lifetime": (lambda v: v > 0.0, "be positive"),
-    "ensemble.atomic_mass": (lambda v: v > 0.0, "be positive"),
-    "detector.entanglement_chain_efficiency": (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
-    "detector.calibration_chain_efficiency": (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
-    "detector.g2_calibration_target": (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
-    "readout.second_read_delay": (lambda v: v >= 0.0, "be >= 0"),
-    "simulation.seed": (lambda v: v >= 0, "be >= 0"),
-    "simulation.dephasing_t_max": (lambda v: v > 0.0, "be positive"),
-    # the envelope fit has 5 parameters
-    "simulation.dephasing_points": (lambda v: v >= 5, "be >= 5"),
-    "simulation.coincidence_trials": (lambda v: v >= 1, "be >= 1"),
-    "simulation.g2_trials": (lambda v: v >= 1, "be >= 1"),
-    "repeater.channel_transmission": (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
-    "repeater.retrieval_efficiency": (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
-    # the range of measurement.dlcz_occupation
-    "repeater.dlcz_excitation": (lambda v: 0.0 < v <= 0.2, "lie in (0, 0.2]"),
-    "repeater.trials": (lambda v: v >= 1, "be >= 1"),
-}
-# beam quantities enter squared (Gaussian profiles, light shifts, mode
-# overlaps), so each square must stay finite and nonzero too
-_RANGES.update(
-    {
-        f"geometry.beams.{b}.{name}": (
-            lambda v: v > 0.0 and 0.0 < v * v < math.inf,
-            "be positive, with a finite nonzero square",
-        )
-        for b in BEAM_IDS
-        for name in ("wavelength", "waist", "rabi")
-    }
-)
+def _parse_leaf(value, kind, check, path: str):
+    if isinstance(kind, tuple):
+        element, length = kind
+        if not isinstance(value, list) or len(value) != length:
+            raise ConfigError(f"{path}: expected a list of {length} values, got {value!r}")
+        return tuple(_parse_leaf(v, element, check, f"{path}[{i}]") for i, v in enumerate(value))
+    if isinstance(kind, str):
+        value = parse_quantity(value, kind, path)
+    elif not isinstance(value, kind) or isinstance(value, bool):
+        raise ConfigError(f"{path}: expected {'an integer' if kind is int else 'a string'}")
+    if check is not None and not check[0](value):
+        raise ConfigError(f"{path}: must {check[1]}")
+    return value
 
 
 def _validate(node, schema, path: str):
@@ -196,33 +193,12 @@ def _validate(node, schema, path: str):
     missing = sorted(set(schema) - set(node))
     if missing:
         raise ConfigError(f"{path}.{missing[0]}: missing key")
-    out = {}
-    for key, spec in schema.items():
-        sub = f"{path}.{key}"
-        val = node[key]
-        if isinstance(spec, dict):
-            out[key] = _validate(val, spec, sub)
-        elif isinstance(spec, str):
-            out[key] = parse_quantity(val, spec, sub)
-        elif spec is list:
-            if not isinstance(val, list):
-                raise ConfigError(f"{sub}: expected a list")
-            out[key] = val
-        elif spec is int:
-            if not isinstance(val, int) or isinstance(val, bool):
-                raise ConfigError(f"{sub}: expected an integer")
-            out[key] = val
-        elif spec is float:
-            if not _finite_number(val):
-                raise ConfigError(f"{sub}: expected a finite number")
-            out[key] = float(val)
-        elif spec is str:
-            if not isinstance(val, str):
-                raise ConfigError(f"{sub}: expected a string")
-            out[key] = val
-        else:  # pragma: no cover - schema author error
-            raise AssertionError(spec)
-    return out
+    return {
+        key: _validate(node[key], spec, f"{path}.{key}")
+        if isinstance(spec, dict)
+        else _parse_leaf(node[key], *spec, f"{path}.{key}")
+        for key, spec in schema.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -250,22 +226,16 @@ class RunConfig:
 def _build_geometry(parsed: dict) -> BeamGeometry:
     g = parsed["geometry"]
     beams = {}
-    for bid in BEAM_IDS:
-        spec = g["beams"][bid]
-        direction = spec["direction"]
-        if len(direction) != 3 or not all(_finite_number(c) for c in direction):
-            raise ConfigError(
-                f"geometry.beams.{bid}.direction: expected 3 finite numbers, got {direction!r}"
-            )
+    for bid, spec in g["beams"].items():
         try:
             beams[bid] = Beam(
                 wavelength_nm=spec["wavelength"] * 1e3,  # canonical um -> nm
-                direction=np.array(direction, dtype=float),
+                direction=spec["direction"],
                 waist_um=spec["waist"],
                 rabi=spec["rabi"],
             )
         except ValueError as exc:
-            raise ConfigError(f"geometry.beams.{bid}: {exc}") from None
+            raise ConfigError(f"geometry.beams.{bid}.direction: {exc}") from None
     geo = BeamGeometry(
         beams=beams,
         detuning_1=g["detuning_1"],
@@ -298,47 +268,42 @@ def _check_angles(geo: BeamGeometry):
 
 def _build_ensemble(parsed: dict) -> EnsembleConfig:
     e = parsed["ensemble"]
-    sigma = tuple(
-        parse_quantity(s, "length", f"ensemble.cloud_sigma[{i}]")
-        for i, s in enumerate(e["cloud_sigma"])
-    )
-    if len(sigma) != 3:
-        raise ConfigError("ensemble.cloud_sigma: expected 3 components")
-    for i, s in enumerate(sigma):
-        if s <= 0.0:
-            raise ConfigError(f"ensemble.cloud_sigma[{i}]: must be positive")
-    return EnsembleConfig(
+    ens = EnsembleConfig(
         effective_atom_number=float(e["effective_atom_number"]),
         temperature_uK=e["temperature"] * 1e6,
-        cloud_sigma_um=sigma,
-        free_rydberg_lifetime_us=e["free_rydberg_lifetime"] * 1e6,
+        cloud_sigma_um=e["cloud_sigma"],
         ground_spinwave_lifetime_us=e["ground_spinwave_lifetime"] * 1e6,
         atomic_mass_amu=e["atomic_mass"] / AMU,
     )
+    if not 0.0 < thermal_velocity_sigma(ens.temperature_uK, ens.atomic_mass_amu) < math.inf:
+        raise ConfigError(
+            "ensemble.temperature, ensemble.atomic_mass: the thermal velocity sqrt(kB T / m) "
+            "must be finite and nonzero"
+        )
+    return ens
 
 
 def load_config(path=None) -> RunConfig:
     """Load and validate a YAML run configuration (default: packaged)."""
-    if path is None:
-        resource = importlib.resources.files("rydlink.data") / DEFAULT_CONFIG_RESOURCE
-        text = resource.read_text()
-    else:
-        try:
-            with open(path) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ConfigError(f"{path}: {exc.strerror}") from None
+    source = DEFAULT_CONFIG_RESOURCE if path is None else path
+    # libyaml when PyYAML was built with it: the same tree, about 6x faster
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
-        # libyaml when PyYAML was built with it: the same tree, about 6x faster
-        raw = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        if path is None:
+            resource = importlib.resources.files("rydlink.data") / DEFAULT_CONFIG_RESOURCE
+            raw = yaml.load(resource.read_bytes(), Loader=loader)
+        else:
+            # the parser decodes the bytes itself, so its marks name the file and
+            # a file that is not UTF-8 is a YAML error
+            with open(path, "rb") as fh:
+                raw = yaml.load(fh, Loader=loader)
+    except OSError as exc:
+        raise ConfigError(f"{source}: {exc.strerror}") from None
     except yaml.YAMLError as exc:
-        raise ConfigError(f"{path or DEFAULT_CONFIG_RESOURCE}: bad YAML: {exc}") from None
+        raise ConfigError(f"{source}: bad YAML: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("top level must be a mapping")
     parsed = _validate(raw, _SCHEMA, "config")
-    for key, (allowed, requirement) in _RANGES.items():
-        if not allowed(functools.reduce(dict.__getitem__, key.split("."), parsed)):
-            raise ConfigError(f"{key}: must {requirement}")
     # the test of dephasing.shift_cancelling_branch_weights
     if parsed["geometry"]["detuning_1"] * parsed["geometry"]["detuning_2"] >= 0.0:
         raise ConfigError(

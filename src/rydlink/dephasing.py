@@ -90,12 +90,6 @@ class RamanLevelScheme:
     waist_ground_um: float
     waist_rydberg_um: float
 
-    def __post_init__(self):
-        if self.detuning_1 == 0.0 or self.detuning_2 == 0.0:
-            raise ValueError("single-photon detunings must be nonzero")
-        if self.gamma_e <= 0:
-            raise ValueError("intermediate-state decay rate must be positive")
-
 
 def shift_cancelling_branch_weights(detuning_1: float, detuning_2: float) -> tuple:
     """Signed path weights that null the differential light shift.

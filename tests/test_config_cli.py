@@ -91,6 +91,12 @@ class TestSchema:
         with pytest.raises(ConfigError, match=r"config\.geometry\.beams\.F"):
             load_config(write_config(tmp_path, raw))
 
+    def test_missing_beam_key(self, tmp_path, default_raw):
+        raw = yaml.safe_load(yaml.safe_dump(default_raw))
+        del raw["geometry"]["beams"]["E"]
+        with pytest.raises(ConfigError, match=r"config\.geometry\.beams\.E: missing key"):
+            load_config(write_config(tmp_path, raw))
+
     def test_declared_angle_must_match_directions(self, tmp_path, default_raw):
         raw = yaml.safe_load(yaml.safe_dump(default_raw))
         raw["geometry"]["theta_1"] = "12 deg"  # beams actually cross at 5 deg
@@ -156,9 +162,14 @@ class TestCli:
         elif not hasattr(yaml, loader):
             pytest.skip("PyYAML built without libyaml")
         bad = tmp_path / "bad.yaml"
-        bad.write_text("geometry: [1, 2\n")
-        assert cli.main(["--config", str(bad), "--out", str(tmp_path / "o"), "g2", "--field", "single"]) == 2
-        assert f"{bad}: bad YAML" in capsys.readouterr().err
+        # an unclosed list, and a byte that is not UTF-8
+        for content in (b"geometry: [1, 2\n", b"seed: \xff\n"):
+            bad.write_bytes(content)
+            assert cli.main(["--config", str(bad), "--out", str(tmp_path / "o"), "g2", "--field", "single"]) == 2
+            err = capsys.readouterr().err
+            assert f"{bad}: bad YAML" in err
+            # the parser's own mark names the file too
+            assert f'in "{bad}"' in err
 
     def test_missing_config_file_exit_code(self, tmp_path):
         assert cli.main(["--config", str(tmp_path / "nope.yaml"), "rabi", "--single"]) == 2
@@ -250,6 +261,15 @@ class TestCli:
             ("geometry.detuning_1", "1e308 GHz", ["dephasing"]),
             ("geometry.beams.A.rabi", "-3 MHz", ["rabi", "--collective"]),
             ("geometry.beams.A.waist", "1e300 um", ["g2", "--field", "single"]),
+            ("geometry.beams.A.direction", [1, 1, 0], ["rabi", "--pair"]),
+            ("geometry.beams.A.direction", [0, 0, 0], ["rabi", "--pair"]),
+            # 2 pi / period overflows: an infinite protocol Rabi frequency
+            ("raman.single_excitation_period", "1e-300 ns", ["entangle", "--fidelity"]),
+            # the thermal velocity sqrt(kB T / m) underflows to 0 or overflows
+            ("ensemble.temperature", "1e-300 uK", ["dephasing"]),
+            ("ensemble.temperature", "1e308 K", ["dephasing", "--flags", "motion"]),
+            # a removed key: no computation used it
+            ("ensemble.free_rydberg_lifetime", "1.6 us", ["dephasing"]),
         ],
         ids=[
             "nan-wavelength", "nan-direction", "string-direction", "short-direction",
@@ -261,6 +281,8 @@ class TestCli:
             "negative-cloud-sigma", "zero-cloud-sigma", "zero-detuning", "same-sign-detunings",
             "no-atoms", "negative-spinwave-lifetime", "zero-temperature", "negative-linewidth",
             "overflowing-detuning", "negative-rabi", "overflowing-waist",
+            "unnormalized-direction", "zero-direction", "subnormal-period",
+            "underflowing-thermal-velocity", "overflowing-thermal-velocity", "removed-free-rydberg-lifetime",
         ],
     )
     def test_bad_config_value_exits_2_naming_key(self, tmp_path, capsys, default_raw, key, value, args):

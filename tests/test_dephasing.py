@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rydlink import dephasing as dp
-from rydlink.collective import EnsembleConfig
 from rydlink.config import load_config
 from rydlink.dephasing import SimulationFlags
 from rydlink.geometry import protocol_modes
@@ -285,13 +284,3 @@ class TestSimulation:
         )
         assert "tau_convention" in r.metadata
         assert r.metadata["seed"] == 5
-
-
-class TestEnsembleConfigValidation:
-    def test_rejects_bad_lifetimes(self):
-        with pytest.raises(ValueError):
-            EnsembleConfig(free_rydberg_lifetime_us=-1.0)
-
-    def test_rejects_bad_temperature(self):
-        with pytest.raises(ValueError):
-            EnsembleConfig(temperature_uK=0.0)
