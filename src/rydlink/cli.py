@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -22,8 +21,6 @@ from .config import ConfigError, RunConfig, load_config
 from .measurement import DetectorModel, PhotonFieldModel
 
 ARTIFACT_VERSION = 1
-
-OUTDIR_ENV = "RYDLINK_OUTDIR"
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -37,9 +34,8 @@ def _fmt(x) -> str:
 class RunWriter:
     """Single owner of an output directory, made by the first write; accumulates the manifest."""
 
-    def __init__(self, outdir: Path, source: str, cfg: RunConfig, command: str):
+    def __init__(self, outdir: Path, cfg: RunConfig, command: str):
         self.outdir = outdir
-        self.source = source  # the option or setting that named outdir
         self.cfg = cfg
         self.command = command
         self.checksums: dict = {}
@@ -48,7 +44,7 @@ class RunWriter:
         try:
             self.outdir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
-            raise ConfigError(f"{self.source}: cannot create directory {str(self.outdir)!r}: {exc.strerror}") from None
+            raise ConfigError(f"--out: cannot create directory {str(self.outdir)!r}: {exc.strerror}") from None
         (self.outdir / name).write_bytes(data)
 
     def _record(self, name: str, data: bytes):
@@ -139,6 +135,9 @@ def cmd_dephasing(cfg: RunConfig, args, writer: RunWriter):
     except dephasing.SampleCountError as exc:
         source = "--samples" if args.samples is not None else "simulation.dephasing_samples"
         raise ConfigError(f"{source}: {exc}") from None
+    except (dephasing.BatchError, np.linalg.LinAlgError) as exc:
+        keys = "raman.intermediate_linewidth, geometry.detuning_1, geometry.detuning_2"
+        raise dephasing.BatchError(f"{keys}: {exc}") from None
     tag = args.flags.replace(",", "-")
     writer.csv(
         f"dephasing_{tag}.csv",
@@ -252,52 +251,43 @@ def cmd_g2(cfg: RunConfig, args, writer: RunWriter):
     )
 
 
-def _make_source(cfg: RunConfig, kind: str, p=None) -> repeater.SourceModel:
-    rep = cfg.parsed["repeater"]
-    if kind == "semi":
-        return repeater.SourceModel("semi_deterministic", retrieval_efficiency=rep["retrieval_efficiency"])
-    return repeater.SourceModel("dlcz", emission_prob=p if p is not None else rep["dlcz_excitation"])
+# sweep axis -> grid; each value replaces that coordinate of the configured point
+SWEEPS = {
+    "eta": [round(0.1 * i, 1) for i in range(1, 11)],
+    "p": [0.01, 0.02, 0.05, 0.1, 0.15, 0.2],  # dlcz only
+}
 
 
 def cmd_repeater(cfg: RunConfig, args, writer: RunWriter):
     rep = cfg.parsed["repeater"]
-    trials = rep["trials"]
+    if args.sweep == "p" and args.source != "dlcz":
+        raise ConfigError(f"--sweep p: applies only to --source dlcz, not --source {args.source}")
 
-    def run(eta, p=None):
-        source = _make_source(cfg, args.source, p)
-        link = repeater.LinkConfig(channel_transmission=eta)
-        return repeater.simulate_link(source, source, link, trials, cfg.seed)
+    def link_at(eta, p):
+        if args.source == "semi":
+            source = repeater.SourceModel("semi_deterministic", retrieval_efficiency=rep["retrieval_efficiency"])
+        else:
+            source = repeater.SourceModel("dlcz", emission_prob=p)
+        return source, source, repeater.LinkConfig(channel_transmission=eta)
 
+    point = {"eta": rep["channel_transmission"], "p": rep["dlcz_excitation"]}
     if args.sweep is None:
-        eta = rep["channel_transmission"]
-        stats = run(eta)
-        source = _make_source(cfg, args.source)
-        exact = repeater.analytic_link(source, source, repeater.LinkConfig(channel_transmission=eta))
+        nodes = link_at(**point)
         writer.json(
             f"repeater_{args.source}.json",
             {
                 "source": args.source,
-                "eta": eta,
-                "p": rep["dlcz_excitation"] if args.source == "dlcz" else None,
-                "monte_carlo": stats.as_dict(),
-                "analytic": exact.as_dict(),
+                "eta": point["eta"],
+                "p": point["p"] if args.source == "dlcz" else None,
+                "monte_carlo": repeater.simulate_link(*nodes, rep["trials"], cfg.seed).as_dict(),
+                "analytic": repeater.analytic_link(*nodes).as_dict(),
             },
         )
         return
-    if args.sweep == "eta":
-        grid = [round(0.1 * i, 1) for i in range(1, 11)]
-        rows = []
-        for eta in grid:
-            s = run(eta)
-            rows.append((eta, s.herald_rate, s.spurious_fraction, s.conditional_fidelity, *s.herald_rate_ci95))
-    else:  # p sweep (dlcz only)
-        if args.source != "dlcz":
-            raise ConfigError(f"--sweep p: applies only to --source dlcz, not --source {args.source}")
-        grid = [0.01, 0.02, 0.05, 0.1, 0.15, 0.2]
-        rows = []
-        for p in grid:
-            s = run(rep["channel_transmission"], p=p)
-            rows.append((p, s.herald_rate, s.spurious_fraction, s.conditional_fidelity, *s.herald_rate_ci95))
+    rows = []
+    for value in SWEEPS[args.sweep]:
+        s = repeater.simulate_link(*link_at(**{**point, args.sweep: value}), rep["trials"], cfg.seed)
+        rows.append((value, s.herald_rate, s.spurious_fraction, s.conditional_fidelity, *s.herald_rate_ci95))
     writer.csv(
         f"repeater_{args.source}_sweep_{args.sweep}.csv",
         ("sweep_value", "herald_rate", "spurious_fraction", "conditional_fidelity", "ci_low", "ci_high"),
@@ -312,7 +302,7 @@ def cmd_repeater(cfg: RunConfig, args, writer: RunWriter):
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rydlink", description=__doc__)
     parser.add_argument("--config", default=None, help="run configuration (default: packaged)")
-    parser.add_argument("--out", default=None, help="output directory (overrides config and env)")
+    parser.add_argument("--out", default="out", help="output directory (default: out)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_rabi = sub.add_parser("rabi", help="oscillation traces")
@@ -341,32 +331,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("repeater", help="elementary link Monte Carlo")
     p_rep.add_argument("--source", choices=("semi", "dlcz"), required=True)
-    p_rep.add_argument("--sweep", choices=("eta", "p"), default=None)
+    p_rep.add_argument("--sweep", choices=sorted(SWEEPS), default=None)
     p_rep.set_defaults(func=cmd_repeater)
     return parser
-
-
-def _resolve_outdir(args, cfg: RunConfig) -> tuple:
-    """(output directory, the option or setting that named it)."""
-    if args.out is not None:
-        return Path(args.out), "--out"
-    if os.environ.get(OUTDIR_ENV):
-        return Path(os.environ[OUTDIR_ENV]), OUTDIR_ENV
-    return Path(cfg.parsed["output"]["directory"]), "output.directory"
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        writer = RunWriter(*_resolve_outdir(args, cfg), cfg, args.command)
+        writer = RunWriter(Path(args.out), cfg, args.command)
         args.func(cfg, args, writer)
         writer.finish()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except dephasing.FitError as exc:
-        print(f"non-convergence: {exc}", file=sys.stderr)
+    except (dephasing.FitError, dephasing.BatchError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
     return EXIT_OK
 

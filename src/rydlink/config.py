@@ -16,7 +16,6 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
 import yaml
 
 from .collective import EnsembleConfig
@@ -25,7 +24,7 @@ from .geometry import BEAM_IDS, Beam, BeamGeometry, modes_distinguishable
 
 DEFAULT_CONFIG_RESOURCE = "default.yaml"
 
-TWO_PI = 2.0 * np.pi
+TWO_PI = math.tau
 
 # unit name -> (dimension, factor to canonical unit)
 # canonical units: frequency rad/s, time s, length um, temperature K,
@@ -48,7 +47,7 @@ _UNITS = {
     "uK": ("temperature", 1e-6),
     "amu": ("mass", AMU),
     "kg": ("mass", 1.0),
-    "deg": ("angle", np.pi / 180.0),
+    "deg": ("angle", math.pi / 180.0),
     "rad": ("angle", 1.0),
 }
 
@@ -104,7 +103,7 @@ def _at_least(bound):
 _SQUARABLE = (lambda v: v > 0.0 and 0.0 < v * v < math.inf, "be positive, with a finite nonzero square")
 
 # Schema leaves are (kind, check). A kind is a quantity dimension,
-# "dimensionless" (a plain number), int, str, or (element kind, length) for
+# "dimensionless" (a plain number), int, or (element kind, length) for
 # a list, whose elements are checked one by one as key[i]. A check is a
 # (test, requirement) pair or None. The records built from the parsed tree
 # do not check again; the rules across keys are in load_config.
@@ -120,11 +119,10 @@ _SCHEMA = {
         "beams": {b: _BEAM_SCHEMA for b in BEAM_IDS},
         "detuning_1": ("frequency", None),
         "detuning_2": ("frequency", None),
-        "theta_1": ("angle", None),
-        "theta_2": ("angle", None),
     },
     "raman": {
-        "intermediate_linewidth": ("frequency", _POSITIVE),
+        # a rate of the Lindblad batch; like the beam quantities, its square must stay finite
+        "intermediate_linewidth": ("frequency", _SQUARABLE),
         # the protocol's Rabi frequency is 2 pi / period
         "single_excitation_period": (
             "time",
@@ -163,9 +161,6 @@ _SCHEMA = {
         "dlcz_excitation": ("dimensionless", (lambda v: 0.0 < v <= 0.2, "lie in (0, 0.2]")),
         "trials": (int, _at_least(1)),
     },
-    "output": {
-        "directory": (str, None),
-    },
 }
 
 
@@ -177,8 +172,8 @@ def _parse_leaf(value, kind, check, path: str):
         return tuple(_parse_leaf(v, element, check, f"{path}[{i}]") for i, v in enumerate(value))
     if isinstance(kind, str):
         value = parse_quantity(value, kind, path)
-    elif not isinstance(value, kind) or isinstance(value, bool):
-        raise ConfigError(f"{path}: expected {'an integer' if kind is int else 'a string'}")
+    elif not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{path}: expected an integer")
     if check is not None and not check[0](value):
         raise ConfigError(f"{path}: must {check[1]}")
     return value
@@ -236,14 +231,7 @@ def _build_geometry(parsed: dict) -> BeamGeometry:
             )
         except ValueError as exc:
             raise ConfigError(f"geometry.beams.{bid}.direction: {exc}") from None
-    geo = BeamGeometry(
-        beams=beams,
-        detuning_1=g["detuning_1"],
-        detuning_2=g["detuning_2"],
-        theta_1_deg=np.degrees(g["theta_1"]),
-        theta_2_deg=np.degrees(g["theta_2"]),
-    )
-    _check_angles(geo)
+    geo = BeamGeometry(beams=beams, detuning_1=g["detuning_1"], detuning_2=g["detuning_2"])
     if not modes_distinguishable(geo):
         raise ConfigError(
             "geometry.beams.C/E: the Raman kick k_C + k_E leaves the kicked spin-wave "
@@ -251,19 +239,6 @@ def _build_geometry(parsed: dict) -> BeamGeometry:
             "waist of beam A; tilt C or E away from the optical axis"
         )
     return geo
-
-
-def _check_angles(geo: BeamGeometry):
-    """The declared crossing angles must match the beam directions."""
-    pairs = (("A", "C", geo.theta_1_deg, "theta_1"), ("D", "E", geo.theta_2_deg, "theta_2"))
-    for b1, b2, theta, name in pairs:
-        cosang = float(np.dot(geo.beams[b1].direction, geo.beams[b2].direction))
-        ang = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
-        if abs(ang - theta) > 0.1:
-            raise ConfigError(
-                f"geometry.{name}: declared {theta:.3f} deg but beams "
-                f"{b1}/{b2} cross at {ang:.3f} deg"
-            )
 
 
 def _build_ensemble(parsed: dict) -> EnsembleConfig:
@@ -304,13 +279,10 @@ def load_config(path=None) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("top level must be a mapping")
     parsed = _validate(raw, _SCHEMA, "config")
-    # the test of dephasing.shift_cancelling_branch_weights
-    if parsed["geometry"]["detuning_1"] * parsed["geometry"]["detuning_2"] >= 0.0:
-        raise ConfigError(
-            "geometry.detuning_1, geometry.detuning_2: light-shift cancellation needs "
-            "nonzero detunings of opposite sign"
-        )
     geometry = _build_geometry(parsed)
     ensemble = _build_ensemble(parsed)
-    scheme = scheme_from_geometry(geometry, gamma_e=parsed["raman"]["intermediate_linewidth"])
+    try:
+        scheme = scheme_from_geometry(geometry, gamma_e=parsed["raman"]["intermediate_linewidth"])
+    except ValueError as exc:  # dephasing.shift_cancelling_branch_weights: the detunings' signs
+        raise ConfigError(f"geometry.detuning_1, geometry.detuning_2: {exc}") from None
     return RunConfig(raw=raw, parsed=parsed, geometry=geometry, ensemble=ensemble, scheme=scheme)

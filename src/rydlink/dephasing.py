@@ -35,6 +35,8 @@ AMU = 1.66053906892e-27  # kg
 # level ordering in the four-level space
 LEVEL_S, LEVEL_E1, LEVEL_E2, LEVEL_R = 0, 1, 2, 3
 
+BOUNDS_TOL = 1e-9  # rounding allowed in 0 <= projection <= population <= 1
+
 
 @functools.cache
 def _liouville_maps():
@@ -69,6 +71,10 @@ class FitError(RuntimeError):
     """The envelope fit of the spin-wave projection did not converge."""
 
 
+class BatchError(RuntimeError):
+    """The ensemble batch gave a population outside [0, 1] or a projection above it."""
+
+
 @dataclass(frozen=True)
 class RamanLevelScheme:
     """Two-photon coupling of |s> and |r> through |e1> and |e2>.
@@ -98,7 +104,7 @@ def shift_cancelling_branch_weights(detuning_1: float, detuning_2: float) -> tup
     Raman paths add constructively.
     """
     if detuning_1 * detuning_2 >= 0:
-        raise ValueError("shift cancellation needs opposite-sign detunings")
+        raise ValueError("light-shift cancellation needs nonzero detunings of opposite sign")
     a1, a2 = abs(detuning_1), abs(detuning_2)
     w1 = a1 / (a1 + a2)
     w2 = a2 / (a1 + a2)
@@ -301,7 +307,8 @@ def simulate_single_excitation(
     """Ensemble-averaged Rydberg population and spin-wave projection.
 
     The projection is |mean over atoms of the coherent r amplitude|^2,
-    normalized to 1 at t = 0; it can never exceed the population.
+    normalized to 1 at t = 0; it can never exceed the population, and a
+    batch that breaks this or [0, 1] raises BatchError.
     """
     if n_samples < 100:
         raise SampleCountError(f"need at least 100 samples, got {n_samples}")
@@ -327,16 +334,22 @@ def simulate_single_excitation(
     H = _four_level_hamiltonian(scheme, s1, s2, doppler)
     gamma = scheme.gamma_e if flags.scattering else 0.0
 
-    amps = _batched_amplitudes(H, gamma, t_grid_s)
-    projection = np.abs(amps.mean(axis=1)) ** 2
-    if t_grid_us[0] == 0.0:
-        projection = projection / projection[0]
-
-    if flags.scattering:
-        del amps  # freed before the Lindblad batch allocates its stacks and output
-        population = _batched_lindblad_trace(H, gamma, t_grid_s).mean(axis=1)
-    else:
-        population = (np.abs(amps) ** 2).mean(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # too fast a rate overflows: see the bounds check
+        amps = _batched_amplitudes(H, gamma, t_grid_s)
+        projection = np.abs(amps.mean(axis=1)) ** 2
+        if t_grid_us[0] == 0.0:
+            projection = projection / projection[0]
+        if flags.scattering:
+            del amps  # freed before the Lindblad batch allocates its stacks and output
+            population = _batched_lindblad_trace(H, gamma, t_grid_s).mean(axis=1)
+        else:
+            population = (np.abs(amps) ** 2).mean(axis=1)
+    bad = ~((np.abs(population - 0.5) <= 0.5 + BOUNDS_TOL) & (projection <= population + BOUNDS_TOL))
+    if bad.any():
+        raise BatchError(
+            f"gamma_e {gamma:.6g} rad/s at detunings {scheme.detuning_1:.6g}, {scheme.detuning_2:.6g} rad/s: "
+            f"a population outside [0, 1] or a projection above it at {bad.sum()} of {len(bad)} times"
+        )
 
     omega_eff, _ = raman_rabi_local(scheme)
     tau_osc = fit_envelope_time_us(t_grid_us, projection, abs(raman_splitting_exact(scheme)))

@@ -40,13 +40,11 @@ class Beam:
 
 @dataclass(frozen=True)
 class BeamGeometry:
-    """All beams plus the shared detunings and nominal crossing angles."""
+    """All beams plus the shared detunings; the crossing angles follow from the directions."""
 
     beams: dict  # BEAM_IDS -> Beam
     detuning_1: float  # rad/s, signed, path via |e1>
     detuning_2: float  # rad/s, signed, path via |e2>
-    theta_1_deg: float
-    theta_2_deg: float
 
 
 def beam_wavevector(beam_id: str, geo: BeamGeometry) -> np.ndarray:

@@ -172,6 +172,7 @@ def measure_three_bases(amps, phase: float, coherence: float, det: DetectorModel
 FIELD_KINDS = ("single_photon", "coherent", "thermal", "dlcz_pair")
 
 FOCK_CUTOFF = 30
+FOCK_TAIL_TOL = 1e-9  # largest probability a coherent or thermal field may leave beyond FOCK_CUTOFF
 DLCZ_CUTOFF = 4  # photon-number truncation of the DLCZ source
 
 
@@ -220,6 +221,8 @@ class PhotonFieldModel:
         else:  # thermal
             nbar = self.parameter
             p = (nbar / (1.0 + nbar)) ** n / (1.0 + nbar)
+        if not 1.0 - p.sum() <= FOCK_TAIL_TOL:
+            raise ValueError(f"{1.0 - p.sum():.3g} of the distribution lies past the Fock cutoff {FOCK_CUTOFF}")
         return p / p.sum()
 
 

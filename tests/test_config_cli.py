@@ -97,12 +97,6 @@ class TestSchema:
         with pytest.raises(ConfigError, match=r"config\.geometry\.beams\.E: missing key"):
             load_config(write_config(tmp_path, raw))
 
-    def test_declared_angle_must_match_directions(self, tmp_path, default_raw):
-        raw = yaml.safe_load(yaml.safe_dump(default_raw))
-        raw["geometry"]["theta_1"] = "12 deg"  # beams actually cross at 5 deg
-        with pytest.raises(ConfigError, match="theta_1"):
-            load_config(write_config(tmp_path, raw))
-
     def test_calibration_protocol_rabi(self):
         cfg = load_config()
         assert TWO_PI / cfg.protocol_rabi == pytest.approx(492e-9)
@@ -210,11 +204,16 @@ class TestCli:
                 ["g2", "--field", "single", "--parameter", "1e-9"],
                 "--parameter 1e-09 for --field single with simulation.g2_trials",
             ),
+            # more of the distribution than FOCK_TAIL_TOL lies beyond the Fock cutoff
+            (["g2", "--field", "thermal", "--parameter", "20"], "--parameter"),
+            (["g2", "--field", "coherent", "--parameter", "50"], "--parameter"),
+            (["g2", "--field", "coherent", "--parameter", "1000"], "--parameter"),
         ],
         ids=[
             "dlcz-p-above-range", "too-few-samples", "single-efficiency-above-1", "coherent-vacuum",
             "thermal-infinite", "single-efficiency-nan", "empty-flag-list", "no-flags",
             "repeated-flag", "empty-flag", "p-sweep-of-semi-source", "g2-no-singles",
+            "thermal-beyond-fock-cutoff", "coherent-beyond-fock-cutoff", "coherent-far-beyond-fock-cutoff",
         ],
     )
     def test_out_of_range_option_is_config_error(self, tmp_path, capsys, args, named):
@@ -222,6 +221,21 @@ class TestCli:
         assert named in capsys.readouterr().err
         # a run that fails before writing leaves no output directory behind
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "linewidth",
+        # too fast a scattering rate for the spectral propagation: a projection above the
+        # population, populations that overflow to inf, a singular eigenbasis
+        ["1e12 MHz", "1e20 MHz", "1e146 MHz"],
+    )
+    def test_ensemble_batch_out_of_bounds_exits_3(self, tmp_path, capsys, default_raw, linewidth):
+        raw = yaml.safe_load(yaml.safe_dump(default_raw))
+        raw["raman"]["intermediate_linewidth"] = linewidth
+        out = tmp_path / "o"
+        argv = ["--config", write_config(tmp_path, raw), "--out", str(out), "dephasing", "--flags", "scatter"]
+        assert cli.main([*argv, "--samples", "100"]) == 3
+        assert "raman.intermediate_linewidth" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "key, value, args",
@@ -268,8 +282,12 @@ class TestCli:
             # the thermal velocity sqrt(kB T / m) underflows to 0 or overflows
             ("ensemble.temperature", "1e-300 uK", ["dephasing"]),
             ("ensemble.temperature", "1e308 K", ["dephasing", "--flags", "motion"]),
-            # a removed key: no computation used it
+            # removed keys: no computation used them, or another input states them
             ("ensemble.free_rydberg_lifetime", "1.6 us", ["dephasing"]),
+            ("geometry.theta_1", "5 deg", ["rabi", "--pair"]),
+            ("output", {"directory": "out"}, ["g2", "--field", "single"]),
+            # the square of the scattering rate overflows
+            ("raman.intermediate_linewidth", "1e300 MHz", ["dephasing", "--flags", "scatter"]),
         ],
         ids=[
             "nan-wavelength", "nan-direction", "string-direction", "short-direction",
@@ -283,6 +301,7 @@ class TestCli:
             "overflowing-detuning", "negative-rabi", "overflowing-waist",
             "unnormalized-direction", "zero-direction", "subnormal-period",
             "underflowing-thermal-velocity", "overflowing-thermal-velocity", "removed-free-rydberg-lifetime",
+            "removed-theta-1", "removed-output-directory", "overflowing-linewidth",
         ],
     )
     def test_bad_config_value_exits_2_naming_key(self, tmp_path, capsys, default_raw, key, value, args):
@@ -316,8 +335,6 @@ class TestCli:
         raw = yaml.safe_load(yaml.safe_dump(default_raw))
         for beam in ("C", "E"):
             raw["geometry"]["beams"][beam]["direction"] = [0.0, 0.0, 1.0]
-        raw["geometry"]["theta_1"] = "0 deg"
-        raw["geometry"]["theta_2"] = "0 deg"
         config = write_config(tmp_path, raw)
         assert cli.main(["--config", config, "--out", str(tmp_path / "o"), *args]) == 2
         assert "geometry.beams" in capsys.readouterr().err
@@ -325,25 +342,13 @@ class TestCli:
     def test_unknown_dephasing_flag_is_config_error(self, tmp_path):
         assert run_cli(["dephasing", "--flags", "wobble"], tmp_path / "o") == 2
 
-    def test_env_var_output_override(self, tmp_path, monkeypatch):
-        target = tmp_path / "env_out"
-        monkeypatch.setenv(cli.OUTDIR_ENV, str(target))
-        assert cli.main(["rabi", "--single"]) == 0
-        assert (target / "rabi_single.csv").exists()
-
-    @pytest.mark.parametrize("below_file", [False, True], ids=["file", "below-file"])
-    @pytest.mark.parametrize("source", ["--out", cli.OUTDIR_ENV])
-    def test_unusable_output_directory_exits_2(self, tmp_path, monkeypatch, capsys, source, below_file):
+    @pytest.mark.parametrize("below_file", [False, True], ids=["--out-file", "--out-below-file"])
+    def test_unusable_output_directory_exits_2(self, tmp_path, capsys, below_file):
         blocker = tmp_path / "blocker"
         blocker.write_text("a regular file\n")
         target = blocker / "x" if below_file else blocker
-        if source == "--out":
-            argv = ["--out", str(target), "g2", "--field", "single"]
-        else:
-            monkeypatch.setenv(cli.OUTDIR_ENV, str(target))
-            argv = ["g2", "--field", "single"]
-        assert cli.main(argv) == 2
-        assert f"{source}: cannot create directory" in capsys.readouterr().err
+        assert cli.main(["--out", str(target), "g2", "--field", "single"]) == 2
+        assert "--out: cannot create directory" in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -382,7 +387,7 @@ class TestCli:
         assert report["analytic"]["conditional_fidelity"] > 0.0
 
     def test_json_artifact_refuses_nan(self, tmp_path):
-        writer = cli.RunWriter(tmp_path / "o", "--out", load_config(), "repeater")
+        writer = cli.RunWriter(tmp_path / "o", load_config(), "repeater")
         with pytest.raises(ValueError, match="JSON compliant"):
             writer.json("bad.json", {"x": float("nan")})
         assert not (tmp_path / "o").exists()

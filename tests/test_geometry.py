@@ -122,11 +122,5 @@ class TestModeOverlap:
         beams = dict(geo.beams)
         beams["C"] = Beam(795.0, np.array([0.0, 0.0, 1.0]), 13.0, beams["C"].rabi)
         beams["E"] = Beam(474.0, np.array([0.0, 0.0, 1.0]), 520.0, beams["E"].rabi)
-        degenerate = type(geo)(
-            beams=beams,
-            detuning_1=geo.detuning_1,
-            detuning_2=geo.detuning_2,
-            theta_1_deg=0.0,
-            theta_2_deg=0.0,
-        )
+        degenerate = type(geo)(beams=beams, detuning_1=geo.detuning_1, detuning_2=geo.detuning_2)
         assert not modes_distinguishable(degenerate)
