@@ -132,9 +132,8 @@ def cmd_dephasing(cfg: RunConfig, args, writer: RunWriter):
         result = dephasing.simulate_single_excitation(
             cfg.geometry, cfg.ensemble, cfg.scheme, flags, n_samples, cfg.seed, t_grid
         )
-    except dephasing.SampleCountError as exc:
-        source = "--samples" if args.samples is not None else "simulation.dephasing_samples"
-        raise ConfigError(f"{source}: {exc}") from None
+    except dephasing.SampleCountError as exc:  # the config's count is checked at load
+        raise ConfigError(f"--samples: {exc}") from None
     except (dephasing.BatchError, np.linalg.LinAlgError) as exc:
         keys = "raman.intermediate_linewidth, geometry.detuning_1, geometry.detuning_2"
         raise dephasing.BatchError(f"{keys}: {exc}") from None

@@ -147,7 +147,8 @@ _SCHEMA = {
     },
     "simulation": {
         "seed": (int, _at_least(0)),
-        "dephasing_samples": (int, None),
+        # the floor of dephasing.simulate_single_excitation
+        "dephasing_samples": (int, _at_least(100)),
         "dephasing_t_max": ("time", _POSITIVE),
         # the envelope fit has 5 parameters
         "dephasing_points": (int, _at_least(5)),

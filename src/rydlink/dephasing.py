@@ -281,7 +281,7 @@ def _batched_amplitudes(H, gamma, t_grid_s):
     With gamma == 0 this is the exact unitary amplitude. Returns
     (n_t, n) complex array.
     """
-    H_eff = H.astype(complex).copy()
+    H_eff = H.astype(complex)
     H_eff[:, LEVEL_E1, LEVEL_E1] += -0.5j * gamma
     H_eff[:, LEVEL_E2, LEVEL_E2] += -0.5j * gamma
     if gamma == 0.0:
@@ -289,9 +289,7 @@ def _batched_amplitudes(H, gamma, t_grid_s):
         inv_r = np.conj(evecs[:, LEVEL_R, :])  # unitary inverse row
     else:
         evals, evecs = np.linalg.eig(H_eff)
-        e_r = np.zeros(4, dtype=complex)
-        e_r[LEVEL_R] = 1.0
-        inv_r = np.linalg.solve(evecs, np.broadcast_to(e_r, (H.shape[0], 4)).copy()[..., None])[..., 0]
+        inv_r = np.linalg.solve(evecs, np.eye(4)[:, [LEVEL_R]])[..., 0]
     return _spectral_sum(evecs[:, LEVEL_R, :] * inv_r, -1j * evals, t_grid_s)
 
 

@@ -213,11 +213,8 @@ class PhotonFieldModel:
             return dlcz_occupation(self.parameter)
         n = np.arange(FOCK_CUTOFF + 1)
         if self.kind == "coherent":
-            # Poisson pmf in the log form scipy.stats.poisson evaluates;
-            # imported here so that no other field loads scipy
-            from scipy.special import gammaln, xlogy
-
-            p = np.exp(xlogy(n, self.parameter) - gammaln(n + 1) - self.parameter)
+            mu = self.parameter
+            p = np.exp(n * np.log(mu) - np.cumsum(np.log(np.maximum(n, 1))) - mu)
         else:  # thermal
             nbar = self.parameter
             p = (nbar / (1.0 + nbar)) ** n / (1.0 + nbar)
@@ -265,31 +262,22 @@ def g2_hbt(field: PhotonFieldModel, trials: int | None = None, seed: int | None 
     return float(n12 * trials / (n1 * n2))
 
 
-CALIBRATION_TOL = 1e-8  # relative width of the final bisection bracket
-
-
 def calibrate_background(target_g2: float, field: PhotonFieldModel) -> float:
-    """Solve g2(b) = target for the background probability by bisection.
+    """The background probability b at which the field's g2 equals the target.
 
-    g2 is monotonically increasing in b for a sub-Poissonian source; a
-    target at or above the large-b asymptote is rejected.
+    With x = 1 - b and (p1, p12) the click probabilities at b = 0, the model
+    of ``_hbt_click_probs`` gives P1 = 1 - x(1 - p1) and
+    P12 = 1 - 2x(1 - p1) + x^2(1 - 2 p1 + p12), so g2(b) = T is a quadratic
+    in x. Its root in [0, 1), written without cancellation, exists exactly
+    when p12 <= T p1^2 < p1^2: the field's own g2 is at most T and it clicks.
     """
     if not 0.0 < target_g2 < 1.0:
         raise ValueError("target g2 must lie in (0, 1)")
-
-    def g2_at(b):
-        model = PhotonFieldModel(field.kind, field.parameter, DetectorModel(field.detector.efficiency, b))
-        return g2_hbt(model)
-
-    lo, hi = 0.0, 0.999999
-    if g2_at(hi) < target_g2:
-        raise ValueError("target g2 unreachable for this efficiency chain")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g2_at(mid) < target_g2:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < CALIBRATION_TOL * max(hi, 1e-12):
-            break
-    return 0.5 * (lo + hi)
+    p1, _, p12 = _hbt_click_probs(field.occupation_distribution(), DetectorModel(field.detector.efficiency, 0.0))
+    if p1 <= 0.0:
+        raise ValueError("the field gives no clicks at b = 0; g2 undefined")
+    if p12 > target_g2 * p1**2:
+        raise ValueError(f"target g2 {target_g2:.6g} lies below the field's own g2 {p12 / p1**2:.6g} at b = 0")
+    t = 1.0 - target_g2
+    d = np.sqrt(t * (p1**2 - p12))
+    return float((d - p1 * t) / ((1.0 - p1) * t + d))

@@ -288,6 +288,8 @@ class TestCli:
             ("output", {"directory": "out"}, ["g2", "--field", "single"]),
             # the square of the scattering rate overflows
             ("raman.intermediate_linewidth", "1e300 MHz", ["dephasing", "--flags", "scatter"]),
+            # checked at load, so a command that averages no ensemble refuses it too
+            ("simulation.dephasing_samples", 99, ["rabi", "--pair"]),
         ],
         ids=[
             "nan-wavelength", "nan-direction", "string-direction", "short-direction",
@@ -301,7 +303,7 @@ class TestCli:
             "overflowing-detuning", "negative-rabi", "overflowing-waist",
             "unnormalized-direction", "zero-direction", "subnormal-period",
             "underflowing-thermal-velocity", "overflowing-thermal-velocity", "removed-free-rydberg-lifetime",
-            "removed-theta-1", "removed-output-directory", "overflowing-linewidth",
+            "removed-theta-1", "removed-output-directory", "overflowing-linewidth", "too-few-dephasing-samples",
         ],
     )
     def test_bad_config_value_exits_2_naming_key(self, tmp_path, capsys, default_raw, key, value, args):
@@ -404,11 +406,27 @@ class TestCli:
 
     def test_cli_import_skips_scipy_stats(self):
         # importing scipy costs about half a second of every CLI start-up; only
-        # the envelope fit, the coherent field and the oracles load it
+        # the envelope fit of dephasing and the oracles load it
         src = str(Path(cli.__file__).resolve().parents[1])
         code = (
             f"import sys; sys.path.insert(0, {src!r}); import rydlink.cli; rydlink.cli.load_config(); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'rydlink.oracles'))"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize(
+        "args",
+        [["g2", "--field", "coherent"], ["g2", "--field", "single", "--calibrated"], ["entangle", "--fidelity"]],
+        ids=lambda a: "-".join(a).replace("--", ""),
+    )
+    def test_g2_and_entangle_commands_skip_scipy(self, tmp_path, args):
+        # the g2 fields and the background calibration are closed forms in numpy
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import rydlink.cli; "
+            f"assert rydlink.cli.main(['--out', {str(tmp_path / 'o')!r}, *{args!r}]) == 0; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"

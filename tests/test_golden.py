@@ -27,7 +27,7 @@ GOLDEN = {
         "entangle_phi_sweep_hv.csv": "e3692112a4a138e7425b730373c9337067ce25b0ae05d432099c10c1b9cb7c37",
     },
     ("entangle", "--fidelity"): {
-        "entangle_fidelity.json": "afc50c04a6b64aed15362a4bbb617d0eba72e45edff45de4ff9805ad1541dd5e",
+        "entangle_fidelity.json": "9950e633f4ca0abfda7fdab1791652300bea3e48d4976f4f990a91383941c482",
     },
     ("dephasing", "--flags", "none"): {
         "dephasing_none.csv": "0c5e6cdf1b9f1ef092a744d64f83fe0578c139b993d9e2ab4ae4a0f110709c45",
@@ -46,7 +46,7 @@ GOLDEN = {
         "g2_single.json": "f540495861bd7649e92a23e4e500877702ed11a3ad23ace302838ca8c18d750c",
     },
     ("g2", "--field", "single", "--calibrated"): {
-        "g2_single_calibrated.json": "993d3c55e809303af3ac51532c3ea52714ba3af6672d1f2d2e6186f813261dfa",
+        "g2_single_calibrated.json": "0e2ab0617c6a28f80d7a9886d4405c7b79de5a5f1e804255e512c3bb43240290",
     },
     ("g2", "--field", "thermal"): {
         "g2_thermal.json": "36566d2a787dbf51d8d11c279b7944dd4f893323ccd3100f6ab6c03d10a1f28e",

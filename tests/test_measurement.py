@@ -406,6 +406,31 @@ class TestBackgroundCalibration:
         with pytest.raises(ValueError):
             ms.calibrate_background(1.0, f)
 
+    @pytest.mark.parametrize(
+        "parameter, eta, target, rel",
+        [
+            (1.0, 0.008, 0.062, 1e-9),  # the packaged calibration point
+            *[(r, eta, t, 1e-7) for r in (0.3, 1.0) for eta in (0.002, 0.008, 0.1, 1.0) for t in (0.01, 0.062, 0.5, 0.9)],
+        ],
+    )
+    def test_root_reproduces_target(self, parameter, eta, target, rel):
+        f = PhotonFieldModel("single_photon", parameter, DetectorModel(eta))
+        b = ms.calibrate_background(target, f)
+        check = PhotonFieldModel("single_photon", parameter, DetectorModel(eta, b))
+        assert ms.g2_hbt(check) == pytest.approx(target, rel=rel)
+
+    @pytest.mark.parametrize("kind, parameter", [("thermal", 1.0), ("coherent", 1.0), ("dlcz_pair", 0.05)])
+    def test_rejects_target_below_own_g2(self, kind, parameter):
+        # background pulls g2 towards 1 from either side, so no b takes a field with g2 >= 1 below 1
+        f = PhotonFieldModel(kind, parameter, DetectorModel(0.008))
+        with pytest.raises(ValueError, match="below the field's own g2"):
+            ms.calibrate_background(0.062, f)
+
+    def test_rejects_field_without_clicks(self):
+        f = PhotonFieldModel("single_photon", 1.0, DetectorModel(0.0))
+        with pytest.raises(ValueError, match="no clicks"):
+            ms.calibrate_background(0.062, f)
+
 
 class TestDetectorValidation:
     def test_efficiency_range(self):
