@@ -22,6 +22,7 @@ def main():
     args = ap.parse_args()
 
     cfg = load_config()
+    gamma_e = cfg.parsed["raman"]["intermediate_linewidth"]
     t_grid = np.linspace(0.0, args.t_max_us, args.points)
     combos = [
         (False, False, False),
@@ -36,7 +37,7 @@ def main():
         label = f"{str(motion):>7s} {str(inhomo):>7s} {str(scatter):>8s}"
         try:
             r = dp.simulate_single_excitation(
-                cfg.geometry, cfg.ensemble, cfg.scheme, flags, args.samples, cfg.seed, t_grid
+                cfg.geometry, cfg.ensemble, gamma_e, flags, args.samples, cfg.seed, t_grid
             )
         except dp.FitError:
             print(f"{label} {'fit failed':>11s}")

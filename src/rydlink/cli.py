@@ -116,37 +116,41 @@ def cmd_rabi(cfg: RunConfig, args, writer: RunWriter):
 FLAG_NAMES = ("motion", "inhomo", "scatter")  # in the field order of SimulationFlags
 
 
-def _parse_flags(spec: str) -> dephasing.SimulationFlags:
+def _parse_flags(spec: str) -> dict:
+    """--flags as {name: on} in FLAG_NAMES order."""
     parts = [] if spec == "none" else [p.strip() for p in spec.split(",")]
     if not set(parts) <= set(FLAG_NAMES) or len(set(parts)) < len(parts):
         raise ConfigError(f"--flags {spec!r}: give distinct names from {FLAG_NAMES}, comma separated, or 'none'")
-    return dephasing.SimulationFlags(*(name in parts for name in FLAG_NAMES))
+    return {name: name in parts for name in FLAG_NAMES}
 
 
 def cmd_dephasing(cfg: RunConfig, args, writer: RunWriter):
-    flags = _parse_flags(args.flags)
+    on = _parse_flags(args.flags)
+    flags = dephasing.SimulationFlags(*on.values())
     sim = cfg.parsed["simulation"]
     n_samples = args.samples if args.samples is not None else sim["dephasing_samples"]
     t_grid = np.linspace(0.0, sim["dephasing_t_max"] * 1e6, sim["dephasing_points"])
+    gamma_e = cfg.parsed["raman"]["intermediate_linewidth"]
     try:
         result = dephasing.simulate_single_excitation(
-            cfg.geometry, cfg.ensemble, cfg.scheme, flags, n_samples, cfg.seed, t_grid
+            cfg.geometry, cfg.ensemble, gamma_e, flags, n_samples, cfg.seed, t_grid
         )
     except dephasing.SampleCountError as exc:  # the config's count is checked at load
         raise ConfigError(f"--samples: {exc}") from None
     except (dephasing.BatchError, np.linalg.LinAlgError) as exc:
         keys = "raman.intermediate_linewidth, geometry.detuning_1, geometry.detuning_2"
         raise dephasing.BatchError(f"{keys}: {exc}") from None
-    tag = args.flags.replace(",", "-")
+    # the parsed names, so that equivalent --flags texts name the same files
+    tag = "-".join(name for name, value in on.items() if value) or "none"
     writer.csv(
         f"dephasing_{tag}.csv",
         ("t_us", "population_r", "projection"),
-        zip(result.t_grid_us, result.population_r, result.spinwave_projection),
+        zip(t_grid, result.population_r, result.spinwave_projection),
     )
     writer.json(
         f"dephasing_{tag}.json",
         {
-            "flags": {"motion": flags.motion, "inhomo": flags.inhomogeneity, "scatter": flags.scattering},
+            "flags": on,
             "n_samples": n_samples,
             "seed": cfg.seed,
             "tau_osc_us": result.tau_osc_us,
@@ -172,9 +176,10 @@ def _memory_coherence(cfg: RunConfig) -> float:
 def _calibrated_background(cfg: RunConfig) -> float:
     det = DetectorModel(cfg.parsed["detector"]["calibration_chain_efficiency"], 0.0)
     field = PhotonFieldModel("single_photon", 1.0, det)
-    return measurement.calibrate_background(
-        cfg.parsed["detector"]["g2_calibration_target"], field
-    )
+    try:
+        return measurement.calibrate_background(cfg.parsed["detector"]["g2_calibration_target"], field)
+    except ValueError as exc:
+        raise ConfigError(f"detector.calibration_chain_efficiency, detector.g2_calibration_target: {exc}") from None
 
 
 def cmd_entangle(cfg: RunConfig, args, writer: RunWriter):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import yaml
 
 from .collective import EnsembleConfig
-from .dephasing import AMU, RamanLevelScheme, scheme_from_geometry, thermal_velocity_sigma
+from .dephasing import AMU, shift_cancelling_branch_weights, thermal_velocity_sigma
 from .geometry import BEAM_IDS, Beam, BeamGeometry, modes_distinguishable
 
 DEFAULT_CONFIG_RESOURCE = "default.yaml"
@@ -203,7 +203,6 @@ class RunConfig:
     parsed: dict  # same tree with quantities in canonical units
     geometry: BeamGeometry
     ensemble: EnsembleConfig
-    scheme: RamanLevelScheme
 
     @property
     def seed(self) -> int:
@@ -282,8 +281,8 @@ def load_config(path=None) -> RunConfig:
     parsed = _validate(raw, _SCHEMA, "config")
     geometry = _build_geometry(parsed)
     ensemble = _build_ensemble(parsed)
-    try:
-        scheme = scheme_from_geometry(geometry, gamma_e=parsed["raman"]["intermediate_linewidth"])
-    except ValueError as exc:  # dephasing.shift_cancelling_branch_weights: the detunings' signs
+    try:  # the Raman coupling of beams C and E needs these weights; checked once, here
+        shift_cancelling_branch_weights(geometry.detuning_1, geometry.detuning_2)
+    except ValueError as exc:
         raise ConfigError(f"geometry.detuning_1, geometry.detuning_2: {exc}") from None
-    return RunConfig(raw=raw, parsed=parsed, geometry=geometry, ensemble=ensemble, scheme=scheme)
+    return RunConfig(raw=raw, parsed=parsed, geometry=geometry, ensemble=ensemble)

@@ -3,7 +3,8 @@
 Each sampled atom carries a frozen position (for Gaussian-beam intensity)
 and a Maxwell-Boltzmann velocity (for Doppler dephasing of the Rydberg
 spin wave), and evolves as a four-level {s, e1, e2, r} system under the
-two-path Raman coupling. Intermediate-state scattering enters as Lindblad
+two-path Raman coupling of beams C (ground side) and E (Rydberg side) of
+the ``BeamGeometry``. Intermediate-state scattering enters as Lindblad
 collapse back into |s>: it feeds the incoherent Rydberg population while
 destroying the spin-wave coherence, which is exactly the gap between the
 population curve and the collective-projection curve.
@@ -75,31 +76,11 @@ class BatchError(RuntimeError):
     """The ensemble batch gave a population outside [0, 1] or a projection above it."""
 
 
-@dataclass(frozen=True)
-class RamanLevelScheme:
-    """Two-photon coupling of |s> and |r> through |e1> and |e2>.
-
-    ``detuning_1`` / ``detuning_2`` are the signed single-photon detunings
-    of the two paths (rad/s). ``branch_1`` / ``branch_2`` are the signed
-    path weights: their magnitudes are the intermediate-state admixtures
-    and their relative sign is the product of the transition-amplitude
-    signs along each path.
-    """
-
-    omega_ground: float  # peak single-photon Rabi of the ground-side beam, rad/s
-    omega_rydberg: float  # peak single-photon Rabi of the Rydberg-side beam, rad/s
-    detuning_1: float
-    detuning_2: float
-    branch_1: float
-    branch_2: float
-    gamma_e: float  # intermediate-state decay rate, rad/s
-    waist_ground_um: float
-    waist_rydberg_um: float
-
-
 def shift_cancelling_branch_weights(detuning_1: float, detuning_2: float) -> tuple:
-    """Signed path weights that null the differential light shift.
+    """Signed weights of the paths via |e1> and |e2> that null the differential light shift.
 
+    Their magnitudes are the intermediate-state admixtures and their relative
+    sign is the product of the transition-amplitude signs along each path.
     Requires opposite-sign detunings; the weights then also make the two
     Raman paths add constructively.
     """
@@ -111,23 +92,6 @@ def shift_cancelling_branch_weights(detuning_1: float, detuning_2: float) -> tup
     return (np.sign(detuning_1) * w1, np.sign(detuning_2) * w2)
 
 
-def scheme_from_geometry(geo: BeamGeometry, gamma_e: float) -> RamanLevelScheme:
-    """The Raman scheme of beams C (ground side) and E (Rydberg side)."""
-    b1, b2 = shift_cancelling_branch_weights(geo.detuning_1, geo.detuning_2)
-    ground, rydberg = geo.beams["C"], geo.beams["E"]
-    return RamanLevelScheme(
-        omega_ground=ground.rabi,
-        omega_rydberg=rydberg.rabi,
-        detuning_1=geo.detuning_1,
-        detuning_2=geo.detuning_2,
-        branch_1=b1,
-        branch_2=b2,
-        gamma_e=gamma_e,
-        waist_ground_um=ground.waist_um,
-        waist_rydberg_um=rydberg.waist_um,
-    )
-
-
 @dataclass(frozen=True)
 class SimulationFlags:
     motion: bool = False
@@ -137,7 +101,6 @@ class SimulationFlags:
 
 @dataclass(frozen=True)
 class DephasingResult:
-    t_grid_us: np.ndarray
     population_r: np.ndarray
     spinwave_projection: np.ndarray
     tau_osc_us: float
@@ -161,7 +124,7 @@ def motional_coherence_time_us(delta_k_rad_per_um: float, temperature_uK: float,
     return float(1.0 / (dk * sigma_v))
 
 
-def raman_rabi_local(scheme: RamanLevelScheme) -> tuple:
+def raman_rabi_local(geo: BeamGeometry) -> tuple:
     """Effective two-photon Rabi frequency and residual differential shift.
 
     Evaluated at the peak of both beams; the Gaussian profile across the
@@ -169,47 +132,40 @@ def raman_rabi_local(scheme: RamanLevelScheme) -> tuple:
     differential shift vanishes by construction for the shift-cancelling
     weights.
     """
-    o1 = scheme.omega_ground
-    o2 = scheme.omega_rydberg
-    path_sum = scheme.branch_1 / scheme.detuning_1 + scheme.branch_2 / scheme.detuning_2
+    o1, o2 = geo.beams["C"].rabi, geo.beams["E"].rabi
+    b1, b2 = shift_cancelling_branch_weights(geo.detuning_1, geo.detuning_2)
+    path_sum = b1 / geo.detuning_1 + b2 / geo.detuning_2
     omega_eff = (o1 * o2 / 2.0) * path_sum
-    shift_weight = abs(scheme.branch_1) / scheme.detuning_1 + abs(scheme.branch_2) / scheme.detuning_2
+    shift_weight = abs(b1) / geo.detuning_1 + abs(b2) / geo.detuning_2
     light_shift = (o1**2 / 4.0 - o2**2 / 4.0) * shift_weight
     return float(omega_eff), float(light_shift)
 
 
-def _four_level_hamiltonian(scheme: RamanLevelScheme, s1, s2, doppler):
-    """Batched 4x4 Hamiltonians, shape (n, 4, 4). Inputs are arrays of n."""
-    n = len(s1)
-    d1 = np.sqrt(abs(scheme.branch_1))
-    d2 = np.sqrt(abs(scheme.branch_2))
-    g1 = np.sign(scheme.branch_1) * d1
-    g2 = np.sign(scheme.branch_2) * d2
-    H = np.zeros((n, 4, 4), dtype=complex)
-    H[:, LEVEL_E1, LEVEL_E1] = -scheme.detuning_1
-    H[:, LEVEL_E2, LEVEL_E2] = -scheme.detuning_2
-    oc = scheme.omega_ground * s1 / 2.0
-    od = scheme.omega_rydberg * s2 / 2.0
-    H[:, LEVEL_E1, LEVEL_S] = d1 * oc
-    H[:, LEVEL_S, LEVEL_E1] = d1 * oc
-    H[:, LEVEL_E2, LEVEL_S] = d2 * oc
-    H[:, LEVEL_S, LEVEL_E2] = d2 * oc
-    H[:, LEVEL_E1, LEVEL_R] = g1 * od
-    H[:, LEVEL_R, LEVEL_E1] = g1 * od
-    H[:, LEVEL_E2, LEVEL_R] = g2 * od
-    H[:, LEVEL_R, LEVEL_E2] = g2 * od
+def _four_level_hamiltonian(geo: BeamGeometry, s1, s2, doppler):
+    """Batched 4x4 Hamiltonians, shape (n, 4, 4). Inputs are arrays of n: the
+    relative intensities of beam C (ground side, s1) and beam E (Rydberg side,
+    s2) and the Doppler shift of |r>, rad/s."""
+    H = np.zeros((len(s1), 4, 4), dtype=complex)
+    oc = geo.beams["C"].rabi * s1 / 2.0
+    od = geo.beams["E"].rabi * s2 / 2.0
+    branches = shift_cancelling_branch_weights(geo.detuning_1, geo.detuning_2)
+    for e, detuning, branch in zip((LEVEL_E1, LEVEL_E2), (geo.detuning_1, geo.detuning_2), branches):
+        d = np.sqrt(abs(branch))
+        H[:, e, e] = -detuning
+        H[:, e, LEVEL_S] = H[:, LEVEL_S, e] = d * oc
+        H[:, e, LEVEL_R] = H[:, LEVEL_R, e] = np.sign(branch) * d * od
     H[:, LEVEL_R, LEVEL_R] = doppler
     return H
 
 
-def raman_splitting_exact(scheme: RamanLevelScheme) -> float:
+def raman_splitting_exact(geo: BeamGeometry) -> float:
     """Exact s-r oscillation frequency from the 4-level eigenvalues.
 
     This is what the simulated homogeneous oscillation actually runs at;
     it deviates from the adiabatic-elimination formula at relative order
     (Omega / 2 Delta)^2, about a percent for the default parameters.
     """
-    H = _four_level_hamiltonian(scheme, np.ones(1), np.ones(1), np.zeros(1))[0]
+    H = _four_level_hamiltonian(geo, np.ones(1), np.ones(1), np.zeros(1))[0]
     evals, evecs = np.linalg.eigh(H)
     weights = abs(evecs[LEVEL_S, :]) ** 2 * abs(evecs[LEVEL_R, :]) ** 2
     idx = np.argsort(weights)[-2:]
@@ -296,7 +252,7 @@ def _batched_amplitudes(H, gamma, t_grid_s):
 def simulate_single_excitation(
     geo: BeamGeometry,
     ens: EnsembleConfig,
-    scheme: RamanLevelScheme,
+    gamma_e: float,
     flags: SimulationFlags,
     n_samples: int,
     seed: int,
@@ -304,6 +260,8 @@ def simulate_single_excitation(
 ) -> DephasingResult:
     """Ensemble-averaged Rydberg population and spin-wave projection.
 
+    Beams C and E of ``geo`` drive the Raman coupling; ``gamma_e`` is the
+    intermediate-state decay rate, rad/s, used with ``flags.scattering``.
     The projection is |mean over atoms of the coherent r amplitude|^2,
     normalized to 1 at t = 0; it can never exceed the population, and a
     batch that breaks this or [0, 1] raises BatchError.
@@ -318,8 +276,8 @@ def simulate_single_excitation(
 
     if flags.inhomogeneity:
         rho_sq = pos[:, 0] ** 2 + pos[:, 1] ** 2
-        s1 = np.exp(-rho_sq / scheme.waist_ground_um**2)
-        s2 = np.exp(-rho_sq / scheme.waist_rydberg_um**2)
+        s1 = np.exp(-rho_sq / geo.beams["C"].waist_um**2)
+        s2 = np.exp(-rho_sq / geo.beams["E"].waist_um**2)
     else:
         s1 = np.ones(n_samples)
         s2 = np.ones(n_samples)
@@ -329,8 +287,8 @@ def simulate_single_excitation(
     else:
         doppler = np.zeros(n_samples)
 
-    H = _four_level_hamiltonian(scheme, s1, s2, doppler)
-    gamma = scheme.gamma_e if flags.scattering else 0.0
+    H = _four_level_hamiltonian(geo, s1, s2, doppler)
+    gamma = gamma_e if flags.scattering else 0.0
 
     with np.errstate(over="ignore", invalid="ignore"):  # too fast a rate overflows: see the bounds check
         amps = _batched_amplitudes(H, gamma, t_grid_s)
@@ -345,17 +303,16 @@ def simulate_single_excitation(
     bad = ~((np.abs(population - 0.5) <= 0.5 + BOUNDS_TOL) & (projection <= population + BOUNDS_TOL))
     if bad.any():
         raise BatchError(
-            f"gamma_e {gamma:.6g} rad/s at detunings {scheme.detuning_1:.6g}, {scheme.detuning_2:.6g} rad/s: "
+            f"gamma_e {gamma:.6g} rad/s at detunings {geo.detuning_1:.6g}, {geo.detuning_2:.6g} rad/s: "
             f"a population outside [0, 1] or a projection above it at {bad.sum()} of {len(bad)} times"
         )
 
-    omega_eff, _ = raman_rabi_local(scheme)
-    tau_osc = fit_envelope_time_us(t_grid_us, projection, abs(raman_splitting_exact(scheme)))
+    omega_eff, _ = raman_rabi_local(geo)
+    tau_osc = fit_envelope_time_us(t_grid_us, projection, abs(raman_splitting_exact(geo)))
     tau_free = motional_coherence_time_us(
         np.linalg.norm(k_sw), ens.temperature_uK, ens.atomic_mass_amu
     )
     return DephasingResult(
-        t_grid_us=t_grid_us,
         population_r=population,
         spinwave_projection=projection,
         tau_osc_us=tau_osc,

@@ -174,6 +174,7 @@ FIELD_KINDS = ("single_photon", "coherent", "thermal", "dlcz_pair")
 FOCK_CUTOFF = 30
 FOCK_TAIL_TOL = 1e-9  # largest probability a coherent or thermal field may leave beyond FOCK_CUTOFF
 DLCZ_CUTOFF = 4  # photon-number truncation of the DLCZ source
+ROUND_TRIP_TOL = 1e-12  # largest relative g2 error of a calibrated background
 
 
 def dlcz_occupation(p: float) -> np.ndarray:
@@ -224,13 +225,27 @@ class PhotonFieldModel:
 
 
 def _hbt_click_probs(dist: np.ndarray, det: DetectorModel) -> tuple:
-    """(P1, P2, P12) for a balanced splitter feeding two gated detectors."""
-    n = np.arange(len(dist))
+    """(P1, P2, P12) for a balanced splitter feeding two gated detectors.
+
+    Each photon is detected with the efficiency and goes to either detector
+    with probability 1/2; each detector also clicks with the background
+    probability b. With d_j the probability that j photons are detected,
+    P1 = b + (1 - b) sum_j d_j (1 - 2^-j) and
+    P12 = sum_{j>=1} d_j (1 - 2^(1-j) + b 2^(1-j)) + d_0 b^2: sums of
+    nonnegative terms, so small efficiencies keep their relative precision.
+    """
     eta, b = det.efficiency, det.background_prob
-    none_1 = (1.0 - b) * float(np.sum(dist * (1.0 - eta / 2.0) ** n))
-    none_both = (1.0 - b) ** 2 * float(np.sum(dist * (1.0 - eta) ** n))
-    p1 = 1.0 - none_1
-    p12 = 1.0 - 2.0 * none_1 + none_both
+    # d_j = sum_n dist[n] C(n, j) eta^j (1 - eta)^(n - j), from the pmf of n = 0, 1, ... trials
+    pmf = np.zeros(len(dist))
+    pmf[0] = 1.0
+    detected = dist[0] * pmf
+    for p_n in dist[1:]:
+        pmf[1:] = (1.0 - eta) * pmf[1:] + eta * pmf[:-1]
+        pmf[0] *= 1.0 - eta
+        detected += p_n * pmf
+    d, half = detected[1:], 0.5 ** np.arange(1, len(dist))  # d_j and 2^-j for j >= 1
+    p1 = b + (1.0 - b) * float(np.sum(d * (1.0 - half)))
+    p12 = float(np.sum(d * ((1.0 - 2.0 * half) + 2.0 * b * half)) + detected[0] * b**2)
     return p1, p1, p12
 
 
@@ -270,14 +285,27 @@ def calibrate_background(target_g2: float, field: PhotonFieldModel) -> float:
     P12 = 1 - 2x(1 - p1) + x^2(1 - 2 p1 + p12), so g2(b) = T is a quadratic
     in x. Its root in [0, 1), written without cancellation, exists exactly
     when p12 <= T p1^2 < p1^2: the field's own g2 is at most T and it clicks.
+    A root whose g2 misses T by more than ROUND_TRIP_TOL relative, as when the
+    click probabilities underflow, raises ValueError.
     """
     if not 0.0 < target_g2 < 1.0:
         raise ValueError("target g2 must lie in (0, 1)")
-    p1, _, p12 = _hbt_click_probs(field.occupation_distribution(), DetectorModel(field.detector.efficiency, 0.0))
+    dist, eta = field.occupation_distribution(), field.detector.efficiency
+    p1, _, p12 = _hbt_click_probs(dist, DetectorModel(eta, 0.0))
     if p1 <= 0.0:
         raise ValueError("the field gives no clicks at b = 0; g2 undefined")
     if p12 > target_g2 * p1**2:
         raise ValueError(f"target g2 {target_g2:.6g} lies below the field's own g2 {p12 / p1**2:.6g} at b = 0")
     t = 1.0 - target_g2
     d = np.sqrt(t * (p1**2 - p12))
-    return float((d - p1 * t) / ((1.0 - p1) * t + d))
+    b = float((d - p1 * t) / ((1.0 - p1) * t + d))
+    if not 0.0 <= b < 1.0:
+        raise ValueError(f"the root b = {b:.6g} lies outside [0, 1): the click probabilities at b = 0 underflow")
+    q1, _, q12 = _hbt_click_probs(dist, DetectorModel(eta, b))
+    miss = abs(q12 / (q1 * q1) / target_g2 - 1.0) if q1 * q1 > 0.0 else float("inf")
+    if not miss <= ROUND_TRIP_TOL:
+        raise ValueError(
+            f"the root b = {b:.6g} misses the target g2 {target_g2:.6g} by relative {miss:.3g}, "
+            f"more than {ROUND_TRIP_TOL:g}: the click probabilities underflow"
+        )
+    return b

@@ -116,7 +116,7 @@ def test_criterion_06_motion_only_dephasing(cfg):
         result = dp.simulate_single_excitation(
             cfg.geometry,
             cfg.ensemble,
-            cfg.scheme,
+            cfg.parsed["raman"]["intermediate_linewidth"],
             dp.SimulationFlags(motion=True),
             2000,
             cfg.seed,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from rydlink import cli, dephasing
+from rydlink import cli, dephasing, measurement
 from rydlink.config import ConfigError, load_config, parse_quantity
 
 TWO_PI = 2.0 * np.pi
@@ -290,6 +290,9 @@ class TestCli:
             ("raman.intermediate_linewidth", "1e300 MHz", ["dephasing", "--flags", "scatter"]),
             # checked at load, so a command that averages no ensemble refuses it too
             ("simulation.dephasing_samples", 99, ["rabi", "--pair"]),
+            # the click probabilities underflow, so no background reproduces the target g2
+            ("detector.calibration_chain_efficiency", 1e-300, ["entangle", "--fidelity"]),
+            ("detector.calibration_chain_efficiency", 1e-300, ["g2", "--field", "single", "--calibrated"]),
         ],
         ids=[
             "nan-wavelength", "nan-direction", "string-direction", "short-direction",
@@ -304,6 +307,7 @@ class TestCli:
             "unnormalized-direction", "zero-direction", "subnormal-period",
             "underflowing-thermal-velocity", "overflowing-thermal-velocity", "removed-free-rydberg-lifetime",
             "removed-theta-1", "removed-output-directory", "overflowing-linewidth", "too-few-dephasing-samples",
+            "underflowing-calibration-fidelity", "underflowing-calibration-g2",
         ],
     )
     def test_bad_config_value_exits_2_naming_key(self, tmp_path, capsys, default_raw, key, value, args):
@@ -340,6 +344,27 @@ class TestCli:
         config = write_config(tmp_path, raw)
         assert cli.main(["--config", config, "--out", str(tmp_path / "o"), *args]) == 2
         assert "geometry.beams" in capsys.readouterr().err
+
+    def test_small_calibration_efficiency_reproduces_target(self, tmp_path, default_raw):
+        raw = yaml.safe_load(yaml.safe_dump(default_raw))
+        raw["detector"]["calibration_chain_efficiency"] = 1e-9
+        out = tmp_path / "o"
+        assert cli.main(["--config", write_config(tmp_path, raw), "--out", str(out), "entangle", "--fidelity"]) == 0
+        b = json.loads((out / "entangle_fidelity.json").read_text())["calibrated_background"]
+        g2 = measurement.g2_hbt(measurement.PhotonFieldModel("single_photon", 1.0, measurement.DetectorModel(1e-9, b)))
+        assert g2 == pytest.approx(0.062, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "specs, tag", [(("motion", " motion"), "motion"), (("motion,inhomo", "inhomo,motion"), "motion-inhomo")]
+    )
+    def test_dephasing_files_named_from_parsed_flags(self, tmp_path, specs, tag):
+        # equivalent --flags texts write the same files under the same names
+        a, b = (tmp_path / spec for spec in specs)
+        for spec, out in zip(specs, (a, b)):
+            assert run_cli(["dephasing", "--flags", spec, "--samples", "100"], out) == 0
+        names = sorted(p.name for p in b.iterdir())
+        assert names == [f"dephasing_{tag}.csv", f"dephasing_{tag}.json", "manifest.json"]
+        assert all((a / name).read_bytes() == (b / name).read_bytes() for name in names)
 
     def test_unknown_dephasing_flag_is_config_error(self, tmp_path):
         assert run_cli(["dephasing", "--flags", "wobble"], tmp_path / "o") == 2

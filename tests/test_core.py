@@ -17,6 +17,7 @@ from scipy.linalg import expm
 
 from rydlink import dephasing as dp
 from rydlink.config import load_config
+from rydlink.geometry import Beam, BeamGeometry
 
 CONVERGENCE_TOL = 1e-8
 
@@ -171,19 +172,18 @@ class TestLindblad:
             lindblad_evolve(rho, H, [], [0.0, 2.0, 1.0])
 
     def test_batched_spectral_trace_matches_rk4(self):
-        # MHz-scale detunings keep the RK4 step count small; the packaged
-        # GHz-scale scheme would need minutes here
+        # MHz-scale detunings and beams C and E keep the RK4 step count small;
+        # the packaged GHz-scale geometry would need minutes here
         two_pi = 2.0 * np.pi
         d1, d2 = two_pi * 1e6, -two_pi * 3e6
-        b1, b2 = dp.shift_cancelling_branch_weights(d1, d2)
         gamma = two_pi * 1e6
-        scheme = dp.RamanLevelScheme(
-            omega_ground=two_pi * 1e6, omega_rydberg=two_pi * 1e6,
-            detuning_1=d1, detuning_2=d2, branch_1=b1, branch_2=b2, gamma_e=gamma,
-            waist_ground_um=13.0, waist_rydberg_um=520.0,
-        )
+        beams = {
+            "C": Beam(wavelength_nm=795.0, direction=(0.0, 0.0, 1.0), waist_um=13.0, rabi=two_pi * 1e6),
+            "E": Beam(wavelength_nm=475.0, direction=(0.0, 0.0, -1.0), waist_um=520.0, rabi=two_pi * 1e6),
+        }
+        geo = BeamGeometry(beams=beams, detuning_1=d1, detuning_2=d2)
         H = dp._four_level_hamiltonian(
-            scheme, np.array([1.0, 0.6]), np.array([1.0, 0.9]), np.array([0.0, two_pi * 0.3e6])
+            geo, np.array([1.0, 0.6]), np.array([1.0, 0.9]), np.array([0.0, two_pi * 0.3e6])
         )
         t_grid = np.linspace(0.0, 0.5e-6, 11)
         batched = dp._batched_lindblad_trace(H, gamma, t_grid)
@@ -210,14 +210,14 @@ class TestRealLiouvillian:
 
     @staticmethod
     def hamiltonians():
-        """Two drawn Hermitian H at the 100 MHz scale and three atoms of the packaged scheme."""
+        """Two drawn Hermitian H at the 100 MHz scale and three atoms of the packaged geometry."""
         rng = np.random.default_rng(3)
-        scheme = load_config().scheme
+        cfg = load_config()
         drawn = [random_hermitian(rng, 4, scale=2.0 * np.pi * 1e8) for _ in range(2)]
         packaged = dp._four_level_hamiltonian(
-            scheme, np.array([1.0, 0.7, 0.3]), np.array([1.0, 0.9, 0.4]), np.array([0.0, 3e6, -4e6])
+            cfg.geometry, np.array([1.0, 0.7, 0.3]), np.array([1.0, 0.9, 0.4]), np.array([0.0, 3e6, -4e6])
         )
-        return np.array([*drawn, *packaged]), scheme.gamma_e
+        return np.array([*drawn, *packaged]), cfg.parsed["raman"]["intermediate_linewidth"]
 
     @pytest.mark.parametrize("gamma", [0.0, 1.0], ids=["lossless", "gamma_e"])
     def test_equals_transformed_kron_superoperator(self, gamma):

@@ -16,6 +16,11 @@ def cfg():
 
 
 @pytest.fixture(scope="module")
+def gamma_e(cfg):
+    return cfg.parsed["raman"]["intermediate_linewidth"]
+
+
+@pytest.fixture(scope="module")
 def dk_norm(cfg):
     return np.linalg.norm(protocol_modes(cfg.geometry).k2)
 
@@ -46,7 +51,7 @@ class TestThermalMotion:
 
 class TestRamanCoupling:
     def test_branch_weights_cancel_light_shift(self, cfg):
-        _, shift = dp.raman_rabi_local(cfg.scheme)
+        _, shift = dp.raman_rabi_local(cfg.geometry)
         assert shift == pytest.approx(0.0, abs=1e-6)
 
     def test_branch_weights_require_opposite_detunings(self):
@@ -59,13 +64,13 @@ class TestRamanCoupling:
 
     def test_effective_rabi_scale(self, cfg):
         # adiabatic-elimination estimate ~ 2 pi x 1.17 MHz for the defaults
-        omega, _ = dp.raman_rabi_local(cfg.scheme)
+        omega, _ = dp.raman_rabi_local(cfg.geometry)
         assert omega / (2.0 * np.pi * 1e6) == pytest.approx(1.168, abs=0.01)
 
     def test_exact_splitting_close_to_perturbative(self, cfg):
         # deviation at relative order (Omega/2 Delta)^2, about 1% here
-        omega, _ = dp.raman_rabi_local(cfg.scheme)
-        exact = dp.raman_splitting_exact(cfg.scheme)
+        omega, _ = dp.raman_rabi_local(cfg.geometry)
+        exact = dp.raman_splitting_exact(cfg.geometry)
         assert abs(exact - omega) / omega < 0.02
         assert abs(exact - omega) / omega > 1e-4  # genuinely different estimators
 
@@ -78,7 +83,7 @@ ATOMS = st.lists(
 
 
 class TestKernelInvariants:
-    """Invariants of the batched propagators on the packaged scheme.
+    """Invariants of the batched propagators on the packaged geometry.
 
     Each drawn atom has local field scales (s1, s2) and a Doppler shift in
     rad/s. The 1e-12 slack covers rounding in the spectral propagation.
@@ -89,14 +94,15 @@ class TestKernelInvariants:
         s1, s2, doppler = (np.array(col) for col in zip(*atoms))
         cfg = load_config()
         t_grid_s = np.linspace(0.0, cfg.parsed["simulation"]["dephasing_t_max"], 41)
-        return cfg.scheme, dp._four_level_hamiltonian(cfg.scheme, s1, s2, doppler), t_grid_s
+        gamma_e = cfg.parsed["raman"]["intermediate_linewidth"]
+        return gamma_e, dp._four_level_hamiltonian(cfg.geometry, s1, s2, doppler), t_grid_s
 
     @settings(max_examples=25, deadline=None)
     @given(ATOMS)
     def test_population_bounds_no_jump_amplitude(self, atoms):
-        scheme, H, t = self.batch(atoms)
-        population = dp._batched_lindblad_trace(H, scheme.gamma_e, t)
-        amps = dp._batched_amplitudes(H, scheme.gamma_e, t)
+        gamma_e, H, t = self.batch(atoms)
+        population = dp._batched_lindblad_trace(H, gamma_e, t)
+        amps = dp._batched_amplitudes(H, gamma_e, t)
         assert np.all(population >= -1e-12) and np.all(population <= 1.0 + 1e-12)
         # the no-jump branch is one part of the Rydberg population
         assert np.all(np.abs(amps) ** 2 <= population + 1e-12)
@@ -129,11 +135,11 @@ class TestSpectralSum:
     @staticmethod
     def kernel_modes(monkeypatch, kernel, gamma):
         """(weights, rates) that a kernel hands to the spectral sum for a batch
-        of eight atoms of the packaged scheme."""
+        of eight atoms of the packaged geometry."""
         rng = np.random.default_rng(11)
-        scheme = load_config().scheme
+        cfg = load_config()
         H = dp._four_level_hamiltonian(
-            scheme, rng.uniform(0.2, 1.0, 8), rng.uniform(0.2, 1.0, 8), rng.uniform(-5e6, 5e6, 8)
+            cfg.geometry, rng.uniform(0.2, 1.0, 8), rng.uniform(0.2, 1.0, 8), rng.uniform(-5e6, 5e6, 8)
         )
         seen = []
 
@@ -142,7 +148,7 @@ class TestSpectralSum:
             return np.zeros((len(t_grid_s), len(weights)), dtype=complex)
 
         monkeypatch.setattr(dp, "_spectral_sum", capture)
-        kernel(H, scheme.gamma_e * gamma, TestSpectralSum.T_GRID_S)
+        kernel(H, cfg.parsed["raman"]["intermediate_linewidth"] * gamma, TestSpectralSum.T_GRID_S)
         return seen[0]
 
     @pytest.mark.parametrize("kernel", [dp._batched_amplitudes, dp._batched_lindblad_trace],
@@ -205,47 +211,47 @@ class TestSimulation:
     def grid(self, t_max=4.0, n=150):
         return np.linspace(0.0, t_max, n)
 
-    def test_minimum_sample_count_enforced(self, cfg):
+    def test_minimum_sample_count_enforced(self, cfg, gamma_e):
         with pytest.raises(ValueError):
             dp.simulate_single_excitation(
-                cfg.geometry, cfg.ensemble, cfg.scheme, SimulationFlags(), 50, 1, self.grid()
+                cfg.geometry, cfg.ensemble, gamma_e, SimulationFlags(), 50, 1, self.grid()
             )
 
-    def test_all_off_is_undamped(self, cfg):
+    def test_all_off_is_undamped(self, cfg, gamma_e):
         r = dp.simulate_single_excitation(
-            cfg.geometry, cfg.ensemble, cfg.scheme, SimulationFlags(), 100, 1, self.grid()
+            cfg.geometry, cfg.ensemble, gamma_e, SimulationFlags(), 100, 1, self.grid()
         )
         # envelope fit returns an effectively infinite decay time
         assert r.tau_osc_us > 50.0
         assert np.allclose(r.spinwave_projection, r.population_r, atol=1e-9)
 
-    def test_homogeneous_period_matches_exact_splitting(self, cfg):
+    def test_homogeneous_period_matches_exact_splitting(self, cfg, gamma_e):
         # the oscillation with everything off runs at the exact 4-level
         # splitting, within 0.1%
         from rydlink.oracles import fit_oscillation_frequency
 
         t = self.grid(t_max=3.0, n=400)
         r = dp.simulate_single_excitation(
-            cfg.geometry, cfg.ensemble, cfg.scheme, SimulationFlags(), 100, 1, t
+            cfg.geometry, cfg.ensemble, gamma_e, SimulationFlags(), 100, 1, t
         )
-        w_fit = fit_oscillation_frequency(t * 1e-6, r.population_r, dp.raman_splitting_exact(cfg.scheme))
-        assert abs(w_fit - dp.raman_splitting_exact(cfg.scheme)) / w_fit < 1e-3
+        w_fit = fit_oscillation_frequency(t * 1e-6, r.population_r, dp.raman_splitting_exact(cfg.geometry))
+        assert abs(w_fit - dp.raman_splitting_exact(cfg.geometry)) / w_fit < 1e-3
 
-    def test_motion_only_tau_ratio(self, cfg):
+    def test_motion_only_tau_ratio(self, cfg, gamma_e):
         r = dp.simulate_single_excitation(
-            cfg.geometry, cfg.ensemble, cfg.scheme, SimulationFlags(motion=True),
+            cfg.geometry, cfg.ensemble, gamma_e, SimulationFlags(motion=True),
             800, 3, self.grid(t_max=5.0, n=250),
         )
         assert r.tau_osc_us / r.tau_free_us == pytest.approx(2.0, rel=0.1)
         assert r.tau_free_us == pytest.approx(1.6, rel=0.15)
 
-    def test_doubling_samples_is_stable(self, cfg):
+    def test_doubling_samples_is_stable(self, cfg, gamma_e):
         kw = dict(flags=SimulationFlags(motion=True), t_grid_us=self.grid(t_max=5.0, n=250))
-        a = dp.simulate_single_excitation(cfg.geometry, cfg.ensemble, cfg.scheme, n_samples=1000, seed=3, **kw)
-        b = dp.simulate_single_excitation(cfg.geometry, cfg.ensemble, cfg.scheme, n_samples=2000, seed=3, **kw)
+        a = dp.simulate_single_excitation(cfg.geometry, cfg.ensemble, gamma_e, n_samples=1000, seed=3, **kw)
+        b = dp.simulate_single_excitation(cfg.geometry, cfg.ensemble, gamma_e, n_samples=2000, seed=3, **kw)
         assert abs(a.tau_osc_us - b.tau_osc_us) / b.tau_osc_us < 0.03
 
-    def test_projection_never_exceeds_population(self, cfg):
+    def test_projection_never_exceeds_population(self, cfg, gamma_e):
         for flags in (
             SimulationFlags(motion=True),
             SimulationFlags(inhomogeneity=True),
@@ -253,34 +259,34 @@ class TestSimulation:
             SimulationFlags(motion=True, inhomogeneity=True, scattering=True),
         ):
             r = dp.simulate_single_excitation(
-                cfg.geometry, cfg.ensemble, cfg.scheme, flags, 120, 9, self.grid(n=80)
+                cfg.geometry, cfg.ensemble, gamma_e, flags, 120, 9, self.grid(n=80)
             )
             assert np.all(r.spinwave_projection <= r.population_r + 1e-9)
 
-    def test_scattering_damps_population(self, cfg):
+    def test_scattering_damps_population(self, cfg, gamma_e):
         quiet = dp.simulate_single_excitation(
-            cfg.geometry, cfg.ensemble, cfg.scheme, SimulationFlags(), 100, 2, self.grid(n=80)
+            cfg.geometry, cfg.ensemble, gamma_e, SimulationFlags(), 100, 2, self.grid(n=80)
         )
         noisy = dp.simulate_single_excitation(
-            cfg.geometry, cfg.ensemble, cfg.scheme, SimulationFlags(scattering=True), 100, 2, self.grid(n=80)
+            cfg.geometry, cfg.ensemble, gamma_e, SimulationFlags(scattering=True), 100, 2, self.grid(n=80)
         )
         # spontaneous emission kills the oscillation contrast at late times
         # (the drive keeps repumping, so the mean stays near 1/2)
         assert np.ptp(noisy.population_r[-20:]) < 0.5 * np.ptp(quiet.population_r[-20:])
 
-    def test_same_seed_reproduces_exactly(self, cfg):
+    def test_same_seed_reproduces_exactly(self, cfg, gamma_e):
         kw = dict(
             flags=SimulationFlags(motion=True, inhomogeneity=True),
             n_samples=150, seed=4, t_grid_us=self.grid(n=60),
         )
-        a = dp.simulate_single_excitation(cfg.geometry, cfg.ensemble, cfg.scheme, **kw)
-        b = dp.simulate_single_excitation(cfg.geometry, cfg.ensemble, cfg.scheme, **kw)
+        a = dp.simulate_single_excitation(cfg.geometry, cfg.ensemble, gamma_e, **kw)
+        b = dp.simulate_single_excitation(cfg.geometry, cfg.ensemble, gamma_e, **kw)
         assert np.array_equal(a.population_r, b.population_r)
         assert np.array_equal(a.spinwave_projection, b.spinwave_projection)
 
-    def test_metadata_documents_conventions(self, cfg):
+    def test_metadata_documents_conventions(self, cfg, gamma_e):
         r = dp.simulate_single_excitation(
-            cfg.geometry, cfg.ensemble, cfg.scheme, SimulationFlags(motion=True), 100, 5, self.grid(n=60)
+            cfg.geometry, cfg.ensemble, gamma_e, SimulationFlags(motion=True), 100, 5, self.grid(n=60)
         )
         assert "tau_convention" in r.metadata
         assert r.metadata["seed"] == 5

@@ -27,7 +27,7 @@ GOLDEN = {
         "entangle_phi_sweep_hv.csv": "e3692112a4a138e7425b730373c9337067ce25b0ae05d432099c10c1b9cb7c37",
     },
     ("entangle", "--fidelity"): {
-        "entangle_fidelity.json": "9950e633f4ca0abfda7fdab1791652300bea3e48d4976f4f990a91383941c482",
+        "entangle_fidelity.json": "7abc45c764cb264d604dbb6f507b96322892ed6ba8ede48b01c7b3045f07bed7",
     },
     ("dephasing", "--flags", "none"): {
         "dephasing_none.csv": "0c5e6cdf1b9f1ef092a744d64f83fe0578c139b993d9e2ab4ae4a0f110709c45",
@@ -46,13 +46,13 @@ GOLDEN = {
         "g2_single.json": "f540495861bd7649e92a23e4e500877702ed11a3ad23ace302838ca8c18d750c",
     },
     ("g2", "--field", "single", "--calibrated"): {
-        "g2_single_calibrated.json": "0e2ab0617c6a28f80d7a9886d4405c7b79de5a5f1e804255e512c3bb43240290",
+        "g2_single_calibrated.json": "775ab92f99c919c9bc9862b85376254a2d1cf162fb6696175d01dbc41925f683",
     },
     ("g2", "--field", "thermal"): {
-        "g2_thermal.json": "36566d2a787dbf51d8d11c279b7944dd4f893323ccd3100f6ab6c03d10a1f28e",
+        "g2_thermal.json": "a070b98a69d235261bd67f4373b43a9b1a980ad6bd38dd5e9c1e6c9471f643ab",
     },
     ("g2", "--field", "dlcz"): {
-        "g2_dlcz.json": "0280e930d2a5a1fb48eaa7aadb92a2a92b6fec22db9d7317376838510154fa90",
+        "g2_dlcz.json": "0b4af014f20d529e735eb6c31579884914ccf5a72501b1747d50e3fce9419606",
     },
     ("repeater", "--source", "semi"): {
         "repeater_semi.json": "5663068c3483ae810a063261e6b2adb670aaea5706a1bbf083a2fb3a74ae4a83",

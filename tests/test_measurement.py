@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -344,7 +346,35 @@ class TestPhotonStatistics:
             PhotonFieldModel("squeezed", 0.1, IDEAL)
 
 
+def exact_click_probs(dist, eta, b):
+    """Oracle of ms._hbt_click_probs in rational arithmetic: (P1, P12) of the
+    distribution normalized exactly, from the no-click probabilities."""
+    dist = [Fraction(p) for p in dist]
+    dist = [p / sum(dist) for p in dist]
+    eta, b = Fraction(eta), Fraction(b)
+    none_1 = (1 - b) * sum(p * (1 - eta / 2) ** n for n, p in enumerate(dist))
+    none_both = (1 - b) ** 2 * sum(p * (1 - eta) ** n for n, p in enumerate(dist))
+    return 1 - none_1, 1 - 2 * none_1 + none_both
+
+
 class TestG2:
+    @pytest.mark.parametrize("b", [0.0, 1.3e-4])
+    @pytest.mark.parametrize("eta", [1.0, 0.5, 0.008, 1e-6])
+    @pytest.mark.parametrize(
+        "kind, parameter",
+        [("single_photon", 1.0), ("single_photon", 0.3), ("thermal", 1.0), ("coherent", 1.0), ("dlcz_pair", 0.05)],
+    )
+    def test_click_probabilities_match_rational_oracle(self, kind, parameter, eta, b):
+        # no cancellation: at small efficiency P12 keeps its relative precision
+        det = DetectorModel(eta, b)
+        dist = PhotonFieldModel(kind, parameter, det).occupation_distribution()
+        p1, p2, p12 = ms._hbt_click_probs(dist, det)
+        exact_p1, exact_p12 = exact_click_probs(dist, eta, b)
+        assert p1 == p2
+        # errors as floats, so that a failure prints short numbers
+        assert float(abs(Fraction(p1) - exact_p1)) <= 1e-13 * float(exact_p1)
+        assert float(abs(Fraction(p12) - exact_p12)) <= 1e-13 * float(exact_p12)
+
     def test_single_photon_is_antibunched(self):
         f = PhotonFieldModel("single_photon", 1.0, IDEAL)
         assert ms.g2_hbt(f) < 1e-12
@@ -411,6 +441,7 @@ class TestBackgroundCalibration:
         [
             (1.0, 0.008, 0.062, 1e-9),  # the packaged calibration point
             *[(r, eta, t, 1e-7) for r in (0.3, 1.0) for eta in (0.002, 0.008, 0.1, 1.0) for t in (0.01, 0.062, 0.5, 0.9)],
+            *[(1.0, eta, 0.062, 1e-12) for eta in (1e-6, 1e-9, 1e-12, 1e-15)],
         ],
     )
     def test_root_reproduces_target(self, parameter, eta, target, rel):
@@ -424,6 +455,15 @@ class TestBackgroundCalibration:
         # background pulls g2 towards 1 from either side, so no b takes a field with g2 >= 1 below 1
         f = PhotonFieldModel(kind, parameter, DetectorModel(0.008))
         with pytest.raises(ValueError, match="below the field's own g2"):
+            ms.calibrate_background(0.062, f)
+
+    @pytest.mark.parametrize(
+        "eta, match", [(1e-160, "misses the target g2"), (1e-170, r"outside \[0, 1\)"), (1e-300, r"outside \[0, 1\)")]
+    )
+    def test_underflowing_click_probabilities_raise(self, eta, match):
+        # no b with a g2 within ROUND_TRIP_TOL of the target: an error, not a wrong background
+        f = PhotonFieldModel("single_photon", 1.0, DetectorModel(eta))
+        with pytest.raises(ValueError, match=match):
             ms.calibrate_background(0.062, f)
 
     def test_rejects_field_without_clicks(self):
