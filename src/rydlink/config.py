@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import yaml
 
 from .collective import EnsembleConfig
-from .dephasing import AMU, shift_cancelling_branch_weights, thermal_velocity_sigma
+from .dephasing import AMU, MIN_SAMPLES, shift_cancelling_branch_weights, thermal_velocity_sigma
 from .geometry import BEAM_IDS, Beam, BeamGeometry, modes_distinguishable
 
 DEFAULT_CONFIG_RESOURCE = "default.yaml"
@@ -147,8 +147,7 @@ _SCHEMA = {
     },
     "simulation": {
         "seed": (int, _at_least(0)),
-        # the floor of dephasing.simulate_single_excitation
-        "dephasing_samples": (int, _at_least(100)),
+        "dephasing_samples": (int, _at_least(MIN_SAMPLES)),
         "dephasing_t_max": ("time", _POSITIVE),
         # the envelope fit has 5 parameters
         "dephasing_points": (int, _at_least(5)),

@@ -37,6 +37,8 @@ AMU = 1.66053906892e-27  # kg
 LEVEL_S, LEVEL_E1, LEVEL_E2, LEVEL_R = 0, 1, 2, 3
 
 BOUNDS_TOL = 1e-9  # rounding allowed in 0 <= projection <= population <= 1
+MIN_SAMPLES = 100  # fewest sampled atoms for a meaningful ensemble average
+STIFFNESS_TOL = 1e-10  # largest eps |Re lambda| t_max the spectral Lindblad sum may lose to rounding
 
 
 @functools.cache
@@ -73,7 +75,7 @@ class FitError(RuntimeError):
 
 
 class BatchError(RuntimeError):
-    """The ensemble batch gave a population outside [0, 1] or a projection above it."""
+    """The ensemble batch is too stiff, or gave a population outside [0, 1] or a projection above it."""
 
 
 def shift_cancelling_branch_weights(detuning_1: float, detuning_2: float) -> tuple:
@@ -220,9 +222,13 @@ def _batched_lindblad_trace(H, gamma, t_grid_s):
     H: (n, 4, 4); collapse: sqrt(gamma)|s><e1|, sqrt(gamma)|s><e2|.
     Returns (n_t, n) array of rho_rr. The Liouvillian is real, so its complex modes come in
     exactly conjugate pairs with conjugate terms: each pair is summed once, as twice the
-    mode with Im > 0, and the real part taken.
+    mode with Im > 0, and the real part taken. A batch so stiff that its fastest decay
+    rate times the last time exceeds STIFFNESS_TOL / eps raises BatchError.
     """
     evals, evecs = np.linalg.eig(_real_liouvillian(H, gamma))
+    stiffness = np.finfo(float).eps * np.abs(evals.real).max() * np.abs(t_grid_s).max()
+    if not stiffness <= STIFFNESS_TOL:
+        raise BatchError(f"gamma_e {gamma:.6g} rad/s: too stiff, eps |Re lambda| t_max = {stiffness:.3g}")
     weights = evecs[:, LEVEL_R, :] * np.linalg.solve(evecs, np.eye(16)[:, [LEVEL_R]])[..., 0]
     weights *= 2.0 * (evals.imag > 0) + (evals.imag == 0)
     # Im >= 0 modes first, cut to the largest per-atom count; past its own count an atom has weight 0
@@ -266,8 +272,8 @@ def simulate_single_excitation(
     normalized to 1 at t = 0; it can never exceed the population, and a
     batch that breaks this or [0, 1] raises BatchError.
     """
-    if n_samples < 100:
-        raise SampleCountError(f"need at least 100 samples, got {n_samples}")
+    if n_samples < MIN_SAMPLES:
+        raise SampleCountError(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
     t_grid_us = np.asarray(t_grid_us, dtype=float)
     t_grid_s = t_grid_us * 1e-6
 

@@ -224,6 +224,19 @@ class PhotonFieldModel:
         return p / p.sum()
 
 
+def thinned(dist, eta: float) -> np.ndarray:
+    """P(j kept) = sum_n dist[n] C(n, j) eta^j (1 - eta)^(n - j), j = 0..len(dist) - 1, from the
+    pmf of n = 0, 1, ... trials: sums of nonnegative terms, so a small eta keeps its relative precision."""
+    pmf = np.zeros(len(dist))
+    pmf[0] = 1.0
+    kept = dist[0] * pmf
+    for p_n in dist[1:]:
+        pmf[1:] = (1.0 - eta) * pmf[1:] + eta * pmf[:-1]
+        pmf[0] *= 1.0 - eta
+        kept += p_n * pmf
+    return kept
+
+
 def _hbt_click_probs(dist: np.ndarray, det: DetectorModel) -> tuple:
     """(P1, P2, P12) for a balanced splitter feeding two gated detectors.
 
@@ -234,15 +247,8 @@ def _hbt_click_probs(dist: np.ndarray, det: DetectorModel) -> tuple:
     P12 = sum_{j>=1} d_j (1 - 2^(1-j) + b 2^(1-j)) + d_0 b^2: sums of
     nonnegative terms, so small efficiencies keep their relative precision.
     """
-    eta, b = det.efficiency, det.background_prob
-    # d_j = sum_n dist[n] C(n, j) eta^j (1 - eta)^(n - j), from the pmf of n = 0, 1, ... trials
-    pmf = np.zeros(len(dist))
-    pmf[0] = 1.0
-    detected = dist[0] * pmf
-    for p_n in dist[1:]:
-        pmf[1:] = (1.0 - eta) * pmf[1:] + eta * pmf[:-1]
-        pmf[0] *= 1.0 - eta
-        detected += p_n * pmf
+    b = det.background_prob
+    detected = thinned(dist, det.efficiency)
     d, half = detected[1:], 0.5 ** np.arange(1, len(dist))  # d_j and 2^-j for j >= 1
     p1 = b + (1.0 - b) * float(np.sum(d * (1.0 - half)))
     p12 = float(np.sum(d * ((1.0 - 2.0 * half) + 2.0 * b * half)) + detected[0] * b**2)

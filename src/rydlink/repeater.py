@@ -3,14 +3,14 @@
 Two memory nodes each attempt an emission; the photons travel through a
 lossy channel to a four-detector analyzer (two output arms x H/V). A
 herald is an exactly-two-click pattern compatible with a Bell-state
-projection. Both a vectorized Monte Carlo and an exact enumeration over
-photon-number outcomes are provided; they share the same routing model,
-in which each arriving photon independently picks an analyzer arm with
-probability 1/2 and carries an H/V polarization that is uniformly random
-once averaged over the unobserved partner memories. A link is set by its
-channel transmission alone: the analyzer's detectors are ideal and never
-fire without a photon (detector noise is modelled only in
-``measurement.DetectorModel``).
+projection. Both a vectorized Monte Carlo and the exact convolution of the
+thinned photon-number distributions are provided; they share the same
+routing model, in which each arriving photon independently picks an
+analyzer arm with probability 1/2 and carries an H/V polarization that is
+uniformly random once averaged over the unobserved partner memories. A
+link is set by its channel transmission alone: the analyzer's detectors
+are ideal and never fire without a photon (detector noise is modelled
+only in ``measurement.DetectorModel``).
 
 Detector indices: 0 = arm1/H, 1 = arm1/V, 2 = arm2/H, 3 = arm2/V.
 Click-set bitmasks {arm1H, arm2V} and {arm1V, arm2H} herald one Bell
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurement import DLCZ_CUTOFF, dlcz_occupation, rng_blocks
+from .measurement import DLCZ_CUTOFF, dlcz_occupation, rng_blocks, thinned
 
 SOURCE_KINDS = ("semi_deterministic", "dlcz")
 
@@ -86,7 +86,7 @@ class HeraldStats:
     herald_rate: float
     spurious_fraction: float
     conditional_fidelity: float
-    trials: int | None  # None for exact enumeration
+    trials: int | None  # None for the exact convolution
     seed: int | None
     herald_rate_ci95: tuple
 
@@ -100,6 +100,13 @@ class HeraldStats:
             "seed": self.seed,
             "herald_rate_ci95": list(self.herald_rate_ci95),
         }
+
+
+def _herald_stats(rate, heralds, true_heralds, trials, seed, ci95) -> HeraldStats:
+    """Stats of ``heralds`` (a count or a rate), ``true_heralds`` of them true; nothing heralded: NaN fidelity."""
+    if not heralds:
+        return HeraldStats(rate, 0.0, float("nan"), trials, seed, ci95)
+    return HeraldStats(rate, (heralds - true_heralds) / heralds, true_heralds / heralds, trials, seed, ci95)
 
 
 def pattern_herald_prob(m: int) -> float:
@@ -170,43 +177,17 @@ def simulate_link(
     z2 = 1.96**2 / trials
     centre = (rate + 0.5 * z2) / (1.0 + z2)
     half = math.sqrt(z2 * rate * (1.0 - rate) + 0.25 * z2**2) / (1.0 + z2)
-    spurious = (heralds - true_heralds) / heralds if heralds else 0.0
-    fidelity = true_heralds / heralds if heralds else float("nan")
-    return HeraldStats(
-        herald_rate=rate,
-        spurious_fraction=spurious,
-        conditional_fidelity=fidelity,
-        trials=trials,
-        seed=seed,
-        herald_rate_ci95=(max(centre - half, 0.0), min(centre + half, 1.0)),
-    )
+    ci95 = (max(centre - half, 0.0), min(centre + half, 1.0))
+    return _herald_stats(rate, heralds, true_heralds, trials, seed, ci95)
 
 
 def analytic_link(source_left: SourceModel, source_right: SourceModel, link: LinkConfig) -> HeraldStats:
-    """Exact enumeration over emitted/surviving photon numbers."""
+    """Exact convolution of the two nodes' photon-number distributions, each thinned by the
+    survival; a herald is true when each node emitted exactly one photon and kept it."""
     s = link.survival
-    herald_rate = 0.0
-    true_rate = 0.0
-    for n_l, p_nl in enumerate(source_left.emission_distribution()):
-        for n_r, p_nr in enumerate(source_right.emission_distribution()):
-            if p_nl * p_nr == 0.0:
-                continue
-            for m_l in range(n_l + 1):
-                q_l = math.comb(n_l, m_l) * s**m_l * (1.0 - s) ** (n_l - m_l)
-                for m_r in range(n_r + 1):
-                    q_r = math.comb(n_r, m_r) * s**m_r * (1.0 - s) ** (n_r - m_r)
-                    w = p_nl * p_nr * q_l * q_r
-                    h = pattern_herald_prob(m_l + m_r)
-                    herald_rate += w * h
-                    if m_l == 1 and m_r == 1 and n_l == 1 and n_r == 1:
-                        true_rate += w * h
-    spurious = 1.0 - true_rate / herald_rate if herald_rate else 0.0
-    fidelity = true_rate / herald_rate if herald_rate else float("nan")
-    return HeraldStats(
-        herald_rate=herald_rate,
-        spurious_fraction=spurious,
-        conditional_fidelity=fidelity,
-        trials=None,
-        seed=None,
-        herald_rate_ci95=(herald_rate, herald_rate),
-    )
+    p_l, p_r = source_left.emission_distribution(), source_right.emission_distribution()
+    arriving = np.convolve(thinned(p_l, s), thinned(p_r, s))  # P(m photons at the analyzer)
+    rate = float(arriving @ [pattern_herald_prob(m) for m in range(len(arriving))])
+    # for a semi source these are the products the convolution forms, so none of its heralds is spurious
+    true_rate = (p_l[1] * s) * (p_r[1] * s) * pattern_herald_prob(2)
+    return _herald_stats(rate, rate, true_rate, None, None, (rate, rate))

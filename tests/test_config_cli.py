@@ -224,9 +224,10 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "linewidth",
-        # too fast a scattering rate for the spectral propagation: a projection above the
-        # population, populations that overflow to inf, a singular eigenbasis
-        ["1e12 MHz", "1e20 MHz", "1e146 MHz"],
+        # too fast a scattering rate for the spectral propagation: a batch too stiff to
+        # sum to 1e-10, a projection above the population, populations that overflow to
+        # inf, a singular eigenbasis
+        ["1e5 MHz", "1e12 MHz", "1e20 MHz", "1e146 MHz"],
     )
     def test_ensemble_batch_out_of_bounds_exits_3(self, tmp_path, capsys, default_raw, linewidth):
         raw = yaml.safe_load(yaml.safe_dump(default_raw))

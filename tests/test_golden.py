@@ -48,6 +48,10 @@ GOLDEN = {
     ("g2", "--field", "single", "--calibrated"): {
         "g2_single_calibrated.json": "775ab92f99c919c9bc9862b85376254a2d1cf162fb6696175d01dbc41925f683",
     },
+    # run by the benchmark's link workload though not by the default dataset
+    ("g2", "--field", "coherent"): {
+        "g2_coherent.json": "37f3e21b7e7e88cf1aa45417ff64ada499a5aa1e060591f583678c1d9ac4e2a9",
+    },
     ("g2", "--field", "thermal"): {
         "g2_thermal.json": "a070b98a69d235261bd67f4373b43a9b1a980ad6bd38dd5e9c1e6c9471f643ab",
     },

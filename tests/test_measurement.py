@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -344,6 +345,24 @@ class TestPhotonStatistics:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             PhotonFieldModel("squeezed", 0.1, IDEAL)
+
+
+class TestThinning:
+    @pytest.mark.parametrize("eta", [0.0, 1e-8, 0.5, 1.0])
+    @pytest.mark.parametrize(
+        "kind, parameter", [("single_photon", 0.3), ("coherent", 1.0), ("thermal", 1.0), ("dlcz_pair", 0.05)]
+    )
+    def test_matches_binomial_sum(self, kind, parameter, eta):
+        dist = PhotonFieldModel(kind, parameter, IDEAL).occupation_distribution()
+        direct = [
+            sum(p * math.comb(n, j) * eta**j * (1.0 - eta) ** (n - j) for n, p in enumerate(dist) if n >= j)
+            for j in range(len(dist))
+        ]
+        kept = ms.thinned(dist, eta)
+        assert kept.shape == dist.shape
+        np.testing.assert_allclose(kept, direct, rtol=1e-12, atol=0.0)
+        # thinning moves probability between photon numbers and loses none
+        assert kept.sum() == pytest.approx(dist.sum(), rel=1e-14)
 
 
 def exact_click_probs(dist, eta, b):

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from rydlink import repeater as rp
+from rydlink.cli import SWEEPS
 from rydlink.measurement import DetectorModel, PhotonFieldModel
 from rydlink.repeater import LinkConfig, SourceModel
 
@@ -66,7 +69,43 @@ class TestHeraldPattern:
             assert hits == pytest.approx(rp.pattern_herald_prob(m), abs=0.01)
 
 
+def enumerated_link(source_left, source_right, link):
+    """Oracle of rp.analytic_link: (herald rate, conditional fidelity) by
+    exact enumeration over emitted and surviving photon numbers."""
+    s = link.survival
+    herald_rate = 0.0
+    true_rate = 0.0
+    for n_l, p_nl in enumerate(source_left.emission_distribution()):
+        for n_r, p_nr in enumerate(source_right.emission_distribution()):
+            if p_nl * p_nr == 0.0:
+                continue
+            for m_l in range(n_l + 1):
+                q_l = math.comb(n_l, m_l) * s**m_l * (1.0 - s) ** (n_l - m_l)
+                for m_r in range(n_r + 1):
+                    q_r = math.comb(n_r, m_r) * s**m_r * (1.0 - s) ** (n_r - m_r)
+                    w = p_nl * p_nr * q_l * q_r
+                    h = rp.pattern_herald_prob(m_l + m_r)
+                    herald_rate += w * h
+                    if m_l == 1 and m_r == 1 and n_l == 1 and n_r == 1:
+                        true_rate += w * h
+    return herald_rate, true_rate / herald_rate
+
+
 class TestAnalyticLink:
+    @pytest.mark.parametrize("eta", [round(0.1 * i, 1) for i in range(1, 11)] + [1e-3, 1e-8])
+    @pytest.mark.parametrize(
+        "source",
+        [SourceModel("semi_deterministic", retrieval_efficiency=r) for r in (1.0, 0.9, 0.5)]
+        + [SourceModel("dlcz", emission_prob=p) for p in SWEEPS["p"]],
+        ids=lambda src: f"{src.kind}-{src.emission_prob if src.kind == 'dlcz' else src.retrieval_efficiency}",
+    )
+    def test_matches_enumeration(self, source, eta):
+        link = LinkConfig(channel_transmission=eta)
+        stats = rp.analytic_link(source, source, link)
+        rate, fidelity = enumerated_link(source, source, link)
+        assert stats.herald_rate == pytest.approx(rate, rel=1e-14)
+        assert stats.conditional_fidelity == pytest.approx(fidelity, rel=1e-14)
+
     def test_semi_ideal_rate_is_one_eighth(self):
         stats = rp.analytic_link(SEMI, SEMI, IDEAL_LINK)
         assert stats.herald_rate == pytest.approx(0.125, abs=1e-12)
