@@ -234,6 +234,9 @@ def cmd_g2(cfg: RunConfig, args, writer: RunWriter):
     try:
         g2_analytic = measurement.g2_hbt(field)
         g2_mc = measurement.g2_hbt(field, trials=trials, seed=cfg.seed)
+        # the same stream again, so these are the counts g2_mc was estimated from
+        n1, n2, n12 = measurement.hbt_counts(field, trials, cfg.seed)
+        g2_mc_error = measurement.g2_from_counts(n1, n2, n12, trials)[1]
     except measurement.ZeroCoincidenceError as exc:
         source = "--parameter" if args.parameter is not None else "default parameter"
         raise ConfigError(
@@ -249,6 +252,10 @@ def cmd_g2(cfg: RunConfig, args, writer: RunWriter):
             "background_prob": b,
             "g2_analytic": g2_analytic,
             "g2_mc": g2_mc,
+            "g2_mc_error": g2_mc_error,
+            "n1": n1,
+            "n2": n2,
+            "n12": n12,
             "trials": trials,
             "seed": cfg.seed,
         },

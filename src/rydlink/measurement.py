@@ -12,13 +12,14 @@ draw of the package comes from ``rng_stream`` or ``rng_blocks`` here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 BASES = ("hv", "pm", "circ")
 
-# Stream keys under the run seed: g2_hbt (), repeater trial block c (c,),
+# Stream keys under the run seed: hbt_counts (), repeater trial block c (c,),
 # atom block b (ATOM_STREAM, b), coincidence basis i (COINCIDENCE_STREAM, i).
 BLOCK = 1 << 16  # draws per block; fixed, so block b does not depend on the total
 ATOM_STREAM = 1
@@ -255,32 +256,58 @@ def _hbt_click_probs(dist: np.ndarray, det: DetectorModel) -> tuple:
     return p1, p1, p12
 
 
+def hbt_counts(field: PhotonFieldModel, trials: int, seed: int) -> tuple:
+    """Sampled (n1, n2, n12): the gates of ``trials`` in which detector 1, detector 2 and both clicked.
+
+    One multinomial over the cells (n, k, click pattern) draws the histogram
+    of all trials (conditional binomials, C. S. Davis, Comput. Stat. Data
+    Anal. 16, 205 (1993)), so the cost does not grow with ``trials``. A
+    trial holds n photons with probability P(n), sends k of them to
+    detector 1 with probability C(n, k) 2^-n, and its detectors click
+    independently with q1 = 1 - (1 - eta)^k (1 - b) and
+    q2 = 1 - (1 - eta)^(n - k) (1 - b). Returns Python ints.
+    """
+    rng = rng_stream(seed)
+    dist = field.occupation_distribution()
+    eta, b = field.detector.efficiency, field.detector.background_prob
+    n, k = np.tril_indices(len(dist))  # every (n, k) with k <= n
+    split = dist[n] * np.array([math.comb(a, c) for a, c in zip(n.tolist(), k.tolist())]) * 0.5**n
+    miss_1, miss_2 = (1.0 - eta) ** k * (1.0 - b), (1.0 - eta) ** (n - k) * (1.0 - b)
+    # click patterns (both, only 1, only 2, neither)
+    patterns = [(1.0 - miss_1) * (1.0 - miss_2), (1.0 - miss_1) * miss_2, miss_1 * (1.0 - miss_2), miss_1 * miss_2]
+    cells = (split[:, None] * np.column_stack(patterns)).ravel()
+    counts = rng.multinomial(trials, cells / cells.sum()).reshape(-1, 4)
+    both, only_1, only_2, _ = counts.sum(axis=0).tolist()
+    return both + only_1, both + only_2, both
+
+
+def g2_from_counts(n1: int, n2: int, n12: int, trials: int) -> tuple:
+    """(g2, standard error): n12 T / (n1 n2) and its delta-method error g2 sqrt(1/n12 - 1/n1 - 1/n2 + (2 g2 - 1)/T).
+
+    Python arithmetic, since the int64 product n12 T overflows past about
+    1e18; the error is 0 when no coincidence was counted.
+    """
+    if n1 == 0 or n2 == 0:
+        raise ZeroCoincidenceError("no singles; g2 undefined")
+    g2 = n12 * trials / (n1 * n2)
+    if n12 == 0:
+        return g2, 0.0
+    return g2, g2 * math.sqrt(max(1 / n12 - 1 / n1 - 1 / n2 + (2.0 * g2 - 1.0) / trials, 0.0))
+
+
 def g2_hbt(field: PhotonFieldModel, trials: int | None = None, seed: int | None = None) -> float:
     """g2(0) = P12 / (P1 P2) from a balanced-splitter HBT arrangement.
 
     Without ``trials`` the value is computed exactly from the occupation
-    distribution; with ``trials`` it is Monte Carlo sampled (seed required).
+    distribution; with ``trials`` it is sampled by ``hbt_counts`` (seed
+    required).
     """
-    dist = field.occupation_distribution()
     if trials is None:
-        p1, p2, p12 = _hbt_click_probs(dist, field.detector)
+        p1, p2, p12 = _hbt_click_probs(field.occupation_distribution(), field.detector)
         if p1 * p2 == 0.0:
             raise ZeroCoincidenceError("no singles; g2 undefined")
         return p12 / (p1 * p2)
-    rng = rng_stream(seed)
-    eta, b = field.detector.efficiency, field.detector.background_prob
-    n = rng.choice(len(dist), size=trials, p=dist)
-    to_1 = rng.binomial(n, 0.5)
-    to_2 = n - to_1
-    c1 = rng.binomial(to_1, eta) > 0
-    c2 = rng.binomial(to_2, eta) > 0
-    if b > 0:
-        c1 |= rng.random(trials) < b
-        c2 |= rng.random(trials) < b
-    n1, n2, n12 = c1.sum(), c2.sum(), (c1 & c2).sum()
-    if n1 == 0 or n2 == 0:
-        raise ZeroCoincidenceError("no singles; g2 undefined")
-    return float(n12 * trials / (n1 * n2))
+    return g2_from_counts(*hbt_counts(field, trials, seed), trials)[0]
 
 
 def calibrate_background(target_g2: float, field: PhotonFieldModel) -> float:

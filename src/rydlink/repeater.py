@@ -3,8 +3,9 @@
 Two memory nodes each attempt an emission; the photons travel through a
 lossy channel to a four-detector analyzer (two output arms x H/V). A
 herald is an exactly-two-click pattern compatible with a Bell-state
-projection. Both a vectorized Monte Carlo and the exact convolution of the
-thinned photon-number distributions are provided; they share the same
+projection. Both an aggregated Monte Carlo (one multinomial per block of
+trials) and the exact convolution of the thinned photon-number
+distributions are provided; they share the same
 routing model, in which each arriving photon independently picks an
 analyzer arm with probability 1/2 and carries an H/V polarization that is
 uniformly random once averaged over the unobserved partner memories. A
@@ -122,33 +123,32 @@ def pattern_herald_prob(m: int) -> float:
 
 
 def _simulate_chunk(source_left, source_right, link, n_trials, rng):
-    """Vectorized trials; returns (heralds, true_heralds).
+    """Aggregated trials; returns (heralds, true_heralds).
 
-    Only trials with at least two photons at the analyzer can herald, so
-    only those are routed, over as many detector draws as the largest of
-    them needs.
+    One multinomial draws the (n_l, n_r) photon-number histogram of the
+    ``n_trials`` trials. In each cell with n_l + n_r >= 2, the only ones
+    that can herald, every photon survives with probability
+    ``link.survival`` and clicks a uniformly random detector; the heralds
+    of the cell n_l = n_r = 1 are true.
     """
-    n, m = [], []
-    for src in (source_left, source_right):
-        dist = src.emission_distribution()
-        n_src = rng.choice(len(dist), size=n_trials, p=dist)
-        m_src = np.zeros_like(n_src)  # binomial(0, s) = 0: draw only where emitted
-        emitted = n_src > 0
-        m_src[emitted] = rng.binomial(n_src[emitted], link.survival)
-        n.append(n_src)
-        m.append(m_src)
-
-    m_tot = m[0] + m[1]
-    routed = np.flatnonzero(m_tot >= 2)
-    if routed.size == 0:
-        return 0, 0
-    photons = m_tot[routed]
-    detectors = rng.integers(4, size=(routed.size, int(photons.max())))
-    clicks = np.where(np.arange(detectors.shape[1]) < photons[:, None], 1 << detectors, 0)
-    herald = HERALD_TABLE[np.bitwise_or.reduce(clicks, axis=1)]
-    # a routed trial (m_l + m_r >= 2) with one photon per node has m_l = m_r = 1
-    true = herald & (n[0][routed] == 1) & (n[1][routed] == 1)
-    return int(herald.sum()), int(true.sum())
+    p_l, p_r = source_left.emission_distribution(), source_right.emission_distribution()
+    joint = np.outer(p_l, p_r).ravel()
+    cells = rng.multinomial(n_trials, joint / joint.sum()).reshape(len(p_l), len(p_r))
+    s = link.survival
+    heralds = true_heralds = 0
+    for n_l, n_r in zip(*np.nonzero(cells)):
+        photons = n_l + n_r
+        if photons < 2:
+            continue
+        # one row per photon: its detector's click bit, cleared when the photon is lost
+        clicks = np.left_shift(1, rng.integers(4, size=(photons, cells[n_l, n_r]), dtype=np.uint8), dtype=np.uint8)
+        if s < 1.0:  # at s = 1 every photon survives: no draw
+            clicks *= rng.random(clicks.shape) < s
+        h = np.count_nonzero(HERALD_TABLE[np.bitwise_or.reduce(clicks)])
+        heralds += h
+        if n_l == n_r == 1:
+            true_heralds = h
+    return heralds, true_heralds
 
 
 def simulate_link(

@@ -43,33 +43,33 @@ GOLDEN = {
         "dephasing_motion-inhomo-scatter.json": "40db1566b3f80e386b12b4c8cef3158c95030f827b56d9de83f7e0ecec478c21",
     },
     ("g2", "--field", "single"): {
-        "g2_single.json": "f540495861bd7649e92a23e4e500877702ed11a3ad23ace302838ca8c18d750c",
+        "g2_single.json": "d9214748930e0622b00c112b3ebe541b3ac9747d81448f1d018eeca8e2384859",
     },
     ("g2", "--field", "single", "--calibrated"): {
-        "g2_single_calibrated.json": "775ab92f99c919c9bc9862b85376254a2d1cf162fb6696175d01dbc41925f683",
+        "g2_single_calibrated.json": "cbbe31e12e19c268e66c522a49dd485bb4e0a8060e8eb8d40994940536194eb8",
     },
     # run by the benchmark's link workload though not by the default dataset
     ("g2", "--field", "coherent"): {
-        "g2_coherent.json": "37f3e21b7e7e88cf1aa45417ff64ada499a5aa1e060591f583678c1d9ac4e2a9",
+        "g2_coherent.json": "70eb9187cf4e40c4ba5652cdf2b591daba84448ea99bf4e088039444b268ae91",
     },
     ("g2", "--field", "thermal"): {
-        "g2_thermal.json": "a070b98a69d235261bd67f4373b43a9b1a980ad6bd38dd5e9c1e6c9471f643ab",
+        "g2_thermal.json": "752ce056d378bc3c4847b504c142f7b50454da0a0ca5c4c982ffad2019308cfb",
     },
     ("g2", "--field", "dlcz"): {
-        "g2_dlcz.json": "0b4af014f20d529e735eb6c31579884914ccf5a72501b1747d50e3fce9419606",
+        "g2_dlcz.json": "5f93ab7f8dfd2d8197894a3101fbae333635c6aa7c425fb7b7e53450fd56102d",
     },
     ("repeater", "--source", "semi"): {
-        "repeater_semi.json": "5663068c3483ae810a063261e6b2adb670aaea5706a1bbf083a2fb3a74ae4a83",
+        "repeater_semi.json": "6642012316834b395999ee0ae43fac9a904570165f2eac37b5d8a101a1b2ada2",
     },
     ("repeater", "--source", "dlcz"): {
-        "repeater_dlcz.json": "f29d170e95a18aadcfa80e3a694c7b76a42d7b49596b861c36db05163fed9add",
+        "repeater_dlcz.json": "1b4cae0fce335932ff0900af75e6ee3c66c923eeac04a0e9fa20d9cef64fe9f9",
     },
     # the repeater's largest cost: ten eta points of the semi source
     ("repeater", "--source", "semi", "--sweep", "eta"): {
-        "repeater_semi_sweep_eta.csv": "1d660a778856e545d8e373a9f8ebbaefad0d26cd0205e232a44e82e59d802149",
+        "repeater_semi_sweep_eta.csv": "c70acb551911d0594aef31154b7ab3f08e5165981e9e6fbd34461c409414dda5",
     },
     ("repeater", "--source", "dlcz", "--sweep", "p"): {
-        "repeater_dlcz_sweep_p.csv": "f38244a84f261ab37efb91b648d0411f38763f9e9ac909f35a4f48e42d77ed59",
+        "repeater_dlcz_sweep_p.csv": "916a46db8510d8f0c77abc4d5afb302461ae0276378f97a68d4bd2f87c7d054c",
     },
 }
 

@@ -13,6 +13,8 @@ from rydlink.collective import run_protocol
 from rydlink.config import load_config
 from rydlink.measurement import DetectorModel, PhotonFieldModel, ZeroCoincidenceError
 
+from per_trial_samplers import assert_same_rate, per_trial_hbt_counts
+
 IDEAL = DetectorModel()
 SQ2 = 1.0 / np.sqrt(2.0)
 # (|k_up>|S1> - |k_down>|S4>)/sqrt(2): the protocol output at half the pair period
@@ -433,6 +435,58 @@ class TestG2:
     def test_mc_deterministic(self):
         f = PhotonFieldModel("thermal", 0.5, DetectorModel(1.0, 0.01))
         assert ms.g2_hbt(f, trials=50_000, seed=3) == ms.g2_hbt(f, trials=50_000, seed=3)
+
+
+class TestAggregatedG2:
+    @pytest.mark.parametrize("calibrated", [False, True], ids=["b0", "calibrated"])
+    @pytest.mark.parametrize("eta", [0.008, 0.5, 1.0])
+    @pytest.mark.parametrize(
+        "kind, parameter", [("single_photon", 1.0), ("coherent", 1.0), ("thermal", 1.0), ("dlcz_pair", 0.05)]
+    )
+    def test_matches_per_trial_oracle(self, kind, parameter, eta, calibrated):
+        # P(c1), P(c2) and P(c1 & c2) fix the joint law of a trial's two clicks
+        b = 0.0
+        if calibrated:  # the background of the packaged calibration chain, as g2 --calibrated uses
+            det = load_config().parsed["detector"]
+            chain = PhotonFieldModel("single_photon", 1.0, DetectorModel(det["calibration_chain_efficiency"]))
+            b = ms.calibrate_background(det["g2_calibration_target"], chain)
+        field = PhotonFieldModel(kind, parameter, DetectorModel(eta, b))
+        aggregated, oracle = 10**10, 1 << 18
+        counts = ms.hbt_counts(field, aggregated, 5)
+        reference = per_trial_hbt_counts(field, oracle, 6)
+        for label, k_a, k_b in zip(("n1", "n2", "n12"), counts, reference):
+            assert_same_rate(label, k_a, aggregated, k_b, oracle)
+
+    def test_int64_product_does_not_overflow(self):
+        # n12 T is about 2e23 here, far past int64
+        field = PhotonFieldModel("thermal", 1.0, DetectorModel(1.0))
+        trials = 10**12
+        n1, n2, n12 = ms.hbt_counts(field, trials, 3)
+        assert n12 * trials > 2**63
+        g2, se = ms.g2_from_counts(n1, n2, n12, trials)
+        assert math.isfinite(g2)
+        assert g2 == ms.g2_hbt(field, trials=trials, seed=3)
+        assert abs(g2 - ms.g2_hbt(field)) < 5.0 * se
+
+    def test_error_is_delta_method(self):
+        # g2 = n12 T / (n1 n2) from the click means; its variance from their per-trial covariance
+        n1, n2, n12, trials = 4000, 3000, 150, 10**6
+        x, y, z = n1 / trials, n2 / trials, n12 / trials
+        g2 = z / (x * y)
+        grad = np.array([1.0 / (x * y), -g2 / x, -g2 / y])
+        cov = np.array(
+            [
+                [z * (1 - z), z * (1 - x), z * (1 - y)],
+                [z * (1 - x), x * (1 - x), z - x * y],
+                [z * (1 - y), z - x * y, y * (1 - y)],
+            ]
+        )
+        g2_est, se = ms.g2_from_counts(n1, n2, n12, trials)
+        assert g2_est == pytest.approx(g2, rel=1e-14)
+        assert se == pytest.approx(math.sqrt(grad @ cov @ grad / trials), rel=1e-12)
+        assert ms.g2_from_counts(n1, n2, 0, trials) == (0.0, 0.0)
+        with pytest.raises(ZeroCoincidenceError):
+            ms.g2_from_counts(0, n2, 0, trials)
 
 
 class TestBackgroundCalibration:

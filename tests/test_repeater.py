@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from rydlink import measurement as ms
 from rydlink import repeater as rp
 from rydlink.cli import SWEEPS
 from rydlink.measurement import DetectorModel, PhotonFieldModel
 from rydlink.repeater import LinkConfig, SourceModel
+
+from per_trial_samplers import assert_same_rate, per_trial_chunk
 
 SEMI = SourceModel("semi_deterministic")
 IDEAL_LINK = LinkConfig()
@@ -142,6 +145,28 @@ class TestAnalyticLink:
         assert fractions[0] < fractions[1] < fractions[2]
 
 
+def chunked_counts(chunk, source, link, trials, seed):
+    """(heralds, true heralds) of ``trials`` trials drawn by ``chunk`` in the blocks of simulate_link."""
+    counts = [chunk(source, source, link, n, rng) for rng, n in ms.rng_blocks(seed, trials)]
+    return tuple(sum(c) for c in zip(*counts))
+
+
+class TestAggregatedLink:
+    @pytest.mark.parametrize("eta", [0.1, 0.5, 1.0])
+    @pytest.mark.parametrize(
+        "source",
+        [SEMI] + [SourceModel("dlcz", emission_prob=p) for p in SWEEPS["p"]],
+        ids=lambda src: "semi" if src.kind != "dlcz" else f"dlcz-{src.emission_prob}",
+    )
+    def test_matches_per_trial_oracle(self, source, eta):
+        link = LinkConfig(channel_transmission=eta)
+        aggregated, oracle = 1 << 21, 1 << 18
+        counts = chunked_counts(rp._simulate_chunk, source, link, aggregated, 5)
+        reference = chunked_counts(per_trial_chunk, source, link, oracle, 6)
+        for label, k_a, k_b in zip(("heralds", "true heralds"), counts, reference):
+            assert_same_rate(label, k_a, aggregated, k_b, oracle)
+
+
 class TestSimulateLink:
     def test_matches_analytic_semi(self):
         trials = 300_000
@@ -171,8 +196,8 @@ class TestSimulateLink:
         assert c == d
 
     def test_matches_analytic_dlcz_all_photon_numbers(self):
-        # at p = 0.2 and eta = 1 up to 8 photons reach the analyzer (about
-        # 3 such trials in 2^21), so every routing column is drawn
+        # at p = 0.2 and eta = 1 the multinomial fills every (n_l, n_r) cell,
+        # up to (4, 4) with about 3 trials in 2^21, and each is routed
         src = SourceModel("dlcz", emission_prob=0.2)
         exact = rp.analytic_link(src, src, IDEAL_LINK)
         trials = 1 << 21
