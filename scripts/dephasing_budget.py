@@ -16,7 +16,10 @@ from rydlink.config import load_config
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--samples", type=int, default=1000)
+    ap.add_argument(
+        "--samples", type=int, default=1000,
+        help="node budget: the most quadrature nodes over the atoms per run (at least 100)",
+    )
     ap.add_argument("--t-max-us", type=float, default=5.0)
     ap.add_argument("--points", type=int, default=300)
     args = ap.parse_args()

@@ -152,6 +152,7 @@ def cmd_dephasing(cfg: RunConfig, args, writer: RunWriter):
         {
             "flags": on,
             "n_samples": n_samples,
+            "n_nodes": result.metadata["n_nodes"],
             "seed": cfg.seed,
             "tau_osc_us": result.tau_osc_us,
             "tau_free_us": result.tau_free_us,
@@ -325,7 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_deph = sub.add_parser("dephasing", help="spin-wave dephasing traces")
     p_deph.add_argument("--flags", default="none", help="comma list of motion,inhomo,scatter or 'none'")
-    p_deph.add_argument("--samples", type=int, default=None)
+    p_deph.add_argument(
+        "--samples", type=int, default=None,
+        help="most quadrature nodes over the atoms (default: simulation.dephasing_samples)",
+    )
     p_deph.set_defaults(func=cmd_dephasing)
 
     p_ent = sub.add_parser("entangle", help="polarization correlations and fidelity")

@@ -98,6 +98,10 @@ def _at_least(bound):
     return (lambda v: v >= bound, f"be >= {bound}")
 
 
+# a count that numpy's multinomial takes as a C long
+_DRAW_COUNT = (lambda v: 1 <= v < 2**63, "lie in [1, 2**63)")
+
+
 # beam quantities enter squared (Gaussian profiles, light shifts, mode
 # overlaps), so each square must stay finite and nonzero too
 _SQUARABLE = (lambda v: v > 0.0 and 0.0 < v * v < math.inf, "be positive, with a finite nonzero square")
@@ -151,8 +155,8 @@ _SCHEMA = {
         "dephasing_t_max": ("time", _POSITIVE),
         # the envelope fit has 5 parameters
         "dephasing_points": (int, _at_least(5)),
-        "coincidence_trials": (int, _at_least(1)),
-        "g2_trials": (int, _at_least(1)),
+        "coincidence_trials": (int, _DRAW_COUNT),
+        "g2_trials": (int, _DRAW_COUNT),
     },
     "repeater": {
         "channel_transmission": ("dimensionless", _FRACTION),

@@ -1,16 +1,25 @@
-"""Monte Carlo model of single-excitation read-out losses.
+"""Deterministic ensemble model of single-excitation read-out losses.
 
-Each sampled atom carries a frozen position (for Gaussian-beam intensity)
-and a Maxwell-Boltzmann velocity (for Doppler dephasing of the Rydberg
-spin wave), and evolves as a four-level {s, e1, e2, r} system under the
-two-path Raman coupling of beams C (ground side) and E (Rydberg side) of
-the ``BeamGeometry``. Intermediate-state scattering enters as Lindblad
-collapse back into |s>: it feeds the incoherent Rydberg population while
-destroying the spin-wave coherence, which is exactly the gap between the
-population curve and the collective-projection curve.
+Each atom carries a frozen position (for Gaussian-beam intensity) and a
+Maxwell-Boltzmann velocity (for Doppler dephasing of the Rydberg spin wave),
+and evolves as a four-level {s, e1, e2, r} system under the two-path Raman
+coupling of beams C (ground side) and E (Rydberg side) of the
+``BeamGeometry``. Intermediate-state scattering enters as Lindblad collapse
+back into |s>: it feeds the incoherent Rydberg population while destroying
+the spin-wave coherence, which is exactly the gap between the population
+curve and the collective-projection curve.
 
-Per-atom Liouvillians are time independent, so the batch is propagated
-spectrally (one eigendecomposition per atom) rather than by stepping. On
+An atom enters the model only through rho^2 = x^2 + y^2, which sets the
+intensities of beams C and E, and its Doppler shift v.k2, so the ensemble
+mean is an integral over those two variables (three for a cloud with
+sigma_x != sigma_y). It is evaluated by a product Gauss rule (Golub and
+Welsch, Math. Comp. 23, 221 (1969)): Gauss-Laguerre in u = rho^2 / (2
+sigma^2), which is Exp(1) distributed, a midpoint rule in the azimuth when
+the cloud is anisotropic, and Gauss-Hermite in the Doppler shift. An axis
+whose mechanism is off collapses to one node.
+
+Per-node Liouvillians are time independent, so the batch is propagated
+spectrally (one eigendecomposition per node) rather than by stepping. On
 the 16 real coordinates of rho (populations, then Re and Im of each
 coherence) the Liouvillian is a real matrix, so its complex eigenmodes come
 in conjugate pairs and each pair is summed once. The spectral sum over
@@ -22,13 +31,13 @@ time point.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .collective import EnsembleConfig
 from .geometry import BeamGeometry, protocol_modes
-from .measurement import ATOM_STREAM, rng_blocks
 
 K_BOLTZMANN = 1.380649e-23  # J/K
 AMU = 1.66053906892e-27  # kg
@@ -37,8 +46,14 @@ AMU = 1.66053906892e-27  # kg
 LEVEL_S, LEVEL_E1, LEVEL_E2, LEVEL_R = 0, 1, 2, 3
 
 BOUNDS_TOL = 1e-9  # rounding allowed in 0 <= projection <= population <= 1
-MIN_SAMPLES = 100  # fewest sampled atoms for a meaningful ensemble average
+MIN_SAMPLES = 100  # smallest node budget: the 48 x 32 rule then shrinks to 12 x 8 nodes
 STIFFNESS_TOL = 1e-10  # largest eps |Re lambda| t_max the spectral Lindblad sum may lose to rounding
+
+# nodes of the full product rule over the atoms, at which it matches a rule of twice
+# the nodes on every axis to 1e-11 on the packaged cloud
+N_U = 48  # Gauss-Laguerre, in u = rho^2 / (2 sigma^2)
+N_THETA = 16  # midpoint, in the azimuth on [0, pi/2]; only when sigma_x != sigma_y
+N_V = 32  # Gauss-Hermite, in the Doppler shift
 
 
 @functools.cache
@@ -67,7 +82,7 @@ def _liouville_maps():
 
 
 class SampleCountError(ValueError):
-    """Too few sampled atoms for a meaningful ensemble average."""
+    """A node budget too small for a meaningful ensemble average."""
 
 
 class FitError(RuntimeError):
@@ -174,19 +189,51 @@ def raman_splitting_exact(geo: BeamGeometry) -> float:
     return float(abs(evals[idx[0]] - evals[idx[1]]))
 
 
-def sample_atoms(ens: EnsembleConfig, n_samples: int, seed: int) -> tuple:
-    """(positions in um, velocities in um/us), each of shape (n_samples, 3).
+def rule_sizes(ens: EnsembleConfig, flags: SimulationFlags, budget: int) -> tuple:
+    """(n_u, n_theta, n_v), the nodes of the product rule on each axis.
 
-    Samples are drawn in blocks from streams (ATOM_STREAM, b) of
-    ``measurement.rng_blocks``, positions then velocities per sample, so
-    sample i does not depend on how many samples are drawn. A velocity in
-    um/us is numerically identical to one in m/s.
+    An axis whose mechanism is off has one node, and so has the azimuth of an
+    isotropic cloud. A full rule of more than ``budget`` nodes shrinks every
+    axis by the same factor until the product fits.
     """
-    sigma_v = thermal_velocity_sigma(ens.temperature_uK, ens.atomic_mass_amu)
-    scale = np.stack([np.asarray(ens.cloud_sigma_um, dtype=float), np.full(3, sigma_v)])
-    blocks = rng_blocks(seed, n_samples, ATOM_STREAM)
-    draws = np.concatenate([rng.normal(0.0, scale, size=(n, 2, 3)) for rng, n in blocks])
-    return draws[:, 0], draws[:, 1]
+    sigma_x, sigma_y, _ = ens.cloud_sigma_um
+    full = (
+        N_U if flags.inhomogeneity else 1,
+        N_THETA if flags.inhomogeneity and sigma_x != sigma_y else 1,
+        N_V if flags.motion else 1,
+    )
+    if math.prod(full) <= budget:
+        return full
+    scale = (budget / math.prod(full)) ** (1.0 / sum(n > 1 for n in full))
+    return tuple(max(1, int(n * scale)) for n in full)
+
+
+def atom_nodes(ens: EnsembleConfig, k_sw, flags: SimulationFlags, budget: int) -> tuple:
+    """(rho^2 in um^2, Doppler shift in rad/s, weight) at each node of the rule over the atoms.
+
+    Positions are Gaussian with sigma ``ens.cloud_sigma_um``, so x = sigma_x sqrt(2u) cos(theta),
+    y = sigma_y sqrt(2u) sin(theta) with u ~ Exp(1) and theta uniform, and rho^2 depends on theta
+    through cos(2 theta) only. The Doppler shift v.k_sw is Gaussian with sigma sigma_v |k_sw|.
+    Nodes run over rho^2 first, then the Doppler shift; the weights are positive and sum to 1.
+    """
+    from numpy.polynomial import hermite_e, laguerre
+
+    def axis(rule, n, on):
+        if not on:
+            return np.zeros(1), np.ones(1)
+        x, w = rule(n)
+        return x, w / w.sum()
+
+    n_u, n_theta, n_v = rule_sizes(ens, flags, budget)
+    u, w_u = axis(laguerre.laggauss, n_u, flags.inhomogeneity)
+    theta, w_theta = axis(lambda n: ((np.arange(n) + 0.5) * np.pi / (2 * n), np.ones(n)), n_theta, n_theta > 1)
+    v, w_v = axis(hermite_e.hermegauss, n_v, flags.motion)
+    sx2, sy2 = ens.cloud_sigma_um[0] ** 2, ens.cloud_sigma_um[1] ** 2
+    rho_sq = 2.0 * np.outer(u, 0.5 * (sx2 + sy2) + 0.5 * (sx2 - sy2) * np.cos(2.0 * theta)).ravel()
+    sigma_doppler = thermal_velocity_sigma(ens.temperature_uK, ens.atomic_mass_amu) * np.linalg.norm(k_sw)
+    doppler = sigma_doppler * v * 1e6  # rad/um * um/us -> rad/us -> rad/s
+    weights = np.outer(np.outer(w_u, w_theta).ravel(), w_v).ravel()
+    return np.repeat(rho_sq, len(v)), np.tile(doppler, len(rho_sq)), weights
 
 
 def _spectral_sum(weights, rates, t_grid_s):
@@ -268,44 +315,35 @@ def simulate_single_excitation(
 
     Beams C and E of ``geo`` drive the Raman coupling; ``gamma_e`` is the
     intermediate-state decay rate, rad/s, used with ``flags.scattering``.
-    The projection is |mean over atoms of the coherent r amplitude|^2,
-    normalized to 1 at t = 0; it can never exceed the population, and a
-    batch that breaks this or [0, 1] raises BatchError.
+    The mean over atoms is the product rule of ``atom_nodes`` with at most
+    ``n_samples`` nodes; it draws nothing, so ``seed`` is only recorded. The
+    projection is |weighted mean of the coherent r amplitude|^2, normalized
+    to 1 at t = 0; it can never exceed the population, and a batch that
+    breaks this or [0, 1] raises BatchError.
     """
     if n_samples < MIN_SAMPLES:
-        raise SampleCountError(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
+        raise SampleCountError(f"need a budget of at least {MIN_SAMPLES} samples, got {n_samples}")
     t_grid_us = np.asarray(t_grid_us, dtype=float)
     t_grid_s = t_grid_us * 1e-6
 
     k_sw = protocol_modes(geo).k2  # Rydberg spin-wave wave vector, rad/um
-    pos, vel = sample_atoms(ens, n_samples, seed)
-
-    if flags.inhomogeneity:
-        rho_sq = pos[:, 0] ** 2 + pos[:, 1] ** 2
-        s1 = np.exp(-rho_sq / geo.beams["C"].waist_um**2)
-        s2 = np.exp(-rho_sq / geo.beams["E"].waist_um**2)
-    else:
-        s1 = np.ones(n_samples)
-        s2 = np.ones(n_samples)
-
-    if flags.motion:
-        doppler = (vel @ k_sw) * 1e6  # rad/um * um/us -> rad/us -> rad/s
-    else:
-        doppler = np.zeros(n_samples)
+    rho_sq, doppler, weights = atom_nodes(ens, k_sw, flags, n_samples)
+    s1 = np.exp(-rho_sq / geo.beams["C"].waist_um**2)
+    s2 = np.exp(-rho_sq / geo.beams["E"].waist_um**2)
 
     H = _four_level_hamiltonian(geo, s1, s2, doppler)
     gamma = gamma_e if flags.scattering else 0.0
 
     with np.errstate(over="ignore", invalid="ignore"):  # too fast a rate overflows: see the bounds check
         amps = _batched_amplitudes(H, gamma, t_grid_s)
-        projection = np.abs(amps.mean(axis=1)) ** 2
+        projection = np.abs(amps @ weights) ** 2
         if t_grid_us[0] == 0.0:
             projection = projection / projection[0]
         if flags.scattering:
             del amps  # freed before the Lindblad batch allocates its stacks and output
-            population = _batched_lindblad_trace(H, gamma, t_grid_s).mean(axis=1)
+            population = _batched_lindblad_trace(H, gamma, t_grid_s) @ weights
         else:
-            population = (np.abs(amps) ** 2).mean(axis=1)
+            population = (np.abs(amps) ** 2) @ weights
     bad = ~((np.abs(population - 0.5) <= 0.5 + BOUNDS_TOL) & (projection <= population + BOUNDS_TOL))
     if bad.any():
         raise BatchError(
@@ -325,6 +363,7 @@ def simulate_single_excitation(
         tau_free_us=tau_free,
         metadata={
             "n_samples": n_samples,
+            "n_nodes": len(weights),
             "seed": seed,
             "flags": {"motion": flags.motion, "inhomogeneity": flags.inhomogeneity,
                       "scattering": flags.scattering},

@@ -20,9 +20,9 @@ import numpy as np
 BASES = ("hv", "pm", "circ")
 
 # Stream keys under the run seed: hbt_counts (), repeater trial block c (c,),
-# atom block b (ATOM_STREAM, b), coincidence basis i (COINCIDENCE_STREAM, i).
+# coincidence basis i (COINCIDENCE_STREAM, i). Key 1 is left unused, so the
+# coincidence draws keep their stream; the atom sampler in the tests draws from it.
 BLOCK = 1 << 16  # draws per block; fixed, so block b does not depend on the total
-ATOM_STREAM = 1
 COINCIDENCE_STREAM = 2
 
 
@@ -155,7 +155,8 @@ def measure_three_bases(amps, phase: float, coherence: float, det: DetectorModel
         probs = coincidence_probabilities(born_probabilities(amps, phase, coherence, basis), det)
         counts[i] = rng_stream(seed, COINCIDENCE_STREAM, i).multinomial(trials, probs / probs.sum())
     v_hv, v_pm, v_circ = visibility(counts).tolist()
-    par, perp = counts[:, 0] + counts[:, 1], counts[:, 2] + counts[:, 3]
+    # in float, as par * perp overflows int64 near the largest count multinomial takes
+    par, perp = (counts[:, 0] + counts[:, 1]).astype(float), (counts[:, 2] + counts[:, 3]).astype(float)
     errors = 2.0 * np.sqrt(par * perp / (par + perp)) / (par + perp)
     return {
         "V_hv": v_hv,

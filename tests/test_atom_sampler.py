@@ -1,0 +1,140 @@
+"""The per-atom Monte Carlo sampler that the quadrature over the atoms replaced, kept as its oracle.
+
+``sample_atoms`` draws Gaussian positions and Maxwell-Boltzmann velocities
+from the seeded streams (ATOM_STREAM, b), as ``dephasing`` did before its
+ensemble mean became a product Gauss rule, and ``sampled_ensemble`` runs the
+dephasing kernels on those atoms. The quadrature of
+``simulate_single_excitation`` must lie within 5 standard errors of the
+sampled means, and must not move when every axis of its rule is doubled.
+"""
+
+import dataclasses
+import itertools
+
+import numpy as np
+import pytest
+
+from rydlink import dephasing as dp
+from rydlink import measurement as ms
+from rydlink.config import load_config
+from rydlink.dephasing import SimulationFlags
+from rydlink.geometry import protocol_modes
+
+ATOM_STREAM = 1  # the atoms' stream key; the package leaves key 1 unused
+
+
+def sample_atoms(ens, n_samples, seed):
+    """(positions in um, velocities in um/us), each of shape (n_samples, 3).
+
+    Samples are drawn in blocks from streams (ATOM_STREAM, b) of
+    ``measurement.rng_blocks``, positions then velocities per sample, so
+    sample i does not depend on how many samples are drawn. A velocity in
+    um/us is numerically identical to one in m/s.
+    """
+    sigma_v = dp.thermal_velocity_sigma(ens.temperature_uK, ens.atomic_mass_amu)
+    scale = np.stack([np.asarray(ens.cloud_sigma_um, dtype=float), np.full(3, sigma_v)])
+    blocks = ms.rng_blocks(seed, n_samples, ATOM_STREAM)
+    draws = np.concatenate([rng.normal(0.0, scale, size=(n, 2, 3)) for rng, n in blocks])
+    return draws[:, 0], draws[:, 1]
+
+
+def sampled_ensemble(geo, ens, gamma_e, flags, n_samples, seed, t_grid_us):
+    """(mean population, its standard error, mean r amplitude, its standard error) over
+    sampled atoms at each time; the amplitude's error is that of the complex mean,
+    sqrt((var Re + var Im) / n)."""
+    pos, vel = sample_atoms(ens, n_samples, seed)
+    rho_sq = pos[:, 0] ** 2 + pos[:, 1] ** 2 if flags.inhomogeneity else np.zeros(n_samples)
+    s1, s2 = (np.exp(-rho_sq / geo.beams[b].waist_um ** 2) for b in ("C", "E"))
+    doppler = (vel @ protocol_modes(geo).k2) * 1e6 if flags.motion else np.zeros(n_samples)
+    H = dp._four_level_hamiltonian(geo, s1, s2, doppler)
+    gamma = gamma_e if flags.scattering else 0.0
+    t_grid_s = np.asarray(t_grid_us) * 1e-6
+    amps = dp._batched_amplitudes(H, gamma, t_grid_s)
+    pop = dp._batched_lindblad_trace(H, gamma, t_grid_s) if flags.scattering else np.abs(amps) ** 2
+    root_n = np.sqrt(n_samples)
+    amp_se = np.sqrt(amps.real.var(axis=1, ddof=1) + amps.imag.var(axis=1, ddof=1)) / root_n
+    return pop.mean(axis=1), pop.std(axis=1, ddof=1) / root_n, amps.mean(axis=1), amp_se
+
+
+@pytest.fixture(scope="module")
+def cfg():
+    return load_config()
+
+
+class TestSampling:
+    def test_seed_required(self, cfg):
+        with pytest.raises(ValueError, match="explicit seed"):
+            sample_atoms(cfg.ensemble, 10, None)
+
+    def test_per_index_streams_are_stable(self, cfg):
+        # sample i must not depend on how many samples are drawn, also across block boundaries
+        sizes = (5, ms.BLOCK + 1, 2 * ms.BLOCK + 3)
+        draws = [sample_atoms(cfg.ensemble, n, 42) for n in sizes]
+        for n, (pos, vel) in zip(sizes, draws):
+            assert pos.shape == vel.shape == (n, 3)
+        for (pos_a, vel_a), (pos_b, vel_b) in zip(draws, draws[1:]):
+            assert np.array_equal(pos_a, pos_b[: len(pos_a)])
+            assert np.array_equal(vel_a, vel_b[: len(vel_a)])
+
+    def test_position_spread_matches_cloud(self, cfg):
+        pos, _ = sample_atoms(cfg.ensemble, 4000, 1)
+        assert np.std(pos[:, 2]) == pytest.approx(6.5, rel=0.1)
+        assert np.std(pos[:, 0]) == pytest.approx(3.5, rel=0.1)
+
+
+ALL_FLAGS = [SimulationFlags(*on) for on in itertools.product((False, True), repeat=3)]
+ANISOTROPIC = (3.5, 5.0, 6.5)  # um; the packaged cloud is (3.5, 3.5, 6.5)
+
+
+def flag_id(flags):
+    return "-".join(name for name, on in zip(("motion", "inhomo", "scatter"), vars(flags).values()) if on) or "none"
+
+
+class TestQuadratureOracle:
+    T_GRID_US = np.linspace(0.0, 4.0, 81)
+
+    @pytest.mark.parametrize(
+        "flags, sigma",
+        [(f, None) for f in ALL_FLAGS] + [(f, ANISOTROPIC) for f in ALL_FLAGS if f.inhomogeneity],
+        ids=[flag_id(f) for f in ALL_FLAGS] + [f"{flag_id(f)}-anisotropic" for f in ALL_FLAGS if f.inhomogeneity],
+    )
+    def test_sampled_mean_within_5_standard_errors(self, cfg, flags, sigma):
+        """At the packaged node budget, the 4000-atom sampler's mean population and the magnitude
+        of its mean amplitude lie within 5 standard errors of the quadrature at every time. Only
+        the inhomo runs read the cloud's x and y widths, so only they run on the anisotropic cloud.
+        The 1e-12 covers rounding where every atom starts alike (t = 0) and the error is 0."""
+        ens = cfg.ensemble if sigma is None else dataclasses.replace(cfg.ensemble, cloud_sigma_um=sigma)
+        gamma_e = cfg.parsed["raman"]["intermediate_linewidth"]
+        budget = cfg.parsed["simulation"]["dephasing_samples"]
+        quad = dp.simulate_single_excitation(cfg.geometry, ens, gamma_e, flags, budget, 1, self.T_GRID_US)
+        pop, pop_se, amp, amp_se = sampled_ensemble(cfg.geometry, ens, gamma_e, flags, 4000, 1, self.T_GRID_US)
+        assert np.all(np.abs(pop - quad.population_r) <= 5.0 * pop_se + 1e-12)
+        # | |A_mc| - |A| | <= |A_mc - A|, and the projection is |A|^2 normalised at t = 0
+        magnitude = np.abs(amp) / np.abs(amp[0])
+        assert np.all(np.abs(magnitude - np.sqrt(quad.spinwave_projection)) <= 5.0 * amp_se + 1e-12)
+
+    @pytest.mark.parametrize("flags", [SimulationFlags(True, True), SimulationFlags(True, True, True)],
+                             ids=["motion-inhomo", "motion-inhomo-scatter"])
+    def test_doubling_every_axis_moves_no_written_value(self, cfg, monkeypatch, flags):
+        """The packaged run's 320 populations and projections move by at most 1e-10 when the
+        rule has twice the nodes on every axis."""
+        sim = cfg.parsed["simulation"]
+        t_grid = np.linspace(0.0, sim["dephasing_t_max"] * 1e6, sim["dephasing_points"])
+        args = (cfg.geometry, cfg.ensemble, cfg.parsed["raman"]["intermediate_linewidth"], flags)
+        written = dp.simulate_single_excitation(*args, sim["dephasing_samples"], cfg.seed, t_grid)
+        for name in ("N_U", "N_THETA", "N_V"):
+            monkeypatch.setattr(dp, name, 2 * getattr(dp, name))
+        doubled = dp.simulate_single_excitation(*args, 4 * sim["dephasing_samples"], cfg.seed, t_grid)
+        assert doubled.metadata["n_nodes"] == 4 * written.metadata["n_nodes"] == 4 * 1536
+        assert np.max(np.abs(doubled.population_r - written.population_r)) <= 1e-10
+        assert np.max(np.abs(doubled.spinwave_projection - written.spinwave_projection)) <= 1e-10
+
+    def test_doubling_azimuth_nodes_on_anisotropic_cloud(self, cfg, monkeypatch):
+        ens = dataclasses.replace(cfg.ensemble, cloud_sigma_um=ANISOTROPIC)
+        args = (cfg.geometry, ens, 0.0, SimulationFlags(inhomogeneity=True), 10**6, 1, self.T_GRID_US)
+        full = dp.simulate_single_excitation(*args)
+        monkeypatch.setattr(dp, "N_THETA", 2 * dp.N_THETA)
+        doubled = dp.simulate_single_excitation(*args)
+        assert full.metadata["n_nodes"] == dp.N_U * dp.N_THETA // 2
+        assert np.max(np.abs(doubled.population_r - full.population_r)) <= 1e-10
+        assert np.max(np.abs(doubled.spinwave_projection - full.spinwave_projection)) <= 1e-10

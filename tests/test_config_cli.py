@@ -256,6 +256,9 @@ class TestCli:
             ("simulation.dephasing_points", 1, ["dephasing"]),
             ("simulation.coincidence_trials", 0, ["entangle", "--fidelity"]),
             ("simulation.g2_trials", 0, ["g2", "--field", "single"]),
+            # numpy's multinomial takes the count as a C long
+            ("simulation.coincidence_trials", 2**63, ["entangle", "--fidelity"]),
+            ("simulation.g2_trials", 2**63, ["g2", "--field", "single"]),
             ("repeater.trials", 0, ["repeater", "--source", "semi"]),
             ("repeater.channel_transmission", 1.5, ["repeater", "--source", "semi"]),
             ("repeater.retrieval_efficiency", -0.1, ["repeater", "--source", "semi"]),
@@ -299,7 +302,8 @@ class TestCli:
             "nan-wavelength", "nan-direction", "string-direction", "short-direction",
             "inf-temperature", "nan-period", "zero-period", "nan-efficiency", "zero-mass",
             "negative-read-delay", "zero-dephasing-window", "negative-seed",
-            "one-dephasing-point", "no-coincidence-trials", "no-g2-trials", "no-repeater-trials",
+            "one-dephasing-point", "no-coincidence-trials", "no-g2-trials",
+            "coincidence-trials-past-c-long", "g2-trials-past-c-long", "no-repeater-trials",
             "transmission-above-1", "negative-retrieval", "zero-transmission", "zero-retrieval",
             "g2-single-trial", "dlcz-p-above-range", "dlcz-p-zero",
             "negative-cloud-sigma", "zero-cloud-sigma", "zero-detuning", "same-sign-detunings",

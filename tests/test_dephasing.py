@@ -1,3 +1,7 @@
+import dataclasses
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +11,6 @@ from rydlink import dephasing as dp
 from rydlink.config import load_config
 from rydlink.dephasing import SimulationFlags
 from rydlink.geometry import protocol_modes
-from rydlink.measurement import BLOCK
 
 
 @pytest.fixture(scope="module")
@@ -186,25 +189,63 @@ class TestSpectralSum:
             SPECTRAL_SUM(weights, 1j * weights, t_grid_s)
 
 
-class TestSampling:
-    def test_seed_required(self, cfg):
-        with pytest.raises(ValueError, match="explicit seed"):
-            dp.sample_atoms(cfg.ensemble, 10, None)
+class TestQuadratureRule:
+    @pytest.mark.parametrize("on", list(itertools.product((False, True), repeat=3)))
+    def test_axes_collapse_when_off_or_isotropic(self, cfg, on):
+        flags = SimulationFlags(*on)
+        motion, inhomo, _ = on
+        assert dp.rule_sizes(cfg.ensemble, flags, 10**6) == (48 if inhomo else 1, 1, 32 if motion else 1)
+        anisotropic = dataclasses.replace(cfg.ensemble, cloud_sigma_um=(3.5, 5.0, 6.5))
+        assert dp.rule_sizes(anisotropic, flags, 10**6) == (48 if inhomo else 1, 16 if inhomo else 1, 32 if motion else 1)
 
-    def test_per_index_streams_are_stable(self, cfg):
-        # sample i must not depend on how many samples are drawn, also across block boundaries
-        sizes = (5, BLOCK + 1, 2 * BLOCK + 3)
-        draws = [dp.sample_atoms(cfg.ensemble, n, 42) for n in sizes]
-        for n, (pos, vel) in zip(sizes, draws):
-            assert pos.shape == vel.shape == (n, 3)
-        for (pos_a, vel_a), (pos_b, vel_b) in zip(draws, draws[1:]):
-            assert np.array_equal(pos_a, pos_b[: len(pos_a)])
-            assert np.array_equal(vel_a, vel_b[: len(vel_a)])
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(dp.MIN_SAMPLES, 30_000), st.booleans())
+    def test_budget_shrinks_every_axis_until_the_rule_fits(self, budget, anisotropic):
+        ens = load_config().ensemble
+        if anisotropic:
+            ens = dataclasses.replace(ens, cloud_sigma_um=(3.5, 5.0, 6.5))
+        flags = SimulationFlags(motion=True, inhomogeneity=True)
+        full = dp.rule_sizes(ens, flags, 10**6)
+        sizes = dp.rule_sizes(ens, flags, budget)
+        if math.prod(full) <= budget:
+            assert sizes == full
+        else:
+            assert math.prod(sizes) <= budget
+            assert all(1 < n < f for n, f in zip(sizes, full) if f > 1)
 
-    def test_position_spread_matches_cloud(self, cfg):
-        pos, _ = dp.sample_atoms(cfg.ensemble, 4000, 1)
-        assert np.std(pos[:, 2]) == pytest.approx(6.5, rel=0.1)
-        assert np.std(pos[:, 0]) == pytest.approx(3.5, rel=0.1)
+    @pytest.mark.parametrize("sigma", [(3.5, 3.5, 6.5), (3.5, 5.0, 6.5)], ids=["isotropic", "anisotropic"])
+    def test_weights_and_moments(self, cfg, dk_norm, sigma):
+        # positive weights summing to 1, and exact low moments: <rho^2> = sigma_x^2 + sigma_y^2,
+        # <rho^4> = 3 sigma_x^4 + 2 sigma_x^2 sigma_y^2 + 3 sigma_y^4, <doppler^2> = (sigma_v |k| 1e6)^2
+        ens = dataclasses.replace(cfg.ensemble, cloud_sigma_um=sigma)
+        k_sw = protocol_modes(cfg.geometry).k2
+        rho_sq, doppler, w = dp.atom_nodes(ens, k_sw, SimulationFlags(True, True), 10**6)
+        assert np.all(w > 0) and w.sum() == pytest.approx(1.0, abs=1e-14)
+        sx2, sy2 = sigma[0] ** 2, sigma[1] ** 2
+        assert w @ rho_sq == pytest.approx(sx2 + sy2, rel=1e-12)
+        assert w @ rho_sq**2 == pytest.approx(3 * sx2**2 + 2 * sx2 * sy2 + 3 * sy2**2, rel=1e-12)
+        sigma_d = dp.thermal_velocity_sigma(ens.temperature_uK, ens.atomic_mass_amu) * dk_norm * 1e6
+        assert w @ doppler == pytest.approx(0.0, abs=1e-6 * sigma_d)
+        assert w @ doppler**2 == pytest.approx(sigma_d**2, rel=1e-12)
+
+    @pytest.mark.parametrize("flags", [SimulationFlags(), SimulationFlags(scattering=True)], ids=["none", "scatter"])
+    def test_none_and_scatter_evaluate_one_node(self, cfg, gamma_e, monkeypatch, flags):
+        batches = []
+
+        def spy(kernel):
+            def counted(H, *args):
+                batches.append(len(H))
+                return kernel(H, *args)
+
+            return counted
+
+        for name in ("_batched_amplitudes", "_batched_lindblad_trace"):
+            monkeypatch.setattr(dp, name, spy(getattr(dp, name)))
+        r = dp.simulate_single_excitation(
+            cfg.geometry, cfg.ensemble, gamma_e, flags, 2000, 1, np.linspace(0.0, 4.0, 60)
+        )
+        assert r.metadata["n_nodes"] == 1
+        assert batches == ([1, 1] if flags.scattering else [1])
 
 
 class TestSimulation:
@@ -246,7 +287,8 @@ class TestSimulation:
         assert r.tau_free_us == pytest.approx(1.6, rel=0.15)
 
     def test_doubling_samples_is_stable(self, cfg, gamma_e):
-        kw = dict(flags=SimulationFlags(motion=True), t_grid_us=self.grid(t_max=5.0, n=250))
+        # a budget of 1000 shrinks the 48 x 32 rule to 38 x 25 nodes; 2000 runs the full rule
+        kw = dict(flags=SimulationFlags(motion=True, inhomogeneity=True), t_grid_us=self.grid(t_max=5.0, n=250))
         a = dp.simulate_single_excitation(cfg.geometry, cfg.ensemble, gamma_e, n_samples=1000, seed=3, **kw)
         b = dp.simulate_single_excitation(cfg.geometry, cfg.ensemble, gamma_e, n_samples=2000, seed=3, **kw)
         assert abs(a.tau_osc_us - b.tau_osc_us) / b.tau_osc_us < 0.03
@@ -274,13 +316,11 @@ class TestSimulation:
         # (the drive keeps repumping, so the mean stays near 1/2)
         assert np.ptp(noisy.population_r[-20:]) < 0.5 * np.ptp(quiet.population_r[-20:])
 
-    def test_same_seed_reproduces_exactly(self, cfg, gamma_e):
-        kw = dict(
-            flags=SimulationFlags(motion=True, inhomogeneity=True),
-            n_samples=150, seed=4, t_grid_us=self.grid(n=60),
-        )
-        a = dp.simulate_single_excitation(cfg.geometry, cfg.ensemble, gamma_e, **kw)
-        b = dp.simulate_single_excitation(cfg.geometry, cfg.ensemble, gamma_e, **kw)
+    def test_seed_does_not_change_the_ensemble(self, cfg, gamma_e):
+        # the quadrature draws nothing: seeds 4 and 5 give the same bytes
+        kw = dict(flags=SimulationFlags(motion=True, inhomogeneity=True), n_samples=150, t_grid_us=self.grid(n=60))
+        a = dp.simulate_single_excitation(cfg.geometry, cfg.ensemble, gamma_e, seed=4, **kw)
+        b = dp.simulate_single_excitation(cfg.geometry, cfg.ensemble, gamma_e, seed=5, **kw)
         assert np.array_equal(a.population_r, b.population_r)
         assert np.array_equal(a.spinwave_projection, b.spinwave_projection)
 
@@ -290,3 +330,4 @@ class TestSimulation:
         )
         assert "tau_convention" in r.metadata
         assert r.metadata["seed"] == 5
+        assert (r.metadata["n_samples"], r.metadata["n_nodes"]) == (100, 32)

@@ -31,16 +31,16 @@ GOLDEN = {
     },
     ("dephasing", "--flags", "none"): {
         "dephasing_none.csv": "0c5e6cdf1b9f1ef092a744d64f83fe0578c139b993d9e2ab4ae4a0f110709c45",
-        "dephasing_none.json": "8d0f870624818f78327bf9418bacecf1c9484a5a9ef823830ed8189b575a0709",
+        "dephasing_none.json": "609785d4537593b772107e085220cb3627092bde02317024150890da70e899a1",
     },
     ("dephasing", "--flags", "motion"): {
-        "dephasing_motion.csv": "acc8d7602af144e0614f315b5d09911c2de4c9cd143393801cb1e868c2256d35",
-        "dephasing_motion.json": "c6652fd2ac87cdc20dd5f770246c0c8fd569ab87f1fb6016f0e5ea77e96c36f3",
+        "dephasing_motion.csv": "de8a1313d7ff9eb0ff2e549aa57ccf84062b2fd00fcd13d51266c47e502cbf5a",
+        "dephasing_motion.json": "ebfd7d6ca0526263b2da53b17df40e0fc549905fb1f921a5447c9bd5a4024cdf",
     },
     # the only command that runs the Lindblad batch
     ("dephasing", "--flags", "motion,inhomo,scatter"): {
-        "dephasing_motion-inhomo-scatter.csv": "d65d21b8e01fa28ce7d03599403cd78f5746c1966ff4808af5ae5ed6c2aabfc0",
-        "dephasing_motion-inhomo-scatter.json": "40db1566b3f80e386b12b4c8cef3158c95030f827b56d9de83f7e0ecec478c21",
+        "dephasing_motion-inhomo-scatter.csv": "dd03111c6cc1610abd15b6b84e9dd9b6b501e56734a83a5393f18e96ae70c2fc",
+        "dephasing_motion-inhomo-scatter.json": "30ae457fe0a1c5bb9c553dedb8e6439c63bf29012c570cb16d04752a6eb91957",
     },
     ("g2", "--field", "single"): {
         "g2_single.json": "d9214748930e0622b00c112b3ebe541b3ac9747d81448f1d018eeca8e2384859",

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rydlink import dephasing as dp
 from rydlink import measurement as ms
 from rydlink import repeater as rp
 from rydlink.collective import run_protocol
@@ -14,6 +13,7 @@ from rydlink.config import load_config
 from rydlink.measurement import DetectorModel, PhotonFieldModel, ZeroCoincidenceError
 
 from per_trial_samplers import assert_same_rate, per_trial_hbt_counts
+from test_atom_sampler import ATOM_STREAM, sample_atoms
 
 IDEAL = DetectorModel()
 SQ2 = 1.0 / np.sqrt(2.0)
@@ -296,12 +296,17 @@ class TestSampling:
         with pytest.raises(ValueError, match="trials"):
             ms.measure_three_bases(BELL, np.pi, 1.0, IDEAL, 0, 1)
 
+    def test_largest_trial_count_gives_finite_errors(self):
+        # 2**63 - 1 is the largest count multinomial takes; par * perp would overflow int64
+        res = ms.measure_three_bases(BELL, np.pi, 1.0, DetectorModel(0.5, 0.01), 2**63 - 1, 1)
+        assert all(0.0 < e < 1e-9 for e in res["V_errors"])
+
 
 class TestRandomStreams:
     def test_stream_families_do_not_overlap(self, monkeypatch):
         """Each Monte Carlo entry point asks for the streams of the key table, and
-        no stream of seed s or s + 1 repeats another: the first draws of all of
-        them are pairwise distinct."""
+        no stream of seed s or s + 1 repeats another, nor one of the atom sampler
+        kept in the tests: the first draws of all of them are pairwise distinct."""
         requested = []
         stream = ms.rng_stream
 
@@ -315,9 +320,9 @@ class TestRandomStreams:
         for seed in (7, 8):
             ms.g2_hbt(PhotonFieldModel("thermal", 0.5, IDEAL), trials=100, seed=seed)
             rp.simulate_link(semi, semi, rp.LinkConfig(), ms.BLOCK + 1, seed)
-            dp.sample_atoms(ensemble, ms.BLOCK + 1, seed)
+            sample_atoms(ensemble, ms.BLOCK + 1, seed)
             ms.measure_three_bases(BELL, np.pi, 1.0, IDEAL, 100, seed)
-        keys = [(), (0,), (1,), (ms.ATOM_STREAM, 0), (ms.ATOM_STREAM, 1)]
+        keys = [(), (0,), (1,), (ATOM_STREAM, 0), (ATOM_STREAM, 1)]
         keys += [(ms.COINCIDENCE_STREAM, i) for i in range(len(ms.BASES))]
         assert requested == [(seed, key) for seed in (7, 8) for key in keys]
         first_draws = {stream(seed, *key).integers(2**63) for seed, key in requested}
