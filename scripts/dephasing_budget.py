@@ -3,7 +3,9 @@
 
 Runs the single-excitation ensemble simulation with each mechanism
 enabled in isolation and all together, printing the fitted oscillation
-decay time and the closed-form free-evolution lifetime.
+decay time with its standard error and the closed-form free-evolution
+lifetime. A run whose fitted time is smaller than its standard error shows
+no decay in the window and prints as undamped.
 """
 
 import argparse
@@ -34,7 +36,7 @@ def main():
         (False, False, True),
         (True, True, True),
     ]
-    print(f"{'motion':>7s} {'inhomo':>7s} {'scatter':>8s} {'tau_osc_us':>11s} {'tau_free_us':>12s}")
+    print(f"{'motion':>7s} {'inhomo':>7s} {'scatter':>8s} {'tau_osc_us':>11s} {'se_us':>11s} {'tau_free_us':>12s}")
     for motion, inhomo, scatter in combos:
         flags = dp.SimulationFlags(motion=motion, inhomogeneity=inhomo, scattering=scatter)
         label = f"{str(motion):>7s} {str(inhomo):>7s} {str(scatter):>8s}"
@@ -45,7 +47,11 @@ def main():
         except dp.FitError:
             print(f"{label} {'fit failed':>11s}")
             continue
-        tau = f"{r.tau_osc_us:11.3f}" if r.tau_osc_us < 100 else "  undamped "
+        se = r.tau_osc_se_us
+        if se is None or se > r.tau_osc_us:
+            tau = f"{'undamped':>11s} {'-' if se is None else f'{se:.3g}':>11s}"
+        else:
+            tau = f"{r.tau_osc_us:11.3f} {se:11.3g}"
         print(f"{label} {tau} {r.tau_free_us:12.3f}")
 
 

@@ -155,6 +155,7 @@ def cmd_dephasing(cfg: RunConfig, args, writer: RunWriter):
             "n_nodes": result.metadata["n_nodes"],
             "seed": cfg.seed,
             "tau_osc_us": result.tau_osc_us,
+            "tau_osc_se_us": result.tau_osc_se_us,
             "tau_free_us": result.tau_free_us,
             "metadata": result.metadata,
         },

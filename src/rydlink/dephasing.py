@@ -18,14 +18,14 @@ sigma^2), which is Exp(1) distributed, a midpoint rule in the azimuth when
 the cloud is anisotropic, and Gauss-Hermite in the Doppler shift. An axis
 whose mechanism is off collapses to one node.
 
-Per-node Liouvillians are time independent, so the batch is propagated
-spectrally (one eigendecomposition per node) rather than by stepping. On
-the 16 real coordinates of rho (populations, then Re and Im of each
-coherence) the Liouvillian is a real matrix, so its complex eigenmodes come
-in conjugate pairs and each pair is summed once. The spectral sum over
-eigenmodes is evaluated on a uniform time grid by recurrence: one multiply
-by exp(rate dt) per mode and step, not one complex exponential per mode and
-time point.
+Per-node generators are time independent and the time grid is uniform, so
+exp(G t_i) = exp(G t_0) P^i with P = exp(G dt). P comes from Pade-13 scaling
+and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)), and the
+n_t values of a node from about 2 sqrt(n_t) row and column powers of P and
+one batched product, all matrix products over a stack of nodes. On the 16
+real coordinates of rho (populations, then Re and Im of each coherence) the
+Liouvillian is a real matrix; the no-jump generator -i H_eff is propagated
+in its real form.
 """
 
 from __future__ import annotations
@@ -47,13 +47,16 @@ LEVEL_S, LEVEL_E1, LEVEL_E2, LEVEL_R = 0, 1, 2, 3
 
 BOUNDS_TOL = 1e-9  # rounding allowed in 0 <= projection <= population <= 1
 MIN_SAMPLES = 100  # smallest node budget: the 48 x 32 rule then shrinks to 12 x 8 nodes
-STIFFNESS_TOL = 1e-10  # largest eps |Re lambda| t_max the spectral Lindblad sum may lose to rounding
+STIFFNESS_TOL = 1e-10  # largest eps gamma t_max, the rounding the Lindblad propagation may lose
 
 # nodes of the full product rule over the atoms, at which it matches a rule of twice
 # the nodes on every axis to 1e-11 on the packaged cloud
 N_U = 48  # Gauss-Laguerre, in u = rho^2 / (2 sigma^2)
 N_THETA = 16  # midpoint, in the azimuth on [0, pi/2]; only when sigma_x != sigma_y
 N_V = 32  # Gauss-Hermite, in the Doppler shift
+# a budget below the full rule shrinks the azimuth and Doppler axes to no less than this share
+# of their nodes before n_u: 4 x 8 nodes lose about 5e-7 on a (3.5, 5.0) um cloud
+MIN_FAST_SCALE = 0.25
 
 
 @functools.cache
@@ -121,8 +124,20 @@ class DephasingResult:
     population_r: np.ndarray
     spinwave_projection: np.ndarray
     tau_osc_us: float
+    tau_osc_se_us: float | None
     tau_free_us: float
     metadata: dict
+
+
+class EnvelopeTime(float):
+    """A fitted envelope time w in us that also carries ``se_us``, the standard error of w from
+    the fit's covariance, or None where that is not finite; callers that need only w use it as
+    the float it is."""
+
+    def __new__(cls, w_us: float, se_us: float | None):
+        self = super().__new__(cls, w_us)
+        self.se_us = se_us
+        return self
 
 
 def thermal_velocity_sigma(temperature_uK: float, mass_amu: float) -> float:
@@ -193,8 +208,10 @@ def rule_sizes(ens: EnsembleConfig, flags: SimulationFlags, budget: int) -> tupl
     """(n_u, n_theta, n_v), the nodes of the product rule on each axis.
 
     An axis whose mechanism is off has one node, and so has the azimuth of an
-    isotropic cloud. A full rule of more than ``budget`` nodes shrinks every
-    axis by the same factor until the product fits.
+    isotropic cloud. A full rule of more than ``budget`` nodes first shrinks the
+    azimuth and Doppler axes by one factor, to no less than MIN_FAST_SCALE of their
+    nodes, and then n_u until the product fits: the azimuth and the Doppler shift
+    gain one to two digits per node, u about one per 7 nodes.
     """
     sigma_x, sigma_y, _ = ens.cloud_sigma_um
     full = (
@@ -204,8 +221,11 @@ def rule_sizes(ens: EnsembleConfig, flags: SimulationFlags, budget: int) -> tupl
     )
     if math.prod(full) <= budget:
         return full
-    scale = (budget / math.prod(full)) ** (1.0 / sum(n > 1 for n in full))
-    return tuple(max(1, int(n * scale)) for n in full)
+    n_u, *fast = full
+    shrunk = sum(n > 1 for n in fast)
+    scale = max(MIN_FAST_SCALE, (budget / math.prod(full)) ** (1.0 / shrunk)) if shrunk else 1.0
+    fast = [max(1, int(n * scale)) for n in fast]
+    return (max(1, min(n_u, budget // math.prod(fast))), *fast)
 
 
 def atom_nodes(ens: EnsembleConfig, k_sw, flags: SimulationFlags, budget: int) -> tuple:
@@ -236,23 +256,89 @@ def atom_nodes(ens: EnsembleConfig, k_sw, flags: SimulationFlags, budget: int) -
     return np.repeat(rho_sq, len(v)), np.tile(doppler, len(rho_sq)), weights
 
 
-def _spectral_sum(weights, rates, t_grid_s):
-    """sum_k weights[:, k] exp(rates[:, k] t) at each t of the grid, as an (n_t, n) complex array.
+# Pade-13 numerator coefficients and the largest 1-norm at which it meets double precision
+# (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005), Table 2.3)
+PADE_13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+    40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+THETA_13 = 5.371920351148152
+BLOCK = 256  # nodes propagated at once: bounds the Pade temporaries of the batch
 
-    weights and rates are (n, m). Each step multiplies the terms by exp(rates dt), so the
-    grid must be uniform to within the rounding of its points; any other raises ValueError.
+
+def _expm(A):
+    """exp(A) of a stack of real or complex square matrices (..., m, m), by Pade-13 scaling
+    and squaring: each matrix is scaled by 2^-s to a 1-norm of at most THETA_13, and its
+    approximant squared s times."""
+    b = PADE_13
+    with np.errstate(divide="ignore"):
+        s = np.maximum(0.0, np.ceil(np.log2(np.abs(A).sum(axis=-2).max(axis=-1) / THETA_13))).astype(int)
+    A = A * (0.5**s)[..., None, None]
+    eye = np.eye(A.shape[-1])
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+    V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye
+    R = np.linalg.solve(V - U, V + U)
+    for j in range(s.max(initial=0)):
+        if (s > j).all():
+            R = R @ R
+        else:
+            R[s > j] = R[s > j] @ R[s > j]
+    return R
+
+
+def _powers(M, x, count):
+    """(the rows x M^j for j < count, M^(2^c)) for a real M (n, m, m) and x (r, m) or
+    (n, r, m): an (n, count r, m) array with j outermost, built by doubling, and the last of
+    the squarings that build it, 2^c >= count."""
+    r = x.shape[-2]
+    out = np.empty((len(M), count * r, M.shape[-1]))
+    out[:, :r] = x
+    done = r
+    while done < count * r:
+        step = min(done, count * r - done)
+        np.matmul(out[:, :step], M, out=out[:, done : done + step])
+        done += step
+        M = M @ M
+    return out, M
+
+
+def _propagate(G, k, t_grid_s):
+    """exp(G t)[k, k] at each t of the grid for the stack G (n, m, m), as an (n_t, n) array.
+
+    The grid must be uniform to within the rounding of its points (any other raises
+    ValueError), so exp(G t_i) = exp(G t_0) P^i with P = exp(G dt). Writing i = a B + b with
+    B the least power of two >= sqrt(n_t), each value is the row e_k^T P^b times the column
+    Q^a exp(G t_0) e_k, Q = P^B: the rows and columns come by doubling, and the values of
+    BLOCK nodes at a time from one batched product. A complex G is propagated in its real
+    form [[Re G, -Im G], [Im G, Re G]], whose small matrix products cost several times less,
+    and row m + k of it gives the imaginary part.
     """
     t = np.asarray(t_grid_s, dtype=float)
-    dt = (t[-1] - t[0]) / max(len(t) - 1, 1)
-    if np.abs(t - (t[0] + dt * np.arange(len(t)))).max() > 16 * np.finfo(float).eps * np.abs(t).max():
-        raise ValueError("the spectral sum needs a uniformly spaced time grid")
-    z = np.exp(rates * dt)
-    term = weights * np.exp(rates * t[0])
-    out = np.empty((len(t), len(term)), dtype=complex)
-    for it in range(len(t)):
-        np.einsum("nk->n", term, out=out[it])  # several times faster than term.sum(axis=1)
-        term *= z
-    return out
+    n_t = len(t)
+    dt = (t[-1] - t[0]) / max(n_t - 1, 1)
+    if np.abs(t - (t[0] + dt * np.arange(n_t))).max() > 16 * np.finfo(float).eps * np.abs(t).max():
+        raise ValueError("the propagator needs a uniformly spaced time grid")
+    out = np.empty((len(G), n_t), dtype=G.dtype)
+    parts = out.view(float).reshape(len(G), n_t, -1)  # the values, or their (Re, Im) pairs
+    if np.iscomplexobj(G):
+        k_rows = [k, G.shape[-1] + k]
+        G = np.block([[G.real, -G.imag], [G.imag, G.real]])
+    else:
+        k_rows = [k]
+    eye = np.eye(G.shape[-1])
+    n_b = 1 << math.ceil(math.log2(n_t) / 2)
+    for lo in range(0, len(G), BLOCK):
+        g = G[lo : lo + BLOCK]
+        rows, Q = _powers(_expm(g * dt), eye[k_rows], n_b)  # e_j^T P^b, and P^B
+        start = _expm(g * t[0])[..., None, :, k] if t[0] != 0.0 else eye[[k]]
+        cols, _ = _powers(Q.transpose(0, 2, 1), start, -(-n_t // n_b))  # (Q^a exp(G t_0) e_k)^T
+        values = cols @ rows.transpose(0, 2, 1)  # (n, a, b j)
+        parts[lo : lo + BLOCK] = values.reshape(len(g), -1, len(k_rows))[:, :n_t]
+    return out.T
 
 
 def _real_liouvillian(H, gamma):
@@ -267,21 +353,14 @@ def _batched_lindblad_trace(H, gamma, t_grid_s):
     """Rydberg population for a batch of time-independent Liouvillians.
 
     H: (n, 4, 4); collapse: sqrt(gamma)|s><e1|, sqrt(gamma)|s><e2|.
-    Returns (n_t, n) array of rho_rr. The Liouvillian is real, so its complex modes come in
-    exactly conjugate pairs with conjugate terms: each pair is summed once, as twice the
-    mode with Im > 0, and the real part taken. A batch so stiff that its fastest decay
-    rate times the last time exceeds STIFFNESS_TOL / eps raises BatchError.
+    Returns (n_t, n) array of rho_rr. The fastest decay rate of this Liouvillian is gamma,
+    so a batch with eps gamma t_max above STIFFNESS_TOL, too stiff to propagate to that
+    accuracy, raises BatchError.
     """
-    evals, evecs = np.linalg.eig(_real_liouvillian(H, gamma))
-    stiffness = np.finfo(float).eps * np.abs(evals.real).max() * np.abs(t_grid_s).max()
+    stiffness = np.finfo(float).eps * gamma * np.abs(t_grid_s).max()
     if not stiffness <= STIFFNESS_TOL:
-        raise BatchError(f"gamma_e {gamma:.6g} rad/s: too stiff, eps |Re lambda| t_max = {stiffness:.3g}")
-    weights = evecs[:, LEVEL_R, :] * np.linalg.solve(evecs, np.eye(16)[:, [LEVEL_R]])[..., 0]
-    weights *= 2.0 * (evals.imag > 0) + (evals.imag == 0)
-    # Im >= 0 modes first, cut to the largest per-atom count; past its own count an atom has weight 0
-    kept = np.argsort(evals.imag < 0, axis=1, kind="stable")[:, : (evals.imag >= 0).sum(axis=1).max()]
-    weights, evals = (np.take_along_axis(a, kept, axis=1) for a in (weights, evals))
-    return _spectral_sum(weights, evals, t_grid_s).real
+        raise BatchError(f"gamma_e {gamma:.6g} rad/s: too stiff, eps gamma t_max = {stiffness:.3g}")
+    return _propagate(_real_liouvillian(H, gamma), LEVEL_R, t_grid_s)
 
 
 def _batched_amplitudes(H, gamma, t_grid_s):
@@ -293,13 +372,7 @@ def _batched_amplitudes(H, gamma, t_grid_s):
     H_eff = H.astype(complex)
     H_eff[:, LEVEL_E1, LEVEL_E1] += -0.5j * gamma
     H_eff[:, LEVEL_E2, LEVEL_E2] += -0.5j * gamma
-    if gamma == 0.0:
-        evals, evecs = np.linalg.eigh(H_eff)
-        inv_r = np.conj(evecs[:, LEVEL_R, :])  # unitary inverse row
-    else:
-        evals, evecs = np.linalg.eig(H_eff)
-        inv_r = np.linalg.solve(evecs, np.eye(4)[:, [LEVEL_R]])[..., 0]
-    return _spectral_sum(evecs[:, LEVEL_R, :] * inv_r, -1j * evals, t_grid_s)
+    return _propagate(-1j * H_eff, LEVEL_R, t_grid_s)
 
 
 def simulate_single_excitation(
@@ -359,7 +432,8 @@ def simulate_single_excitation(
     return DephasingResult(
         population_r=population,
         spinwave_projection=projection,
-        tau_osc_us=tau_osc,
+        tau_osc_us=float(tau_osc),
+        tau_osc_se_us=tau_osc.se_us,
         tau_free_us=tau_free,
         metadata={
             "n_samples": n_samples,
@@ -386,12 +460,12 @@ def curve_fit(*args, **kwargs):
     return fit(*args, **kwargs)
 
 
-def fit_envelope_time_us(t_grid_us, projection, omega_guess_rad_s: float) -> float:
-    """Fit exp(-(t/w)^2) (a cos(w_osc t) + b) and return w in us.
+def fit_envelope_time_us(t_grid_us, projection, omega_guess_rad_s: float) -> EnvelopeTime:
+    """Fit exp(-(t/w)^2) (a cos(w_osc t) + b) and return w in us, with its standard error.
 
     An effectively undamped trace returns a very large w rather than
-    failing, so the caller can treat "no decay" uniformly. A fit that does
-    not converge raises FitError.
+    failing, so the caller can treat "no decay" uniformly; its standard
+    error then exceeds w. A fit that does not converge raises FitError.
     """
     t = np.asarray(t_grid_us, dtype=float)
     p = np.asarray(projection, dtype=float)
@@ -405,7 +479,8 @@ def fit_envelope_time_us(t_grid_us, projection, omega_guess_rad_s: float) -> flo
     p0 = [0.5, 0.5, w_guess, omega_us, 0.0]
     bounds = ([0.0, 0.0, 1e-3 * t_span, 0.0, -np.pi], [2.0, 2.0, 1e4 * t_span, np.inf, np.pi])
     try:
-        popt, _ = curve_fit(model, t, p, p0=p0, bounds=bounds, maxfev=40000)
+        popt, pcov = curve_fit(model, t, p, p0=p0, bounds=bounds, maxfev=40000)
     except RuntimeError as exc:
         raise FitError(f"envelope fit exp(-(t/w)^2) (a cos(w_osc t + phi) + b): {exc}") from None
-    return float(popt[2])
+    var = pcov[2, 2]
+    return EnvelopeTime(popt[2], math.sqrt(var) if math.isfinite(var) and var >= 0 else None)

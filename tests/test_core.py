@@ -3,7 +3,7 @@
 ``lindblad_evolve`` is a fixed-step RK4 integrator on plain arrays. The
 step is halved until a further halving changes no output entry by more
 than CONVERGENCE_TOL; failing that raises NonConvergenceError. It shares
-no code with the eigendecomposition path in ``dephasing`` that it checks.
+no code with the Pade propagator in ``dephasing`` that it checks.
 
 ``kron_liouvillian`` is the complex row-major superoperator of the same
 generator, and ``coordinate_map`` the map B from the 16 real coordinates of
@@ -23,6 +23,8 @@ from scipy.linalg import expm
 from rydlink import dephasing as dp
 from rydlink.config import load_config
 from rydlink.geometry import Beam, BeamGeometry
+
+import spectral_kernels as sk
 
 CONVERGENCE_TOL = 1e-8
 
@@ -271,8 +273,8 @@ class TestQuantumJumps:
 
 
 class TestRealLiouvillian:
-    """dp._real_liouvillian against B^-1 L B, and the paired spectral sum against
-    the matrix exponential and the full 16-mode sum."""
+    """dp._real_liouvillian against B^-1 L B, the Lindblad batch against the matrix
+    exponential, and the paired spectral sum of the oracle against the full 16-mode sum."""
 
     B = coordinate_map()
     B_INV = np.diag(1.0 / np.diag(B.conj().T @ B).real) @ B.conj().T  # B^+ B is diagonal
@@ -336,5 +338,5 @@ class TestRealLiouvillian:
         t_grid = np.linspace(0.0, 4e-6, 640)
         evals, evecs = np.linalg.eig(dp._real_liouvillian(H, gamma * gamma_e))
         weights = evecs[:, dp.LEVEL_R, :] * np.linalg.solve(evecs, np.eye(16)[:, [dp.LEVEL_R]])[..., 0]
-        full = dp._spectral_sum(weights, evals, t_grid).real
-        assert np.abs(dp._batched_lindblad_trace(H, gamma * gamma_e, t_grid) - full).max() <= 1e-12
+        full = sk.spectral_sum(weights, evals, t_grid).real
+        assert np.abs(sk.spectral_lindblad_trace(H, gamma * gamma_e, t_grid) - full).max() <= 1e-12

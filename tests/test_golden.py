@@ -30,17 +30,17 @@ GOLDEN = {
         "entangle_fidelity.json": "7abc45c764cb264d604dbb6f507b96322892ed6ba8ede48b01c7b3045f07bed7",
     },
     ("dephasing", "--flags", "none"): {
-        "dephasing_none.csv": "0c5e6cdf1b9f1ef092a744d64f83fe0578c139b993d9e2ab4ae4a0f110709c45",
-        "dephasing_none.json": "609785d4537593b772107e085220cb3627092bde02317024150890da70e899a1",
+        "dephasing_none.csv": "e51b9dbedbb480eb639f7c94a9f7d594123c98eb21b3a582c7578c5d63214da5",
+        "dephasing_none.json": "188d55872861b98853f631bdc7f71de65b5b5cb5ceb1ba7804c79255d42b958d",
     },
     ("dephasing", "--flags", "motion"): {
-        "dephasing_motion.csv": "de8a1313d7ff9eb0ff2e549aa57ccf84062b2fd00fcd13d51266c47e502cbf5a",
-        "dephasing_motion.json": "ebfd7d6ca0526263b2da53b17df40e0fc549905fb1f921a5447c9bd5a4024cdf",
+        "dephasing_motion.csv": "62fb800af5feaeb52cd2c7c647802b736c39f8ed7ce1d9e3fc3a900d527bbfdb",
+        "dephasing_motion.json": "4676e0ddf5ccede08a9246a8737f656314cf8369d660dcf629b51263bcf5c4aa",
     },
     # the only command that runs the Lindblad batch
     ("dephasing", "--flags", "motion,inhomo,scatter"): {
-        "dephasing_motion-inhomo-scatter.csv": "dd03111c6cc1610abd15b6b84e9dd9b6b501e56734a83a5393f18e96ae70c2fc",
-        "dephasing_motion-inhomo-scatter.json": "30ae457fe0a1c5bb9c553dedb8e6439c63bf29012c570cb16d04752a6eb91957",
+        "dephasing_motion-inhomo-scatter.csv": "1854aab7d6055ed21a05f1227f7da1515ea8f73fbfe2bc8d3c177078ac724e50",
+        "dephasing_motion-inhomo-scatter.json": "340233a94272c65f359f7087a5a2d2d8fca40b1addfb3cfd1b4f38e66841f54e",
     },
     ("g2", "--field", "single"): {
         "g2_single.json": "d9214748930e0622b00c112b3ebe541b3ac9747d81448f1d018eeca8e2384859",
