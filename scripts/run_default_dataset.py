@@ -20,6 +20,8 @@ COMMANDS = [
     ["rabi", "--pair"],
     ["dephasing", "--flags", "none"],
     ["dephasing", "--flags", "motion"],
+    ["dephasing", "--flags", "inhomo"],
+    ["dephasing", "--flags", "scatter"],
     ["dephasing", "--flags", "motion,inhomo,scatter"],
     ["entangle", "--phi-sweep"],
     ["entangle", "--fidelity"],

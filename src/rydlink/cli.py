@@ -76,16 +76,10 @@ class RunWriter:
 # subcommands
 
 
-def _excitation_rabi(cfg: RunConfig) -> float:
-    """Single-atom two-photon Rabi frequency of the excitation pair (A, B)."""
-    geo = cfg.geometry
-    return geo.beams["A"].rabi * geo.beams["B"].rabi / (2.0 * abs(geo.detuning_1))
-
-
 def cmd_rabi(cfg: RunConfig, args, writer: RunWriter):
     n_points = 601
     if args.mode == "collective":
-        omega = _excitation_rabi(cfg)
+        omega = cfg.excitation_rabi
         n_eff = cfg.ensemble.effective_atom_number
         period = collective.single_excitation_period(np.sqrt(n_eff) * omega)
         t = np.linspace(0.0, 3.0 * period, n_points)
@@ -128,18 +122,17 @@ def cmd_dephasing(cfg: RunConfig, args, writer: RunWriter):
     on = _parse_flags(args.flags)
     flags = dephasing.SimulationFlags(*on.values())
     sim = cfg.parsed["simulation"]
-    n_samples = args.samples if args.samples is not None else sim["dephasing_samples"]
     t_grid = np.linspace(0.0, sim["dephasing_t_max"] * 1e6, sim["dephasing_points"])
     gamma_e = cfg.parsed["raman"]["intermediate_linewidth"]
     try:
         result = dephasing.simulate_single_excitation(
-            cfg.geometry, cfg.ensemble, gamma_e, flags, n_samples, cfg.seed, t_grid
+            cfg.geometry, cfg.ensemble, gamma_e, flags, sim["dephasing_samples"], cfg.seed, t_grid
         )
-    except dephasing.SampleCountError as exc:  # the config's count is checked at load
-        raise ConfigError(f"--samples: {exc}") from None
     except (dephasing.BatchError, np.linalg.LinAlgError) as exc:
-        keys = "raman.intermediate_linewidth, geometry.detuning_1, geometry.detuning_2"
-        raise dephasing.BatchError(f"{keys}: {exc}") from None
+        # the detunings enter every batch; the rest only with their mechanism
+        keys = {"scatter": "raman.intermediate_linewidth, ", "motion": "ensemble.temperature, ensemble.atomic_mass, "}
+        named = "".join(text for name, text in keys.items() if on[name])
+        raise dephasing.BatchError(f"{named}geometry.detuning_1, geometry.detuning_2: {exc}") from None
     # the parsed names, so that equivalent --flags texts name the same files
     tag = "-".join(name for name, value in on.items() if value) or "none"
     writer.csv(
@@ -151,7 +144,7 @@ def cmd_dephasing(cfg: RunConfig, args, writer: RunWriter):
         f"dephasing_{tag}.json",
         {
             "flags": on,
-            "n_samples": n_samples,
+            "n_samples": result.metadata["n_samples"],
             "n_nodes": result.metadata["n_nodes"],
             "seed": cfg.seed,
             "tau_osc_us": result.tau_osc_us,
@@ -327,10 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_deph = sub.add_parser("dephasing", help="spin-wave dephasing traces")
     p_deph.add_argument("--flags", default="none", help="comma list of motion,inhomo,scatter or 'none'")
-    p_deph.add_argument(
-        "--samples", type=int, default=None,
-        help="most quadrature nodes over the atoms (default: simulation.dephasing_samples)",
-    )
     p_deph.set_defaults(func=cmd_dephasing)
 
     p_ent = sub.add_parser("entangle", help="polarization correlations and fidelity")

@@ -216,6 +216,12 @@ class RunConfig:
         """Effective Raman Rabi frequency from the calibrated period, rad/s."""
         return TWO_PI / self.parsed["raman"]["single_excitation_period"]
 
+    @property
+    def excitation_rabi(self) -> float:
+        """Single-atom two-photon Rabi frequency of the excitation pair (A, B), rad/s."""
+        geo = self.geometry
+        return geo.beams["A"].rabi * geo.beams["B"].rabi / (2.0 * abs(geo.detuning_1))
+
     def config_hash(self) -> str:
         blob = json.dumps(self.raw, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
@@ -288,4 +294,11 @@ def load_config(path=None) -> RunConfig:
         shift_cancelling_branch_weights(geometry.detuning_1, geometry.detuning_2)
     except ValueError as exc:
         raise ConfigError(f"geometry.detuning_1, geometry.detuning_2: {exc}") from None
-    return RunConfig(raw=raw, parsed=parsed, geometry=geometry, ensemble=ensemble)
+    cfg = RunConfig(raw=raw, parsed=parsed, geometry=geometry, ensemble=ensemble)
+    # each rabi file spans at most three periods of one of these frequencies and writes its times in ns
+    pair_keys = "geometry.beams.A.rabi, geometry.beams.B.rabi, geometry.detuning_1, ensemble.effective_atom_number"
+    excitation = math.sqrt(ensemble.effective_atom_number) * cfg.excitation_rabi
+    for keys, omega in (("raman.single_excitation_period", cfg.protocol_rabi), (pair_keys, excitation)):
+        if not (0.0 < omega < math.inf and math.isfinite(3.0 * (TWO_PI / omega) * 1e9)):
+            raise ConfigError(f"{keys}: Rabi frequency {omega:.6g} rad/s and its three periods in ns must be finite")
+    return cfg

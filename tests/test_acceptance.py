@@ -205,7 +205,7 @@ def test_criterion_10_fidelity_band(cfg):
 def test_criterion_11_determinism(tmp_path):
     with criterion(11, "byte-identical determinism"):
         commands = [
-            ["dephasing", "--flags", "motion", "--samples", "300"],
+            ["dephasing", "--flags", "motion"],
             ["entangle", "--fidelity"],
             ["g2", "--field", "thermal"],
             ["repeater", "--source", "dlcz"],

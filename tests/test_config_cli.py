@@ -182,14 +182,13 @@ class TestCli:
 
         monkeypatch.setattr(dephasing, "curve_fit", no_fit)
         out = tmp_path / "o"
-        assert run_cli(["dephasing", "--samples", "100"], out) == 3
+        assert run_cli(["dephasing"], out) == 3
         assert not list(out.glob("dephasing_*.json"))
 
     @pytest.mark.parametrize(
         "args, named",
         [
             (["g2", "--field", "dlcz", "--parameter", "1.5"], "--parameter"),
-            (["dephasing", "--samples", "50"], "--samples"),
             (["g2", "--field", "single", "--parameter", "2"], "--parameter"),
             (["g2", "--field", "coherent", "--parameter", "0"], "--parameter"),
             (["g2", "--field", "thermal", "--parameter", "inf"], "--parameter"),
@@ -210,7 +209,7 @@ class TestCli:
             (["g2", "--field", "coherent", "--parameter", "1000"], "--parameter"),
         ],
         ids=[
-            "dlcz-p-above-range", "too-few-samples", "single-efficiency-above-1", "coherent-vacuum",
+            "dlcz-p-above-range", "single-efficiency-above-1", "coherent-vacuum",
             "thermal-infinite", "single-efficiency-nan", "empty-flag-list", "no-flags",
             "repeated-flag", "empty-flag", "p-sweep-of-semi-source", "g2-no-singles",
             "thermal-beyond-fock-cutoff", "coherent-beyond-fock-cutoff", "coherent-far-beyond-fock-cutoff",
@@ -234,8 +233,19 @@ class TestCli:
         raw["raman"]["intermediate_linewidth"] = linewidth
         out = tmp_path / "o"
         argv = ["--config", write_config(tmp_path, raw), "--out", str(out), "dephasing", "--flags", "scatter"]
-        assert cli.main([*argv, "--samples", "100"]) == 3
+        assert cli.main(argv) == 3
         assert "raman.intermediate_linewidth" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_motion_batch_out_of_bounds_names_temperature(self, tmp_path, capsys, default_raw):
+        # a Doppler shift far too fast for the window: the failure is the motion's, not the scattering's
+        raw = yaml.safe_load(yaml.safe_dump(default_raw))
+        raw["ensemble"]["temperature"] = "1e20 K"
+        out = tmp_path / "o"
+        argv = ["--config", write_config(tmp_path, raw), "--out", str(out), "dephasing", "--flags", "motion"]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert "ensemble.temperature" in err and "raman.intermediate_linewidth" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -297,6 +307,16 @@ class TestCli:
             # the click probabilities underflow, so no background reproduces the target g2
             ("detector.calibration_chain_efficiency", 1e-300, ["entangle", "--fidelity"]),
             ("detector.calibration_chain_efficiency", 1e-300, ["g2", "--field", "single", "--calibrated"]),
+            # three periods overflow in ns
+            ("raman.single_excitation_period", "1e300 s", ["rabi", "--single"]),
+            ("raman.single_excitation_period", "1e300 s", ["rabi", "--pair"]),
+            # the excitation Rabi frequency Omega_A Omega_B / (2 |Delta_1|) overflows, or underflows to 0
+            ("geometry.detuning_1", "1e-300 Hz", ["rabi", "--collective"]),
+            (
+                ("geometry.beams.A.rabi", "geometry.beams.B.rabi", "geometry.detuning_1"),
+                ("1e-150 Hz", "1e-150 Hz", "1e290 Hz"),
+                ["rabi", "--collective"],
+            ),
         ],
         ids=[
             "nan-wavelength", "nan-direction", "string-direction", "short-direction",
@@ -313,19 +333,25 @@ class TestCli:
             "underflowing-thermal-velocity", "overflowing-thermal-velocity", "removed-free-rydberg-lifetime",
             "removed-theta-1", "removed-output-directory", "overflowing-linewidth", "too-few-dephasing-samples",
             "underflowing-calibration-fidelity", "underflowing-calibration-g2",
+            "period-beyond-ns-single", "period-beyond-ns-pair", "overflowing-excitation-rabi",
+            "underflowing-excitation-rabi",
         ],
     )
     def test_bad_config_value_exits_2_naming_key(self, tmp_path, capsys, default_raw, key, value, args):
         raw = yaml.safe_load(yaml.safe_dump(default_raw))
+        # a row that sets several keys gives a tuple of keys and one of values, and
         # an indexed key ("ensemble.cloud_sigma[0]") is set by its whole list
-        *parents, leaf = key.split("[")[0].split(".")
-        node = raw
-        for part in parents:
-            node = node[part]
-        node[leaf] = value
+        keys, values = (key, value) if isinstance(key, tuple) else ((key,), (value,))
+        for k, v in zip(keys, values):
+            *parents, leaf = k.split("[")[0].split(".")
+            node = raw
+            for part in parents:
+                node = node[part]
+            node[leaf] = v
         config = write_config(tmp_path, raw)
         assert cli.main(["--config", config, "--out", str(tmp_path / "o"), *args]) == 2
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert all(k in err for k in keys)
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
@@ -366,7 +392,7 @@ class TestCli:
         # equivalent --flags texts write the same files under the same names
         a, b = (tmp_path / spec for spec in specs)
         for spec, out in zip(specs, (a, b)):
-            assert run_cli(["dephasing", "--flags", spec, "--samples", "100"], out) == 0
+            assert run_cli(["dephasing", "--flags", spec], out) == 0
         names = sorted(p.name for p in b.iterdir())
         assert names == [f"dephasing_{tag}.csv", f"dephasing_{tag}.json", "manifest.json"]
         assert all((a / name).read_bytes() == (b / name).read_bytes() for name in names)
@@ -385,7 +411,7 @@ class TestCli:
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
-            assert run_cli(["dephasing", "--flags", "motion", "--samples", "150"], out) == 0
+            assert run_cli(["dephasing", "--flags", "motion"], out) == 0
             assert run_cli(["repeater", "--source", "semi"], out) == 0
         for name in ("dephasing_motion.csv", "dephasing_motion.json", "repeater_semi.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()

@@ -1,4 +1,4 @@
-"""Golden output hashes of a fast subset of the default dataset.
+"""Golden output hashes of every command of the default dataset.
 
 Each command runs on the packaged config (seed 7); the sha256 of every
 artifact in its manifest must equal the value pinned here, so any change
@@ -7,10 +7,14 @@ bytes on purpose updates these hashes and says why in CHANGES.md.
 """
 
 import json
+import runpy
+from pathlib import Path
 
 import pytest
 
 from rydlink import cli
+
+DATASET_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_default_dataset.py"
 
 GOLDEN = {
     ("rabi", "--collective"): {
@@ -36,6 +40,14 @@ GOLDEN = {
     ("dephasing", "--flags", "motion"): {
         "dephasing_motion.csv": "62fb800af5feaeb52cd2c7c647802b736c39f8ed7ce1d9e3fc3a900d527bbfdb",
         "dephasing_motion.json": "4676e0ddf5ccede08a9246a8737f656314cf8369d660dcf629b51263bcf5c4aa",
+    },
+    ("dephasing", "--flags", "inhomo"): {
+        "dephasing_inhomo.csv": "631c124b1cb7e0f1496b5a9ecb700a773928bcd317d299921ec28128f5b0f925",
+        "dephasing_inhomo.json": "79cfea4943939553425d32ba18dae2dd071d30fd93d88560701bb46689ae600b",
+    },
+    ("dephasing", "--flags", "scatter"): {
+        "dephasing_scatter.csv": "ac0591b0ba0b5c2cc4b35b97d2d8e1687d652836ba5893cd140fa196a56966be",
+        "dephasing_scatter.json": "b1b1becdc86cfada377e7e9656da04cd0a89dd79f51c5121f26d75a015b6e7fd",
     },
     # the only command that runs the Lindblad batch
     ("dephasing", "--flags", "motion,inhomo,scatter"): {
@@ -80,3 +92,8 @@ def test_manifest_matches_golden_hashes(tmp_path, command):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["seed"] == 7
     assert manifest["outputs"] == GOLDEN[command]
+
+
+def test_every_dataset_command_is_pinned():
+    commands = runpy.run_path(str(DATASET_SCRIPT))["COMMANDS"]
+    assert [tuple(cmd) for cmd in commands if tuple(cmd) not in GOLDEN] == []

@@ -25,9 +25,8 @@ def run_script(script, args):
     "script, args",
     [
         ("blockade_scaling_scan.py", ["--draws", "1"]),
-        ("dephasing_budget.py", ["--samples", "100", "--points", "40"]),
     ],
-    ids=["blockade_scaling_scan", "dephasing_budget"],
+    ids=["blockade_scaling_scan"],
 )
 def test_script_exits_0(script, args):
     result = run_script(script, args)
@@ -36,13 +35,13 @@ def test_script_exits_0(script, args):
 
 
 def test_default_dataset_exits_0(tmp_path):
-    # all 16 commands, repeater --source semi --sweep eta among them
+    # all 18 commands, repeater --source semi --sweep eta among them
     result = run_script("run_default_dataset.py", ["--out", str(tmp_path)])
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "repeater_source_semi_sweep_eta" / "repeater_semi_sweep_eta.csv").is_file()
     # one directory per command, each with a manifest of exactly its own files
     subdirs = sorted(p for p in tmp_path.iterdir())
-    assert len(subdirs) == 16 and all(p.is_dir() for p in subdirs)
+    assert len(subdirs) == 18 and all(p.is_dir() for p in subdirs)
     for sub in subdirs:
         manifest = json.loads((sub / "manifest.json").read_text())
         files = {p.name: p.read_bytes() for p in sub.iterdir() if p.name != "manifest.json"}
