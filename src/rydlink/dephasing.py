@@ -13,10 +13,13 @@ An atom enters the model only through rho^2 = x^2 + y^2, which sets the
 intensities of beams C and E, and its Doppler shift v.k2, so the ensemble
 mean is an integral over those two variables (three for a cloud with
 sigma_x != sigma_y). It is evaluated by a product Gauss rule (Golub and
-Welsch, Math. Comp. 23, 221 (1969)): Gauss-Laguerre in u = rho^2 / (2
-sigma^2), which is Exp(1) distributed, a midpoint rule in the azimuth when
-the cloud is anisotropic, and Gauss-Hermite in the Doppler shift. An axis
-whose mechanism is off collapses to one node.
+Welsch, Math. Comp. 23, 221 (1969)): Gauss-Jacobi in the relative intensity
+I = exp(-rho^2 / w^2) of the narrower beam, whose density on a Gaussian cloud
+is proportional to I^(w^2 / (2 sigma^2) - 1), a midpoint rule in the azimuth
+when the cloud is anisotropic, each azimuth node with its own sigma and so
+its own Jacobi rule, and Gauss-Hermite in the Doppler shift. The other beam's
+intensity is I^(w^2 / w_other^2). An axis whose mechanism is off collapses to
+one node.
 
 Per-node generators are time independent and the time grid is uniform, so
 exp(G t_i) = exp(G t_0) P^i with P = exp(G dt). P comes from Pade-13 scaling
@@ -46,16 +49,19 @@ AMU = 1.66053906892e-27  # kg
 LEVEL_S, LEVEL_E1, LEVEL_E2, LEVEL_R = 0, 1, 2, 3
 
 BOUNDS_TOL = 1e-9  # rounding allowed in 0 <= projection <= population <= 1
-MIN_SAMPLES = 100  # smallest node budget: the 48 x 32 rule then shrinks to 12 x 8 nodes
+# smallest node budget: the rule of a motion + inhomo run then shrinks to 11 x 4 x 8 nodes on a
+# (3.5, 5.0) um cloud, 3.6e-5 from the full rule in population and projection (80 points over
+# 4 us), and to 20 x 17 on the packaged cloud, 1.2e-13 from it; at 320 the first gap is 2.3e-4
+MIN_SAMPLES = 352
 STIFFNESS_TOL = 1e-10  # largest eps gamma t_max, the rounding the Lindblad propagation may lose
 
 # nodes of the full product rule over the atoms, at which it matches a rule of twice
-# the nodes on every axis to 1e-11 on the packaged cloud
-N_U = 48  # Gauss-Laguerre, in u = rho^2 / (2 sigma^2)
+# the nodes on every axis to 1e-12 on the packaged cloud and to 1e-8 on a 7 um one
+N_X = 20  # Gauss-Jacobi, in the relative intensity of the narrower of beams C and E
 N_THETA = 16  # midpoint, in the azimuth on [0, pi/2]; only when sigma_x != sigma_y
 N_V = 32  # Gauss-Hermite, in the Doppler shift
 # a budget below the full rule shrinks the azimuth and Doppler axes to no less than this share
-# of their nodes before n_u: 4 x 8 nodes lose about 5e-7 on a (3.5, 5.0) um cloud
+# of their nodes before n_x: 4 x 8 nodes lose about 1e-6 on a (3.5, 5.0) um cloud
 MIN_FAST_SCALE = 0.25
 
 
@@ -205,54 +211,80 @@ def raman_splitting_exact(geo: BeamGeometry) -> float:
 
 
 def rule_sizes(ens: EnsembleConfig, flags: SimulationFlags, budget: int) -> tuple:
-    """(n_u, n_theta, n_v), the nodes of the product rule on each axis.
+    """(n_x, n_theta, n_v), the nodes of the product rule on each axis.
 
     An axis whose mechanism is off has one node, and so has the azimuth of an
     isotropic cloud. A full rule of more than ``budget`` nodes first shrinks the
     azimuth and Doppler axes by one factor, to no less than MIN_FAST_SCALE of their
-    nodes, and then n_u until the product fits: the azimuth and the Doppler shift
-    gain one to two digits per node, u about one per 7 nodes.
+    nodes, and then n_x until the product fits.
     """
     sigma_x, sigma_y, _ = ens.cloud_sigma_um
     full = (
-        N_U if flags.inhomogeneity else 1,
+        N_X if flags.inhomogeneity else 1,
         N_THETA if flags.inhomogeneity and sigma_x != sigma_y else 1,
         N_V if flags.motion else 1,
     )
     if math.prod(full) <= budget:
         return full
-    n_u, *fast = full
+    n_x, *fast = full
     shrunk = sum(n > 1 for n in fast)
     scale = max(MIN_FAST_SCALE, (budget / math.prod(full)) ** (1.0 / shrunk)) if shrunk else 1.0
     fast = [max(1, int(n * scale)) for n in fast]
-    return (max(1, min(n_u, budget // math.prod(fast))), *fast)
+    return (max(1, min(n_x, budget // math.prod(fast))), *fast)
 
 
-def atom_nodes(ens: EnsembleConfig, k_sw, flags: SimulationFlags, budget: int) -> tuple:
+def jacobi_rule(b, n: int) -> tuple:
+    """(nodes, weights), each (len(b), n): the n-point Gauss rules on (0, 1) for the densities
+    b x^(b - 1), one row per entry of b > 0, with weights summing to 1.
+
+    Golub-Welsch: the nodes are (1 + t) / 2 for the eigenvalues t of the Jacobi matrix of the
+    weight (1 + t)^beta on [-1, 1], beta = b - 1, and the weights the squared first components
+    of its eigenvectors. The entries are written in b, not beta, so that they stay finite for
+    b from the smallest normal float to its reciprocal.
+    """
+    b = np.asarray(b, dtype=float)[:, None]
+    k = np.arange(1, n)
+    m = 2 * k - 2 + b  # 2k + beta - 1
+    J = np.zeros((len(b), n, n))
+    J[:, 0, 0] = ((b - 1) / (b + 1))[:, 0]
+    J[:, k, k] = ((b - 1) / (m + 1)) * ((b - 1) / (m + 3))
+    J[:, k, k - 1] = J[:, k - 1, k] = 2 * k * ((k - 1 + b) / (m + 1)) / (np.sqrt(m) * np.sqrt(m + 2))
+    t, vectors = np.linalg.eigh(J)
+    weights = vectors[:, 0, :] ** 2
+    return 0.5 * (1.0 + t), weights / weights.sum(axis=1, keepdims=True)
+
+
+def atom_nodes(ens: EnsembleConfig, k_sw, waist_um: float, flags: SimulationFlags, budget: int) -> tuple:
     """(rho^2 in um^2, Doppler shift in rad/s, weight) at each node of the rule over the atoms.
 
     Positions are Gaussian with sigma ``ens.cloud_sigma_um``, so x = sigma_x sqrt(2u) cos(theta),
-    y = sigma_y sqrt(2u) sin(theta) with u ~ Exp(1) and theta uniform, and rho^2 depends on theta
-    through cos(2 theta) only. The Doppler shift v.k_sw is Gaussian with sigma sigma_v |k_sw|.
-    Nodes run over rho^2 first, then the Doppler shift; the weights are positive and sum to 1.
+    y = sigma_y sqrt(2u) sin(theta) with u ~ Exp(1) and theta uniform, and rho^2 = 2 u sigma_t^2
+    with sigma_t^2 = sigma_x^2 cos^2(theta) + sigma_y^2 sin^2(theta). The relative intensity
+    I = exp(-rho^2 / waist^2) of a beam of waist ``waist_um`` then has the density b I^(b - 1)
+    on (0, 1], b = waist^2 / (2 sigma_t^2), and each azimuth node (one, at theta = pi/4, on an
+    isotropic cloud) carries the Gauss rule of its own b. The Doppler shift v.k_sw is Gaussian
+    with sigma sigma_v |k_sw|. Nodes run over rho^2 first, then the Doppler shift; the weights
+    are positive and sum to 1.
     """
-    from numpy.polynomial import hermite_e, laguerre
+    from numpy.polynomial import hermite_e
 
-    def axis(rule, n, on):
-        if not on:
-            return np.zeros(1), np.ones(1)
-        x, w = rule(n)
-        return x, w / w.sum()
-
-    n_u, n_theta, n_v = rule_sizes(ens, flags, budget)
-    u, w_u = axis(laguerre.laggauss, n_u, flags.inhomogeneity)
-    theta, w_theta = axis(lambda n: ((np.arange(n) + 0.5) * np.pi / (2 * n), np.ones(n)), n_theta, n_theta > 1)
-    v, w_v = axis(hermite_e.hermegauss, n_v, flags.motion)
-    sx2, sy2 = ens.cloud_sigma_um[0] ** 2, ens.cloud_sigma_um[1] ** 2
-    rho_sq = 2.0 * np.outer(u, 0.5 * (sx2 + sy2) + 0.5 * (sx2 - sy2) * np.cos(2.0 * theta)).ravel()
+    n_x, n_theta, n_v = rule_sizes(ens, flags, budget)
+    rho_sq, w_rho = np.zeros(1), np.ones(1)
+    if flags.inhomogeneity:
+        theta = (np.arange(n_theta) + 0.5) * np.pi / (2 * n_theta)
+        tiny = np.finfo(float).tiny
+        with np.errstate(over="ignore", divide="ignore"):
+            # a cloud far wider or narrower than the beam gives b = 0 or inf: clipped, every
+            # atom then sits at I = 0 or 1
+            sx2, sy2 = np.square(np.divide(ens.cloud_sigma_um[:2], waist_um))
+            b = np.clip(0.5 / (sx2 * np.cos(theta) ** 2 + sy2 * np.sin(theta) ** 2), tiny, 1.0 / tiny)
+            intensity, w_x = jacobi_rule(b, n_x)
+            rho_sq = -(waist_um**2) * np.log(intensity).ravel()
+        w_rho = (w_x / n_theta).ravel()
+    v, w_v = hermite_e.hermegauss(n_v) if flags.motion else (np.zeros(1), np.ones(1))
     sigma_doppler = thermal_velocity_sigma(ens.temperature_uK, ens.atomic_mass_amu) * np.linalg.norm(k_sw)
     doppler = sigma_doppler * v * 1e6  # rad/um * um/us -> rad/us -> rad/s
-    weights = np.outer(np.outer(w_u, w_theta).ravel(), w_v).ravel()
+    weights = np.outer(w_rho, w_v / w_v.sum()).ravel()
     return np.repeat(rho_sq, len(v)), np.tile(doppler, len(rho_sq)), weights
 
 
@@ -400,9 +432,10 @@ def simulate_single_excitation(
     t_grid_s = t_grid_us * 1e-6
 
     k_sw = protocol_modes(geo).k2  # Rydberg spin-wave wave vector, rad/um
-    rho_sq, doppler, weights = atom_nodes(ens, k_sw, flags, n_samples)
-    s1 = np.exp(-rho_sq / geo.beams["C"].waist_um**2)
-    s2 = np.exp(-rho_sq / geo.beams["E"].waist_um**2)
+    w_c, w_e = geo.beams["C"].waist_um, geo.beams["E"].waist_um
+    rho_sq, doppler, weights = atom_nodes(ens, k_sw, min(w_c, w_e), flags, n_samples)
+    s1 = np.exp(-rho_sq / w_c**2)
+    s2 = np.exp(-rho_sq / w_e**2)
 
     H = _four_level_hamiltonian(geo, s1, s2, doppler)
     gamma = gamma_e if flags.scattering else 0.0
@@ -419,8 +452,11 @@ def simulate_single_excitation(
             population = (np.abs(amps) ** 2) @ weights
     bad = ~((np.abs(population - 0.5) <= 0.5 + BOUNDS_TOL) & (projection <= population + BOUNDS_TOL))
     if bad.any():
+        mechanisms = {"motion": flags.motion, "inhomogeneity": flags.inhomogeneity,
+                      f"scattering (gamma_e {gamma:.6g} rad/s)": flags.scattering}
+        on = ", ".join(name for name, value in mechanisms.items() if value) or "no mechanism"
         raise BatchError(
-            f"gamma_e {gamma:.6g} rad/s at detunings {geo.detuning_1:.6g}, {geo.detuning_2:.6g} rad/s: "
+            f"{on} at detunings {geo.detuning_1:.6g}, {geo.detuning_2:.6g} rad/s: "
             f"a population outside [0, 1] or a projection above it at {bad.sum()} of {len(bad)} times"
         )
 

@@ -122,12 +122,40 @@ class TestQuadratureOracle:
         t_grid = np.linspace(0.0, sim["dephasing_t_max"] * 1e6, sim["dephasing_points"])
         args = (cfg.geometry, cfg.ensemble, cfg.parsed["raman"]["intermediate_linewidth"], flags)
         written = dp.simulate_single_excitation(*args, sim["dephasing_samples"], cfg.seed, t_grid)
-        for name in ("N_U", "N_THETA", "N_V"):
+        for name in ("N_X", "N_THETA", "N_V"):
             monkeypatch.setattr(dp, name, 2 * getattr(dp, name))
         doubled = dp.simulate_single_excitation(*args, 4 * sim["dephasing_samples"], cfg.seed, t_grid)
-        assert doubled.metadata["n_nodes"] == 4 * written.metadata["n_nodes"] == 4 * 1536
+        assert doubled.metadata["n_nodes"] == 4 * written.metadata["n_nodes"] == 4 * 640
         assert np.max(np.abs(doubled.population_r - written.population_r)) <= 1e-10
         assert np.max(np.abs(doubled.spinwave_projection - written.spinwave_projection)) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "sigma, flags, n_t, tol",
+        [
+            ((1.0, 1.0), SimulationFlags(True, True), 160, 1e-10),
+            ((2.0, 2.0), SimulationFlags(True, True), 160, 1e-10),
+            ((5.0, 5.0), SimulationFlags(True, True), 160, 1e-10),
+            # the doubled rule has 40 x 32 x 64 nodes here, so fewer points
+            (ANISOTROPIC[:2], SimulationFlags(True, True), 40, 1e-10),
+            ((7.0, 7.0), SimulationFlags(True, True), 160, 1e-7),
+            ((7.0, 7.0), SimulationFlags(True, True, True), 160, 1e-7),
+        ],
+        ids=["1um", "2um", "5um", "anisotropic", "7um", "7um-scatter"],
+    )
+    def test_doubling_every_axis_on_other_clouds(self, cfg, monkeypatch, sigma, flags, n_t, tol):
+        """The full rule on clouds from 1 to 7 um moves by at most tol when every axis has twice the
+        nodes: 6e-10 (motion + inhomo) and 1e-8 (+ scatter) at 7 um, where the 48-node Gauss-Laguerre
+        rule of tests/laguerre_rule.py missed by 6e-3, and 5e-13 and less from 5 um down."""
+        ens = dataclasses.replace(cfg.ensemble, cloud_sigma_um=(*sigma, 6.5))
+        args = (cfg.geometry, ens, cfg.parsed["raman"]["intermediate_linewidth"], flags, 10**6, 1)
+        t_grid = np.linspace(0.0, 4.0, n_t)
+        full = dp.simulate_single_excitation(*args, t_grid)
+        for name in ("N_X", "N_THETA", "N_V"):
+            monkeypatch.setattr(dp, name, 2 * getattr(dp, name))
+        doubled = dp.simulate_single_excitation(*args, t_grid)
+        assert doubled.metadata["n_nodes"] == (8 if sigma[0] != sigma[1] else 4) * full.metadata["n_nodes"]
+        assert np.max(np.abs(doubled.population_r - full.population_r)) <= tol
+        assert np.max(np.abs(doubled.spinwave_projection - full.spinwave_projection)) <= tol
 
     def test_doubling_azimuth_nodes_on_anisotropic_cloud(self, cfg, monkeypatch):
         ens = dataclasses.replace(cfg.ensemble, cloud_sigma_um=ANISOTROPIC)
@@ -135,6 +163,6 @@ class TestQuadratureOracle:
         full = dp.simulate_single_excitation(*args)
         monkeypatch.setattr(dp, "N_THETA", 2 * dp.N_THETA)
         doubled = dp.simulate_single_excitation(*args)
-        assert full.metadata["n_nodes"] == dp.N_U * dp.N_THETA // 2
+        assert full.metadata["n_nodes"] == dp.N_X * dp.N_THETA // 2
         assert np.max(np.abs(doubled.population_r - full.population_r)) <= 1e-10
         assert np.max(np.abs(doubled.spinwave_projection - full.spinwave_projection)) <= 1e-10

@@ -246,6 +246,8 @@ class TestCli:
         assert cli.main(argv) == 3
         err = capsys.readouterr().err
         assert "ensemble.temperature" in err and "raman.intermediate_linewidth" not in err
+        # the message names the mechanisms that were on, and no scattering rate
+        assert "motion at detunings" in err and "gamma_e" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -259,7 +259,8 @@ class TestQuantumJumps:
         geo, gamma = cfg.geometry, cfg.parsed["raman"]["intermediate_linewidth"]
         t_max = cfg.parsed["simulation"]["dephasing_t_max"]
         k_sw = dp.protocol_modes(geo).k2
-        rho_sq, doppler, _ = dp.atom_nodes(cfg.ensemble, k_sw, dp.SimulationFlags(True, True), 2000)
+        flags = dp.SimulationFlags(True, True)
+        rho_sq, doppler, _ = dp.atom_nodes(cfg.ensemble, k_sw, geo.beams["C"].waist_um, flags, 2000)
         wing = np.argmin(np.abs(np.exp(-rho_sq / geo.beams["C"].waist_um ** 2) - 0.5))
         fastest = np.argmax(np.abs(doppler))
         rho_sq = np.array([0.0, rho_sq[wing], 0.0])

@@ -13,6 +13,7 @@ from rydlink.config import load_config
 from rydlink.dephasing import SimulationFlags
 from rydlink.geometry import protocol_modes
 
+import laguerre_rule
 import spectral_kernels as sk
 
 
@@ -194,10 +195,12 @@ class TestSpectralSum:
 
 @pytest.fixture(scope="module")
 def packaged_batch(cfg, gamma_e):
-    """The 4x4 Hamiltonians at the 1536 nodes of the packaged rule with motion and
+    """The 4x4 Hamiltonians at the 640 nodes of the packaged rule with motion and
     inhomogeneity, and the node weights."""
     geo = cfg.geometry
-    rho_sq, doppler, weights = dp.atom_nodes(cfg.ensemble, protocol_modes(geo).k2, SimulationFlags(True, True), 2000)
+    rho_sq, doppler, weights = dp.atom_nodes(
+        cfg.ensemble, protocol_modes(geo).k2, geo.beams["C"].waist_um, SimulationFlags(True, True), 2000
+    )
     s1, s2 = (np.exp(-rho_sq / geo.beams[b].waist_um**2) for b in ("C", "E"))
     return dp._four_level_hamiltonian(geo, s1, s2, doppler), weights
 
@@ -285,7 +288,8 @@ class TestPropagator:
         X = np.array(entries).reshape(4, 4)
         drawn = (X + X.T + 1j * (np.triu(X, 1) - np.triu(X, 1).T))[None]
         k_sw = protocol_modes(cfg.geometry).k2
-        rho_sq, doppler, _ = dp.atom_nodes(cfg.ensemble, k_sw, SimulationFlags(True, True), 2000)
+        waist = cfg.geometry.beams["C"].waist_um
+        rho_sq, doppler, _ = dp.atom_nodes(cfg.ensemble, k_sw, waist, SimulationFlags(True, True), 2000)
         s1, s2 = (np.exp(-rho_sq[::97] / cfg.geometry.beams[b].waist_um**2) for b in ("C", "E"))
         packaged = dp._four_level_hamiltonian(cfg.geometry, s1, s2, doppler[::97])
         for H in (drawn, packaged):
@@ -298,9 +302,9 @@ class TestQuadratureRule:
     def test_axes_collapse_when_off_or_isotropic(self, cfg, on):
         flags = SimulationFlags(*on)
         motion, inhomo, _ = on
-        assert dp.rule_sizes(cfg.ensemble, flags, 10**6) == (48 if inhomo else 1, 1, 32 if motion else 1)
+        assert dp.rule_sizes(cfg.ensemble, flags, 10**6) == (20 if inhomo else 1, 1, 32 if motion else 1)
         anisotropic = dataclasses.replace(cfg.ensemble, cloud_sigma_um=(3.5, 5.0, 6.5))
-        assert dp.rule_sizes(anisotropic, flags, 10**6) == (48 if inhomo else 1, 16 if inhomo else 1, 32 if motion else 1)
+        assert dp.rule_sizes(anisotropic, flags, 10**6) == (20 if inhomo else 1, 16 if inhomo else 1, 32 if motion else 1)
 
     @staticmethod
     @functools.cache
@@ -332,20 +336,75 @@ class TestQuadratureRule:
                 gap = self.written_values(anisotropic, budget) - self.written_values(anisotropic, 10**6)
                 assert np.abs(gap).max() <= 1e-6
 
-    @pytest.mark.parametrize("sigma", [(3.5, 3.5, 6.5), (3.5, 5.0, 6.5)], ids=["isotropic", "anisotropic"])
-    def test_weights_and_moments(self, cfg, dk_norm, sigma):
-        # positive weights summing to 1, and exact low moments: <rho^2> = sigma_x^2 + sigma_y^2,
-        # <rho^4> = 3 sigma_x^4 + 2 sigma_x^2 sigma_y^2 + 3 sigma_y^4, <doppler^2> = (sigma_v |k| 1e6)^2
+    @pytest.mark.parametrize(
+        "sigma, rho_tol",
+        [((3.5, 3.5, 6.5), (1.2e-12, 5e-11)), ((3.5, 5.0, 6.5), (1.5e-8, 4e-7))],
+        ids=["isotropic", "anisotropic"],
+    )
+    def test_weights_and_moments(self, cfg, dk_norm, sigma, rho_tol):
+        # positive weights summing to 1, and exact moments of the beam-C intensity I = exp(-rho^2 / w^2),
+        # the variable of the Gauss rule: <I^k> = (1 + 2k sigma_x^2 / w^2)^-1/2 (1 + 2k sigma_y^2 / w^2)^-1/2
+        # for k < 2 N_X, and <doppler^2> = (sigma_v |k| 1e6)^2. <rho^2> = sigma_x^2 + sigma_y^2 and
+        # <rho^4> = 3 sigma_x^4 + 2 sigma_x^2 sigma_y^2 + 3 sigma_y^4 hold to the rule's error in
+        # log I only, which rho_tol bounds (relative)
         ens = dataclasses.replace(cfg.ensemble, cloud_sigma_um=sigma)
         k_sw = protocol_modes(cfg.geometry).k2
-        rho_sq, doppler, w = dp.atom_nodes(ens, k_sw, SimulationFlags(True, True), 10**6)
+        waist = cfg.geometry.beams["C"].waist_um
+        rho_sq, doppler, w = dp.atom_nodes(ens, k_sw, waist, SimulationFlags(True, True), 10**6)
         assert np.all(w > 0) and w.sum() == pytest.approx(1.0, abs=1e-14)
         sx2, sy2 = sigma[0] ** 2, sigma[1] ** 2
-        assert w @ rho_sq == pytest.approx(sx2 + sy2, rel=1e-12)
-        assert w @ rho_sq**2 == pytest.approx(3 * sx2**2 + 2 * sx2 * sy2 + 3 * sy2**2, rel=1e-12)
+        k = np.arange(2 * dp.N_X)
+        exact = ((1 + 2 * k * sx2 / waist**2) * (1 + 2 * k * sy2 / waist**2)) ** -0.5
+        assert np.abs(np.exp(-rho_sq / waist**2) ** k[:, None] @ w / exact - 1).max() <= 1e-14
+        assert w @ rho_sq == pytest.approx(sx2 + sy2, rel=rho_tol[0])
+        assert w @ rho_sq**2 == pytest.approx(3 * sx2**2 + 2 * sx2 * sy2 + 3 * sy2**2, rel=rho_tol[1])
         sigma_d = dp.thermal_velocity_sigma(ens.temperature_uK, ens.atomic_mass_amu) * dk_norm * 1e6
         assert w @ doppler == pytest.approx(0.0, abs=1e-6 * sigma_d)
         assert w @ doppler**2 == pytest.approx(sigma_d**2, rel=1e-12)
+
+    @pytest.mark.parametrize("b", [0.05, 1.0, 6.9, 84.0])
+    def test_jacobi_rule_is_exact_below_degree_2n(self, b):
+        # the Golub-Welsch rule for the density b x^(b - 1) on (0, 1]: <x^k> = b / (b + k) for k < 2n;
+        # b = 6.9 is the packaged cloud's, 0.05 a 41 um one and 84 a 1 um one under beam C
+        x, w = dp.jacobi_rule(np.array([b]), dp.N_X)
+        k = np.arange(2 * dp.N_X)
+        assert np.all((x > 0) & (x < 1)) and np.all(w > 0)
+        assert np.abs(x[0] ** k[:, None] @ w[0] * (b + k) / b - 1).max() <= 5e-14
+
+    @pytest.mark.parametrize("sigma", [1e-300, 1e300], ids=["point-cloud", "no-light"])
+    def test_extreme_clouds_give_finite_nodes(self, cfg, sigma):
+        # a cloud far narrower or wider than the beam puts every atom at I = 1 or at I = 0
+        ens = dataclasses.replace(cfg.ensemble, cloud_sigma_um=(sigma, sigma, 6.5))
+        rho_sq, _, w = dp.atom_nodes(ens, np.ones(3), 13.0, SimulationFlags(inhomogeneity=True), 10**6)
+        intensity = np.exp(-rho_sq / 13.0**2)
+        assert np.all(np.isfinite(w)) and w.sum() == pytest.approx(1.0, abs=1e-14)
+        assert w @ intensity == pytest.approx(1.0 if sigma < 1 else 0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("flags", [SimulationFlags(True, True), SimulationFlags(True, True, True)],
+                             ids=["motion-inhomo", "motion-inhomo-scatter"])
+    def test_matches_the_laguerre_rule_on_the_packaged_cloud(self, cfg, gamma_e, monkeypatch, flags):
+        # the 48 x 32 Gauss-Laguerre rule it replaced, about 1e-11 from a converged rule here
+        sim = cfg.parsed["simulation"]
+        t_grid = np.linspace(0.0, sim["dephasing_t_max"] * 1e6, sim["dephasing_points"])
+        args = (cfg.geometry, cfg.ensemble, gamma_e, flags, sim["dephasing_samples"], cfg.seed, t_grid)
+        jacobi = dp.simulate_single_excitation(*args)
+        monkeypatch.setattr(dp, "atom_nodes", laguerre_rule.atom_nodes)
+        laguerre = dp.simulate_single_excitation(*args)
+        assert (jacobi.metadata["n_nodes"], laguerre.metadata["n_nodes"]) == (640, 1536)
+        assert np.max(np.abs(jacobi.population_r - laguerre.population_r)) <= 1e-10
+        assert np.max(np.abs(jacobi.spinwave_projection - laguerre.spinwave_projection)) <= 1e-10
+
+    def test_floor_is_the_smallest_budget_within_1e_4(self, monkeypatch):
+        # at MIN_SAMPLES the motion + inhomo rule lies within 1e-4 of the full one on both clouds;
+        # one node fewer, it does not on the (3.5, 5.0) um cloud
+        floor = dp.MIN_SAMPLES
+        monkeypatch.setattr(dp, "MIN_SAMPLES", 1)
+
+        def gap(anisotropic, budget):
+            return np.abs(self.written_values(anisotropic, budget) - self.written_values(anisotropic, 10**6)).max()
+
+        assert gap(False, floor) <= 1e-12
+        assert gap(True, floor) <= 1e-4 < gap(True, floor - 1)
 
     @pytest.mark.parametrize("flags", [SimulationFlags(), SimulationFlags(scattering=True)], ids=["none", "scatter"])
     def test_none_and_scatter_evaluate_one_node(self, cfg, gamma_e, monkeypatch, flags):
@@ -379,7 +438,7 @@ class TestSimulation:
 
     def test_all_off_is_undamped(self, cfg, gamma_e):
         r = dp.simulate_single_excitation(
-            cfg.geometry, cfg.ensemble, gamma_e, SimulationFlags(), 100, 1, self.grid()
+            cfg.geometry, cfg.ensemble, gamma_e, SimulationFlags(), dp.MIN_SAMPLES, 1, self.grid()
         )
         # envelope fit returns an effectively infinite decay time
         assert r.tau_osc_us > 50.0
@@ -392,7 +451,7 @@ class TestSimulation:
 
         t = self.grid(t_max=3.0, n=400)
         r = dp.simulate_single_excitation(
-            cfg.geometry, cfg.ensemble, gamma_e, SimulationFlags(), 100, 1, t
+            cfg.geometry, cfg.ensemble, gamma_e, SimulationFlags(), dp.MIN_SAMPLES, 1, t
         )
         w_fit = fit_oscillation_frequency(t * 1e-6, r.population_r, dp.raman_splitting_exact(cfg.geometry))
         assert abs(w_fit - dp.raman_splitting_exact(cfg.geometry)) / w_fit < 1e-3
@@ -406,9 +465,9 @@ class TestSimulation:
         assert r.tau_free_us == pytest.approx(1.6, rel=0.15)
 
     def test_doubling_samples_is_stable(self, cfg, gamma_e):
-        # a budget of 1000 shrinks the 48 x 32 rule to 48 x 20 nodes; 2000 runs the full rule
+        # a budget of 400 shrinks the 20 x 32 rule to 20 x 20 nodes; 2000 runs the full rule
         kw = dict(flags=SimulationFlags(motion=True, inhomogeneity=True), t_grid_us=self.grid(t_max=5.0, n=250))
-        a = dp.simulate_single_excitation(cfg.geometry, cfg.ensemble, gamma_e, n_samples=1000, seed=3, **kw)
+        a = dp.simulate_single_excitation(cfg.geometry, cfg.ensemble, gamma_e, n_samples=400, seed=3, **kw)
         b = dp.simulate_single_excitation(cfg.geometry, cfg.ensemble, gamma_e, n_samples=2000, seed=3, **kw)
         assert abs(a.tau_osc_us - b.tau_osc_us) / b.tau_osc_us < 0.03
 
@@ -420,16 +479,16 @@ class TestSimulation:
             SimulationFlags(motion=True, inhomogeneity=True, scattering=True),
         ):
             r = dp.simulate_single_excitation(
-                cfg.geometry, cfg.ensemble, gamma_e, flags, 120, 9, self.grid(n=80)
+                cfg.geometry, cfg.ensemble, gamma_e, flags, dp.MIN_SAMPLES, 9, self.grid(n=80)
             )
             assert np.all(r.spinwave_projection <= r.population_r + 1e-9)
 
     def test_scattering_damps_population(self, cfg, gamma_e):
         quiet = dp.simulate_single_excitation(
-            cfg.geometry, cfg.ensemble, gamma_e, SimulationFlags(), 100, 2, self.grid(n=80)
+            cfg.geometry, cfg.ensemble, gamma_e, SimulationFlags(), dp.MIN_SAMPLES, 2, self.grid(n=80)
         )
         noisy = dp.simulate_single_excitation(
-            cfg.geometry, cfg.ensemble, gamma_e, SimulationFlags(scattering=True), 100, 2, self.grid(n=80)
+            cfg.geometry, cfg.ensemble, gamma_e, SimulationFlags(scattering=True), dp.MIN_SAMPLES, 2, self.grid(n=80)
         )
         # spontaneous emission kills the oscillation contrast at late times
         # (the drive keeps repumping, so the mean stays near 1/2)
@@ -437,7 +496,7 @@ class TestSimulation:
 
     def test_seed_does_not_change_the_ensemble(self, cfg, gamma_e):
         # the quadrature draws nothing: seeds 4 and 5 give the same bytes
-        kw = dict(flags=SimulationFlags(motion=True, inhomogeneity=True), n_samples=150, t_grid_us=self.grid(n=60))
+        kw = dict(flags=SimulationFlags(motion=True, inhomogeneity=True), n_samples=dp.MIN_SAMPLES, t_grid_us=self.grid(n=60))
         a = dp.simulate_single_excitation(cfg.geometry, cfg.ensemble, gamma_e, seed=4, **kw)
         b = dp.simulate_single_excitation(cfg.geometry, cfg.ensemble, gamma_e, seed=5, **kw)
         assert np.array_equal(a.population_r, b.population_r)
@@ -445,8 +504,8 @@ class TestSimulation:
 
     def test_metadata_documents_conventions(self, cfg, gamma_e):
         r = dp.simulate_single_excitation(
-            cfg.geometry, cfg.ensemble, gamma_e, SimulationFlags(motion=True), 100, 5, self.grid(n=60)
+            cfg.geometry, cfg.ensemble, gamma_e, SimulationFlags(motion=True), dp.MIN_SAMPLES, 5, self.grid(n=60)
         )
         assert "tau_convention" in r.metadata
         assert r.metadata["seed"] == 5
-        assert (r.metadata["n_samples"], r.metadata["n_nodes"]) == (100, 32)
+        assert (r.metadata["n_samples"], r.metadata["n_nodes"]) == (dp.MIN_SAMPLES, 32)

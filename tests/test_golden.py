@@ -42,8 +42,8 @@ GOLDEN = {
         "dephasing_motion.json": "4676e0ddf5ccede08a9246a8737f656314cf8369d660dcf629b51263bcf5c4aa",
     },
     ("dephasing", "--flags", "inhomo"): {
-        "dephasing_inhomo.csv": "631c124b1cb7e0f1496b5a9ecb700a773928bcd317d299921ec28128f5b0f925",
-        "dephasing_inhomo.json": "79cfea4943939553425d32ba18dae2dd071d30fd93d88560701bb46689ae600b",
+        "dephasing_inhomo.csv": "f75e19d6659439592535d98844e3ce239b1f6c2c7d129e2018051ee27ada372f",
+        "dephasing_inhomo.json": "f786c494f1167d38af9a539389a90cc0a48d05649ffe15b18d20f4b5456c4cc9",
     },
     ("dephasing", "--flags", "scatter"): {
         "dephasing_scatter.csv": "ac0591b0ba0b5c2cc4b35b97d2d8e1687d652836ba5893cd140fa196a56966be",
@@ -51,8 +51,8 @@ GOLDEN = {
     },
     # the only command that runs the Lindblad batch
     ("dephasing", "--flags", "motion,inhomo,scatter"): {
-        "dephasing_motion-inhomo-scatter.csv": "1854aab7d6055ed21a05f1227f7da1515ea8f73fbfe2bc8d3c177078ac724e50",
-        "dephasing_motion-inhomo-scatter.json": "340233a94272c65f359f7087a5a2d2d8fca40b1addfb3cfd1b4f38e66841f54e",
+        "dephasing_motion-inhomo-scatter.csv": "ffa561ecd3b0ea786e3dac6e6909d9395186ada9ca3b22fa1082d7103923a614",
+        "dephasing_motion-inhomo-scatter.json": "056c5ceb8d94936f4426ad90e1c8c544267ac3f138f54ca8bf1f49e5aa128c21",
     },
     ("g2", "--field", "single"): {
         "g2_single.json": "d9214748930e0622b00c112b3ebe541b3ac9747d81448f1d018eeca8e2384859",
