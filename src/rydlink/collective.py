@@ -6,7 +6,7 @@ atom-photon entangled state. The protocol depends only on the Raman
 duration and the Rabi frequency: that the Raman-kicked momentum modes are
 distinguishable is a property of the beam geometry, checked once when the
 configuration is loaded (``geometry.modes_distinguishable``). The small-N
-brute-force oracles that check this model are in ``oracles``.
+brute-force oracles that check this model are in ``tests/oracles.py``.
 """
 
 from __future__ import annotations

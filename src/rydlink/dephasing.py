@@ -54,12 +54,17 @@ BOUNDS_TOL = 1e-9  # rounding allowed in 0 <= projection <= population <= 1
 # 4 us), and to 20 x 17 on the packaged cloud, 1.2e-13 from it; at 320 the first gap is 2.3e-4
 MIN_SAMPLES = 352
 STIFFNESS_TOL = 1e-10  # largest eps gamma t_max, the rounding the Lindblad propagation may lose
+FIT_MAX_STEPS = 200  # Levenberg-Marquardt steps of the envelope fit; the dataset and ensemble fits need 5 to 14
 
 # nodes of the full product rule over the atoms, at which it matches a rule of twice
 # the nodes on every axis to 1e-12 on the packaged cloud and to 1e-8 on a 7 um one
 N_X = 20  # Gauss-Jacobi, in the relative intensity of the narrower of beams C and E
 N_THETA = 16  # midpoint, in the azimuth on [0, pi/2]; only when sigma_x != sigma_y
 N_V = 32  # Gauss-Hermite, in the Doppler shift
+# largest Doppler phase sigma_D t_max that N_V Hermite nodes resolve: their mean of cos(x v)
+# misses exp(-x^2 / 2) by 2.4e-12 at x = 5, 1.4e-5 at 7 and 0.38 at 10 (the packaged cloud
+# reaches 2.56 at 4 us)
+DOPPLER_PHASE_MAX = 5.0
 # a budget below the full rule shrinks the azimuth and Doppler axes to no less than this share
 # of their nodes before n_x: 4 x 8 nodes lose about 1e-6 on a (3.5, 5.0) um cloud
 MIN_FAST_SCALE = 0.25
@@ -296,7 +301,13 @@ PADE_13 = (
     40840800.0, 960960.0, 16380.0, 182.0, 1.0,
 )
 THETA_13 = 5.371920351148152
-BLOCK = 256  # nodes propagated at once: bounds the Pade temporaries of the batch
+# nodes propagated at once: bounds the Pade temporaries of the batch. At 256 an ensemble pass
+# (budget 4000, 640 points, three runs) took about 9,100 minor page faults, 36 MiB of fresh
+# pages: each block's temporaries outgrew the free heap that glibc keeps (its trim threshold,
+# twice the largest block freed so far, here the 6.5 MiB (n_t, n) output), went back to the
+# kernel and were faulted in again by the next block. At 128 the same pass takes about 10.
+# (A process that has imported scipy had raised those thresholds and did not fault at 256.)
+BLOCK = 128
 
 
 def _expm(A):
@@ -407,6 +418,13 @@ def _batched_amplitudes(H, gamma, t_grid_s):
     return _propagate(-1j * H_eff, LEVEL_R, t_grid_s)
 
 
+def _mechanisms(flags: SimulationFlags, gamma: float) -> str:
+    """The mechanisms that are on, for a BatchError."""
+    mechanisms = {"motion": flags.motion, "inhomogeneity": flags.inhomogeneity,
+                  f"scattering (gamma_e {gamma:.6g} rad/s)": flags.scattering}
+    return ", ".join(name for name, value in mechanisms.items() if value) or "no mechanism"
+
+
 def simulate_single_excitation(
     geo: BeamGeometry,
     ens: EnsembleConfig,
@@ -432,13 +450,21 @@ def simulate_single_excitation(
     t_grid_s = t_grid_us * 1e-6
 
     k_sw = protocol_modes(geo).k2  # Rydberg spin-wave wave vector, rad/um
+    gamma = gamma_e if flags.scattering else 0.0
+    tau_free = motional_coherence_time_us(np.linalg.norm(k_sw), ens.temperature_uK, ens.atomic_mass_amu)
+    phase = np.abs(t_grid_us).max() / tau_free  # sigma_D t_max, with sigma_D = 1 / tau_free
+    if flags.motion and not phase <= DOPPLER_PHASE_MAX:
+        raise BatchError(
+            f"{_mechanisms(flags, gamma)} at detunings {geo.detuning_1:.6g}, {geo.detuning_2:.6g} rad/s: "
+            f"Doppler phase sigma_D t_max = {phase:.3g} rad, above the {DOPPLER_PHASE_MAX:g} rad "
+            f"that the {N_V}-node Hermite rule resolves"
+        )
     w_c, w_e = geo.beams["C"].waist_um, geo.beams["E"].waist_um
     rho_sq, doppler, weights = atom_nodes(ens, k_sw, min(w_c, w_e), flags, n_samples)
     s1 = np.exp(-rho_sq / w_c**2)
     s2 = np.exp(-rho_sq / w_e**2)
 
     H = _four_level_hamiltonian(geo, s1, s2, doppler)
-    gamma = gamma_e if flags.scattering else 0.0
 
     with np.errstate(over="ignore", invalid="ignore"):  # too fast a rate overflows: see the bounds check
         amps = _batched_amplitudes(H, gamma, t_grid_s)
@@ -452,19 +478,13 @@ def simulate_single_excitation(
             population = (np.abs(amps) ** 2) @ weights
     bad = ~((np.abs(population - 0.5) <= 0.5 + BOUNDS_TOL) & (projection <= population + BOUNDS_TOL))
     if bad.any():
-        mechanisms = {"motion": flags.motion, "inhomogeneity": flags.inhomogeneity,
-                      f"scattering (gamma_e {gamma:.6g} rad/s)": flags.scattering}
-        on = ", ".join(name for name, value in mechanisms.items() if value) or "no mechanism"
         raise BatchError(
-            f"{on} at detunings {geo.detuning_1:.6g}, {geo.detuning_2:.6g} rad/s: "
+            f"{_mechanisms(flags, gamma)} at detunings {geo.detuning_1:.6g}, {geo.detuning_2:.6g} rad/s: "
             f"a population outside [0, 1] or a projection above it at {bad.sum()} of {len(bad)} times"
         )
 
     omega_eff, _ = raman_rabi_local(geo)
     tau_osc = fit_envelope_time_us(t_grid_us, projection, abs(raman_splitting_exact(geo)))
-    tau_free = motional_coherence_time_us(
-        np.linalg.norm(k_sw), ens.temperature_uK, ens.atomic_mass_amu
-    )
     return DephasingResult(
         population_r=population,
         spinwave_projection=projection,
@@ -488,35 +508,87 @@ def simulate_single_excitation(
     )
 
 
-def curve_fit(*args, **kwargs):
-    """``scipy.optimize.curve_fit``, imported on first call, so that commands
-    without an envelope fit start without loading scipy."""
-    from scipy.optimize import curve_fit as fit
+def _envelope_residual(tau, y, s, om):
+    """(RSS, residual, Kaufman Jacobian (2, m), linear coefficients) of the envelope model at
+    the nonlinear parameters (s, om) on the scaled times tau, or None where its Gram matrix is
+    singular.
 
-    return fit(*args, **kwargs)
+    The coefficients (c1, c2, b) of e cos(om tau), e sin(om tau) and e, e = exp(-s tau^2),
+    solve the 3 x 3 normal equations; when that b is negative the constrained optimum has
+    b = 0, and (c1, c2) solve the 2 x 2 ones. The Jacobian rows are the derivatives of the
+    model in s and om with the span of the basis projected out (Kaufman, BIT 15, 49 (1975)).
+    """
+    e = np.exp(-s * tau**2)
+    basis = np.stack([e * np.cos(om * tau), e * np.sin(om * tau), e])
+    gram, moments = basis @ basis.T, basis @ y
+    try:
+        c = np.linalg.solve(gram, moments)
+        if c[2] < 0.0:
+            basis, gram = basis[:2], gram[:2, :2]
+            c = np.linalg.solve(gram, moments[:2])
+        model = c @ basis
+        derivatives = np.stack([-(tau**2) * model, tau * (c[1] * basis[0] - c[0] * basis[1])])
+        jac = derivatives - np.linalg.solve(gram, basis @ derivatives.T).T @ basis
+    except np.linalg.LinAlgError:
+        return None
+    r = y - model
+    return r @ r, r, jac, np.append(c, 0.0)[:3]
 
 
 def fit_envelope_time_us(t_grid_us, projection, omega_guess_rad_s: float) -> EnvelopeTime:
-    """Fit exp(-(t/w)^2) (a cos(w_osc t) + b) and return w in us, with its standard error.
+    """Fit exp(-(t/w)^2) (a cos(w_osc t + phi) + b) and return w in us, with its standard error.
 
-    An effectively undamped trace returns a very large w rather than
-    failing, so the caller can treat "no decay" uniformly; its standard
-    error then exceeds w. A fit that does not converge raises FitError.
+    The model is linear in (a cos phi, -a sin phi, b) at fixed (w, w_osc), so a
+    Levenberg-Marquardt search runs on s = 1/w^2 and w_osc alone with the linear part solved at
+    each step (variable projection: Golub and Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)),
+    within w in [1e-3, 1e4] times the window, w_osc >= 0 and b >= 0. The standard error comes
+    from the full five-parameter Jacobian at the optimum, as (J^T J)^-1 RSS / (m - 5).
+    An effectively undamped trace returns a very large w rather than failing, so the caller
+    can treat "no decay" uniformly; its standard error then exceeds w. A fit that does not
+    converge within FIT_MAX_STEPS steps raises FitError.
     """
     t = np.asarray(t_grid_us, dtype=float)
-    p = np.asarray(projection, dtype=float)
+    y = np.asarray(projection, dtype=float)
     t_span = t[-1] - t[0] if len(t) > 1 else 1.0
-    w_guess = t_span
-    omega_us = omega_guess_rad_s * 1e-6  # rad/us
-
-    def model(tt, a, b, w, om, phi):
-        return np.exp(-((tt / w) ** 2)) * (a * np.cos(om * tt + phi) + b)
-
-    p0 = [0.5, 0.5, w_guess, omega_us, 0.0]
-    bounds = ([0.0, 0.0, 1e-3 * t_span, 0.0, -np.pi], [2.0, 2.0, 1e4 * t_span, np.inf, np.pi])
-    try:
-        popt, pcov = curve_fit(model, t, p, p0=p0, bounds=bounds, maxfev=40000)
-    except RuntimeError as exc:
-        raise FitError(f"envelope fit exp(-(t/w)^2) (a cos(w_osc t + phi) + b): {exc}") from None
-    var = pcov[2, 2]
-    return EnvelopeTime(popt[2], math.sqrt(var) if math.isfinite(var) and var >= 0 else None)
+    tau = t / t_span  # in units of the window, so that (s, w_osc) = (1, w_osc t_span) at the start
+    lo, hi = np.array([1e-8, 0.0]), np.array([1e6, np.inf])
+    theta = np.array([1.0, omega_guess_rad_s * 1e-6 * t_span])
+    state = _envelope_residual(tau, y, *theta)
+    if state is None or not np.isfinite(state[0]):
+        raise FitError("envelope fit exp(-(t/w)^2) (a cos(w_osc t + phi) + b): no finite start")
+    damping = 1e-3
+    for _ in range(FIT_MAX_STEPS):
+        rss, r, jac, _ = state
+        # -g is the exact gradient of RSS / 2: the terms Kaufman drops are normal to r
+        A, g = jac @ jac.T, jac @ r
+        scale = np.diag(np.maximum(np.diag(A), np.finfo(float).tiny))
+        new = None
+        while damping < 1e16:
+            trial = np.clip(theta + np.linalg.solve(A + damping * scale, g), lo, hi)
+            if np.all(np.abs(trial - theta) <= 1e-10 * (np.abs(theta) + 1e-10)):
+                break
+            new = _envelope_residual(tau, y, *trial)
+            if new is not None and new[0] < rss:
+                break
+            damping *= 10.0
+        if new is None or not new[0] < rss:
+            break  # no step beyond rounding lowers the residual: a minimum, or one on a bound
+        theta, state = trial, new
+        damping = max(damping / 10.0, 1e-12)
+    else:
+        raise FitError(f"envelope fit exp(-(t/w)^2) (a cos(w_osc t + phi) + b): no convergence in {FIT_MAX_STEPS} steps")
+    rss, _, _, (c1, c2, b) = state
+    w, om = t_span / math.sqrt(theta[0]), theta[1] / t_span
+    if len(t) <= 5:
+        return EnvelopeTime(w, None)
+    e, cos, sin = np.exp(-((t / w) ** 2)), np.cos(om * t), np.sin(om * t)
+    model = e * (c1 * cos + c2 * sin + b)
+    J = np.stack([e * cos, e * sin, e, 2 * t**2 / w**3 * model, t * e * (c2 * cos - c1 * sin)], axis=1)
+    norms = np.linalg.norm(J, axis=0)
+    norms[norms == 0.0] = 1.0
+    # pseudo-inverse of J^T J with the columns scaled to unit norm, dropping singular values as
+    # scipy's curve_fit does
+    _, sv, vt = np.linalg.svd(J / norms, full_matrices=False)
+    keep = sv > np.finfo(float).eps * max(J.shape) * sv[0]
+    var = np.sum((vt[keep, 3] / sv[keep]) ** 2) / norms[3] ** 2 * rss / (len(t) - 5)
+    return EnvelopeTime(w, math.sqrt(var) if math.isfinite(var) else None)

@@ -1,10 +1,10 @@
-"""Small-N brute-force oracles for the super-atom model of ``collective``.
+"""Small-N brute-force oracles for the super-atom model of ``collective``,
+and the scipy envelope fit that ``dephasing.fit_envelope_time_us`` replaced.
 
-Each oracle evolves the complete blockaded many-atom state for a handful
-of atoms, so the tests and ``scripts/blockade_scaling_scan.py`` can check
-the 3-level super-atom reduction and the sqrt(N) enhancement against
-exact dynamics. No command of the CLI imports this module, so scipy is
-imported here at the top.
+Each brute-force oracle evolves the complete blockaded many-atom state for
+a handful of atoms, so the tests can check the 3-level super-atom reduction
+and the sqrt(N) enhancement against exact dynamics. The package itself does
+not use scipy; only the tests and these oracles do.
 """
 
 from __future__ import annotations
@@ -151,3 +151,19 @@ def fit_oscillation_frequency(t_grid, signal, omega_guess: float) -> float:
     c0 = signal.mean()
     popt, _ = curve_fit(model, t_grid, signal, p0=[a0, omega_guess, c0], maxfev=20000)
     return float(abs(popt[1]))
+
+
+def curve_fit_envelope_time_us(t_grid_us, projection, omega_guess_rad_s: float) -> tuple:
+    """(w, standard error of w) in us of exp(-(t/w)^2) (a cos(w_osc t + phi) + b) fitted by
+    ``scipy.optimize.curve_fit`` over all five parameters, with the bounds and start that
+    ``dephasing.fit_envelope_time_us`` used before its variable-projection fit."""
+
+    def model(tt, a, b, w, om, phi):
+        return np.exp(-((tt / w) ** 2)) * (a * np.cos(om * tt + phi) + b)
+
+    t = np.asarray(t_grid_us, dtype=float)
+    t_span = t[-1] - t[0]
+    p0 = [0.5, 0.5, t_span, omega_guess_rad_s * 1e-6, 0.0]
+    bounds = ([0.0, 0.0, 1e-3 * t_span, 0.0, -np.pi], [2.0, 2.0, 1e4 * t_span, np.inf, np.pi])
+    popt, pcov = curve_fit(model, t, np.asarray(projection, dtype=float), p0=p0, bounds=bounds, maxfev=40000)
+    return float(popt[2]), float(np.sqrt(pcov[2, 2]))

@@ -14,11 +14,12 @@ from rydlink import cli
 from rydlink import collective as col
 from rydlink import dephasing as dp
 from rydlink import measurement as ms
-from rydlink import oracles
 from rydlink import repeater as rp
 from rydlink.config import load_config
 from rydlink.geometry import protocol_modes
 from rydlink.measurement import DetectorModel, PhotonFieldModel
+
+import oracles
 
 OMEGA = 2.0 * np.pi / 492e-9  # protocol Rabi calibrated to the 492 ns period
 SQ2 = np.sqrt(2.0)

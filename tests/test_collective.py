@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rydlink import collective as col
-from rydlink import oracles
 from rydlink.config import load_config
 from rydlink.geometry import protocol_modes
+
+import oracles
 
 OMEGA = 2.0 * np.pi / 492e-9  # effective Rabi from the 492 ns period
 

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -176,13 +178,12 @@ class TestCli:
         monkeypatch.setattr(cli, "cmd_rabi", boom)
         assert run_cli(["rabi", "--single"], tmp_path / "o") == 3
 
-    def test_failed_envelope_fit_exits_3_without_summary(self, tmp_path, monkeypatch):
-        def no_fit(*args, **kwargs):
-            raise RuntimeError("Optimal parameters not found")
-
-        monkeypatch.setattr(dephasing, "curve_fit", no_fit)
+    def test_failed_envelope_fit_exits_3_without_summary(self, tmp_path, monkeypatch, capsys):
+        # no Levenberg-Marquardt step allowed: the fit cannot converge
+        monkeypatch.setattr(dephasing, "FIT_MAX_STEPS", 0)
         out = tmp_path / "o"
         assert run_cli(["dephasing"], out) == 3
+        assert "no convergence in 0 steps" in capsys.readouterr().err
         assert not list(out.glob("dephasing_*.json"))
 
     @pytest.mark.parametrize(
@@ -248,6 +249,19 @@ class TestCli:
         assert "ensemble.temperature" in err and "raman.intermediate_linewidth" not in err
         # the message names the mechanisms that were on, and no scattering rate
         assert "motion at detunings" in err and "gamma_e" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", ["motion", "motion,inhomo", "motion,scatter", "motion,inhomo,scatter"])
+    def test_doppler_phase_beyond_the_hermite_rule_exits_3(self, tmp_path, capsys, default_raw, flags):
+        # sigma_D t_max = 2.1e12 rad: 32 Hermite nodes resolve 5, so every run with motion fails;
+        # the runs with scatter exited 0 with aliased curves before the phase was checked
+        raw = yaml.safe_load(yaml.safe_dump(default_raw))
+        raw["ensemble"]["temperature"] = "1e20 K"
+        out = tmp_path / "o"
+        argv = ["--config", write_config(tmp_path, raw), "--out", str(out), "dephasing", "--flags", flags]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert "ensemble.temperature, ensemble.atomic_mass" in err and "Doppler phase" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -462,24 +476,35 @@ class TestCli:
         assert report["g2_analytic"] < 1e-12
         assert report["version"] == 1
 
-    def test_cli_import_skips_scipy_stats(self):
-        # importing scipy costs about half a second of every CLI start-up; only
-        # the envelope fit of dephasing and the oracles load it
+    def test_cli_import_skips_scipy(self):
+        # importing scipy costs about half a second and 43 MiB of every process that loads it
         src = str(Path(cli.__file__).resolve().parents[1])
         code = (
             f"import sys; sys.path.insert(0, {src!r}); import rydlink.cli; rydlink.cli.load_config(); "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'rydlink.oracles'))"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
 
+    def test_no_package_module_imports_scipy(self):
+        package = Path(cli.__file__).resolve().parent
+        importing = [p.name for p in package.rglob("*.py") if re.search(r"^\s*(from|import) scipy\b", p.read_text(), re.M)]
+        assert importing == []
+
     @pytest.mark.parametrize(
         "args",
-        [["g2", "--field", "coherent"], ["g2", "--field", "single", "--calibrated"], ["entangle", "--fidelity"]],
+        [
+            *runpy.run_path(str(Path(__file__).resolve().parents[1] / "scripts" / "run_default_dataset.py"))["COMMANDS"],
+            ["dephasing", "--flags", "motion,inhomo"],
+            ["dephasing", "--flags", "motion,scatter"],
+            ["dephasing", "--flags", "inhomo,scatter"],
+            ["g2", "--field", "coherent"],
+        ],
         ids=lambda a: "-".join(a).replace("--", ""),
     )
-    def test_g2_and_entangle_commands_skip_scipy(self, tmp_path, args):
-        # the g2 fields and the background calibration are closed forms in numpy
+    def test_every_command_skips_scipy(self, tmp_path, args):
+        # every subcommand, and every dephasing mechanism set, in a fresh interpreter: the
+        # envelope fit, the g2 fields and the background calibration are numpy alone
         src = str(Path(cli.__file__).resolve().parents[1])
         code = (
             f"import sys; sys.path.insert(0, {src!r}); import rydlink.cli; "

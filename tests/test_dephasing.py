@@ -14,6 +14,7 @@ from rydlink.dephasing import SimulationFlags
 from rydlink.geometry import protocol_modes
 
 import laguerre_rule
+import oracles
 import spectral_kernels as sk
 
 
@@ -426,6 +427,65 @@ class TestQuadratureRule:
         assert batches == ([1, 1] if flags.scattering else [1])
 
 
+FIT_RUNS = {
+    # the five runs of the default dataset, then the three of the benchmark's ensemble workload
+    **{f"packaged-{name}": (flags, None, None) for name, flags in {
+        "none": SimulationFlags(),
+        "motion": SimulationFlags(motion=True),
+        "inhomo": SimulationFlags(inhomogeneity=True),
+        "scatter": SimulationFlags(scattering=True),
+        "motion-inhomo-scatter": SimulationFlags(True, True, True),
+    }.items()},
+    "ensemble-none": (SimulationFlags(), 4000, 640),
+    "ensemble-motion-inhomo": (SimulationFlags(motion=True, inhomogeneity=True), 4000, 640),
+    "ensemble-motion-inhomo-scatter": (SimulationFlags(True, True, True), 4000, 640),
+}
+
+
+class TestEnvelopeFit:
+    """dp.fit_envelope_time_us against scipy's curve_fit over all five parameters."""
+
+    @pytest.mark.parametrize("run", FIT_RUNS)
+    def test_matches_curve_fit(self, cfg, gamma_e, run):
+        flags, budget, points = FIT_RUNS[run]
+        sim = cfg.parsed["simulation"]
+        t = np.linspace(0.0, sim["dephasing_t_max"] * 1e6, points or sim["dephasing_points"])
+        r = dp.simulate_single_excitation(
+            cfg.geometry, cfg.ensemble, gamma_e, flags, budget or sim["dephasing_samples"], 1, t
+        )
+        w, se = oracles.curve_fit_envelope_time_us(t, r.spinwave_projection, dp.raman_splitting_exact(cfg.geometry))
+        # measured: at most 1.2e-4 of se apart in w, and 9e-4 relative in se (on none, where
+        # curve_fit's finite-difference Jacobian is the coarser one)
+        assert abs(r.tau_osc_us - w) <= 1e-3 * se
+        assert r.tau_osc_se_us == pytest.approx(se, rel=1e-2)
+
+    @staticmethod
+    def envelope(b):
+        t = np.linspace(0.0, 4.0, 320)
+        return t, np.exp(-((t / 2.2) ** 2)) * (0.5 * np.cos(2 * np.pi * 1.3 * t + 0.3) + b)
+
+    def test_noise_free_envelope_is_met_exactly(self):
+        fit = dp.fit_envelope_time_us(*self.envelope(0.4), 1.01 * 2 * np.pi * 1.3e6)
+        assert float(fit) == pytest.approx(2.2, rel=1e-9) and fit.se_us < 1e-9
+
+    def test_negative_offset_is_held_at_zero_as_curve_fit_holds_it(self):
+        t, y = self.envelope(-0.1)
+        fit = dp.fit_envelope_time_us(t, y, 1.01 * 2 * np.pi * 1.3e6)
+        w, se = oracles.curve_fit_envelope_time_us(t, y, 1.01 * 2 * np.pi * 1.3e6)
+        assert abs(fit - w) <= 1e-3 * se and fit.se_us == pytest.approx(se, rel=1e-2)
+
+    def test_no_convergence_raises(self, monkeypatch):
+        t = np.linspace(0.0, 4.0, 50)
+        monkeypatch.setattr(dp, "FIT_MAX_STEPS", 0)
+        with pytest.raises(dp.FitError, match="no convergence"):
+            dp.fit_envelope_time_us(t, np.exp(-((t / 2) ** 2)) * (0.5 * np.cos(8 * t) + 0.5), 8e6)
+
+    def test_five_points_have_no_standard_error(self):
+        t = np.linspace(0.0, 4.0, 5)
+        fit = dp.fit_envelope_time_us(t, np.exp(-((t / 2) ** 2)) * (0.5 * np.cos(8 * t) + 0.5), 8e6)
+        assert math.isfinite(fit) and fit.se_us is None
+
+
 class TestSimulation:
     def grid(self, t_max=4.0, n=150):
         return np.linspace(0.0, t_max, n)
@@ -447,13 +507,11 @@ class TestSimulation:
     def test_homogeneous_period_matches_exact_splitting(self, cfg, gamma_e):
         # the oscillation with everything off runs at the exact 4-level
         # splitting, within 0.1%
-        from rydlink.oracles import fit_oscillation_frequency
-
         t = self.grid(t_max=3.0, n=400)
         r = dp.simulate_single_excitation(
             cfg.geometry, cfg.ensemble, gamma_e, SimulationFlags(), dp.MIN_SAMPLES, 1, t
         )
-        w_fit = fit_oscillation_frequency(t * 1e-6, r.population_r, dp.raman_splitting_exact(cfg.geometry))
+        w_fit = oracles.fit_oscillation_frequency(t * 1e-6, r.population_r, dp.raman_splitting_exact(cfg.geometry))
         assert abs(w_fit - dp.raman_splitting_exact(cfg.geometry)) / w_fit < 1e-3
 
     def test_motion_only_tau_ratio(self, cfg, gamma_e):

@@ -35,24 +35,24 @@ GOLDEN = {
     },
     ("dephasing", "--flags", "none"): {
         "dephasing_none.csv": "e51b9dbedbb480eb639f7c94a9f7d594123c98eb21b3a582c7578c5d63214da5",
-        "dephasing_none.json": "188d55872861b98853f631bdc7f71de65b5b5cb5ceb1ba7804c79255d42b958d",
+        "dephasing_none.json": "3d5598c171dd035d85a679b17957f32874f78d184617488b095fc7241abab7d7",
     },
     ("dephasing", "--flags", "motion"): {
         "dephasing_motion.csv": "62fb800af5feaeb52cd2c7c647802b736c39f8ed7ce1d9e3fc3a900d527bbfdb",
-        "dephasing_motion.json": "4676e0ddf5ccede08a9246a8737f656314cf8369d660dcf629b51263bcf5c4aa",
+        "dephasing_motion.json": "510defacde8346c57aad291b8d0db4fdf07f0f9d5c13f933d3926d2efca80937",
     },
     ("dephasing", "--flags", "inhomo"): {
         "dephasing_inhomo.csv": "f75e19d6659439592535d98844e3ce239b1f6c2c7d129e2018051ee27ada372f",
-        "dephasing_inhomo.json": "f786c494f1167d38af9a539389a90cc0a48d05649ffe15b18d20f4b5456c4cc9",
+        "dephasing_inhomo.json": "6173a22950b938c036b847bd5176a28eba3a19db1896e023b8b1cfda0d51ea00",
     },
     ("dephasing", "--flags", "scatter"): {
         "dephasing_scatter.csv": "ac0591b0ba0b5c2cc4b35b97d2d8e1687d652836ba5893cd140fa196a56966be",
-        "dephasing_scatter.json": "b1b1becdc86cfada377e7e9656da04cd0a89dd79f51c5121f26d75a015b6e7fd",
+        "dephasing_scatter.json": "84a07a861d4da5d4ba3626a492225611cad21105f6d348899ec33da0ef8aa1f0",
     },
     # the only command that runs the Lindblad batch
     ("dephasing", "--flags", "motion,inhomo,scatter"): {
         "dephasing_motion-inhomo-scatter.csv": "ffa561ecd3b0ea786e3dac6e6909d9395186ada9ca3b22fa1082d7103923a614",
-        "dephasing_motion-inhomo-scatter.json": "056c5ceb8d94936f4426ad90e1c8c544267ac3f138f54ca8bf1f49e5aa128c21",
+        "dephasing_motion-inhomo-scatter.json": "8b7cba56087b58ba903e6a605ac5a0e3bc25e2d710925d60bc1b0df68bac1b1d",
     },
     ("g2", "--field", "single"): {
         "g2_single.json": "d9214748930e0622b00c112b3ebe541b3ac9747d81448f1d018eeca8e2384859",

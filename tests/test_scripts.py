@@ -1,4 +1,4 @@
-"""Smoke tests: the study scripts in scripts/ run to completion on small inputs."""
+"""Smoke test: scripts/run_default_dataset.py runs every command to completion."""
 
 import hashlib
 import json
@@ -6,8 +6,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-
-import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -19,19 +17,6 @@ def run_script(script, args):
         [sys.executable, str(ROOT / "scripts" / script), *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
-
-
-@pytest.mark.parametrize(
-    "script, args",
-    [
-        ("blockade_scaling_scan.py", ["--draws", "1"]),
-    ],
-    ids=["blockade_scaling_scan"],
-)
-def test_script_exits_0(script, args):
-    result = run_script(script, args)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip()
 
 
 def test_default_dataset_exits_0(tmp_path):
