@@ -2,8 +2,9 @@
 
 Column orders are frozen and documented in FORMATS.md. All floats are
 written with a fixed %.12g format so identical (config, seed) pairs give
-byte-identical files; every run ends by writing manifest.json with
-sha256 checksums of the artifacts it produced.
+byte-identical files. A run writes its artifacts only once its command has
+succeeded, and ends by replacing manifest.json, which holds their sha256
+checksums.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -32,24 +34,17 @@ def _fmt(x) -> str:
 
 
 class RunWriter:
-    """Single owner of an output directory, made by the first write; accumulates the manifest."""
+    """Single owner of an output directory. Artifacts stay in memory until ``finish``, so a
+    command that fails writes nothing and leaves an earlier run's files as they were."""
 
     def __init__(self, outdir: Path, cfg: RunConfig, command: str):
         self.outdir = outdir
         self.cfg = cfg
         self.command = command
-        self.checksums: dict = {}
-
-    def _write(self, name: str, data: bytes):
-        try:
-            self.outdir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"--out: cannot create directory {str(self.outdir)!r}: {exc.strerror}") from None
-        (self.outdir / name).write_bytes(data)
+        self.artifacts: dict = {}
 
     def _record(self, name: str, data: bytes):
-        self._write(name, data)
-        self.checksums[name] = hashlib.sha256(data).hexdigest()
+        self.artifacts[name] = data
 
     def csv(self, name: str, header, rows):
         lines = [",".join(header)]
@@ -62,14 +57,23 @@ class RunWriter:
         self._record(name, (json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n").encode())
 
     def finish(self):
+        """Create the directory, write the artifacts, then replace manifest.json with one that lists them."""
+        try:
+            self.outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out: cannot create directory {str(self.outdir)!r}: {exc.strerror}") from None
+        for name, data in self.artifacts.items():
+            (self.outdir / name).write_bytes(data)
         manifest = {
             "version": ARTIFACT_VERSION,
             "command": self.command,
             "config_hash": self.cfg.config_hash(),
             "seed": self.cfg.seed,
-            "outputs": self.checksums,
+            "outputs": {name: hashlib.sha256(data).hexdigest() for name, data in self.artifacts.items()},
         }
-        self._write("manifest.json", (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode())
+        partial = self.outdir / "manifest.json.partial"
+        partial.write_bytes((json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode())
+        os.replace(partial, self.outdir / "manifest.json")
 
 
 # ---------------------------------------------------------------------------

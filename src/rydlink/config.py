@@ -19,8 +19,10 @@ from dataclasses import dataclass
 import yaml
 
 from .collective import EnsembleConfig
-from .dephasing import AMU, MIN_SAMPLES, shift_cancelling_branch_weights, thermal_velocity_sigma
-from .geometry import BEAM_IDS, Beam, BeamGeometry, modes_distinguishable
+from .dephasing import (
+    AMU, MIN_SAMPLES, motional_coherence_time_us, shift_cancelling_branch_weights, thermal_velocity_sigma
+)
+from .geometry import BEAM_IDS, Beam, BeamGeometry, modes_distinguishable, protocol_modes
 
 DEFAULT_CONFIG_RESOURCE = "default.yaml"
 
@@ -163,7 +165,7 @@ _SCHEMA = {
         "retrieval_efficiency": ("dimensionless", _FRACTION),
         # the range of measurement.dlcz_occupation
         "dlcz_excitation": ("dimensionless", (lambda v: 0.0 < v <= 0.2, "lie in (0, 0.2]")),
-        "trials": (int, _at_least(1)),
+        "trials": (int, _DRAW_COUNT),
     },
 }
 
@@ -294,6 +296,14 @@ def load_config(path=None) -> RunConfig:
         shift_cancelling_branch_weights(geometry.detuning_1, geometry.detuning_2)
     except ValueError as exc:
         raise ConfigError(f"geometry.detuning_1, geometry.detuning_2: {exc}") from None
+    # dephasing writes 1/(|k2| sigma_v), the free spin wave's coherence time, with k2 = k_A + k_B
+    k2 = math.hypot(*protocol_modes(geometry).k2)
+    if not math.isfinite(motional_coherence_time_us(k2, ensemble.temperature_uK, ensemble.atomic_mass_amu)):
+        raise ConfigError(
+            "geometry.beams.A.wavelength, geometry.beams.A.direction, geometry.beams.B.wavelength, "
+            "geometry.beams.B.direction, ensemble.temperature, ensemble.atomic_mass: the spin-wave "
+            f"wave vector k_A + k_B ({k2:.6g} rad/um) gives no finite motional coherence time 1/(|k2| sigma_v)"
+        )
     cfg = RunConfig(raw=raw, parsed=parsed, geometry=geometry, ensemble=ensemble)
     # each rabi file spans at most three periods of one of these frequencies and writes its times in ns
     pair_keys = "geometry.beams.A.rabi, geometry.beams.B.rabi, geometry.detuning_1, ensemble.effective_atom_number"

@@ -7,7 +7,8 @@ uniform per-gate background clicks), and reduced to visibilities, the
 fidelity bound, and Hanbury Brown-Twiss g2(0) estimates. The entangled
 state enters as the two amplitudes of ``collective.run_protocol``, the
 phase-shifter setting and one memory-coherence factor. Every Monte Carlo
-draw of the package comes from ``rng_stream`` or ``rng_blocks`` here.
+draw of the package comes from ``rng_stream`` here, and each draws one
+multinomial over the per-trial outcome probabilities of an exact model.
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ import numpy as np
 
 BASES = ("hv", "pm", "circ")
 
-# Stream keys under the run seed: hbt_counts (), repeater trial block c (c,),
+# Stream keys under the run seed: hbt_counts (), the repeater's trials (0,),
 # coincidence basis i (COINCIDENCE_STREAM, i). Key 1 is left unused, so the
 # coincidence draws keep their stream; the atom sampler in the tests draws from it.
-BLOCK = 1 << 16  # draws per block; fixed, so block b does not depend on the total
 COINCIDENCE_STREAM = 2
 
 
@@ -31,12 +31,6 @@ def rng_stream(seed: int, *key: int) -> np.random.Generator:
     if seed is None:
         raise ValueError("Monte Carlo draws need an explicit seed")
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
-
-
-def rng_blocks(seed: int, n: int, *key: int):
-    """Yield (generator, size) for n draws in blocks of BLOCK; block b draws from stream key + (b,)."""
-    for b, start in enumerate(range(0, n, BLOCK)):
-        yield rng_stream(seed, *key, b), min(BLOCK, n - start)
 
 
 class ZeroCoincidenceError(ZeroDivisionError):
@@ -260,26 +254,17 @@ def _hbt_click_probs(dist: np.ndarray, det: DetectorModel) -> tuple:
 def hbt_counts(field: PhotonFieldModel, trials: int, seed: int) -> tuple:
     """Sampled (n1, n2, n12): the gates of ``trials`` in which detector 1, detector 2 and both clicked.
 
-    One multinomial over the cells (n, k, click pattern) draws the histogram
-    of all trials (conditional binomials, C. S. Davis, Comput. Stat. Data
-    Anal. 16, 205 (1993)), so the cost does not grow with ``trials``. A
-    trial holds n photons with probability P(n), sends k of them to
-    detector 1 with probability C(n, k) 2^-n, and its detectors click
-    independently with q1 = 1 - (1 - eta)^k (1 - b) and
-    q2 = 1 - (1 - eta)^(n - k) (1 - b). Returns Python ints.
+    Trials are independent, so the histogram of their click patterns (both,
+    only 1, only 2, neither) is one multinomial over the probabilities
+    (P12, P1 - P12, P2 - P12, rest) of ``_hbt_click_probs``, and the cost
+    does not grow with ``trials``. Each is clipped at 0 against rounding.
+    Returns Python ints.
     """
-    rng = rng_stream(seed)
-    dist = field.occupation_distribution()
-    eta, b = field.detector.efficiency, field.detector.background_prob
-    n, k = np.tril_indices(len(dist))  # every (n, k) with k <= n
-    split = dist[n] * np.array([math.comb(a, c) for a, c in zip(n.tolist(), k.tolist())]) * 0.5**n
-    miss_1, miss_2 = (1.0 - eta) ** k * (1.0 - b), (1.0 - eta) ** (n - k) * (1.0 - b)
-    # click patterns (both, only 1, only 2, neither)
-    patterns = [(1.0 - miss_1) * (1.0 - miss_2), (1.0 - miss_1) * miss_2, miss_1 * (1.0 - miss_2), miss_1 * miss_2]
-    cells = (split[:, None] * np.column_stack(patterns)).ravel()
-    counts = rng.multinomial(trials, cells / cells.sum()).reshape(-1, 4)
-    both, only_1, only_2, _ = counts.sum(axis=0).tolist()
-    return both + only_1, both + only_2, both
+    p1, p2, p12 = _hbt_click_probs(field.occupation_distribution(), field.detector)
+    only_1, only_2 = max(p1 - p12, 0.0), max(p2 - p12, 0.0)
+    probs = [p12, only_1, only_2, max(1.0 - p12 - only_1 - only_2, 0.0)]
+    both, n_only_1, n_only_2, _ = rng_stream(seed).multinomial(trials, probs).tolist()
+    return both + n_only_1, both + n_only_2, both
 
 
 def g2_from_counts(n1: int, n2: int, n12: int, trials: int) -> tuple:

@@ -3,19 +3,17 @@
 Two memory nodes each attempt an emission; the photons travel through a
 lossy channel to a four-detector analyzer (two output arms x H/V). A
 herald is an exactly-two-click pattern compatible with a Bell-state
-projection. Both an aggregated Monte Carlo (one multinomial per block of
-trials) and the exact convolution of the thinned photon-number
-distributions are provided; they share the same
-routing model, in which each arriving photon independently picks an
+projection: one click in each arm with opposite polarizations, or two
+clicks in the same arm. Each arriving photon independently picks an
 analyzer arm with probability 1/2 and carries an H/V polarization that is
-uniformly random once averaged over the unobserved partner memories. A
-link is set by its channel transmission alone: the analyzer's detectors
-are ideal and never fire without a photon (detector noise is modelled
-only in ``measurement.DetectorModel``).
-
-Detector indices: 0 = arm1/H, 1 = arm1/V, 2 = arm2/H, 3 = arm2/V.
-Click-set bitmasks {arm1H, arm2V} and {arm1V, arm2H} herald one Bell
-state; {arm1H, arm1V} and {arm2H, arm2V} herald the other.
+uniformly random once averaged over the unobserved partner memories, so m
+arriving photons herald with ``pattern_herald_prob(m)``. The exact
+convolution of the two nodes' thinned photon-number distributions gives
+the per-trial herald law (``_herald_probs``); ``analytic_link`` reports it
+and the Monte Carlo draws all trials of a link point from it with one
+multinomial. A link is set by its channel transmission alone: the
+analyzer's detectors are ideal and never fire without a photon (detector
+noise is modelled only in ``measurement.DetectorModel``).
 """
 
 from __future__ import annotations
@@ -25,14 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurement import DLCZ_CUTOFF, dlcz_occupation, rng_blocks, thinned
+from .measurement import DLCZ_CUTOFF, dlcz_occupation, rng_stream, thinned
 
 SOURCE_KINDS = ("semi_deterministic", "dlcz")
-
-PSI_MINUS_MASKS = (0b1001, 0b0110)  # one click in each arm, opposite polarizations
-PSI_PLUS_MASKS = (0b0011, 0b1100)  # two clicks in the same arm
-HERALD_MASKS = PSI_MINUS_MASKS + PSI_PLUS_MASKS
-HERALD_TABLE = np.isin(np.arange(16), HERALD_MASKS)  # click-set bitmask -> heralds
 
 
 @dataclass(frozen=True)
@@ -122,33 +115,32 @@ def pattern_herald_prob(m: int) -> float:
     return 4.0 * (2.0**m - 2.0) / 4.0**m
 
 
-def _simulate_chunk(source_left, source_right, link, n_trials, rng):
-    """Aggregated trials; returns (heralds, true_heralds).
+def _herald_probs(source_left, source_right, link) -> tuple:
+    """(rate, true_rate): the per-trial probabilities of a herald and of a true one.
 
-    One multinomial draws the (n_l, n_r) photon-number histogram of the
-    ``n_trials`` trials. In each cell with n_l + n_r >= 2, the only ones
-    that can herald, every photon survives with probability
-    ``link.survival`` and clicks a uniformly random detector; the heralds
-    of the cell n_l = n_r = 1 are true.
+    The exact convolution of the two nodes' photon-number distributions, each
+    thinned by the survival; a herald is true when each node emitted exactly
+    one photon and kept it.
     """
-    p_l, p_r = source_left.emission_distribution(), source_right.emission_distribution()
-    joint = np.outer(p_l, p_r).ravel()
-    cells = rng.multinomial(n_trials, joint / joint.sum()).reshape(len(p_l), len(p_r))
     s = link.survival
-    heralds = true_heralds = 0
-    for n_l, n_r in zip(*np.nonzero(cells)):
-        photons = n_l + n_r
-        if photons < 2:
-            continue
-        # one row per photon: its detector's click bit, cleared when the photon is lost
-        clicks = np.left_shift(1, rng.integers(4, size=(photons, cells[n_l, n_r]), dtype=np.uint8), dtype=np.uint8)
-        if s < 1.0:  # at s = 1 every photon survives: no draw
-            clicks *= rng.random(clicks.shape) < s
-        h = np.count_nonzero(HERALD_TABLE[np.bitwise_or.reduce(clicks)])
-        heralds += h
-        if n_l == n_r == 1:
-            true_heralds = h
-    return heralds, true_heralds
+    p_l, p_r = source_left.emission_distribution(), source_right.emission_distribution()
+    arriving = np.convolve(thinned(p_l, s), thinned(p_r, s))  # P(m photons at the analyzer)
+    rate = float(arriving @ [pattern_herald_prob(m) for m in range(len(arriving))])
+    # for a semi source these are the products the convolution forms, so none of its heralds is spurious
+    true_rate = (p_l[1] * s) * (p_r[1] * s) * pattern_herald_prob(2)
+    return rate, true_rate
+
+
+def _simulate_chunk(source_left, source_right, link, n_trials, rng):
+    """(heralds, true_heralds) of ``n_trials`` independent trials, as Python ints.
+
+    One multinomial over (true herald, spurious herald, none) with the
+    probabilities of ``_herald_probs``, each clipped at 0 against rounding.
+    """
+    rate, true_rate = _herald_probs(source_left, source_right, link)
+    spurious = max(rate - true_rate, 0.0)
+    n_true, n_spurious, _ = rng.multinomial(n_trials, [true_rate, spurious, max(1.0 - rate, 0.0)]).tolist()
+    return n_true + n_spurious, n_true
 
 
 def simulate_link(
@@ -158,19 +150,10 @@ def simulate_link(
     trials: int,
     seed: int,
 ) -> HeraldStats:
-    """Monte Carlo link attempts in blocks of ``measurement.BLOCK`` trials.
-
-    Block c draws from stream (c,) of ``measurement.rng_blocks``, so a
-    full block does not depend on ``trials``.
-    """
+    """Monte Carlo link attempts: all ``trials`` drawn by one ``_simulate_chunk`` call from stream (0,)."""
     if trials <= 0:
         raise ValueError("trials must be positive")
-    heralds = true_heralds = 0
-    for rng, n in rng_blocks(seed, trials):
-        h, t = _simulate_chunk(source_left, source_right, link, n, rng)
-        heralds += h
-        true_heralds += t
-
+    heralds, true_heralds = _simulate_chunk(source_left, source_right, link, trials, rng_stream(seed, 0))
     rate = heralds / trials
     # Wilson score interval (Brown, Cai and DasGupta, Stat. Sci. 16, 101
     # (2001)): unlike the Wald interval it keeps a nonzero width at rate 0 or 1
@@ -182,12 +165,6 @@ def simulate_link(
 
 
 def analytic_link(source_left: SourceModel, source_right: SourceModel, link: LinkConfig) -> HeraldStats:
-    """Exact convolution of the two nodes' photon-number distributions, each thinned by the
-    survival; a herald is true when each node emitted exactly one photon and kept it."""
-    s = link.survival
-    p_l, p_r = source_left.emission_distribution(), source_right.emission_distribution()
-    arriving = np.convolve(thinned(p_l, s), thinned(p_r, s))  # P(m photons at the analyzer)
-    rate = float(arriving @ [pattern_herald_prob(m) for m in range(len(arriving))])
-    # for a semi source these are the products the convolution forms, so none of its heralds is spurious
-    true_rate = (p_l[1] * s) * (p_r[1] * s) * pattern_herald_prob(2)
+    """The exact herald law of ``_herald_probs``."""
+    rate, true_rate = _herald_probs(source_left, source_right, link)
     return _herald_stats(rate, rate, true_rate, None, None, (rate, rate))

@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 
 from rydlink import dephasing as dp
-from rydlink import measurement as ms
 from rydlink.config import load_config
 from rydlink.dephasing import SimulationFlags
 from rydlink.geometry import protocol_modes
+
+from per_trial_samplers import BLOCK, rng_blocks
 
 ATOM_STREAM = 1  # the atoms' stream key; the package leaves key 1 unused
 
@@ -27,13 +28,13 @@ def sample_atoms(ens, n_samples, seed):
     """(positions in um, velocities in um/us), each of shape (n_samples, 3).
 
     Samples are drawn in blocks from streams (ATOM_STREAM, b) of
-    ``measurement.rng_blocks``, positions then velocities per sample, so
+    ``per_trial_samplers.rng_blocks``, positions then velocities per sample, so
     sample i does not depend on how many samples are drawn. A velocity in
     um/us is numerically identical to one in m/s.
     """
     sigma_v = dp.thermal_velocity_sigma(ens.temperature_uK, ens.atomic_mass_amu)
     scale = np.stack([np.asarray(ens.cloud_sigma_um, dtype=float), np.full(3, sigma_v)])
-    blocks = ms.rng_blocks(seed, n_samples, ATOM_STREAM)
+    blocks = rng_blocks(seed, n_samples, ATOM_STREAM)
     draws = np.concatenate([rng.normal(0.0, scale, size=(n, 2, 3)) for rng, n in blocks])
     return draws[:, 0], draws[:, 1]
 
@@ -68,7 +69,7 @@ class TestSampling:
 
     def test_per_index_streams_are_stable(self, cfg):
         # sample i must not depend on how many samples are drawn, also across block boundaries
-        sizes = (5, ms.BLOCK + 1, 2 * ms.BLOCK + 3)
+        sizes = (5, BLOCK + 1, 2 * BLOCK + 3)
         draws = [sample_atoms(cfg.ensemble, n, 42) for n in sizes]
         for n, (pos, vel) in zip(sizes, draws):
             assert pos.shape == vel.shape == (n, 3)

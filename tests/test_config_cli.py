@@ -132,6 +132,16 @@ class TestSchema:
                         load_config(write_config(tmp_path, raw))
 
 
+K2_ZERO_KEYS = (
+    "geometry.beams.A.wavelength",
+    "geometry.beams.A.direction",
+    "geometry.beams.B.wavelength",
+    "geometry.beams.B.direction",
+    "ensemble.temperature",
+    "ensemble.atomic_mass",
+)
+
+
 def run_cli(args, outdir):
     return cli.main(["--out", str(outdir), *args])
 
@@ -145,6 +155,19 @@ class TestCli:
         assert "rabi_single.csv" in manifest["outputs"]
         data = (out / "rabi_single.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == manifest["outputs"]["rabi_single.csv"]
+
+    def test_failed_run_leaves_an_earlier_run_as_it_was(self, tmp_path, monkeypatch):
+        out = tmp_path / "o"
+        assert run_cli(["rabi", "--single"], out) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def fail_after_first_artifact(cfg, args, writer):
+            writer.csv("rabi_single.csv", ("t_ns", "p_transferred"), [(0.0, 1.0)])
+            raise dephasing.FitError("no convergence")
+
+        monkeypatch.setattr(cli, "cmd_rabi", fail_after_first_artifact)
+        assert run_cli(["rabi", "--single"], out) == 3
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.yaml"
@@ -333,6 +356,14 @@ class TestCli:
                 ("1e-150 Hz", "1e-150 Hz", "1e290 Hz"),
                 ["rabi", "--collective"],
             ),
+            # beam B at beam A's wavelength and opposite to it: k2 = k_A + k_B = 0, so the free spin
+            # wave never dephases and tau_free_us is infinite; every command refuses the config
+            *[
+                (K2_ZERO_KEYS, ("795 nm", [0.0, 0.0, 1.0], "795 nm", [0.0, 0.0, -1.0], "150 uK", "86.909 amu"), args)
+                for args in (["dephasing", "--flags", "none"], ["dephasing", "--flags", "motion"], ["rabi", "--single"])
+            ],
+            # numpy's multinomial takes the count as a C long
+            ("repeater.trials", 2**63, ["repeater", "--source", "dlcz"]),
         ],
         ids=[
             "nan-wavelength", "nan-direction", "string-direction", "short-direction",
@@ -350,7 +381,8 @@ class TestCli:
             "removed-theta-1", "removed-output-directory", "overflowing-linewidth", "too-few-dephasing-samples",
             "underflowing-calibration-fidelity", "underflowing-calibration-g2",
             "period-beyond-ns-single", "period-beyond-ns-pair", "overflowing-excitation-rabi",
-            "underflowing-excitation-rabi",
+            "underflowing-excitation-rabi", "zero-spin-wave-vector-none", "zero-spin-wave-vector-motion",
+            "zero-spin-wave-vector-rabi", "repeater-trials-past-c-long",
         ],
     )
     def test_bad_config_value_exits_2_naming_key(self, tmp_path, capsys, default_raw, key, value, args):
@@ -459,6 +491,17 @@ class TestCli:
         assert report["monte_carlo"]["herald_rate"] == 0.0
         assert report["monte_carlo"]["conditional_fidelity"] is None
         assert report["analytic"]["conditional_fidelity"] > 0.0
+
+    def test_largest_repeater_trial_count_runs(self, tmp_path, default_raw):
+        # one multinomial per link point, so the largest count numpy takes costs no more than one trial
+        raw = yaml.safe_load(yaml.safe_dump(default_raw))
+        raw["repeater"]["trials"] = 2**63 - 1
+        out = tmp_path / "o"
+        assert cli.main(["--config", write_config(tmp_path, raw), "--out", str(out), "repeater", "--source", "dlcz"]) == 0
+        report = json.loads((out / "repeater_dlcz.json").read_text())
+        mc, exact = report["monte_carlo"], report["analytic"]["herald_rate"]
+        assert mc["trials"] == 2**63 - 1
+        assert abs(mc["herald_rate"] - exact) <= 5.0 * np.sqrt(exact * (1.0 - exact) / mc["trials"])
 
     def test_json_artifact_refuses_nan(self, tmp_path):
         writer = cli.RunWriter(tmp_path / "o", load_config(), "repeater")

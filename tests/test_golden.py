@@ -55,33 +55,33 @@ GOLDEN = {
         "dephasing_motion-inhomo-scatter.json": "8b7cba56087b58ba903e6a605ac5a0e3bc25e2d710925d60bc1b0df68bac1b1d",
     },
     ("g2", "--field", "single"): {
-        "g2_single.json": "d9214748930e0622b00c112b3ebe541b3ac9747d81448f1d018eeca8e2384859",
+        "g2_single.json": "65f76bd7f2cbcf3958a20e01ef094c90f9febfcdcf7c22b965fc05d6d11f1715",
     },
     ("g2", "--field", "single", "--calibrated"): {
-        "g2_single_calibrated.json": "cbbe31e12e19c268e66c522a49dd485bb4e0a8060e8eb8d40994940536194eb8",
+        "g2_single_calibrated.json": "febf4fe50db9a960c4ca4c5ae6c2c400b5e8209bb37652351cf8bc37082b0f7b",
     },
     # run by the benchmark's link workload though not by the default dataset
     ("g2", "--field", "coherent"): {
-        "g2_coherent.json": "70eb9187cf4e40c4ba5652cdf2b591daba84448ea99bf4e088039444b268ae91",
+        "g2_coherent.json": "23fb0a9fd94f9c058863e8f3e1b8251dedc749db447ed4decb354b507b815299",
     },
     ("g2", "--field", "thermal"): {
-        "g2_thermal.json": "752ce056d378bc3c4847b504c142f7b50454da0a0ca5c4c982ffad2019308cfb",
+        "g2_thermal.json": "a53c0e55ebdaf288ba30b9d70381ee572daab8942d967ebf58801ead955e6271",
     },
     ("g2", "--field", "dlcz"): {
-        "g2_dlcz.json": "5f93ab7f8dfd2d8197894a3101fbae333635c6aa7c425fb7b7e53450fd56102d",
+        "g2_dlcz.json": "6e049ab6cd6d2db05815a503b68bd26855dea8720365976b2624eb235e6256bf",
     },
     ("repeater", "--source", "semi"): {
-        "repeater_semi.json": "6642012316834b395999ee0ae43fac9a904570165f2eac37b5d8a101a1b2ada2",
+        "repeater_semi.json": "e6959cc3dc25dd66d4824c03cc5628b59ca267948124eb8bcaad1e5aeb9ebcd9",
     },
     ("repeater", "--source", "dlcz"): {
-        "repeater_dlcz.json": "1b4cae0fce335932ff0900af75e6ee3c66c923eeac04a0e9fa20d9cef64fe9f9",
+        "repeater_dlcz.json": "aa18a07af6e690934ddab40ddb3731b415f962de659babd8ce43245bd2f553d7",
     },
-    # the repeater's largest cost: ten eta points of the semi source
+    # ten eta points of the semi source
     ("repeater", "--source", "semi", "--sweep", "eta"): {
-        "repeater_semi_sweep_eta.csv": "c70acb551911d0594aef31154b7ab3f08e5165981e9e6fbd34461c409414dda5",
+        "repeater_semi_sweep_eta.csv": "7a5d562e419123e09d2453b18d2d196a9c738f21968ddcf0564bb44ce18e01de",
     },
     ("repeater", "--source", "dlcz", "--sweep", "p"): {
-        "repeater_dlcz_sweep_p.csv": "916a46db8510d8f0c77abc4d5afb302461ae0276378f97a68d4bd2f87c7d054c",
+        "repeater_dlcz_sweep_p.csv": "5bdc50d45659f9a014a0b3545ea82b5683c99b00c9f1ab524b522b3f7d10391c",
     },
 }
 

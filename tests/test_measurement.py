@@ -12,7 +12,7 @@ from rydlink.collective import run_protocol
 from rydlink.config import load_config
 from rydlink.measurement import DetectorModel, PhotonFieldModel, ZeroCoincidenceError
 
-from per_trial_samplers import assert_same_rate, per_trial_hbt_counts
+from per_trial_samplers import BLOCK, assert_same_rate, cell_hbt_counts, hbt_cells, per_trial_hbt_counts
 from test_atom_sampler import ATOM_STREAM, sample_atoms
 
 IDEAL = DetectorModel()
@@ -315,14 +315,15 @@ class TestRandomStreams:
             return stream(seed, *key)
 
         monkeypatch.setattr(ms, "rng_stream", recording_stream)
+        monkeypatch.setattr(rp, "rng_stream", recording_stream)
         ensemble = load_config().ensemble
         semi = rp.SourceModel("semi_deterministic")
         for seed in (7, 8):
             ms.g2_hbt(PhotonFieldModel("thermal", 0.5, IDEAL), trials=100, seed=seed)
-            rp.simulate_link(semi, semi, rp.LinkConfig(), ms.BLOCK + 1, seed)
-            sample_atoms(ensemble, ms.BLOCK + 1, seed)
+            rp.simulate_link(semi, semi, rp.LinkConfig(), BLOCK + 1, seed)
+            sample_atoms(ensemble, BLOCK + 1, seed)
             ms.measure_three_bases(BELL, np.pi, 1.0, IDEAL, 100, seed)
-        keys = [(), (0,), (1,), (ATOM_STREAM, 0), (ATOM_STREAM, 1)]
+        keys = [(), (0,), (ATOM_STREAM, 0), (ATOM_STREAM, 1)]
         keys += [(ms.COINCIDENCE_STREAM, i) for i in range(len(ms.BASES))]
         assert requested == [(seed, key) for seed in (7, 8) for key in keys]
         first_draws = {stream(seed, *key).integers(2**63) for seed, key in requested}
@@ -442,26 +443,48 @@ class TestG2:
         assert ms.g2_hbt(f, trials=50_000, seed=3) == ms.g2_hbt(f, trials=50_000, seed=3)
 
 
+@pytest.mark.parametrize("calibrated", [False, True], ids=["b0", "calibrated"])
+@pytest.mark.parametrize("eta", [0.008, 0.5, 1.0])
+@pytest.mark.parametrize(
+    "kind, parameter", [("single_photon", 1.0), ("coherent", 1.0), ("thermal", 1.0), ("dlcz_pair", 0.05)]
+)
 class TestAggregatedG2:
-    @pytest.mark.parametrize("calibrated", [False, True], ids=["b0", "calibrated"])
-    @pytest.mark.parametrize("eta", [0.008, 0.5, 1.0])
-    @pytest.mark.parametrize(
-        "kind, parameter", [("single_photon", 1.0), ("coherent", 1.0), ("thermal", 1.0), ("dlcz_pair", 0.05)]
-    )
-    def test_matches_per_trial_oracle(self, kind, parameter, eta, calibrated):
-        # P(c1), P(c2) and P(c1 & c2) fix the joint law of a trial's two clicks
+    @staticmethod
+    def field(kind, parameter, eta, calibrated):
         b = 0.0
         if calibrated:  # the background of the packaged calibration chain, as g2 --calibrated uses
             det = load_config().parsed["detector"]
             chain = PhotonFieldModel("single_photon", 1.0, DetectorModel(det["calibration_chain_efficiency"]))
             b = ms.calibrate_background(det["g2_calibration_target"], chain)
-        field = PhotonFieldModel(kind, parameter, DetectorModel(eta, b))
+        return PhotonFieldModel(kind, parameter, DetectorModel(eta, b))
+
+    def test_matches_per_trial_oracle(self, kind, parameter, eta, calibrated):
+        # P(c1), P(c2) and P(c1 & c2) fix the joint law of a trial's two clicks
+        field = self.field(kind, parameter, eta, calibrated)
         aggregated, oracle = 10**10, 1 << 18
         counts = ms.hbt_counts(field, aggregated, 5)
         reference = per_trial_hbt_counts(field, oracle, 6)
         for label, k_a, k_b in zip(("n1", "n2", "n12"), counts, reference):
             assert_same_rate(label, k_a, aggregated, k_b, oracle)
 
+    def test_pattern_probabilities_sum_the_cells(self, kind, parameter, eta, calibrated):
+        # the (n, k) cells summed per click pattern are the four probabilities hbt_counts draws from,
+        # within 8 ulp of 1 (at most 5.5 measured, on the rest of the thermal field at eta = 0.008)
+        field = self.field(kind, parameter, eta, calibrated)
+        p1, p2, p12 = ms._hbt_click_probs(field.occupation_distribution(), field.detector)
+        patterns = np.array([p12, p1 - p12, p2 - p12, 1.0 - p1 - p2 + p12])
+        np.testing.assert_allclose(hbt_cells(field).sum(axis=0), patterns, rtol=0.0, atol=8 * np.finfo(float).eps)
+
+    def test_matches_cell_oracle(self, kind, parameter, eta, calibrated):
+        field = self.field(kind, parameter, eta, calibrated)
+        aggregated = 10**10
+        counts = ms.hbt_counts(field, aggregated, 5)
+        reference = cell_hbt_counts(field, aggregated, 6)
+        for label, k_a, k_b in zip(("n1", "n2", "n12"), counts, reference):
+            assert_same_rate(label, k_a, aggregated, k_b, aggregated)
+
+
+class TestG2FromCounts:
     def test_int64_product_does_not_overflow(self):
         # n12 T is about 2e23 here, far past int64
         field = PhotonFieldModel("thermal", 1.0, DetectorModel(1.0))

@@ -9,7 +9,7 @@ from rydlink.cli import SWEEPS
 from rydlink.measurement import DetectorModel, PhotonFieldModel
 from rydlink.repeater import LinkConfig, SourceModel
 
-from per_trial_samplers import assert_same_rate, per_trial_chunk
+from per_trial_samplers import HERALD_MASKS, HERALD_TABLE, assert_same_rate, per_trial_chunk, rng_blocks, routed_chunk
 
 SEMI = SourceModel("semi_deterministic")
 IDEAL_LINK = LinkConfig()
@@ -62,13 +62,12 @@ class TestHeraldPattern:
         assert rp.pattern_herald_prob(3) == pytest.approx(3.0 / 8.0)
 
     def test_mc_pattern_matches_analytic(self):
-        # place m photons on uniformly random detectors, independently of
-        # the repeater's own sampler
+        # place m photons on uniformly random detectors, as the routed samplers do
         rng = np.random.default_rng(0)
         for m in (2, 3):
             detectors = rng.integers(4, size=(40_000, m))
             occupied = np.bitwise_or.reduce(1 << detectors, axis=1)
-            hits = np.isin(occupied, rp.HERALD_MASKS).mean()
+            hits = np.isin(occupied, HERALD_MASKS).mean()
             assert hits == pytest.approx(rp.pattern_herald_prob(m), abs=0.01)
 
 
@@ -146,23 +145,32 @@ class TestAnalyticLink:
 
 
 def chunked_counts(chunk, source, link, trials, seed):
-    """(heralds, true heralds) of ``trials`` trials drawn by ``chunk`` in the blocks of simulate_link."""
-    counts = [chunk(source, source, link, n, rng) for rng, n in ms.rng_blocks(seed, trials)]
+    """(heralds, true heralds) of ``trials`` trials drawn by ``chunk`` in blocks of streams (b,)."""
+    counts = [chunk(source, source, link, n, rng) for rng, n in rng_blocks(seed, trials)]
     return tuple(sum(c) for c in zip(*counts))
 
 
+@pytest.mark.parametrize("eta", [0.1, 0.5, 1.0])
+@pytest.mark.parametrize(
+    "source",
+    [SEMI] + [SourceModel("dlcz", emission_prob=p) for p in SWEEPS["p"]],
+    ids=lambda src: "semi" if src.kind != "dlcz" else f"dlcz-{src.emission_prob}",
+)
 class TestAggregatedLink:
-    @pytest.mark.parametrize("eta", [0.1, 0.5, 1.0])
-    @pytest.mark.parametrize(
-        "source",
-        [SEMI] + [SourceModel("dlcz", emission_prob=p) for p in SWEEPS["p"]],
-        ids=lambda src: "semi" if src.kind != "dlcz" else f"dlcz-{src.emission_prob}",
-    )
     def test_matches_per_trial_oracle(self, source, eta):
         link = LinkConfig(channel_transmission=eta)
         aggregated, oracle = 1 << 21, 1 << 18
         counts = chunked_counts(rp._simulate_chunk, source, link, aggregated, 5)
         reference = chunked_counts(per_trial_chunk, source, link, oracle, 6)
+        for label, k_a, k_b in zip(("heralds", "true heralds"), counts, reference):
+            assert_same_rate(label, k_a, aggregated, k_b, oracle)
+
+    def test_matches_routed_oracle(self, source, eta):
+        # the herald law drawn at once against the photon-number cells whose photons are routed one by one
+        link = LinkConfig(channel_transmission=eta)
+        aggregated, oracle = 10**12, 1 << 21
+        counts = rp._simulate_chunk(source, source, link, aggregated, ms.rng_stream(5, 0))
+        reference = chunked_counts(routed_chunk, source, link, oracle, 6)
         for label, k_a, k_b in zip(("heralds", "true heralds"), counts, reference):
             assert_same_rate(label, k_a, aggregated, k_b, oracle)
 
@@ -190,14 +198,12 @@ class TestSimulateLink:
         a = rp.simulate_link(SEMI, SEMI, IDEAL_LINK, 100_000, 3)
         b = rp.simulate_link(SEMI, SEMI, IDEAL_LINK, 100_000, 3)
         assert a == b
-        # trial counts that are not a chunk multiple still reproduce
         c = rp.simulate_link(SEMI, SEMI, IDEAL_LINK, 70_001, 3)
         d = rp.simulate_link(SEMI, SEMI, IDEAL_LINK, 70_001, 3)
         assert c == d
 
     def test_matches_analytic_dlcz_all_photon_numbers(self):
-        # at p = 0.2 and eta = 1 the multinomial fills every (n_l, n_r) cell,
-        # up to (4, 4) with about 3 trials in 2^21, and each is routed
+        # at p = 0.2 and eta = 1 every photon number up to 4 per node contributes heralds
         src = SourceModel("dlcz", emission_prob=0.2)
         exact = rp.analytic_link(src, src, IDEAL_LINK)
         trials = 1 << 21
@@ -213,9 +219,19 @@ class TestSimulateLink:
         assert rp._simulate_chunk(SEMI, SEMI, LinkConfig(channel_transmission=0.0), 1000, rng) == (0, 0)
 
     def test_herald_table_is_mask_membership(self):
-        assert rp.HERALD_TABLE.shape == (16,)
+        assert HERALD_TABLE.shape == (16,)
         for clicks in range(16):
-            assert rp.HERALD_TABLE[clicks] == (clicks in rp.HERALD_MASKS)
+            assert HERALD_TABLE[clicks] == (clicks in HERALD_MASKS)
+
+    def test_semi_source_heralds_no_spurious_pair(self):
+        # rate - true_rate is exactly 0, so the spurious cell of the multinomial draws nothing
+        for eta in (1.0, 0.7, 0.1, 1e-8):
+            link = LinkConfig(channel_transmission=eta)
+            semi = SourceModel("semi_deterministic", retrieval_efficiency=0.9)
+            rate, true_rate = rp._herald_probs(semi, semi, link)
+            assert rate == true_rate
+            heralds, true_heralds = rp._simulate_chunk(semi, semi, link, 2**63 - 1, ms.rng_stream(1, 0))
+            assert heralds == true_heralds > 0
 
     def test_ci_covers_true_rate(self):
         mc = rp.simulate_link(SEMI, SEMI, IDEAL_LINK, 200_000, 21)
