@@ -10,6 +10,7 @@ checksums.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -111,52 +112,33 @@ def cmd_rabi(cfg: RunConfig, args, writer: RunWriter):
     writer.csv("rabi_pair.csv", ("t_ns", "c_par", "c_perp"), rows)
 
 
-FLAG_NAMES = ("motion", "inhomo", "scatter")  # in the field order of SimulationFlags
-
-
-def _parse_flags(spec: str) -> dict:
-    """--flags as {name: on} in FLAG_NAMES order."""
+def _parse_flags(spec: str) -> dephasing.SimulationFlags:
+    """--flags as the SimulationFlags whose field names it lists."""
+    names = tuple(field.name for field in dataclasses.fields(dephasing.SimulationFlags))
     parts = [] if spec == "none" else [p.strip() for p in spec.split(",")]
-    if not set(parts) <= set(FLAG_NAMES) or len(set(parts)) < len(parts):
-        raise ConfigError(f"--flags {spec!r}: give distinct names from {FLAG_NAMES}, comma separated, or 'none'")
-    return {name: name in parts for name in FLAG_NAMES}
+    if not set(parts) <= set(names) or len(set(parts)) < len(parts):
+        raise ConfigError(f"--flags {spec!r}: give distinct names from {names}, comma separated, or 'none'")
+    return dephasing.SimulationFlags(**dict.fromkeys(parts, True))
 
 
 def cmd_dephasing(cfg: RunConfig, args, writer: RunWriter):
-    on = _parse_flags(args.flags)
-    flags = dephasing.SimulationFlags(*on.values())
+    flags = _parse_flags(args.flags)
     sim = cfg.parsed["simulation"]
     t_grid = np.linspace(0.0, sim["dephasing_t_max"] * 1e6, sim["dephasing_points"])
     gamma_e = cfg.parsed["raman"]["intermediate_linewidth"]
     try:
-        result = dephasing.simulate_single_excitation(
+        population, projection, record = dephasing.simulate_single_excitation(
             cfg.geometry, cfg.ensemble, gamma_e, flags, sim["dephasing_samples"], cfg.seed, t_grid
         )
     except (dephasing.BatchError, np.linalg.LinAlgError) as exc:
         # the detunings enter every batch; the rest only with their mechanism
         keys = {"scatter": "raman.intermediate_linewidth, ", "motion": "ensemble.temperature, ensemble.atomic_mass, "}
-        named = "".join(text for name, text in keys.items() if on[name])
+        named = "".join(text for name, text in keys.items() if getattr(flags, name))
         raise dephasing.BatchError(f"{named}geometry.detuning_1, geometry.detuning_2: {exc}") from None
     # the parsed names, so that equivalent --flags texts name the same files
-    tag = "-".join(name for name, value in on.items() if value) or "none"
-    writer.csv(
-        f"dephasing_{tag}.csv",
-        ("t_us", "population_r", "projection"),
-        zip(t_grid, result.population_r, result.spinwave_projection),
-    )
-    writer.json(
-        f"dephasing_{tag}.json",
-        {
-            "flags": on,
-            "n_samples": result.metadata["n_samples"],
-            "n_nodes": result.metadata["n_nodes"],
-            "seed": cfg.seed,
-            "tau_osc_us": result.tau_osc_us,
-            "tau_osc_se_us": result.tau_osc_se_us,
-            "tau_free_us": result.tau_free_us,
-            "metadata": result.metadata,
-        },
-    )
+    tag = "-".join(name for name, on in record["flags"].items() if on) or "none"
+    writer.csv(f"dephasing_{tag}.csv", ("t_us", "population_r", "projection"), zip(t_grid, population, projection))
+    writer.json(f"dephasing_{tag}.json", record)
 
 
 def _entangled_amplitudes(cfg: RunConfig) -> np.ndarray:
@@ -168,8 +150,7 @@ def _entangled_amplitudes(cfg: RunConfig) -> np.ndarray:
 
 def _memory_coherence(cfg: RunConfig) -> float:
     """Coherence left by the ground-spin-wave decay before the second read."""
-    lifetime_s = cfg.ensemble.ground_spinwave_lifetime_us * 1e-6
-    return np.exp(-cfg.parsed["readout"]["second_read_delay"] / lifetime_s)
+    return np.exp(-cfg.parsed["readout"]["second_read_delay"] / cfg.parsed["ensemble"]["ground_spinwave_lifetime"])
 
 
 def _calibrated_background(cfg: RunConfig) -> float:
@@ -232,10 +213,8 @@ def cmd_g2(cfg: RunConfig, args, writer: RunWriter):
     trials = cfg.parsed["simulation"]["g2_trials"]
     try:
         g2_analytic = measurement.g2_hbt(field)
-        g2_mc = measurement.g2_hbt(field, trials=trials, seed=cfg.seed)
-        # the same stream again, so these are the counts g2_mc was estimated from
         n1, n2, n12 = measurement.hbt_counts(field, trials, cfg.seed)
-        g2_mc_error = measurement.g2_from_counts(n1, n2, n12, trials)[1]
+        g2_mc, g2_mc_error = measurement.g2_from_counts(n1, n2, n12, trials)
     except measurement.ZeroCoincidenceError as exc:
         source = "--parameter" if args.parameter is not None else "default parameter"
         raise ConfigError(

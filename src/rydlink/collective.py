@@ -21,7 +21,6 @@ class EnsembleConfig:
     effective_atom_number: float
     temperature_uK: float
     cloud_sigma_um: tuple
-    ground_spinwave_lifetime_us: float
     atomic_mass_amu: float
 
 

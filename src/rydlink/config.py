@@ -258,7 +258,6 @@ def _build_ensemble(parsed: dict) -> EnsembleConfig:
         effective_atom_number=float(e["effective_atom_number"]),
         temperature_uK=e["temperature"] * 1e6,
         cloud_sigma_um=e["cloud_sigma"],
-        ground_spinwave_lifetime_us=e["ground_spinwave_lifetime"] * 1e6,
         atomic_mass_amu=e["atomic_mass"] / AMU,
     )
     if not 0.0 < thermal_velocity_sigma(ens.temperature_uK, ens.atomic_mass_amu) < math.inf:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -125,19 +125,11 @@ def shift_cancelling_branch_weights(detuning_1: float, detuning_2: float) -> tup
 
 @dataclass(frozen=True)
 class SimulationFlags:
+    """The mechanisms of a run, named as the ``--flags`` of ``rydlink dephasing``."""
+
     motion: bool = False
-    inhomogeneity: bool = False
-    scattering: bool = False
-
-
-@dataclass(frozen=True)
-class DephasingResult:
-    population_r: np.ndarray
-    spinwave_projection: np.ndarray
-    tau_osc_us: float
-    tau_osc_se_us: float | None
-    tau_free_us: float
-    metadata: dict
+    inhomo: bool = False
+    scatter: bool = False
 
 
 class EnvelopeTime(float):
@@ -225,8 +217,8 @@ def rule_sizes(ens: EnsembleConfig, flags: SimulationFlags, budget: int) -> tupl
     """
     sigma_x, sigma_y, _ = ens.cloud_sigma_um
     full = (
-        N_X if flags.inhomogeneity else 1,
-        N_THETA if flags.inhomogeneity and sigma_x != sigma_y else 1,
+        N_X if flags.inhomo else 1,
+        N_THETA if flags.inhomo and sigma_x != sigma_y else 1,
         N_V if flags.motion else 1,
     )
     if math.prod(full) <= budget:
@@ -275,7 +267,7 @@ def atom_nodes(ens: EnsembleConfig, k_sw, waist_um: float, flags: SimulationFlag
 
     n_x, n_theta, n_v = rule_sizes(ens, flags, budget)
     rho_sq, w_rho = np.zeros(1), np.ones(1)
-    if flags.inhomogeneity:
+    if flags.inhomo:
         theta = (np.arange(n_theta) + 0.5) * np.pi / (2 * n_theta)
         tiny = np.finfo(float).tiny
         with np.errstate(over="ignore", divide="ignore"):
@@ -419,9 +411,8 @@ def _batched_amplitudes(H, gamma, t_grid_s):
 
 
 def _mechanisms(flags: SimulationFlags, gamma: float) -> str:
-    """The mechanisms that are on, for a BatchError."""
-    mechanisms = {"motion": flags.motion, "inhomogeneity": flags.inhomogeneity,
-                  f"scattering (gamma_e {gamma:.6g} rad/s)": flags.scattering}
+    """The flags that are on, for a BatchError."""
+    mechanisms = {"motion": flags.motion, "inhomo": flags.inhomo, f"scatter (gamma_e {gamma:.6g} rad/s)": flags.scatter}
     return ", ".join(name for name, value in mechanisms.items() if value) or "no mechanism"
 
 
@@ -433,11 +424,12 @@ def simulate_single_excitation(
     n_samples: int,
     seed: int,
     t_grid_us,
-) -> DephasingResult:
-    """Ensemble-averaged Rydberg population and spin-wave projection.
+) -> tuple:
+    """(population, projection, record): the ensemble-averaged Rydberg population and spin-wave
+    projection on ``t_grid_us``, and the record that ``rydlink dephasing`` writes as its JSON.
 
     Beams C and E of ``geo`` drive the Raman coupling; ``gamma_e`` is the
-    intermediate-state decay rate, rad/s, used with ``flags.scattering``.
+    intermediate-state decay rate, rad/s, used with ``flags.scatter``.
     The mean over atoms is the product rule of ``atom_nodes`` with at most
     ``n_samples`` nodes; it draws nothing, so ``seed`` is only recorded. The
     projection is |weighted mean of the coherent r amplitude|^2, normalized
@@ -450,7 +442,7 @@ def simulate_single_excitation(
     t_grid_s = t_grid_us * 1e-6
 
     k_sw = protocol_modes(geo).k2  # Rydberg spin-wave wave vector, rad/um
-    gamma = gamma_e if flags.scattering else 0.0
+    gamma = gamma_e if flags.scatter else 0.0
     tau_free = motional_coherence_time_us(np.linalg.norm(k_sw), ens.temperature_uK, ens.atomic_mass_amu)
     phase = np.abs(t_grid_us).max() / tau_free  # sigma_D t_max, with sigma_D = 1 / tau_free
     if flags.motion and not phase <= DOPPLER_PHASE_MAX:
@@ -471,7 +463,7 @@ def simulate_single_excitation(
         projection = np.abs(amps @ weights) ** 2
         if t_grid_us[0] == 0.0:
             projection = projection / projection[0]
-        if flags.scattering:
+        if flags.scatter:
             del amps  # freed before the Lindblad batch allocates its stacks and output
             population = _batched_lindblad_trace(H, gamma, t_grid_s) @ weights
         else:
@@ -485,18 +477,15 @@ def simulate_single_excitation(
 
     omega_eff, _ = raman_rabi_local(geo)
     tau_osc = fit_envelope_time_us(t_grid_us, projection, abs(raman_splitting_exact(geo)))
-    return DephasingResult(
-        population_r=population,
-        spinwave_projection=projection,
-        tau_osc_us=float(tau_osc),
-        tau_osc_se_us=tau_osc.se_us,
-        tau_free_us=tau_free,
-        metadata={
-            "n_samples": n_samples,
-            "n_nodes": len(weights),
-            "seed": seed,
-            "flags": {"motion": flags.motion, "inhomogeneity": flags.inhomogeneity,
-                      "scattering": flags.scattering},
+    record = {
+        "flags": asdict(flags),
+        "n_samples": n_samples,
+        "n_nodes": len(weights),
+        "seed": seed,
+        "tau_osc_us": float(tau_osc),
+        "tau_osc_se_us": tau_osc.se_us,
+        "tau_free_us": tau_free,
+        "metadata": {
             "omega_eff_rad_s": omega_eff,
             "spinwave_k_rad_um": float(np.linalg.norm(k_sw)),
             "tau_convention": (
@@ -505,7 +494,8 @@ def simulate_single_excitation(
                 "envelope, 1/(|dk| sigma_v)"
             ),
         },
-    )
+    }
+    return population, projection, record
 
 
 def _envelope_residual(tau, y, s, om):

@@ -281,19 +281,13 @@ def g2_from_counts(n1: int, n2: int, n12: int, trials: int) -> tuple:
     return g2, g2 * math.sqrt(max(1 / n12 - 1 / n1 - 1 / n2 + (2.0 * g2 - 1.0) / trials, 0.0))
 
 
-def g2_hbt(field: PhotonFieldModel, trials: int | None = None, seed: int | None = None) -> float:
-    """g2(0) = P12 / (P1 P2) from a balanced-splitter HBT arrangement.
-
-    Without ``trials`` the value is computed exactly from the occupation
-    distribution; with ``trials`` it is sampled by ``hbt_counts`` (seed
-    required).
-    """
-    if trials is None:
-        p1, p2, p12 = _hbt_click_probs(field.occupation_distribution(), field.detector)
-        if p1 * p2 == 0.0:
-            raise ZeroCoincidenceError("no singles; g2 undefined")
-        return p12 / (p1 * p2)
-    return g2_from_counts(*hbt_counts(field, trials, seed), trials)[0]
+def g2_hbt(field: PhotonFieldModel) -> float:
+    """g2(0) = P12 / (P1 P2) from a balanced-splitter HBT arrangement, computed exactly from the
+    occupation distribution; ``hbt_counts`` and ``g2_from_counts`` give its Monte Carlo estimate."""
+    p1, p2, p12 = _hbt_click_probs(field.occupation_distribution(), field.detector)
+    if p1 * p2 == 0.0:
+        raise ZeroCoincidenceError("no singles; g2 undefined")
+    return p12 / (p1 * p2)
 
 
 def calibrate_background(target_g2: float, field: PhotonFieldModel) -> float:

@@ -26,8 +26,8 @@ def rule_sizes(ens, flags, budget):
     n_u until the product fits."""
     sigma_x, sigma_y, _ = ens.cloud_sigma_um
     full = (
-        N_U if flags.inhomogeneity else 1,
-        N_THETA if flags.inhomogeneity and sigma_x != sigma_y else 1,
+        N_U if flags.inhomo else 1,
+        N_THETA if flags.inhomo and sigma_x != sigma_y else 1,
         N_V if flags.motion else 1,
     )
     if math.prod(full) <= budget:
@@ -52,7 +52,7 @@ def atom_nodes(ens, k_sw, waist_um, flags, budget):
         return x, w / w.sum()
 
     n_u, n_theta, n_v = rule_sizes(ens, flags, budget)
-    u, w_u = axis(laguerre.laggauss, n_u, flags.inhomogeneity)
+    u, w_u = axis(laguerre.laggauss, n_u, flags.inhomo)
     theta, w_theta = axis(lambda n: ((np.arange(n) + 0.5) * np.pi / (2 * n), np.ones(n)), n_theta, n_theta > 1)
     v, w_v = axis(hermite_e.hermegauss, n_v, flags.motion)
     sx2, sy2 = ens.cloud_sigma_um[0] ** 2, ens.cloud_sigma_um[1] ** 2

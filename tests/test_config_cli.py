@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import re
 import runpy
@@ -444,6 +445,25 @@ class TestCli:
         names = sorted(p.name for p in b.iterdir())
         assert names == [f"dephasing_{tag}.csv", f"dephasing_{tag}.json", "manifest.json"]
         assert all((a / name).read_bytes() == (b / name).read_bytes() for name in names)
+
+    @pytest.mark.parametrize(
+        "on",
+        list(itertools.product((False, True), repeat=3)),
+        ids=lambda on: "-".join(name for name, x in zip(("motion", "inhomo", "scatter"), on) if x) or "none",
+    )
+    def test_every_flags_subset_writes_one_record(self, tmp_path, on):
+        # the names go in reversed, yet the tag lists them as motion, inhomo, scatter; the JSON
+        # flags are the parsed set, and no key of the record is repeated in its metadata
+        names = ("motion", "inhomo", "scatter")
+        chosen = [name for name, x in zip(names, on) if x]
+        out = tmp_path / "o"
+        assert run_cli(["dephasing", "--flags", ",".join(reversed(chosen)) or "none"], out) == 0
+        tag = "-".join(chosen) or "none"
+        files = sorted(p.name for p in out.iterdir())
+        assert files == [f"dephasing_{tag}.csv", f"dephasing_{tag}.json", "manifest.json"]
+        record = json.loads((out / f"dephasing_{tag}.json").read_text())
+        assert record["flags"] == dict(zip(names, on))
+        assert not set(record) & set(record["metadata"])
 
     def test_unknown_dephasing_flag_is_config_error(self, tmp_path):
         assert run_cli(["dephasing", "--flags", "wobble"], tmp_path / "o") == 2

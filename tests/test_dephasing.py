@@ -313,11 +313,11 @@ class TestQuadratureRule:
         """Population and projection of a motion + inhomo run at 40 points of the packaged window."""
         cfg = load_config()
         ens = dataclasses.replace(cfg.ensemble, cloud_sigma_um=(3.5, 5.0, 6.5)) if anisotropic else cfg.ensemble
-        r = dp.simulate_single_excitation(
+        population, projection, _ = dp.simulate_single_excitation(
             cfg.geometry, ens, cfg.parsed["raman"]["intermediate_linewidth"], SimulationFlags(True, True),
             budget, 1, np.linspace(0.0, 4.0, 40),
         )
-        return np.r_[r.population_r, r.spinwave_projection]
+        return np.r_[population, projection]
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(dp.MIN_SAMPLES, 30_000), st.booleans())
@@ -325,7 +325,7 @@ class TestQuadratureRule:
         ens = load_config().ensemble
         if anisotropic:
             ens = dataclasses.replace(ens, cloud_sigma_um=(3.5, 5.0, 6.5))
-        flags = SimulationFlags(motion=True, inhomogeneity=True)
+        flags = SimulationFlags(motion=True, inhomo=True)
         full = dp.rule_sizes(ens, flags, 10**6)
         sizes = dp.rule_sizes(ens, flags, budget)
         if math.prod(full) <= budget:
@@ -376,7 +376,7 @@ class TestQuadratureRule:
     def test_extreme_clouds_give_finite_nodes(self, cfg, sigma):
         # a cloud far narrower or wider than the beam puts every atom at I = 1 or at I = 0
         ens = dataclasses.replace(cfg.ensemble, cloud_sigma_um=(sigma, sigma, 6.5))
-        rho_sq, _, w = dp.atom_nodes(ens, np.ones(3), 13.0, SimulationFlags(inhomogeneity=True), 10**6)
+        rho_sq, _, w = dp.atom_nodes(ens, np.ones(3), 13.0, SimulationFlags(inhomo=True), 10**6)
         intensity = np.exp(-rho_sq / 13.0**2)
         assert np.all(np.isfinite(w)) and w.sum() == pytest.approx(1.0, abs=1e-14)
         assert w @ intensity == pytest.approx(1.0 if sigma < 1 else 0.0, abs=1e-12)
@@ -388,12 +388,12 @@ class TestQuadratureRule:
         sim = cfg.parsed["simulation"]
         t_grid = np.linspace(0.0, sim["dephasing_t_max"] * 1e6, sim["dephasing_points"])
         args = (cfg.geometry, cfg.ensemble, gamma_e, flags, sim["dephasing_samples"], cfg.seed, t_grid)
-        jacobi = dp.simulate_single_excitation(*args)
+        pop_j, proj_j, record_j = dp.simulate_single_excitation(*args)
         monkeypatch.setattr(dp, "atom_nodes", laguerre_rule.atom_nodes)
-        laguerre = dp.simulate_single_excitation(*args)
-        assert (jacobi.metadata["n_nodes"], laguerre.metadata["n_nodes"]) == (640, 1536)
-        assert np.max(np.abs(jacobi.population_r - laguerre.population_r)) <= 1e-10
-        assert np.max(np.abs(jacobi.spinwave_projection - laguerre.spinwave_projection)) <= 1e-10
+        pop_l, proj_l, record_l = dp.simulate_single_excitation(*args)
+        assert (record_j["n_nodes"], record_l["n_nodes"]) == (640, 1536)
+        assert np.max(np.abs(pop_j - pop_l)) <= 1e-10
+        assert np.max(np.abs(proj_j - proj_l)) <= 1e-10
 
     def test_floor_is_the_smallest_budget_within_1e_4(self, monkeypatch):
         # at MIN_SAMPLES the motion + inhomo rule lies within 1e-4 of the full one on both clouds;
@@ -407,7 +407,7 @@ class TestQuadratureRule:
         assert gap(False, floor) <= 1e-12
         assert gap(True, floor) <= 1e-4 < gap(True, floor - 1)
 
-    @pytest.mark.parametrize("flags", [SimulationFlags(), SimulationFlags(scattering=True)], ids=["none", "scatter"])
+    @pytest.mark.parametrize("flags", [SimulationFlags(), SimulationFlags(scatter=True)], ids=["none", "scatter"])
     def test_none_and_scatter_evaluate_one_node(self, cfg, gamma_e, monkeypatch, flags):
         batches = []
 
@@ -420,11 +420,11 @@ class TestQuadratureRule:
 
         for name in ("_batched_amplitudes", "_batched_lindblad_trace"):
             monkeypatch.setattr(dp, name, spy(getattr(dp, name)))
-        r = dp.simulate_single_excitation(
+        _, _, record = dp.simulate_single_excitation(
             cfg.geometry, cfg.ensemble, gamma_e, flags, 2000, 1, np.linspace(0.0, 4.0, 60)
         )
-        assert r.metadata["n_nodes"] == 1
-        assert batches == ([1, 1] if flags.scattering else [1])
+        assert record["n_nodes"] == 1
+        assert batches == ([1, 1] if flags.scatter else [1])
 
 
 FIT_RUNS = {
@@ -432,12 +432,12 @@ FIT_RUNS = {
     **{f"packaged-{name}": (flags, None, None) for name, flags in {
         "none": SimulationFlags(),
         "motion": SimulationFlags(motion=True),
-        "inhomo": SimulationFlags(inhomogeneity=True),
-        "scatter": SimulationFlags(scattering=True),
+        "inhomo": SimulationFlags(inhomo=True),
+        "scatter": SimulationFlags(scatter=True),
         "motion-inhomo-scatter": SimulationFlags(True, True, True),
     }.items()},
     "ensemble-none": (SimulationFlags(), 4000, 640),
-    "ensemble-motion-inhomo": (SimulationFlags(motion=True, inhomogeneity=True), 4000, 640),
+    "ensemble-motion-inhomo": (SimulationFlags(motion=True, inhomo=True), 4000, 640),
     "ensemble-motion-inhomo-scatter": (SimulationFlags(True, True, True), 4000, 640),
 }
 
@@ -450,14 +450,14 @@ class TestEnvelopeFit:
         flags, budget, points = FIT_RUNS[run]
         sim = cfg.parsed["simulation"]
         t = np.linspace(0.0, sim["dephasing_t_max"] * 1e6, points or sim["dephasing_points"])
-        r = dp.simulate_single_excitation(
+        _, projection, record = dp.simulate_single_excitation(
             cfg.geometry, cfg.ensemble, gamma_e, flags, budget or sim["dephasing_samples"], 1, t
         )
-        w, se = oracles.curve_fit_envelope_time_us(t, r.spinwave_projection, dp.raman_splitting_exact(cfg.geometry))
+        w, se = oracles.curve_fit_envelope_time_us(t, projection, dp.raman_splitting_exact(cfg.geometry))
         # measured: at most 1.2e-4 of se apart in w, and 9e-4 relative in se (on none, where
         # curve_fit's finite-difference Jacobian is the coarser one)
-        assert abs(r.tau_osc_us - w) <= 1e-3 * se
-        assert r.tau_osc_se_us == pytest.approx(se, rel=1e-2)
+        assert abs(record["tau_osc_us"] - w) <= 1e-3 * se
+        assert record["tau_osc_se_us"] == pytest.approx(se, rel=1e-2)
 
     @staticmethod
     def envelope(b):
@@ -497,73 +497,76 @@ class TestSimulation:
             )
 
     def test_all_off_is_undamped(self, cfg, gamma_e):
-        r = dp.simulate_single_excitation(
+        population, projection, record = dp.simulate_single_excitation(
             cfg.geometry, cfg.ensemble, gamma_e, SimulationFlags(), dp.MIN_SAMPLES, 1, self.grid()
         )
         # envelope fit returns an effectively infinite decay time
-        assert r.tau_osc_us > 50.0
-        assert np.allclose(r.spinwave_projection, r.population_r, atol=1e-9)
+        assert record["tau_osc_us"] > 50.0
+        assert np.allclose(projection, population, atol=1e-9)
 
     def test_homogeneous_period_matches_exact_splitting(self, cfg, gamma_e):
         # the oscillation with everything off runs at the exact 4-level
         # splitting, within 0.1%
         t = self.grid(t_max=3.0, n=400)
-        r = dp.simulate_single_excitation(
+        population, _, _ = dp.simulate_single_excitation(
             cfg.geometry, cfg.ensemble, gamma_e, SimulationFlags(), dp.MIN_SAMPLES, 1, t
         )
-        w_fit = oracles.fit_oscillation_frequency(t * 1e-6, r.population_r, dp.raman_splitting_exact(cfg.geometry))
+        w_fit = oracles.fit_oscillation_frequency(t * 1e-6, population, dp.raman_splitting_exact(cfg.geometry))
         assert abs(w_fit - dp.raman_splitting_exact(cfg.geometry)) / w_fit < 1e-3
 
     def test_motion_only_tau_ratio(self, cfg, gamma_e):
-        r = dp.simulate_single_excitation(
+        _, _, record = dp.simulate_single_excitation(
             cfg.geometry, cfg.ensemble, gamma_e, SimulationFlags(motion=True),
             800, 3, self.grid(t_max=5.0, n=250),
         )
-        assert r.tau_osc_us / r.tau_free_us == pytest.approx(2.0, rel=0.1)
-        assert r.tau_free_us == pytest.approx(1.6, rel=0.15)
+        assert record["tau_osc_us"] / record["tau_free_us"] == pytest.approx(2.0, rel=0.1)
+        assert record["tau_free_us"] == pytest.approx(1.6, rel=0.15)
 
     def test_doubling_samples_is_stable(self, cfg, gamma_e):
         # a budget of 400 shrinks the 20 x 32 rule to 20 x 20 nodes; 2000 runs the full rule
-        kw = dict(flags=SimulationFlags(motion=True, inhomogeneity=True), t_grid_us=self.grid(t_max=5.0, n=250))
-        a = dp.simulate_single_excitation(cfg.geometry, cfg.ensemble, gamma_e, n_samples=400, seed=3, **kw)
-        b = dp.simulate_single_excitation(cfg.geometry, cfg.ensemble, gamma_e, n_samples=2000, seed=3, **kw)
-        assert abs(a.tau_osc_us - b.tau_osc_us) / b.tau_osc_us < 0.03
+        kw = dict(flags=SimulationFlags(motion=True, inhomo=True), t_grid_us=self.grid(t_max=5.0, n=250))
+        _, _, a = dp.simulate_single_excitation(cfg.geometry, cfg.ensemble, gamma_e, n_samples=400, seed=3, **kw)
+        _, _, b = dp.simulate_single_excitation(cfg.geometry, cfg.ensemble, gamma_e, n_samples=2000, seed=3, **kw)
+        assert abs(a["tau_osc_us"] - b["tau_osc_us"]) / b["tau_osc_us"] < 0.03
 
     def test_projection_never_exceeds_population(self, cfg, gamma_e):
         for flags in (
             SimulationFlags(motion=True),
-            SimulationFlags(inhomogeneity=True),
-            SimulationFlags(scattering=True),
-            SimulationFlags(motion=True, inhomogeneity=True, scattering=True),
+            SimulationFlags(inhomo=True),
+            SimulationFlags(scatter=True),
+            SimulationFlags(motion=True, inhomo=True, scatter=True),
         ):
-            r = dp.simulate_single_excitation(
+            population, projection, _ = dp.simulate_single_excitation(
                 cfg.geometry, cfg.ensemble, gamma_e, flags, dp.MIN_SAMPLES, 9, self.grid(n=80)
             )
-            assert np.all(r.spinwave_projection <= r.population_r + 1e-9)
+            assert np.all(projection <= population + 1e-9)
 
     def test_scattering_damps_population(self, cfg, gamma_e):
-        quiet = dp.simulate_single_excitation(
+        quiet, _, _ = dp.simulate_single_excitation(
             cfg.geometry, cfg.ensemble, gamma_e, SimulationFlags(), dp.MIN_SAMPLES, 2, self.grid(n=80)
         )
-        noisy = dp.simulate_single_excitation(
-            cfg.geometry, cfg.ensemble, gamma_e, SimulationFlags(scattering=True), dp.MIN_SAMPLES, 2, self.grid(n=80)
+        noisy, _, _ = dp.simulate_single_excitation(
+            cfg.geometry, cfg.ensemble, gamma_e, SimulationFlags(scatter=True), dp.MIN_SAMPLES, 2, self.grid(n=80)
         )
         # spontaneous emission kills the oscillation contrast at late times
         # (the drive keeps repumping, so the mean stays near 1/2)
-        assert np.ptp(noisy.population_r[-20:]) < 0.5 * np.ptp(quiet.population_r[-20:])
+        assert np.ptp(noisy[-20:]) < 0.5 * np.ptp(quiet[-20:])
 
     def test_seed_does_not_change_the_ensemble(self, cfg, gamma_e):
         # the quadrature draws nothing: seeds 4 and 5 give the same bytes
-        kw = dict(flags=SimulationFlags(motion=True, inhomogeneity=True), n_samples=dp.MIN_SAMPLES, t_grid_us=self.grid(n=60))
+        kw = dict(flags=SimulationFlags(motion=True, inhomo=True), n_samples=dp.MIN_SAMPLES, t_grid_us=self.grid(n=60))
         a = dp.simulate_single_excitation(cfg.geometry, cfg.ensemble, gamma_e, seed=4, **kw)
         b = dp.simulate_single_excitation(cfg.geometry, cfg.ensemble, gamma_e, seed=5, **kw)
-        assert np.array_equal(a.population_r, b.population_r)
-        assert np.array_equal(a.spinwave_projection, b.spinwave_projection)
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
     def test_metadata_documents_conventions(self, cfg, gamma_e):
-        r = dp.simulate_single_excitation(
+        _, _, record = dp.simulate_single_excitation(
             cfg.geometry, cfg.ensemble, gamma_e, SimulationFlags(motion=True), dp.MIN_SAMPLES, 5, self.grid(n=60)
         )
-        assert "tau_convention" in r.metadata
-        assert r.metadata["seed"] == 5
-        assert (r.metadata["n_samples"], r.metadata["n_nodes"]) == (dp.MIN_SAMPLES, 32)
+        assert "tau_convention" in record["metadata"]
+        assert record["seed"] == 5
+        assert (record["n_samples"], record["n_nodes"]) == (dp.MIN_SAMPLES, 32)
+        assert record["flags"] == {"motion": True, "inhomo": False, "scatter": False}
+        # metadata holds only what the record has nowhere else
+        assert set(record["metadata"]) == {"omega_eff_rad_s", "spinwave_k_rad_um", "tau_convention"}

@@ -35,24 +35,24 @@ GOLDEN = {
     },
     ("dephasing", "--flags", "none"): {
         "dephasing_none.csv": "e51b9dbedbb480eb639f7c94a9f7d594123c98eb21b3a582c7578c5d63214da5",
-        "dephasing_none.json": "3d5598c171dd035d85a679b17957f32874f78d184617488b095fc7241abab7d7",
+        "dephasing_none.json": "544a3e158c414a734d25d47132bd7fa844c1ed44e06c16e3ac16b381bff533e3",
     },
     ("dephasing", "--flags", "motion"): {
         "dephasing_motion.csv": "62fb800af5feaeb52cd2c7c647802b736c39f8ed7ce1d9e3fc3a900d527bbfdb",
-        "dephasing_motion.json": "510defacde8346c57aad291b8d0db4fdf07f0f9d5c13f933d3926d2efca80937",
+        "dephasing_motion.json": "2f54bd453c46eb03bab5fab6ce3cf8053ac285a4e039742bbb692db10f0d0fcd",
     },
     ("dephasing", "--flags", "inhomo"): {
         "dephasing_inhomo.csv": "f75e19d6659439592535d98844e3ce239b1f6c2c7d129e2018051ee27ada372f",
-        "dephasing_inhomo.json": "6173a22950b938c036b847bd5176a28eba3a19db1896e023b8b1cfda0d51ea00",
+        "dephasing_inhomo.json": "f54f1a34ff3df6b70b5d708e9e7a04509fe4a1c6ac31c88f966ed0e909c91704",
     },
     ("dephasing", "--flags", "scatter"): {
         "dephasing_scatter.csv": "ac0591b0ba0b5c2cc4b35b97d2d8e1687d652836ba5893cd140fa196a56966be",
-        "dephasing_scatter.json": "84a07a861d4da5d4ba3626a492225611cad21105f6d348899ec33da0ef8aa1f0",
+        "dephasing_scatter.json": "aa752014e7498724257885d83ba5aa00cbffbd417e9f155518d79568b9ed3b32",
     },
     # the only command that runs the Lindblad batch
     ("dephasing", "--flags", "motion,inhomo,scatter"): {
         "dephasing_motion-inhomo-scatter.csv": "ffa561ecd3b0ea786e3dac6e6909d9395186ada9ca3b22fa1082d7103923a614",
-        "dephasing_motion-inhomo-scatter.json": "8b7cba56087b58ba903e6a605ac5a0e3bc25e2d710925d60bc1b0df68bac1b1d",
+        "dephasing_motion-inhomo-scatter.json": "5ca614aca826d8543050c4c1bbc49a2a1a61a7641d35460bd341806addbf4e91",
     },
     ("g2", "--field", "single"): {
         "g2_single.json": "65f76bd7f2cbcf3958a20e01ef094c90f9febfcdcf7c22b965fc05d6d11f1715",

@@ -319,7 +319,7 @@ class TestRandomStreams:
         ensemble = load_config().ensemble
         semi = rp.SourceModel("semi_deterministic")
         for seed in (7, 8):
-            ms.g2_hbt(PhotonFieldModel("thermal", 0.5, IDEAL), trials=100, seed=seed)
+            ms.hbt_counts(PhotonFieldModel("thermal", 0.5, IDEAL), 100, seed)
             rp.simulate_link(semi, semi, rp.LinkConfig(), BLOCK + 1, seed)
             sample_atoms(ensemble, BLOCK + 1, seed)
             ms.measure_three_bases(BELL, np.pi, 1.0, IDEAL, 100, seed)
@@ -430,17 +430,17 @@ class TestG2:
     def test_mc_agrees_with_analytic(self):
         f = PhotonFieldModel("thermal", 0.5, DetectorModel(1.0))
         exact = ms.g2_hbt(f)
-        mc = ms.g2_hbt(f, trials=400_000, seed=13)
+        mc, _ = ms.g2_from_counts(*ms.hbt_counts(f, 400_000, 13), 400_000)
         assert mc == pytest.approx(exact, rel=0.03)
 
     def test_mc_requires_seed(self):
         f = PhotonFieldModel("coherent", 1.0, IDEAL)
         with pytest.raises(ValueError):
-            ms.g2_hbt(f, trials=1000)
+            ms.hbt_counts(f, 1000, None)
 
     def test_mc_deterministic(self):
         f = PhotonFieldModel("thermal", 0.5, DetectorModel(1.0, 0.01))
-        assert ms.g2_hbt(f, trials=50_000, seed=3) == ms.g2_hbt(f, trials=50_000, seed=3)
+        assert ms.hbt_counts(f, 50_000, 3) == ms.hbt_counts(f, 50_000, 3)
 
 
 @pytest.mark.parametrize("calibrated", [False, True], ids=["b0", "calibrated"])
@@ -493,7 +493,7 @@ class TestG2FromCounts:
         assert n12 * trials > 2**63
         g2, se = ms.g2_from_counts(n1, n2, n12, trials)
         assert math.isfinite(g2)
-        assert g2 == ms.g2_hbt(field, trials=trials, seed=3)
+        assert (g2, se) == ms.g2_from_counts(*ms.hbt_counts(field, trials, 3), trials)
         assert abs(g2 - ms.g2_hbt(field)) < 5.0 * se
 
     def test_error_is_delta_method(self):
