@@ -4,13 +4,16 @@ Column orders are frozen and documented in FORMATS.md. All floats are
 written with a fixed %.12g format so identical (config, seed) pairs give
 byte-identical files. A run writes its artifacts only once its command has
 succeeded, and ends by replacing manifest.json, which holds their sha256
-checksums.
+checksums. The argument parser is built once per process, and ``main``
+looks its ``cmd_*`` function up by name on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -30,10 +33,6 @@ EXIT_CONFIG = 2
 EXIT_NONCONVERGENCE = 3
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.12g}"
-
-
 class RunWriter:
     """Single owner of an output directory. Artifacts stay in memory until ``finish``, so a
     command that fails writes nothing and leaves an earlier run's files as they were."""
@@ -48,9 +47,9 @@ class RunWriter:
         self.artifacts[name] = data
 
     def csv(self, name: str, header, rows):
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_fmt(x) for x in row))
+        # %g converts each value as float() does, so a row reads as f"{float(x):.12g}" per value
+        fmt = ",".join(["%.12g"] * len(header))
+        lines = [",".join(header), *(fmt % tuple(row) for row in rows)]
         self._record(name, ("\n".join(lines) + "\n").encode())
 
     def json(self, name: str, obj: dict):
@@ -63,8 +62,6 @@ class RunWriter:
             self.outdir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"--out: cannot create directory {str(self.outdir)!r}: {exc.strerror}") from None
-        for name, data in self.artifacts.items():
-            (self.outdir / name).write_bytes(data)
         manifest = {
             "version": ARTIFACT_VERSION,
             "command": self.command,
@@ -72,9 +69,24 @@ class RunWriter:
             "seed": self.cfg.seed,
             "outputs": {name: hashlib.sha256(data).hexdigest() for name, data in self.artifacts.items()},
         }
+        path = self.outdir / "manifest.json"
         partial = self.outdir / "manifest.json.partial"
-        partial.write_bytes((json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode())
-        os.replace(partial, self.outdir / "manifest.json")
+        leftovers = [partial]
+        try:
+            for name, data in self.artifacts.items():
+                target = self.outdir / name
+                with open(target, "wb") as fh:
+                    # the file is truncated now, so an earlier run's manifest may no longer describe it
+                    leftovers = [partial, path]
+                    fh.write(data)
+            target = path
+            partial.write_bytes((json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode())
+            os.replace(partial, path)
+        except OSError as exc:
+            for leftover in leftovers:
+                with contextlib.suppress(OSError):  # a directory of that name is not ours to remove
+                    leftover.unlink(missing_ok=True)
+            raise ConfigError(f"--out: cannot write {str(target)!r}: {exc.strerror}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +300,7 @@ def cmd_repeater(cfg: RunConfig, args, writer: RunWriter):
 # argument parsing and entry point
 
 
+@functools.cache  # one parser per process; main dispatches on the command's name, not on a stored function
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rydlink", description=__doc__)
     parser.add_argument("--config", default=None, help="run configuration (default: packaged)")
@@ -299,28 +312,23 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--collective", dest="mode", action="store_const", const="collective")
     mode.add_argument("--single", dest="mode", action="store_const", const="single")
     mode.add_argument("--pair", dest="mode", action="store_const", const="pair")
-    p_rabi.set_defaults(func=cmd_rabi)
 
     p_deph = sub.add_parser("dephasing", help="spin-wave dephasing traces")
     p_deph.add_argument("--flags", default="none", help="comma list of motion,inhomo,scatter or 'none'")
-    p_deph.set_defaults(func=cmd_dephasing)
 
     p_ent = sub.add_parser("entangle", help="polarization correlations and fidelity")
     which = p_ent.add_mutually_exclusive_group(required=True)
     which.add_argument("--phi-sweep", action="store_true")
     which.add_argument("--fidelity", action="store_true")
-    p_ent.set_defaults(func=cmd_entangle)
 
     p_g2 = sub.add_parser("g2", help="Hanbury Brown-Twiss autocorrelation")
     p_g2.add_argument("--field", choices=sorted(FIELD_DEFAULTS), required=True)
     p_g2.add_argument("--calibrated", action="store_true", help="use the calibrated background")
     p_g2.add_argument("--parameter", type=float, default=None, help="mean photon number / p override")
-    p_g2.set_defaults(func=cmd_g2)
 
     p_rep = sub.add_parser("repeater", help="elementary link Monte Carlo")
     p_rep.add_argument("--source", choices=("semi", "dlcz"), required=True)
     p_rep.add_argument("--sweep", choices=sorted(SWEEPS), default=None)
-    p_rep.set_defaults(func=cmd_repeater)
     return parser
 
 
@@ -329,7 +337,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         writer = RunWriter(Path(args.out), cfg, args.command)
-        args.func(cfg, args, writer)
+        globals()[f"cmd_{args.command}"](cfg, args, writer)
         writer.finish()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -6,12 +6,16 @@ frequency becomes 2 pi x 3e6 rad/s). Unknown keys anywhere in the tree are
 rejected with the offending dotted path, so typos fail loudly instead of
 silently falling back to defaults. Each leaf of ``_SCHEMA`` also holds its
 key's range, so an out-of-range value fails at load naming its key.
+
+``load_config`` reads the file on every call but parses the YAML of any one
+content only once per process; every check runs on every call.
 """
 
 from __future__ import annotations
 
 import hashlib
 import importlib.resources
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -268,6 +272,21 @@ def _build_ensemble(parsed: dict) -> EnsembleConfig:
     return ens
 
 
+# (file bytes, stream name, loader class) -> YAML tree of a config that passed every
+# check; the oldest entry goes first once there are more than _TREES_MAX
+_TREES: dict = {}
+_TREES_MAX = 8
+
+
+def _copy_tree(node):
+    """A copy that shares no dict or list with ``node``; a tree that passed the checks holds no other containers."""
+    if isinstance(node, dict):
+        return {key: _copy_tree(value) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_copy_tree(value) for value in node]
+    return node
+
+
 def load_config(path=None) -> RunConfig:
     """Load and validate a YAML run configuration (default: packaged)."""
     source = DEFAULT_CONFIG_RESOURCE if path is None else path
@@ -275,17 +294,25 @@ def load_config(path=None) -> RunConfig:
     loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
         if path is None:
-            resource = importlib.resources.files("rydlink.data") / DEFAULT_CONFIG_RESOURCE
-            raw = yaml.load(resource.read_bytes(), Loader=loader)
+            data, name = (importlib.resources.files("rydlink.data") / DEFAULT_CONFIG_RESOURCE).read_bytes(), source
         else:
-            # the parser decodes the bytes itself, so its marks name the file and
-            # a file that is not UTF-8 is a YAML error
             with open(path, "rb") as fh:
-                raw = yaml.load(fh, Loader=loader)
+                data, name = fh.read(), fh.name
     except OSError as exc:
         raise ConfigError(f"{source}: {exc.strerror}") from None
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{source}: bad YAML: {exc}") from None
+    key = (data, name, loader)
+    cached = _TREES.get(key)
+    if cached is not None:
+        raw = _copy_tree(cached)
+    else:
+        # a named stream: the parser decodes the bytes itself, so its marks name the
+        # file and a file that is not UTF-8 is a YAML error
+        stream = io.BytesIO(data)
+        stream.name = name
+        try:
+            raw = yaml.load(stream, Loader=loader)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{source}: bad YAML: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("top level must be a mapping")
     parsed = _validate(raw, _SCHEMA, "config")
@@ -310,4 +337,8 @@ def load_config(path=None) -> RunConfig:
     for keys, omega in (("raman.single_excitation_period", cfg.protocol_rabi), (pair_keys, excitation)):
         if not (0.0 < omega < math.inf and math.isfinite(3.0 * (TWO_PI / omega) * 1e9)):
             raise ConfigError(f"{keys}: Rabi frequency {omega:.6g} rad/s and its three periods in ns must be finite")
+    if cached is None:
+        _TREES[key] = _copy_tree(raw)
+        if len(_TREES) > _TREES_MAX:
+            del _TREES[next(iter(_TREES))]
     return cfg

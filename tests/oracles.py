@@ -1,5 +1,6 @@
 """Small-N brute-force oracles for the super-atom model of ``collective``,
-and the scipy envelope fit that ``dephasing.fit_envelope_time_us`` replaced.
+the scipy envelope fit that ``dephasing.fit_envelope_time_us`` replaced, and
+the per-value CSV formatter that ``cli.RunWriter.csv`` replaced.
 
 Each brute-force oracle evolves the complete blockaded many-atom state for
 a handful of atoms, so the tests can check the 3-level super-atom reduction
@@ -167,3 +168,11 @@ def curve_fit_envelope_time_us(t_grid_us, projection, omega_guess_rad_s: float) 
     bounds = ([0.0, 0.0, 1e-3 * t_span, 0.0, -np.pi], [2.0, 2.0, 1e4 * t_span, np.inf, np.pi])
     popt, pcov = curve_fit(model, t, np.asarray(projection, dtype=float), p0=p0, bounds=bounds, maxfev=40000)
     return float(popt[2]), float(np.sqrt(pcov[2, 2]))
+
+
+def csv_bytes_per_value(header, rows) -> bytes:
+    """A CSV as ``RunWriter.csv`` wrote it before its one row format: each value through float() and .12g."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(f"{float(x):.12g}" for x in row))
+    return ("\n".join(lines) + "\n").encode()

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import json
@@ -8,10 +9,11 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import oracles
 import pytest
 import yaml
 
-from rydlink import cli, dephasing, measurement
+from rydlink import cli, config, dephasing, measurement
 from rydlink.config import ConfigError, load_config, parse_quantity
 
 TWO_PI = 2.0 * np.pi
@@ -111,8 +113,19 @@ class TestSchema:
         if not hasattr(yaml, "CSafeLoader"):
             pytest.skip("PyYAML built without libyaml")
         fast = load_config()
+        parsed = []
+
+        class PythonLoader(yaml.SafeLoader):
+            """The pure-Python loader under a class of its own: no earlier load cached a tree for it."""
+
+            def get_single_data(self):
+                parsed.append(True)
+                return super().get_single_data()
+
         monkeypatch.delattr(yaml, "CSafeLoader")
+        monkeypatch.setattr(yaml, "SafeLoader", PythonLoader)
         slow = load_config()
+        assert parsed == [True]
         assert fast.raw == slow.raw
         assert fast.config_hash() == slow.config_hash()
 
@@ -141,6 +154,102 @@ K2_ZERO_KEYS = (
     "ensemble.temperature",
     "ensemble.atomic_mass",
 )
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The YAML parses load_config makes; the loader is a class of its own, so no earlier load's tree serves it."""
+    done = []
+
+    class CountingLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+        def get_single_data(self):
+            done.append(True)
+            return super().get_single_data()
+
+    monkeypatch.setattr(yaml, "CSafeLoader", CountingLoader, raising=False)
+    return done
+
+
+def _containers(node):
+    """ids of the dicts and lists in a tree (tuples are walked but immutable)."""
+    if isinstance(node, (dict, list)):
+        yield id(node)
+    if isinstance(node, (dict, list, tuple)):
+        for child in node.values() if isinstance(node, dict) else node:
+            yield from _containers(child)
+
+
+class TestConfigCache:
+    def test_one_parse_per_content_and_every_check_per_call(self, tmp_path, default_raw, parses, monkeypatch):
+        checks = []
+        # the schema walk, and the rule across keys on the spin-wave wave vector
+        for name in ("_validate", "protocol_modes"):
+            original = getattr(config, name)
+            monkeypatch.setattr(config, name, lambda *a, _f=original, _n=name: checks.append(_n) or _f(*a))
+        path = write_config(tmp_path, default_raw)
+        load_config(path)
+        per_load = sorted(checks)
+        assert "protocol_modes" in per_load and "_validate" in per_load
+        load_config(path)
+        assert len(parses) == 1
+        assert sorted(checks) == sorted(per_load * 2)
+        raw = copy.deepcopy(default_raw)
+        raw["simulation"]["seed"] += 1
+        write_config(tmp_path, raw)
+        assert load_config(path).seed == default_raw["simulation"]["seed"] + 1
+        assert len(parses) == 2
+
+    def test_rewritten_config_is_read_again(self, tmp_path, default_raw):
+        # the same path, rewritten between two runs of one process, must give the new content's run
+        raw = copy.deepcopy(default_raw)
+        path = write_config(tmp_path, raw)
+        args = ["g2", "--field", "thermal"]
+        assert cli.main(["--config", path, "--out", str(tmp_path / "first"), *args]) == 0
+        raw["simulation"]["seed"] += 1
+        write_config(tmp_path, raw)
+        assert cli.main(["--config", path, "--out", str(tmp_path / "second"), *args]) == 0
+        fresh = write_config(tmp_path, raw, "fresh.yaml")
+        assert cli.main(["--config", fresh, "--out", str(tmp_path / "fresh"), *args]) == 0
+        first, second, expected = (
+            json.loads((tmp_path / run / "manifest.json").read_text()) for run in ("first", "second", "fresh")
+        )
+        assert second["config_hash"] == expected["config_hash"] == load_config(fresh).config_hash()
+        assert second["config_hash"] != first["config_hash"]
+        assert second["outputs"] == expected["outputs"] != first["outputs"]
+        assert second["seed"] == first["seed"] + 1
+
+    @pytest.mark.parametrize("from_file", [False, True], ids=["packaged", "file"])
+    def test_loads_share_no_container(self, tmp_path, default_raw, from_file):
+        path = write_config(tmp_path, default_raw) if from_file else None
+        first = load_config(path)
+        raw, parsed = copy.deepcopy(first.raw), copy.deepcopy(first.parsed)
+        first.raw["simulation"]["seed"] = 123
+        first.raw["ensemble"]["cloud_sigma"].append("1 um")
+        first.raw["geometry"]["beams"].clear()
+        first.parsed["simulation"]["seed"] = 123
+        first.parsed["geometry"]["beams"].clear()
+        again = load_config(path)
+        assert again.raw == raw and again.parsed == parsed
+        assert again.config_hash() == load_config(write_config(tmp_path, raw, "copy.yaml")).config_hash()
+        third = load_config(path)
+        assert set(_containers((again.raw, again.parsed))).isdisjoint(_containers((third.raw, third.parsed)))
+
+    def test_config_that_fails_a_check_is_parsed_again(self, tmp_path, default_raw, parses):
+        raw = copy.deepcopy(default_raw)
+        raw["simulation"]["seed"] = -1
+        path = write_config(tmp_path, raw)
+        for _ in range(2):
+            with pytest.raises(ConfigError, match=r"config\.simulation\.seed: must be >= 0"):
+                load_config(path)
+        assert len(parses) == 2
+        assert not any(key[0] == Path(path).read_bytes() for key in config._TREES)
+
+    def test_cache_is_bounded(self, tmp_path, default_raw):
+        raw = copy.deepcopy(default_raw)
+        for seed in range(config._TREES_MAX + 2):
+            raw["simulation"]["seed"] = seed
+            assert load_config(write_config(tmp_path, raw, f"seed{seed}.yaml")).seed == seed
+        assert len(config._TREES) == config._TREES_MAX
 
 
 def run_cli(args, outdir):
@@ -182,14 +291,15 @@ class TestCli:
         elif not hasattr(yaml, loader):
             pytest.skip("PyYAML built without libyaml")
         bad = tmp_path / "bad.yaml"
-        # an unclosed list, and a byte that is not UTF-8
-        for content in (b"geometry: [1, 2\n", b"seed: \xff\n"):
+        # an unclosed list, marked by its line, and a byte that is not UTF-8, marked by its position
+        for content, mark in ((b"geometry: [1, 2\n", ", line 1, column 11"), (b"seed: \xff\n", ", position 6")):
             bad.write_bytes(content)
-            assert cli.main(["--config", str(bad), "--out", str(tmp_path / "o"), "g2", "--field", "single"]) == 2
-            err = capsys.readouterr().err
-            assert f"{bad}: bad YAML" in err
-            # the parser's own mark names the file too
-            assert f'in "{bad}"' in err
+            for _ in range(2):  # no bad file is cached, so a repeated run names it again
+                assert cli.main(["--config", str(bad), "--out", str(tmp_path / "o"), "g2", "--field", "single"]) == 2
+                err = capsys.readouterr().err
+                assert f"{bad}: bad YAML" in err
+                # the parser's own mark names the file too
+                assert f'in "{bad}"{mark}' in err
 
     def test_missing_config_file_exit_code(self, tmp_path):
         assert cli.main(["--config", str(tmp_path / "nope.yaml"), "rabi", "--single"]) == 2
@@ -475,6 +585,47 @@ class TestCli:
         target = blocker / "x" if below_file else blocker
         assert cli.main(["--out", str(target), "g2", "--field", "single"]) == 2
         assert "--out: cannot create directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("blocked", ["rabi_single.csv", "manifest.json"])
+    def test_output_write_failure_exits_2_naming_the_file(self, tmp_path, capsys, blocked):
+        # a directory that has an output file's name
+        out = tmp_path / "o"
+        (out / blocked).mkdir(parents=True)
+        assert run_cli(["rabi", "--single"], out) == 2
+        assert f"config error: --out: cannot write {str(out / blocked)!r}: Is a directory" in capsys.readouterr().err
+        assert not (out / "manifest.json.partial").exists()
+        assert (out / blocked).is_dir()
+
+    @pytest.mark.parametrize("blocked", ["entangle_phi_sweep.csv", "entangle_phi_sweep_hv.csv"])
+    def test_write_failure_keeps_no_manifest_that_disagrees(self, tmp_path, blocked):
+        out = tmp_path / "o"
+        assert run_cli(["rabi", "--single"], out) == 0
+        before = (out / "manifest.json").read_bytes()
+        (out / blocked).mkdir()
+        assert run_cli(["entangle", "--phi-sweep"], out) == 2
+        if blocked == "entangle_phi_sweep.csv":  # the first file: nothing was written, the earlier run stands
+            assert (out / "manifest.json").read_bytes() == before
+        else:  # entangle_phi_sweep.csv was written, which the earlier manifest does not list
+            assert (out / "entangle_phi_sweep.csv").is_file()
+            assert not (out / "manifest.json").exists()
+        assert not (out / "manifest.json.partial").exists()
+
+    def test_csv_rows_match_per_value_oracle(self):
+        header = ("a", "b", "c")
+        t = np.linspace(0.0, 1e-6, 601)
+        rows = [
+            (-0.0, 5e-324, 1e300),
+            (float("nan"), float("inf"), -float("inf")),
+            (np.float64(1.0) / 3.0, np.int64(-(2**62) - 1), 7),
+            (2**70, True, np.float32(0.1)),
+            np.array([2.5e-7, -1.0, 6.02214076e23]),  # a row of a 2-D array, as entangle writes
+            *zip(t, np.sin(t * 1e6), np.cos(t * 1e6)),  # numpy scalars, as rabi and dephasing write
+        ]
+        writer = cli.RunWriter(Path("unused"), load_config(), "rabi")
+        writer.csv("values.csv", header, iter(rows))
+        writer.csv("header_only.csv", header, [])
+        assert writer.artifacts["values.csv"] == oracles.csv_bytes_per_value(header, rows)
+        assert writer.artifacts["header_only.csv"] == oracles.csv_bytes_per_value(header, []) == b"a,b,c\n"
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
