@@ -65,7 +65,7 @@ class RunWriter:
         manifest = {
             "version": ARTIFACT_VERSION,
             "command": self.command,
-            "config_hash": self.cfg.config_hash(),
+            "config_hash": self.cfg.config_hash,
             "seed": self.cfg.seed,
             "outputs": {name: hashlib.sha256(data).hexdigest() for name, data in self.artifacts.items()},
         }
@@ -136,6 +136,14 @@ def _parse_flags(spec: str) -> dephasing.SimulationFlags:
 def cmd_dephasing(cfg: RunConfig, args, writer: RunWriter):
     flags = _parse_flags(args.flags)
     sim = cfg.parsed["simulation"]
+    # the envelope fit starts at the Raman splitting; checked here, as no other command needs its eigenvalues
+    phase = dephasing.raman_splitting_exact(cfg.geometry) * sim["dephasing_t_max"]
+    if not phase >= dephasing.MIN_FIT_PHASE:
+        raise ConfigError(
+            "simulation.dephasing_t_max, geometry.beams.C.rabi, geometry.beams.E.rabi, geometry.detuning_1, "
+            f"geometry.detuning_2: the dephasing window spans {phase:.3g} rad of the Raman oscillation, "
+            f"too little for the envelope fit to see it (at least {dephasing.MIN_FIT_PHASE:.3g} rad)"
+        )
     t_grid = np.linspace(0.0, sim["dephasing_t_max"] * 1e6, sim["dephasing_points"])
     gamma_e = cfg.parsed["raman"]["intermediate_linewidth"]
     try:
@@ -228,9 +236,11 @@ def cmd_g2(cfg: RunConfig, args, writer: RunWriter):
         n1, n2, n12 = measurement.hbt_counts(field, trials, cfg.seed)
         g2_mc, g2_mc_error = measurement.g2_from_counts(n1, n2, n12, trials)
     except measurement.ZeroCoincidenceError as exc:
+        # the detector efficiency thins every field, so it is named with the field's parameter
         source = "--parameter" if args.parameter is not None else "default parameter"
         raise ConfigError(
-            f"{source} {parameter} for --field {args.field} with simulation.g2_trials {trials}: {exc}"
+            f"{source} {parameter} for --field {args.field} with simulation.g2_trials {trials} "
+            f"and detector.calibration_chain_efficiency {det.efficiency:.6g}: {exc}"
         ) from None
     tag = f"{args.field}_calibrated" if args.calibrated else args.field
     writer.json(

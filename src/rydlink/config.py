@@ -7,12 +7,13 @@ rejected with the offending dotted path, so typos fail loudly instead of
 silently falling back to defaults. Each leaf of ``_SCHEMA`` also holds its
 key's range, so an out-of-range value fails at load naming its key.
 
-``load_config`` reads the file on every call but parses the YAML of any one
-content only once per process; every check runs on every call.
+``load_config`` reads the file on every call but parses its YAML only when
+the content differs from the last one parsed; every check runs on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import importlib.resources
 import io
@@ -24,7 +25,7 @@ import yaml
 
 from .collective import EnsembleConfig
 from .dephasing import (
-    AMU, MIN_SAMPLES, motional_coherence_time_us, shift_cancelling_branch_weights, thermal_velocity_sigma
+    AMU, MIN_JACOBI_B, MIN_SAMPLES, motional_coherence_time_us, shift_cancelling_branch_weights, thermal_velocity_sigma
 )
 from .geometry import BEAM_IDS, Beam, BeamGeometry, modes_distinguishable, protocol_modes
 
@@ -208,7 +209,7 @@ def _validate(node, schema, path: str):
 
 @dataclass(frozen=True)
 class RunConfig:
-    raw: dict  # raw YAML tree, for hashing / provenance
+    config_hash: str  # sha256 of the YAML tree, for provenance
     parsed: dict  # same tree with quantities in canonical units
     geometry: BeamGeometry
     ensemble: EnsembleConfig
@@ -228,10 +229,6 @@ class RunConfig:
         geo = self.geometry
         return geo.beams["A"].rabi * geo.beams["B"].rabi / (2.0 * abs(geo.detuning_1))
 
-    def config_hash(self) -> str:
-        blob = json.dumps(self.raw, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
-
 
 def _build_geometry(parsed: dict) -> BeamGeometry:
     g = parsed["geometry"]
@@ -249,9 +246,10 @@ def _build_geometry(parsed: dict) -> BeamGeometry:
     geo = BeamGeometry(beams=beams, detuning_1=g["detuning_1"], detuning_2=g["detuning_2"])
     if not modes_distinguishable(geo):
         raise ConfigError(
-            "geometry.beams.C/E: the Raman kick k_C + k_E leaves the kicked spin-wave "
-            "modes overlapping the unkicked ones (k3 ~ k2 or k4 ~ k1) across the "
-            "waist of beam A; tilt C or E away from the optical axis"
+            "geometry.beams.D.wavelength, geometry.beams.D.direction, geometry.beams.E.wavelength, "
+            "geometry.beams.E.direction, geometry.beams.A.waist: the kicked spin-wave modes overlap "
+            "the unkicked ones (k2 - k3 = k4 - k1 = k_D - k_E) across the waist of beam A; "
+            "tilt D and E further apart or widen beam A"
         )
     return geo
 
@@ -272,19 +270,15 @@ def _build_ensemble(parsed: dict) -> EnsembleConfig:
     return ens
 
 
-# (file bytes, stream name, loader class) -> YAML tree of a config that passed every
-# check; the oldest entry goes first once there are more than _TREES_MAX
-_TREES: dict = {}
-_TREES_MAX = 8
-
-
-def _copy_tree(node):
-    """A copy that shares no dict or list with ``node``; a tree that passed the checks holds no other containers."""
-    if isinstance(node, dict):
-        return {key: _copy_tree(value) for key, value in node.items()}
-    if isinstance(node, list):
-        return [_copy_tree(value) for value in node]
-    return node
+@functools.lru_cache(maxsize=1)  # the CLI, the dataset script and a benchmark pass each load one content
+def _yaml_tree(data: bytes, name: str, loader):
+    """The YAML tree of a file's bytes, shared by every call with the same arguments, so no
+    caller may change it; a parse that raises is not kept."""
+    # a named stream: the parser decodes the bytes itself, so its marks name the file and a
+    # file that is not UTF-8 is a YAML error
+    stream = io.BytesIO(data)
+    stream.name = name
+    return yaml.load(stream, Loader=loader)
 
 
 def load_config(path=None) -> RunConfig:
@@ -300,19 +294,10 @@ def load_config(path=None) -> RunConfig:
                 data, name = fh.read(), fh.name
     except OSError as exc:
         raise ConfigError(f"{source}: {exc.strerror}") from None
-    key = (data, name, loader)
-    cached = _TREES.get(key)
-    if cached is not None:
-        raw = _copy_tree(cached)
-    else:
-        # a named stream: the parser decodes the bytes itself, so its marks name the
-        # file and a file that is not UTF-8 is a YAML error
-        stream = io.BytesIO(data)
-        stream.name = name
-        try:
-            raw = yaml.load(stream, Loader=loader)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"{source}: bad YAML: {exc}") from None
+    try:
+        raw = _yaml_tree(data, name, loader)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{source}: bad YAML: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("top level must be a mapping")
     parsed = _validate(raw, _SCHEMA, "config")
@@ -330,15 +315,21 @@ def load_config(path=None) -> RunConfig:
             "geometry.beams.B.direction, ensemble.temperature, ensemble.atomic_mass: the spin-wave "
             f"wave vector k_A + k_B ({k2:.6g} rad/um) gives no finite motional coherence time 1/(|k2| sigma_v)"
         )
-    cfg = RunConfig(raw=raw, parsed=parsed, geometry=geometry, ensemble=ensemble)
+    # the Gauss-Jacobi rule of dephasing.atom_nodes is in the relative intensity of the narrower of beams C and E
+    ratio = min(geometry.beams["C"].waist_um, geometry.beams["E"].waist_um) / max(ensemble.cloud_sigma_um[:2])
+    b = 0.5 * ratio * ratio
+    if not b >= MIN_JACOBI_B:
+        raise ConfigError(
+            "geometry.beams.C.waist, geometry.beams.E.waist, ensemble.cloud_sigma: the narrower Raman beam gives "
+            f"b = w^2 / (2 sigma^2) = {b:.3g} across the cloud, below the {MIN_JACOBI_B:g} down to which the "
+            "dephasing rule over the atoms keeps its intensity nodes clear of rounding"
+        )
+    config_hash = hashlib.sha256(json.dumps(raw, sort_keys=True).encode()).hexdigest()
+    cfg = RunConfig(config_hash=config_hash, parsed=parsed, geometry=geometry, ensemble=ensemble)
     # each rabi file spans at most three periods of one of these frequencies and writes its times in ns
     pair_keys = "geometry.beams.A.rabi, geometry.beams.B.rabi, geometry.detuning_1, ensemble.effective_atom_number"
     excitation = math.sqrt(ensemble.effective_atom_number) * cfg.excitation_rabi
     for keys, omega in (("raman.single_excitation_period", cfg.protocol_rabi), (pair_keys, excitation)):
         if not (0.0 < omega < math.inf and math.isfinite(3.0 * (TWO_PI / omega) * 1e9)):
             raise ConfigError(f"{keys}: Rabi frequency {omega:.6g} rad/s and its three periods in ns must be finite")
-    if cached is None:
-        _TREES[key] = _copy_tree(raw)
-        if len(_TREES) > _TREES_MAX:
-            del _TREES[next(iter(_TREES))]
     return cfg

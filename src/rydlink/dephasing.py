@@ -55,12 +55,19 @@ BOUNDS_TOL = 1e-9  # rounding allowed in 0 <= projection <= population <= 1
 MIN_SAMPLES = 352
 STIFFNESS_TOL = 1e-10  # largest eps gamma t_max, the rounding the Lindblad propagation may lose
 FIT_MAX_STEPS = 200  # Levenberg-Marquardt steps of the envelope fit; the dataset and ensemble fits need 5 to 14
+# smallest Raman phase omega t_max the envelope fit starts from: below sqrt(eps) rad its cos(omega t)
+# rounds to 1 across the window and cannot be told from the constant term
+MIN_FIT_PHASE = math.sqrt(np.finfo(float).eps)
 
 # nodes of the full product rule over the atoms, at which it matches a rule of twice
 # the nodes on every axis to 1e-12 on the packaged cloud and to 1e-8 on a 7 um one
 N_X = 20  # Gauss-Jacobi, in the relative intensity of the narrower of beams C and E
 N_THETA = 16  # midpoint, in the azimuth on [0, pi/2]; only when sigma_x != sigma_y
 N_V = 32  # Gauss-Hermite, in the Doppler shift
+# smallest b = w^2 / (2 sigma^2) of the Gauss-Jacobi axis: there the N_X-node rule's moments <I^k>,
+# k < 2 N_X, are exact to 2e-8 relative (4e-6 at 1e-10). Its nodes are (1 + t) / 2 with an absolute
+# rounding of eps, and the smallest, about b / 400, is zero or negative from b ~ 1e-14
+MIN_JACOBI_B = 1e-8
 # largest Doppler phase sigma_D t_max that N_V Hermite nodes resolve: their mean of cos(x v)
 # misses exp(-x^2 / 2) by 2.4e-12 at x = 5, 1.4e-5 at 7 and 0.38 at 10 (the packaged cloud
 # reaches 2.56 at 4 us)

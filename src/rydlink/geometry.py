@@ -32,7 +32,8 @@ class Beam:
 
     def __post_init__(self):
         d = np.asarray(self.direction, dtype=float)
-        n = np.linalg.norm(d)
+        with np.errstate(over="ignore"):  # an overflowing norm is inf, and refused below
+            n = np.linalg.norm(d)
         if not abs(n - 1.0) <= 1e-6:  # also true for a NaN or infinite norm
             raise ValueError(f"beam direction must be a finite unit vector, got norm {n}")
         object.__setattr__(self, "direction", _frozen(d / n))
@@ -90,12 +91,9 @@ def protocol_modes(geo: BeamGeometry) -> ProtocolModes:
 def modes_distinguishable(geo: BeamGeometry) -> bool:
     """Validity gate: k2 != k3 and k1 != k4 at the transverse-overlap level.
 
-    The overlaps are taken over the waist of the excitation beam A and must
-    both stay below ``OVERLAP_THRESHOLD``.
+    k2 - k3 = k_D - k_E = k4 - k1, so both pairs have the one overlap, taken
+    over the waist of the excitation beam A; it must stay below
+    ``OVERLAP_THRESHOLD``. Beam C does not enter.
     """
     modes = protocol_modes(geo)
-    w = geo.beams["A"].waist_um
-    return (
-        mode_overlap(modes.k2, modes.k3, w) < OVERLAP_THRESHOLD
-        and mode_overlap(modes.k1, modes.k4, w) < OVERLAP_THRESHOLD
-    )
+    return mode_overlap(modes.k2, modes.k3, geo.beams["A"].waist_um) < OVERLAP_THRESHOLD

@@ -107,7 +107,7 @@ class TestSchema:
         assert TWO_PI / cfg.protocol_rabi == pytest.approx(492e-9)
 
     def test_config_hash_stable(self):
-        assert load_config().config_hash() == load_config().config_hash()
+        assert load_config().config_hash == load_config().config_hash
 
     def test_libyaml_and_python_parsers_agree(self, monkeypatch):
         if not hasattr(yaml, "CSafeLoader"):
@@ -126,8 +126,8 @@ class TestSchema:
         monkeypatch.setattr(yaml, "SafeLoader", PythonLoader)
         slow = load_config()
         assert parsed == [True]
-        assert fast.raw == slow.raw
-        assert fast.config_hash() == slow.config_hash()
+        assert fast.parsed == slow.parsed
+        assert fast.config_hash == slow.config_hash
 
     def test_beam_quantities_range_checked_at_load(self, tmp_path, default_raw):
         # every beam quantity enters squared somewhere downstream
@@ -213,7 +213,7 @@ class TestConfigCache:
         first, second, expected = (
             json.loads((tmp_path / run / "manifest.json").read_text()) for run in ("first", "second", "fresh")
         )
-        assert second["config_hash"] == expected["config_hash"] == load_config(fresh).config_hash()
+        assert second["config_hash"] == expected["config_hash"] == load_config(fresh).config_hash
         assert second["config_hash"] != first["config_hash"]
         assert second["outputs"] == expected["outputs"] != first["outputs"]
         assert second["seed"] == first["seed"] + 1
@@ -222,34 +222,35 @@ class TestConfigCache:
     def test_loads_share_no_container(self, tmp_path, default_raw, from_file):
         path = write_config(tmp_path, default_raw) if from_file else None
         first = load_config(path)
-        raw, parsed = copy.deepcopy(first.raw), copy.deepcopy(first.parsed)
-        first.raw["simulation"]["seed"] = 123
-        first.raw["ensemble"]["cloud_sigma"].append("1 um")
-        first.raw["geometry"]["beams"].clear()
+        parsed = copy.deepcopy(first.parsed)
         first.parsed["simulation"]["seed"] = 123
         first.parsed["geometry"]["beams"].clear()
         again = load_config(path)
-        assert again.raw == raw and again.parsed == parsed
-        assert again.config_hash() == load_config(write_config(tmp_path, raw, "copy.yaml")).config_hash()
+        assert again.parsed == parsed and again.config_hash == first.config_hash
+        assert again.config_hash == load_config(write_config(tmp_path, default_raw, "copy.yaml")).config_hash
         third = load_config(path)
-        assert set(_containers((again.raw, again.parsed))).isdisjoint(_containers((third.raw, third.parsed)))
+        assert set(_containers(again.parsed)).isdisjoint(_containers(third.parsed))
 
     def test_config_that_fails_a_check_is_parsed_again(self, tmp_path, default_raw, parses):
         raw = copy.deepcopy(default_raw)
         raw["simulation"]["seed"] = -1
         path = write_config(tmp_path, raw)
-        for _ in range(2):
+        for _ in range(2):  # the tree may be kept, but the checks run again
             with pytest.raises(ConfigError, match=r"config\.simulation\.seed: must be >= 0"):
                 load_config(path)
-        assert len(parses) == 2
-        assert not any(key[0] == Path(path).read_bytes() for key in config._TREES)
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("a: [1, 2\n")
+        for _ in range(2):  # a parse that raises is not kept
+            with pytest.raises(ConfigError, match="bad YAML"):
+                load_config(str(bad))
+        assert len(parses) == 3
 
     def test_cache_is_bounded(self, tmp_path, default_raw):
         raw = copy.deepcopy(default_raw)
-        for seed in range(config._TREES_MAX + 2):
+        for seed in range(4):
             raw["simulation"]["seed"] = seed
             assert load_config(write_config(tmp_path, raw, f"seed{seed}.yaml")).seed == seed
-        assert len(config._TREES) == config._TREES_MAX
+        assert config._yaml_tree.cache_info().currsize == 1
 
 
 def run_cli(args, outdir):

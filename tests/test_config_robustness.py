@@ -1,0 +1,118 @@
+"""Every quantity key of the config schema at extreme values, through seven commands.
+
+The table is derived from ``config._SCHEMA``, so a new key is covered without a new
+row. Each leaf whose kind is a dimension or a plain number (every element of a list)
+is set to +-1e-300, +-1e-12, +-1e12 and +-1e300 of the unit its packaged value is
+written in, and each of COMMANDS runs on the result in process. The pytest
+configuration turns a numpy RuntimeWarning into an error, so a warning fails a case
+as a traceback would.
+"""
+
+import copy
+import importlib.resources
+import json
+
+import numpy as np
+import pytest
+import yaml
+
+from rydlink import cli, config
+
+MAGNITUDES = (1e-300, 1e-12, 1e12, 1e300)
+COMMANDS = (
+    ("rabi", "--pair"),
+    ("rabi", "--collective"),
+    ("dephasing", "--flags", "none"),
+    ("dephasing", "--flags", "motion,inhomo,scatter"),
+    ("entangle", "--fidelity"),
+    ("g2", "--field", "single", "--calibrated"),
+    ("repeater", "--source", "dlcz"),
+)
+# the JSON keys FORMATS.md lets be null
+NULLABLE = {
+    "tau_osc_se_us", "p", "monte_carlo.conditional_fidelity", "analytic.conditional_fidelity", "analytic.trials",
+    "analytic.seed",
+}
+UNIT_INTERVAL = {  # populations and visibilities
+    "p_single_atom", "p_collective", "c_par", "c_perp", "population_r", "projection", "V_hv", "V_pm", "V_circ",
+}
+
+PACKAGED = yaml.safe_load((importlib.resources.files("rydlink.data") / config.DEFAULT_CONFIG_RESOURCE).read_text())
+
+
+def _leaves(schema, path=()):
+    """Key paths of the schema leaves whose kind, or list element kind, is a dimension or "dimensionless"."""
+    for key, spec in schema.items():
+        if isinstance(spec, dict):
+            yield from _leaves(spec, (*path, key))
+        elif isinstance(spec[0][0] if isinstance(spec[0], tuple) else spec[0], str):
+            yield (*path, key)
+
+
+LEAVES = list(_leaves(config._SCHEMA))
+
+
+def _scaled(packaged, value):
+    """``value`` in the unit of the packaged value, element by element for a list."""
+    if isinstance(packaged, list):
+        return [_scaled(element, value) for element in packaged]
+    return f"{value:g} {packaged.split()[1]}" if isinstance(packaged, str) else value
+
+
+def _check_outputs(outdir, label):
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    for name in manifest["outputs"]:
+        text = (outdir / name).read_text()
+        if name.endswith(".csv"):
+            header, *rows = (line.split(",") for line in text.splitlines())
+            columns = np.array(rows, dtype=float).T
+            items = list(zip(header, columns))
+        else:
+            items = [
+                (key, np.array(value, dtype=float))
+                for key, value in _json_items(json.loads(text))
+                if not isinstance(value, str)
+            ]
+        for key, values in items:
+            where = f"{label}: {name} {key}"
+            if values.ndim == 0 and np.isnan(values):  # a null, or a nan the JSON writer would have refused
+                assert key in NULLABLE, f"{where} is null"
+                continue
+            assert np.isfinite(values).all(), f"{where} = {values}"
+            if key.rpartition(".")[2] in UNIT_INTERVAL:
+                assert ((values >= 0.0) & (values <= 1.0)).all(), f"{where} = {values}"
+
+
+def _json_items(node, key=""):
+    """(dotted key, value) of every leaf; a list's elements carry the list's key."""
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from _json_items(v, f"{key}.{k}" if key else k)
+    elif isinstance(node, list):
+        for v in node:
+            yield from _json_items(v, key)
+    else:
+        yield key, node
+
+
+@pytest.mark.parametrize("leaf", LEAVES, ids=[".".join(leaf) for leaf in LEAVES])
+def test_extreme_values_exit_cleanly(tmp_path, capsys, leaf):
+    dotted = ".".join(leaf)
+    for value in (sign * magnitude for magnitude in MAGNITUDES for sign in (1, -1)):
+        raw = copy.deepcopy(PACKAGED)
+        node = raw
+        for key in leaf[:-1]:
+            node = node[key]
+        node[leaf[-1]] = _scaled(node[leaf[-1]], value)
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        for i, command in enumerate(COMMANDS):
+            label = f"{dotted} = {node[leaf[-1]]!r}, {' '.join(command)}"
+            outdir = tmp_path / str(i)
+            code = cli.main(["--config", str(path), "--out", str(outdir), *command])
+            err = capsys.readouterr().err
+            assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NONCONVERGENCE), label
+            if code == cli.EXIT_CONFIG:
+                assert dotted in err, f"{label}: {err}"
+            elif code == cli.EXIT_OK:
+                _check_outputs(outdir, label)

@@ -372,6 +372,14 @@ class TestQuadratureRule:
         assert np.all((x > 0) & (x < 1)) and np.all(w > 0)
         assert np.abs(x[0] ** k[:, None] @ w[0] * (b + k) / b - 1).max() <= 5e-14
 
+    def test_jacobi_rule_at_the_smallest_b_the_config_allows(self):
+        # a beam 1.4e-4 times the cloud: the nodes stay inside (0, 1) and the moments near exact
+        b = dp.MIN_JACOBI_B
+        x, w = dp.jacobi_rule(np.array([b]), dp.N_X)
+        k = np.arange(2 * dp.N_X)
+        assert np.all((x > 0) & (x < 1)) and np.all(w > 0)
+        assert np.abs(x[0] ** k[:, None] @ w[0] * (b + k) / b - 1).max() <= 1e-7
+
     @pytest.mark.parametrize("sigma", [1e-300, 1e300], ids=["point-cloud", "no-light"])
     def test_extreme_clouds_give_finite_nodes(self, cfg, sigma):
         # a cloud far narrower or wider than the beam puts every atom at I = 1 or at I = 0

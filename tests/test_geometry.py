@@ -117,6 +117,19 @@ class TestModeOverlap:
         assert mode_overlap(m.k2, m.k3, 7.0) < 0.01
         assert mode_overlap(m.k1, m.k4, 7.0) < 0.01
 
+    def test_gate_does_not_depend_on_beam_c(self, geo):
+        # k2 - k3 = k_D - k_E = k4 - k1: tilting C to 37 deg moves neither overlap
+        beams = dict(geo.beams)
+        tilt = np.radians(37.0)
+        beams["C"] = Beam(795.0, np.array([np.sin(tilt), 0.0, np.cos(tilt)]), 13.0, beams["C"].rabi)
+        tilted = type(geo)(beams=beams, detuning_1=geo.detuning_1, detuning_2=geo.detuning_2)
+        for g in (geo, tilted):
+            m = protocol_modes(g)
+            assert mode_overlap(m.k2, m.k3, 7.0) == pytest.approx(mode_overlap(m.k1, m.k4, 7.0), rel=1e-9, abs=0.0)
+        overlaps = [mode_overlap(protocol_modes(g).k2, protocol_modes(g).k3, 7.0) for g in (geo, tilted)]
+        assert overlaps[0] == pytest.approx(overlaps[1], rel=1e-9, abs=0.0)
+        assert modes_distinguishable(tilted)
+
     def test_degenerate_geometry_fails_gate(self, geo):
         # fold C and E onto the optical axis: the kick becomes purely axial
         beams = dict(geo.beams)

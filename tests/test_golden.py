@@ -1,8 +1,9 @@
 """Golden output hashes of every command of the default dataset.
 
 Each command runs on the packaged config (seed 7); the sha256 of every
-artifact in its manifest must equal the value pinned here, so any change
-to the output bytes between versions fails loudly. A change that alters
+artifact in its manifest, and the manifest's config_hash, must equal the
+values pinned here, so any change to the output bytes between versions
+fails loudly. A change that alters
 bytes on purpose updates these hashes and says why in CHANGES.md.
 """
 
@@ -15,6 +16,9 @@ import pytest
 from rydlink import cli
 
 DATASET_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_default_dataset.py"
+
+# sha256 of the packaged config's YAML tree, as json.dumps(tree, sort_keys=True)
+CONFIG_HASH = "e448729961095be5fb0d3ff3228244722a9f892dbadeafcb94ec4971af6b43c2"
 
 GOLDEN = {
     ("rabi", "--collective"): {
@@ -91,6 +95,7 @@ def test_manifest_matches_golden_hashes(tmp_path, command):
     assert cli.main(["--out", str(tmp_path), *command]) == cli.EXIT_OK
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["seed"] == 7
+    assert manifest["config_hash"] == CONFIG_HASH
     assert manifest["outputs"] == GOLDEN[command]
 
 
