@@ -22,10 +22,10 @@ intensity is I^(w^2 / w_other^2). An axis whose mechanism is off collapses to
 one node.
 
 Per-node generators are time independent and the time grid is uniform, so
-exp(G t_i) = exp(G t_0) P^i with P = exp(G dt). P comes from Pade-13 scaling
-and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)), and the
-n_t values of a node from about 2 sqrt(n_t) row and column powers of P and
-one batched product, all matrix products over a stack of nodes. On the 16
+exp(G t_i) = exp(G t_0) P^i with P = exp(G dt). P comes from Taylor-24 scaling
+and squaring (Al-Mohy and Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)),
+and the n_t values of a node from about 2 sqrt(n_t) row and column powers of P
+and one batched product, all matrix products over a stack of nodes. On the 16
 real coordinates of rho (populations, then Re and Im of each coherence) the
 Liouvillian is a real matrix; the no-jump generator -i H_eff is propagated
 in its real form.
@@ -278,12 +278,12 @@ def atom_nodes(ens: EnsembleConfig, k_sw, waist_um: float, flags: SimulationFlag
         theta = (np.arange(n_theta) + 0.5) * np.pi / (2 * n_theta)
         tiny = np.finfo(float).tiny
         with np.errstate(over="ignore", divide="ignore"):
-            # a cloud far wider or narrower than the beam gives b = 0 or inf: clipped, every
-            # atom then sits at I = 0 or 1
+            # a cloud far wider or narrower than the beam gives b = 0 or inf: clipped, every atom
+            # then sits at I = 0 or 1; below b ~ 1e-14 a node rounds to I <= 0, clipped to I = 0
             sx2, sy2 = np.square(np.divide(ens.cloud_sigma_um[:2], waist_um))
             b = np.clip(0.5 / (sx2 * np.cos(theta) ** 2 + sy2 * np.sin(theta) ** 2), tiny, 1.0 / tiny)
             intensity, w_x = jacobi_rule(b, n_x)
-            rho_sq = -(waist_um**2) * np.log(intensity).ravel()
+            rho_sq = -(waist_um**2) * np.log(np.clip(intensity, 0.0, 1.0)).ravel()
         w_rho = (w_x / n_theta).ravel()
     v, w_v = hermite_e.hermegauss(n_v) if flags.motion else (np.zeros(1), np.ones(1))
     sigma_doppler = thermal_velocity_sigma(ens.temperature_uK, ens.atomic_mass_amu) * np.linalg.norm(k_sw)
@@ -292,38 +292,38 @@ def atom_nodes(ens: EnsembleConfig, k_sw, waist_um: float, flags: SimulationFlag
     return np.repeat(rho_sq, len(v)), np.tile(doppler, len(rho_sq)), weights
 
 
-# Pade-13 numerator coefficients and the largest 1-norm at which it meets double precision
-# (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005), Table 2.3)
-PADE_13 = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
-    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
-    40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-)
-THETA_13 = 5.371920351148152
-# nodes propagated at once: bounds the Pade temporaries of the batch. At 256 an ensemble pass
-# (budget 4000, 640 points, three runs) took about 9,100 minor page faults, 36 MiB of fresh
-# pages: each block's temporaries outgrew the free heap that glibc keeps (its trim threshold,
-# twice the largest block freed so far, here the 6.5 MiB (n_t, n) output), went back to the
-# kernel and were faulted in again by the next block. At 128 the same pass takes about 10.
-# (A process that has imported scipy had raised those thresholds and did not fault at 256.)
+# 1/k! to degree 24 in rows of six; the largest 1-norm at which that polynomial's backward error is <= 2^-53
+TAYLOR_24 = np.array([1.0 / math.factorial(k) if k <= 24 else 0.0 for k in range(30)]).reshape(5, 6)
+THETA_24 = 2.2190488693650896
+# nodes propagated at once: bounds the temporaries of _expm and _powers. At 256 a warm ensemble pass
+# (budget 4000, 640 points, three runs) faults about 8,900 pages: each block's temporaries outgrow
+# the free heap glibc keeps (twice the largest block freed, the 6.5 MiB (n_t, n) output) and are
+# faulted in again by the next block; at 128, none. The packaged motion + inhomo + scatter run
+# still faults about 3,300 per call (_propagate 1,720, _expm 930, _real_liouvillian 660, _powers
+# 60) on trims between runs of other node counts, which a once-per-call workspace does not end.
 BLOCK = 128
 
 
 def _expm(A):
-    """exp(A) of a stack of real or complex square matrices (..., m, m), by Pade-13 scaling
-    and squaring: each matrix is scaled by 2^-s to a 1-norm of at most THETA_13, and its
-    approximant squared s times."""
-    b = PADE_13
+    """exp(A) of a stack of real or complex square matrices (..., m, m), by Taylor-24 scaling and
+    squaring: each matrix is scaled by 2^-s to a 1-norm of at most THETA_24, and its polynomial,
+    sum_j B_j A^6j with B_j the row TAYLOR_24[j] times the stacked powers A^0 ... A^5, taken by
+    Horner in A^6 (Paterson and Stockmeyer, SIAM J. Comput. 2, 60 (1973)) and squared s times."""
     with np.errstate(divide="ignore"):
-        s = np.maximum(0.0, np.ceil(np.log2(np.abs(A).sum(axis=-2).max(axis=-1) / THETA_13))).astype(int)
-    A = A * (0.5**s)[..., None, None]
-    eye = np.eye(A.shape[-1])
-    A2 = A @ A
-    A4 = A2 @ A2
-    A6 = A4 @ A2
-    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
-    V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye
-    R = np.linalg.solve(V - U, V + U)
+        s = np.maximum(0.0, np.ceil(np.log2(np.abs(A).sum(axis=-2).max(axis=-1) / THETA_24))).astype(int)
+    powers = np.empty((6, *A.shape), dtype=A.dtype)
+    powers[0] = np.eye(A.shape[-1])
+    np.multiply(A, (0.5**s)[..., None, None], out=powers[1])
+    for i in range(2, 6):
+        np.matmul(powers[i - 1], powers[1], out=powers[i])
+    A6 = powers[3] @ powers[3]
+    AR, R = TAYLOR_24[4, 0] * A6, np.empty_like(A6)  # A^6 B_4, and the buffer each B_j is built in
+    for j in (3, 2, 1, 0):
+        np.matmul(TAYLOR_24[j], powers.reshape(6, -1), out=R.reshape(-1))
+        R += AR
+        if j:
+            np.matmul(A6, R, out=AR)
+    del powers, A6, AR  # freed before the squarings allocate
     for j in range(s.max(initial=0)):
         if (s > j).all():
             R = R @ R

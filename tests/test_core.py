@@ -3,7 +3,7 @@
 ``lindblad_evolve`` is a fixed-step RK4 integrator on plain arrays. The
 step is halved until a further halving changes no output entry by more
 than CONVERGENCE_TOL; failing that raises NonConvergenceError. It shares
-no code with the Pade propagator in ``dephasing`` that it checks.
+no code with the Taylor propagator in ``dephasing`` that it checks.
 
 ``kron_liouvillian`` is the complex row-major superoperator of the same
 generator, and ``coordinate_map`` the map B from the 16 real coordinates of

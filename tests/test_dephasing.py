@@ -215,7 +215,7 @@ def no_jump_generator(H, gamma):
 
 
 class TestPropagator:
-    """dp._propagate and dp._expm against the spectral oracle and scipy on the packaged nodes."""
+    """dp._propagate and dp._expm against the spectral and Pade oracles and scipy on the packaged nodes."""
 
     @pytest.mark.parametrize("gamma", [0.0, 1.0], ids=["lossless", "gamma_e"])
     @pytest.mark.parametrize("start", [0, 100], ids=["from-zero", "from-point-100"])
@@ -250,6 +250,29 @@ class TestPropagator:
         A = G * (4e-6 / 639)  # one step of the 640-point grid
         ref = expm(A)
         assert np.abs(dp._expm(A) - ref).max(axis=(1, 2)).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0], ids=["lossless", "gamma_e"])
+    @pytest.mark.parametrize("kind", ["liouvillian", "no-jump"])
+    def test_expm_matches_pade_oracle(self, packaged_batch, gamma_e, kind, gamma):
+        H, _ = packaged_batch
+        G = dp._real_liouvillian(H, gamma * gamma_e) if kind == "liouvillian" else no_jump_generator(H, gamma * gamma_e)
+        A = G * (4e-6 / 639)
+        ref = sk.pade13_expm(A)
+        assert np.abs(dp._expm(A) - ref).max(axis=(1, 2)).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="long double is double here")
+    @pytest.mark.parametrize("side", [1.0 - 1e-9, 1.0 + 1e-9], ids=["below-theta", "above-theta"])
+    @pytest.mark.parametrize("kind", ["liouvillian", "no-jump"])
+    def test_expm_at_the_scaling_threshold(self, packaged_batch, gamma_e, kind, side):
+        # 1-norms just below THETA_24 take the polynomial at its widest, with no squaring; just
+        # above it, one squaring of the polynomial at half that norm. The reference is the
+        # long-double one: scipy's expm is itself up to 1.7e-15 off at these norms
+        H, _ = packaged_batch
+        G = dp._real_liouvillian(H, gamma_e) if kind == "liouvillian" else no_jump_generator(H, gamma_e)
+        A = G / np.abs(G).sum(axis=1).max(axis=1)[:, None, None] * (dp.THETA_24 * side)
+        ref = sk.longdouble_expm(A)
+        err = (np.abs(dp._expm(A) - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))).astype(float)
+        assert np.all(err <= 1e-15 * np.maximum(1.0, np.abs(A).sum(axis=1).max(axis=1)))
 
     def test_expm_scales_each_matrix_on_its_own(self, packaged_batch):
         # 1-norms from 2e-3 to 2e3 in one stack: each matrix is squared as often as it needs,
@@ -388,6 +411,15 @@ class TestQuadratureRule:
         intensity = np.exp(-rho_sq / 13.0**2)
         assert np.all(np.isfinite(w)) and w.sum() == pytest.approx(1.0, abs=1e-14)
         assert w @ intensity == pytest.approx(1.0 if sigma < 1 else 0.0, abs=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_jacobi_nodes_at_or_below_zero_take_the_dark_limit(self, cfg):
+        # a 1.2e8 um cloud under a 13 um beam has b ~ 6e-15, where the smallest Jacobi node
+        # rounds to zero or below; it must give I = 0 (rho^2 = inf), not log of a negative
+        ens = dataclasses.replace(cfg.ensemble, cloud_sigma_um=(1.2e8, 1.2e8, 6.5))
+        assert dp.jacobi_rule(np.array([1e-15]), dp.N_X)[0].min() <= 0.0
+        rho_sq, _, w = dp.atom_nodes(ens, np.ones(3), 13.0, SimulationFlags(inhomo=True), 10**6)
+        assert np.all(np.isfinite(w)) and np.all(rho_sq >= 0.0)
 
     @pytest.mark.parametrize("flags", [SimulationFlags(True, True), SimulationFlags(True, True, True)],
                              ids=["motion-inhomo", "motion-inhomo-scatter"])

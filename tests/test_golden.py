@@ -38,25 +38,25 @@ GOLDEN = {
         "entangle_fidelity.json": "7abc45c764cb264d604dbb6f507b96322892ed6ba8ede48b01c7b3045f07bed7",
     },
     ("dephasing", "--flags", "none"): {
-        "dephasing_none.csv": "e51b9dbedbb480eb639f7c94a9f7d594123c98eb21b3a582c7578c5d63214da5",
-        "dephasing_none.json": "544a3e158c414a734d25d47132bd7fa844c1ed44e06c16e3ac16b381bff533e3",
+        "dephasing_none.csv": "4f1cef5f19cb944fb1af40cfdb482d2ebf97f90513da92011cc841eb6571280c",
+        "dephasing_none.json": "699b4c4385527d080dceb626f3b076e61598729a9a4d5718bd8d70518786ad4a",
     },
     ("dephasing", "--flags", "motion"): {
-        "dephasing_motion.csv": "62fb800af5feaeb52cd2c7c647802b736c39f8ed7ce1d9e3fc3a900d527bbfdb",
-        "dephasing_motion.json": "2f54bd453c46eb03bab5fab6ce3cf8053ac285a4e039742bbb692db10f0d0fcd",
+        "dephasing_motion.csv": "cc39e26dbf1416d2523fc5e61889c06a7d08f279ff1edc5244e7c9fdb3219888",
+        "dephasing_motion.json": "5f0b1d948562d38c59eb9a5897d83710b34ef2e744458b1e07d71fec0e067942",
     },
     ("dephasing", "--flags", "inhomo"): {
-        "dephasing_inhomo.csv": "f75e19d6659439592535d98844e3ce239b1f6c2c7d129e2018051ee27ada372f",
-        "dephasing_inhomo.json": "f54f1a34ff3df6b70b5d708e9e7a04509fe4a1c6ac31c88f966ed0e909c91704",
+        "dephasing_inhomo.csv": "a2c7d7c3f22f9eb7f86d1171f23a70385744e4947c82da98aac381b969b1a378",
+        "dephasing_inhomo.json": "e41e8ec6da63303d5163fa44fa79b3eff12ff254617a4c7a018cf1f767daba86",
     },
     ("dephasing", "--flags", "scatter"): {
-        "dephasing_scatter.csv": "ac0591b0ba0b5c2cc4b35b97d2d8e1687d652836ba5893cd140fa196a56966be",
-        "dephasing_scatter.json": "aa752014e7498724257885d83ba5aa00cbffbd417e9f155518d79568b9ed3b32",
+        "dephasing_scatter.csv": "2c936a691676bcfcb10de310632222edbc38e88e280d2c2cd931ac0b7969f7e9",
+        "dephasing_scatter.json": "01162a04235108619fd83524d9f8f0b314eece101790daac58f9eb5fa8115fd9",
     },
     # the only command that runs the Lindblad batch
     ("dephasing", "--flags", "motion,inhomo,scatter"): {
-        "dephasing_motion-inhomo-scatter.csv": "ffa561ecd3b0ea786e3dac6e6909d9395186ada9ca3b22fa1082d7103923a614",
-        "dephasing_motion-inhomo-scatter.json": "5ca614aca826d8543050c4c1bbc49a2a1a61a7641d35460bd341806addbf4e91",
+        "dephasing_motion-inhomo-scatter.csv": "c2efb11f62772fdfe7e8b7ba56a0f1dcfba8e3dde320d9c87d761915ae1ca413",
+        "dephasing_motion-inhomo-scatter.json": "dc7315483ab261c61f70e37219e119a674530f10146c20a0e5b7e75234fbbc01",
     },
     ("g2", "--field", "single"): {
         "g2_single.json": "65f76bd7f2cbcf3958a20e01ef094c90f9febfcdcf7c22b965fc05d6d11f1715",
