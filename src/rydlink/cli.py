@@ -16,6 +16,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import collective, dephasing, measurement, repeater
-from .config import ConfigError, RunConfig, load_config
+from .config import MAX_DEPHASING_VALUES, ConfigError, RunConfig, load_config
 from .measurement import DetectorModel, PhotonFieldModel
 
 ARTIFACT_VERSION = 1
@@ -144,16 +145,25 @@ def cmd_dephasing(cfg: RunConfig, args, writer: RunWriter):
             f"geometry.detuning_2: the dephasing window spans {phase:.3g} rad of the Raman oscillation, "
             f"too little for the envelope fit to see it (at least {dephasing.MIN_FIT_PHASE:.3g} rad)"
         )
+    nodes = math.prod(dephasing.rule_sizes(cfg.ensemble, flags, sim["dephasing_samples"]))
+    if sim["dephasing_points"] * nodes > MAX_DEPHASING_VALUES:
+        raise ConfigError(
+            "simulation.dephasing_points, simulation.dephasing_samples, ensemble.cloud_sigma: "
+            f"{sim['dephasing_points']} points at the {nodes} nodes of the rule take more than "
+            f"{MAX_DEPHASING_VALUES} values per array"
+        )
     t_grid = np.linspace(0.0, sim["dephasing_t_max"] * 1e6, sim["dephasing_points"])
     gamma_e = cfg.parsed["raman"]["intermediate_linewidth"]
     try:
         population, projection, record = dephasing.simulate_single_excitation(
             cfg.geometry, cfg.ensemble, gamma_e, flags, sim["dephasing_samples"], cfg.seed, t_grid
         )
+    except dephasing.FitError as exc:
+        raise dephasing.FitError(f"simulation.dephasing_t_max, simulation.dephasing_points: {exc}") from None
     except (dephasing.BatchError, np.linalg.LinAlgError) as exc:
-        # the detunings enter every batch; the rest only with their mechanism
+        # the window and the detunings enter every batch; the rest only with their mechanism
         keys = {"scatter": "raman.intermediate_linewidth, ", "motion": "ensemble.temperature, ensemble.atomic_mass, "}
-        named = "".join(text for name, text in keys.items() if getattr(flags, name))
+        named = "simulation.dephasing_t_max, " + "".join(text for name, text in keys.items() if getattr(flags, name))
         raise dephasing.BatchError(f"{named}geometry.detuning_1, geometry.detuning_2: {exc}") from None
     # the parsed names, so that equivalent --flags texts name the same files
     tag = "-".join(name for name, on in record["flags"].items() if on) or "none"

@@ -19,6 +19,7 @@ import importlib.resources
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import yaml
@@ -28,8 +29,14 @@ from .dephasing import (
     AMU, MIN_JACOBI_B, MIN_SAMPLES, motional_coherence_time_us, shift_cancelling_branch_weights, thermal_velocity_sigma
 )
 from .geometry import BEAM_IDS, Beam, BeamGeometry, modes_distinguishable, protocol_modes
+from .measurement import DLCZ_MAX_EXCITATION
 
 DEFAULT_CONFIG_RESOURCE = "default.yaml"
+# the dephasing command allocates (points, nodes) arrays: at the 640 nodes of the packaged
+# rule, 2**16 points hold 0.7 GB of complex amplitudes, and it refuses a rule of more nodes
+# beyond that many values
+MAX_DEPHASING_POINTS = 2**16
+MAX_DEPHASING_VALUES = 640 * MAX_DEPHASING_POINTS
 
 TWO_PI = math.tau
 
@@ -105,8 +112,15 @@ def _at_least(bound):
     return (lambda v: v >= bound, f"be >= {bound}")
 
 
+# an integer that the JSON records carry, which readers holding numbers as doubles read back exactly
+def _json_int(bound):
+    return (lambda v: bound <= v < 2**53, f"be >= {bound} and < 2**53")
+
+
 # a count that numpy's multinomial takes as a C long
 _DRAW_COUNT = (lambda v: 1 <= v < 2**63, "lie in [1, 2**63)")
+# a count that converts to a finite float
+_FLOAT_COUNT = (lambda v: 1 <= v <= sys.float_info.max, f"lie in [1, {sys.float_info.max:g}]")
 
 
 # beam quantities enter squared (Gaussian profiles, light shifts, mode
@@ -141,7 +155,7 @@ _SCHEMA = {
         ),
     },
     "ensemble": {
-        "effective_atom_number": (int, _at_least(1)),
+        "effective_atom_number": (int, _FLOAT_COUNT),
         "temperature": ("temperature", _POSITIVE),
         "cloud_sigma": (("length", 3), _POSITIVE),
         "ground_spinwave_lifetime": ("time", _POSITIVE),
@@ -157,19 +171,20 @@ _SCHEMA = {
         "phase_shift": ("angle", None),
     },
     "simulation": {
-        "seed": (int, _at_least(0)),
-        "dephasing_samples": (int, _at_least(MIN_SAMPLES)),
+        "seed": (int, _json_int(0)),
+        "dephasing_samples": (int, _json_int(MIN_SAMPLES)),
         "dephasing_t_max": ("time", _POSITIVE),
         # the envelope fit has 5 parameters
-        "dephasing_points": (int, _at_least(5)),
+        "dephasing_points": (int, (lambda v: 5 <= v <= MAX_DEPHASING_POINTS, f"lie in [5, {MAX_DEPHASING_POINTS}]")),
         "coincidence_trials": (int, _DRAW_COUNT),
         "g2_trials": (int, _DRAW_COUNT),
     },
     "repeater": {
         "channel_transmission": ("dimensionless", _FRACTION),
         "retrieval_efficiency": ("dimensionless", _FRACTION),
-        # the range of measurement.dlcz_occupation
-        "dlcz_excitation": ("dimensionless", (lambda v: 0.0 < v <= 0.2, "lie in (0, 0.2]")),
+        "dlcz_excitation": (
+            "dimensionless", (lambda v: 0.0 < v <= DLCZ_MAX_EXCITATION, f"lie in (0, {DLCZ_MAX_EXCITATION}]")
+        ),
         "trials": (int, _DRAW_COUNT),
     },
 }

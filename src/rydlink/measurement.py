@@ -170,22 +170,40 @@ FIELD_KINDS = ("single_photon", "coherent", "thermal", "dlcz_pair")
 FOCK_CUTOFF = 30
 FOCK_TAIL_TOL = 1e-9  # largest probability a coherent or thermal field may leave beyond FOCK_CUTOFF
 DLCZ_CUTOFF = 4  # photon-number truncation of the DLCZ source
+DLCZ_MAX_EXCITATION = 0.2  # largest DLCZ p: the truncation drops at most p^5 = 3.2e-4
 ROUND_TRIP_TOL = 1e-12  # largest relative g2 error of a calibrated background
 
 
-def dlcz_occupation(p: float) -> np.ndarray:
-    """P(n), n = 0..DLCZ_CUTOFF, of a DLCZ source with excitation probability p.
+def occupation(kind: str, parameter: float) -> np.ndarray:
+    """P(n), n = 0, 1, ..., of a field of ``kind``; a ``parameter`` outside the kind's range raises ValueError.
 
-    The heralded-arm marginal of a weakly driven two-mode squeezed state,
-    p^n (1 - p), renormalized after truncation (Duan, Lukin, Cirac and
-    Zoller, Nature 414, 413 (2001)). p is limited to (0, 0.2], where the
-    truncation drops at most p^5 = 3.2e-4 of the probability.
+    single_photon: one photon kept with probability ``parameter`` in [0, 1]. coherent, thermal: the
+    Poisson and Bose-Einstein laws of mean photon number ``parameter`` > 0, truncated at FOCK_CUTOFF.
+    dlcz_pair: p^n (1 - p) with p = ``parameter`` in (0, DLCZ_MAX_EXCITATION], truncated at DLCZ_CUTOFF,
+    the heralded-arm marginal of a weakly driven two-mode squeezed state (Duan, Lukin, Cirac and
+    Zoller, Nature 414, 413 (2001)). A truncated law is renormalized.
     """
-    if not 0.0 < p <= 0.2:
-        raise ValueError("dlcz excitation probability must lie in (0, 0.2]")
-    n = np.arange(DLCZ_CUTOFF + 1)
-    dist = p**n * (1.0 - p)
-    return dist / dist.sum()
+    if kind not in FIELD_KINDS:
+        raise ValueError(f"kind must be one of {FIELD_KINDS}")
+    if kind == "single_photon":
+        if not 0.0 <= parameter <= 1.0:
+            raise ValueError("retrieval efficiency must lie in [0, 1]")
+        return np.array([1.0 - parameter, parameter])
+    if kind == "dlcz_pair":
+        if not 0.0 < parameter <= DLCZ_MAX_EXCITATION:
+            raise ValueError(f"dlcz excitation probability must lie in (0, {DLCZ_MAX_EXCITATION}]")
+        p = parameter ** np.arange(DLCZ_CUTOFF + 1) * (1.0 - parameter)
+        return p / p.sum()
+    if not 0.0 < parameter < np.inf:  # also rejects NaN
+        raise ValueError("mean photon number must be positive and finite")
+    n = np.arange(FOCK_CUTOFF + 1)
+    if kind == "coherent":
+        p = np.exp(n * np.log(parameter) - np.cumsum(np.log(np.maximum(n, 1))) - parameter)
+    else:  # thermal
+        p = (parameter / (1.0 + parameter)) ** n / (1.0 + parameter)
+    if not 1.0 - p.sum() <= FOCK_TAIL_TOL:
+        raise ValueError(f"{1.0 - p.sum():.3g} of the distribution lies past the Fock cutoff {FOCK_CUTOFF}")
+    return p / p.sum()
 
 
 @dataclass(frozen=True)
@@ -195,29 +213,12 @@ class PhotonFieldModel:
     detector: DetectorModel
 
     def __post_init__(self):
-        if self.kind not in FIELD_KINDS:
-            raise ValueError(f"kind must be one of {FIELD_KINDS}")
         if not 0.0 < self.parameter < np.inf:  # also rejects NaN
             raise ValueError("field parameter must be positive and finite (the vacuum has no g2)")
-        self.occupation_distribution()  # each kind checks its own range
+        self.occupation_distribution()  # the kind and its range
 
     def occupation_distribution(self) -> np.ndarray:
-        if self.kind == "single_photon":
-            if self.parameter > 1.0:
-                raise ValueError("retrieval efficiency must lie in (0, 1]")
-            return np.array([1.0 - self.parameter, self.parameter])
-        if self.kind == "dlcz_pair":
-            return dlcz_occupation(self.parameter)
-        n = np.arange(FOCK_CUTOFF + 1)
-        if self.kind == "coherent":
-            mu = self.parameter
-            p = np.exp(n * np.log(mu) - np.cumsum(np.log(np.maximum(n, 1))) - mu)
-        else:  # thermal
-            nbar = self.parameter
-            p = (nbar / (1.0 + nbar)) ** n / (1.0 + nbar)
-        if not 1.0 - p.sum() <= FOCK_TAIL_TOL:
-            raise ValueError(f"{1.0 - p.sum():.3g} of the distribution lies past the Fock cutoff {FOCK_CUTOFF}")
-        return p / p.sum()
+        return occupation(self.kind, self.parameter)
 
 
 def thinned(dist, eta: float) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurement import DLCZ_CUTOFF, dlcz_occupation, rng_stream, thinned
+from .measurement import occupation, rng_stream, thinned
 
 SOURCE_KINDS = ("semi_deterministic", "dlcz")
 
@@ -35,7 +35,7 @@ class SourceModel:
     semi_deterministic: an intrinsically heralded pair process that leaves
     an entangled memory and emits exactly one photon (then thinned by the
     retrieval efficiency) with probability 1/2, else zero photons.
-    dlcz: a weakly driven parametric process, measurement.dlcz_occupation.
+    dlcz: a weakly driven parametric process. measurement.occupation gives both laws.
     """
 
     kind: str
@@ -45,19 +45,15 @@ class SourceModel:
     def __post_init__(self):
         if self.kind not in SOURCE_KINDS:
             raise ValueError(f"kind must be one of {SOURCE_KINDS}")
-        if self.kind == "dlcz":
-            dlcz_occupation(self.emission_prob)  # raises for p outside (0, 0.2]
         if not 0.0 <= self.retrieval_efficiency <= 1.0:
             raise ValueError("retrieval efficiency must lie in [0, 1]")
+        self.emission_distribution()  # the dlcz range of p
 
     def emission_distribution(self) -> np.ndarray:
-        """P(n photons at the source output), n = 0..DLCZ_CUTOFF."""
+        """P(n photons at the source output), n = 0, 1, ..."""
         if self.kind == "dlcz":
-            return dlcz_occupation(self.emission_prob)
-        p = np.zeros(DLCZ_CUTOFF + 1)
-        p[1] = 0.5 * self.retrieval_efficiency
-        p[0] = 1.0 - p[1]
-        return p
+            return occupation("dlcz_pair", self.emission_prob)
+        return occupation("single_photon", self.retrieval_efficiency / 2.0)
 
 
 @dataclass(frozen=True)

@@ -318,7 +318,8 @@ class TestCli:
         monkeypatch.setattr(dephasing, "FIT_MAX_STEPS", 0)
         out = tmp_path / "o"
         assert run_cli(["dephasing"], out) == 3
-        assert "no convergence in 0 steps" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "no convergence in 0 steps" in err and "simulation.dephasing_t_max" in err
         assert not list(out.glob("dephasing_*.json"))
 
     @pytest.mark.parametrize(
@@ -400,6 +401,22 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "t_max, flags, failure",
+        # sigma_D t_max = 25.6 rad on the packaged cloud; eps gamma_e t_max = 8e-9: both grow with the window
+        [("40 us", "motion", "Doppler phase"), ("1 s", "scatter", "too stiff")],
+        ids=["doppler-phase", "stiff-scatter"],
+    )
+    def test_batch_failure_of_a_long_window_names_t_max(self, tmp_path, capsys, default_raw, t_max, flags, failure):
+        raw = yaml.safe_load(yaml.safe_dump(default_raw))
+        raw["simulation"]["dephasing_t_max"] = t_max
+        out = tmp_path / "o"
+        argv = ["--config", write_config(tmp_path, raw), "--out", str(out), "dephasing", "--flags", flags]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert "simulation.dephasing_t_max" in err and failure in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "key, value, args",
         [
             ("geometry.beams.A.wavelength", "nan nm", ["dephasing"]),
@@ -434,6 +451,23 @@ class TestCli:
             ("geometry.detuning_1", "0 MHz", ["rabi", "--pair"]),
             ("geometry.detuning_2", "610 MHz", ["dephasing"]),
             ("ensemble.effective_atom_number", 0, ["rabi", "--collective"]),
+            # the ensemble record holds the atom number as a float
+            ("ensemble.effective_atom_number", 2**1024, ["rabi", "--pair"]),
+            ("ensemble.effective_atom_number", 10**400, ["rabi", "--single"]),
+            # the (points, nodes) arrays of the dephasing batch: too big for numpy, or an empty grid
+            ("simulation.dephasing_points", 2**62, ["dephasing", "--flags", "none"]),
+            ("simulation.dephasing_points", 2**63, ["dephasing", "--flags", "none"]),
+            ("simulation.dephasing_points", 10**400, ["dephasing", "--flags", "none"]),
+            # an anisotropic cloud's full rule has 10,240 nodes: 4097 points of it pass the
+            # (points, nodes) values that 2**16 points hold at the packaged 640 nodes
+            (
+                ("ensemble.cloud_sigma", "simulation.dephasing_samples", "simulation.dephasing_points"),
+                (["3.5 um", "5.0 um", "6.5 um"], 10**6, 4097),
+                ["dephasing", "--flags", "motion,inhomo"],
+            ),
+            # JSON readers that hold numbers as doubles round a seed past 2**53
+            ("simulation.seed", 2**53, ["g2", "--field", "single"]),
+            ("simulation.seed", 10**400, ["rabi", "--pair"]),
             ("ensemble.ground_spinwave_lifetime", "-30 us", ["entangle", "--fidelity"]),
             ("ensemble.temperature", "0 uK", ["dephasing"]),
             ("raman.intermediate_linewidth", "-5.746 MHz", ["dephasing"]),
@@ -486,7 +520,9 @@ class TestCli:
             "transmission-above-1", "negative-retrieval", "zero-transmission", "zero-retrieval",
             "g2-single-trial", "dlcz-p-above-range", "dlcz-p-zero",
             "negative-cloud-sigma", "zero-cloud-sigma", "zero-detuning", "same-sign-detunings",
-            "no-atoms", "negative-spinwave-lifetime", "zero-temperature", "negative-linewidth",
+            "no-atoms", "atoms-past-float", "atoms-far-past-float", "dephasing-points-2-62",
+            "dephasing-points-2-63", "dephasing-points-past-float", "dephasing-values-past-bound",
+            "seed-past-double", "seed-past-float", "negative-spinwave-lifetime", "zero-temperature", "negative-linewidth",
             "overflowing-detuning", "negative-rabi", "overflowing-waist",
             "unnormalized-direction", "zero-direction", "subnormal-period",
             "underflowing-thermal-velocity", "overflowing-thermal-velocity", "removed-free-rydberg-lifetime",

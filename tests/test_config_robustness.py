@@ -1,16 +1,17 @@
-"""Every quantity key of the config schema at extreme values, through seven commands.
+"""Every key of the config schema at extreme values, through seven commands.
 
 The table is derived from ``config._SCHEMA``, so a new key is covered without a new
 row. Each leaf whose kind is a dimension or a plain number (every element of a list)
 is set to +-1e-300, +-1e-12, +-1e12 and +-1e300 of the unit its packaged value is
-written in, and each of COMMANDS runs on the result in process. The pytest
-configuration turns a numpy RuntimeWarning into an error, so a warning fails a case
-as a traceback would.
+written in, and each integer leaf to INTEGERS; each of COMMANDS runs on the result in
+process. The pytest configuration turns a numpy RuntimeWarning into an error, so a
+warning fails a case as a traceback would.
 """
 
 import copy
 import importlib.resources
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +20,9 @@ import yaml
 from rydlink import cli, config
 
 MAGNITUDES = (1e-300, 1e-12, 1e12, 1e300)
+# past a C long and past a float, a YAML boolean, and one past the upper bound of each integer key
+# that has one; every dephasing_points here is out of range, so no probe allocates a large grid
+INTEGERS = (-1, 0, 2**63, 10**400, True, 2**53, config.MAX_DEPHASING_POINTS + 1, int(sys.float_info.max) + 1)
 COMMANDS = (
     ("rabi", "--pair"),
     ("rabi", "--collective"),
@@ -41,15 +45,16 @@ PACKAGED = yaml.safe_load((importlib.resources.files("rydlink.data") / config.DE
 
 
 def _leaves(schema, path=()):
-    """Key paths of the schema leaves whose kind, or list element kind, is a dimension or "dimensionless"."""
+    """(key path, kind) of every schema leaf; a list leaf gives the kind of its elements."""
     for key, spec in schema.items():
         if isinstance(spec, dict):
             yield from _leaves(spec, (*path, key))
-        elif isinstance(spec[0][0] if isinstance(spec[0], tuple) else spec[0], str):
-            yield (*path, key)
+        else:
+            yield (*path, key), spec[0][0] if isinstance(spec[0], tuple) else spec[0]
 
 
-LEAVES = list(_leaves(config._SCHEMA))
+LEAVES = [leaf for leaf, kind in _leaves(config._SCHEMA) if isinstance(kind, str)]
+INT_LEAVES = [leaf for leaf, kind in _leaves(config._SCHEMA) if kind is int]
 
 
 def _scaled(packaged, value):
@@ -95,19 +100,20 @@ def _json_items(node, key=""):
         yield key, node
 
 
-@pytest.mark.parametrize("leaf", LEAVES, ids=[".".join(leaf) for leaf in LEAVES])
-def test_extreme_values_exit_cleanly(tmp_path, capsys, leaf):
+def _exit_cleanly(tmp_path, capsys, leaf, values):
+    """Each of ``values`` at the key ``leaf``, through each of COMMANDS: every run exits 0, 2 or 3,
+    an exit 2 names the key, and an exit 0 writes finite numbers only."""
     dotted = ".".join(leaf)
-    for value in (sign * magnitude for magnitude in MAGNITUDES for sign in (1, -1)):
+    for value in values:
         raw = copy.deepcopy(PACKAGED)
         node = raw
         for key in leaf[:-1]:
             node = node[key]
-        node[leaf[-1]] = _scaled(node[leaf[-1]], value)
+        node[leaf[-1]] = value
         path = tmp_path / "cfg.yaml"
         path.write_text(yaml.safe_dump(raw))
         for i, command in enumerate(COMMANDS):
-            label = f"{dotted} = {node[leaf[-1]]!r}, {' '.join(command)}"
+            label = f"{dotted} = {value!r}, {' '.join(command)}"
             outdir = tmp_path / str(i)
             code = cli.main(["--config", str(path), "--out", str(outdir), *command])
             err = capsys.readouterr().err
@@ -116,3 +122,17 @@ def test_extreme_values_exit_cleanly(tmp_path, capsys, leaf):
                 assert dotted in err, f"{label}: {err}"
             elif code == cli.EXIT_OK:
                 _check_outputs(outdir, label)
+
+
+@pytest.mark.parametrize("leaf", LEAVES, ids=[".".join(leaf) for leaf in LEAVES])
+def test_extreme_values_exit_cleanly(tmp_path, capsys, leaf):
+    packaged = PACKAGED
+    for key in leaf:
+        packaged = packaged[key]
+    values = [_scaled(packaged, sign * magnitude) for magnitude in MAGNITUDES for sign in (1, -1)]
+    _exit_cleanly(tmp_path, capsys, leaf, values)
+
+
+@pytest.mark.parametrize("leaf", INT_LEAVES, ids=[".".join(leaf) for leaf in INT_LEAVES])
+def test_extreme_integers_exit_cleanly(tmp_path, capsys, leaf):
+    _exit_cleanly(tmp_path, capsys, leaf, INTEGERS)

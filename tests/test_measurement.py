@@ -353,6 +353,27 @@ class TestPhotonStatistics:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             PhotonFieldModel("squeezed", 0.1, IDEAL)
+        with pytest.raises(ValueError, match="kind must be one of"):
+            ms.occupation("squeezed", 0.1)
+
+    @pytest.mark.parametrize(
+        "kind, parameter",
+        [
+            ("single_photon", -0.1), ("single_photon", 1.5), ("single_photon", math.nan),
+            ("coherent", 0.0), ("coherent", -1.0), ("thermal", -0.5), ("thermal", math.inf), ("thermal", 20.0),
+            ("dlcz_pair", 0.0), ("dlcz_pair", ms.DLCZ_MAX_EXCITATION * 1.01),
+        ],
+    )
+    def test_occupation_rejects_parameters_outside_the_kind_range(self, kind, parameter):
+        # a numpy warning would fail the test too: every range is checked before any arithmetic
+        with pytest.raises(ValueError):
+            ms.occupation(kind, parameter)
+
+    def test_vacuum_is_an_occupation_but_has_no_g2(self):
+        # a semi source with no retrieval emits nothing; the g2 field rules the vacuum out itself
+        assert np.array_equal(ms.occupation("single_photon", 0.0), [1.0, 0.0])
+        with pytest.raises(ValueError, match="vacuum"):
+            PhotonFieldModel("single_photon", 0.0, IDEAL)
 
 
 class TestThinning:

@@ -20,7 +20,6 @@ class TestSourceModel:
         d = SEMI.emission_distribution()
         assert d[1] == pytest.approx(0.5)
         assert d[0] == pytest.approx(0.5)
-        assert np.all(d[2:] == 0.0)
 
     def test_semi_deterministic_retrieval_thinning(self):
         d = SourceModel("semi_deterministic", retrieval_efficiency=0.4).emission_distribution()
@@ -38,10 +37,14 @@ class TestSourceModel:
             SourceModel("dlcz", emission_prob=0.0)
         with pytest.raises(ValueError):
             PhotonFieldModel("dlcz_pair", 1.5, DetectorModel())
-        # the repeater source and the g2 field share one DLCZ model
+        # the repeater sources and the g2 fields share one photon-number model
         source = SourceModel("dlcz", emission_prob=0.05).emission_distribution()
         field = PhotonFieldModel("dlcz_pair", 0.05, DetectorModel()).occupation_distribution()
         assert np.array_equal(source, field)
+        assert np.array_equal(source, ms.occupation("dlcz_pair", 0.05))
+        for eta in (1.0, 0.9, 0.4, 0.0):
+            semi = SourceModel("semi_deterministic", retrieval_efficiency=eta).emission_distribution()
+            assert np.array_equal(semi, ms.occupation("single_photon", eta / 2.0))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
