@@ -21,14 +21,14 @@ its own Jacobi rule, and Gauss-Hermite in the Doppler shift. The other beam's
 intensity is I^(w^2 / w_other^2). An axis whose mechanism is off collapses to
 one node.
 
-Per-node generators are time independent and the time grid is uniform, so
-exp(G t_i) = exp(G t_0) P^i with P = exp(G dt). P comes from Taylor-24 scaling
+Per-node generators are time independent and the time grid is uniform from
+t = 0, so exp(G t_i) = P^i with P = exp(G dt). P comes from Taylor-24 scaling
 and squaring (Al-Mohy and Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)),
 and the n_t values of a node from about 2 sqrt(n_t) row and column powers of P
 and one batched product, all matrix products over a stack of nodes. On the 16
 real coordinates of rho (populations, then Re and Im of each coherence) the
-Liouvillian is a real matrix; the no-jump generator -i H_eff is propagated
-in its real form.
+Liouvillian is a real matrix, and the no-jump generator -i H_eff is built real,
+on the 8 coordinates (Re psi, Im psi) of the state.
 """
 
 from __future__ import annotations
@@ -100,10 +100,6 @@ def _liouville_maps():
     collapse = np.einsum("eab,lbc,edc->lad", jump, basis, jump) - 0.5 * (excited[:, None] + excited) * basis
     hmap, dissipator = (np.einsum("mab,...ba->...m", dual, X).real for X in (commutators, collapse))
     return dual, hmap.transpose(0, 2, 1).reshape(16, 256), dissipator.T
-
-
-class SampleCountError(ValueError):
-    """A node budget too small for a meaningful ensemble average."""
 
 
 class FitError(RuntimeError):
@@ -184,10 +180,10 @@ def raman_rabi_local(geo: BeamGeometry) -> tuple:
 
 
 def _four_level_hamiltonian(geo: BeamGeometry, s1, s2, doppler):
-    """Batched 4x4 Hamiltonians, shape (n, 4, 4). Inputs are arrays of n: the
+    """Batched real symmetric 4x4 Hamiltonians, shape (n, 4, 4). Inputs are arrays of n: the
     relative intensities of beam C (ground side, s1) and beam E (Rydberg side,
     s2) and the Doppler shift of |r>, rad/s."""
-    H = np.zeros((len(s1), 4, 4), dtype=complex)
+    H = np.zeros((len(s1), 4, 4))
     oc = geo.beams["C"].rabi * s1 / 2.0
     od = geo.beams["E"].rabi * s2 / 2.0
     branches = shift_cancelling_branch_weights(geo.detuning_1, geo.detuning_2)
@@ -348,39 +344,31 @@ def _powers(M, x, count):
     return out, M
 
 
-def _propagate(G, k, t_grid_s):
-    """exp(G t)[k, k] at each t of the grid for the stack G (n, m, m), as an (n_t, n) array.
+def _propagate(G, rows, t_grid_s):
+    """exp(G t)[rows, rows[0]] at each t of the grid for the real stack G (n, m, m), as an
+    (n, n_t, len(rows)) array.
 
-    The grid must be uniform to within the rounding of its points (any other raises
-    ValueError), so exp(G t_i) = exp(G t_0) P^i with P = exp(G dt). Writing i = a B + b with
-    B the least power of two >= sqrt(n_t), each value is the row e_k^T P^b times the column
-    Q^a exp(G t_0) e_k, Q = P^B: the rows and columns come by doubling, and the values of
-    BLOCK nodes at a time from one batched product. A complex G is propagated in its real
-    form [[Re G, -Im G], [Im G, Re G]], whose small matrix products cost several times less,
-    and row m + k of it gives the imaginary part.
+    The grid must start at t = 0 and be uniform to within the rounding of its points (any
+    other raises ValueError), so exp(G t_i) = P^i with P = exp(G dt). Writing i = a B + b with
+    B the least power of two >= sqrt(n_t), each value is the row e_j^T P^b times the column
+    Q^a e_k, Q = P^B, k = rows[0]: the rows and columns come by doubling, and the values of
+    BLOCK nodes at a time from one batched product.
     """
     t = np.asarray(t_grid_s, dtype=float)
     n_t = len(t)
-    dt = (t[-1] - t[0]) / max(n_t - 1, 1)
-    if np.abs(t - (t[0] + dt * np.arange(n_t))).max() > 16 * np.finfo(float).eps * np.abs(t).max():
-        raise ValueError("the propagator needs a uniformly spaced time grid")
-    out = np.empty((len(G), n_t), dtype=G.dtype)
-    parts = out.view(float).reshape(len(G), n_t, -1)  # the values, or their (Re, Im) pairs
-    if np.iscomplexobj(G):
-        k_rows = [k, G.shape[-1] + k]
-        G = np.block([[G.real, -G.imag], [G.imag, G.real]])
-    else:
-        k_rows = [k]
+    dt = t[-1] / max(n_t - 1, 1)
+    if t[0] != 0.0 or np.abs(t - dt * np.arange(n_t)).max() > 16 * np.finfo(float).eps * np.abs(t).max():
+        raise ValueError("the propagator needs a uniformly spaced time grid from t = 0")
+    out = np.empty((len(G), n_t, len(rows)))
     eye = np.eye(G.shape[-1])
     n_b = 1 << math.ceil(math.log2(n_t) / 2)
     for lo in range(0, len(G), BLOCK):
         g = G[lo : lo + BLOCK]
-        rows, Q = _powers(_expm(g * dt), eye[k_rows], n_b)  # e_j^T P^b, and P^B
-        start = _expm(g * t[0])[..., None, :, k] if t[0] != 0.0 else eye[[k]]
-        cols, _ = _powers(Q.transpose(0, 2, 1), start, -(-n_t // n_b))  # (Q^a exp(G t_0) e_k)^T
-        values = cols @ rows.transpose(0, 2, 1)  # (n, a, b j)
-        parts[lo : lo + BLOCK] = values.reshape(len(g), -1, len(k_rows))[:, :n_t]
-    return out.T
+        powers, Q = _powers(_expm(g * dt), eye[rows], n_b)  # e_j^T P^b, and P^B
+        cols, _ = _powers(Q.transpose(0, 2, 1), eye[rows[:1]], -(-n_t // n_b))  # (Q^a e_k)^T
+        values = cols @ powers.transpose(0, 2, 1)  # (n, a, b j)
+        out[lo : lo + BLOCK] = values.reshape(len(g), -1, len(rows))[:, :n_t]
+    return out
 
 
 def _real_liouvillian(H, gamma):
@@ -402,19 +390,22 @@ def _batched_lindblad_trace(H, gamma, t_grid_s):
     stiffness = np.finfo(float).eps * gamma * np.abs(t_grid_s).max()
     if not stiffness <= STIFFNESS_TOL:
         raise BatchError(f"gamma_e {gamma:.6g} rad/s: too stiff, eps gamma t_max = {stiffness:.3g}")
-    return _propagate(_real_liouvillian(H, gamma), LEVEL_R, t_grid_s)
+    return _propagate(_real_liouvillian(H, gamma), [LEVEL_R], t_grid_s)[..., 0].T
 
 
 def _batched_amplitudes(H, gamma, t_grid_s):
     """<r|psi(t)> for the no-jump (non-Hermitian) evolution from |r>.
 
     With gamma == 0 this is the exact unitary amplitude. Returns
-    (n_t, n) complex array.
+    (n_t, n) complex array. The generator -i H_eff, H_eff = H - (i gamma / 2) on |e1> and
+    |e2>, acts on (Re psi, Im psi) as the real [[D, H], [-H, D]], D = -gamma/2 there.
     """
-    H_eff = H.astype(complex)
-    H_eff[:, LEVEL_E1, LEVEL_E1] += -0.5j * gamma
-    H_eff[:, LEVEL_E2, LEVEL_E2] += -0.5j * gamma
-    return _propagate(-1j * H_eff, LEVEL_R, t_grid_s)
+    G = np.zeros((len(H), 8, 8))
+    G[:, :4, 4:] = H
+    np.negative(H, out=G[:, 4:, :4])
+    excited = [LEVEL_E1, LEVEL_E2, 4 + LEVEL_E1, 4 + LEVEL_E2]
+    G[:, excited, excited] = -0.5 * gamma
+    return _propagate(G, [LEVEL_R, 4 + LEVEL_R], t_grid_s).view(complex)[..., 0].T
 
 
 def _mechanisms(flags: SimulationFlags, gamma: float) -> str:
@@ -443,8 +434,6 @@ def simulate_single_excitation(
     to 1 at t = 0; it can never exceed the population, and a batch that
     breaks this or [0, 1] raises BatchError.
     """
-    if n_samples < MIN_SAMPLES:
-        raise SampleCountError(f"need a budget of at least {MIN_SAMPLES} samples, got {n_samples}")
     t_grid_us = np.asarray(t_grid_us, dtype=float)
     t_grid_s = t_grid_us * 1e-6
 
@@ -468,8 +457,7 @@ def simulate_single_excitation(
     with np.errstate(over="ignore", invalid="ignore"):  # too fast a rate overflows: see the bounds check
         amps = _batched_amplitudes(H, gamma, t_grid_s)
         projection = np.abs(amps @ weights) ** 2
-        if t_grid_us[0] == 0.0:
-            projection = projection / projection[0]
+        projection = projection / projection[0]
         if flags.scatter:
             del amps  # freed before the Lindblad batch allocates its stacks and output
             population = _batched_lindblad_trace(H, gamma, t_grid_s) @ weights
@@ -481,6 +469,8 @@ def simulate_single_excitation(
             f"{_mechanisms(flags, gamma)} at detunings {geo.detuning_1:.6g}, {geo.detuning_2:.6g} rad/s: "
             f"a population outside [0, 1] or a projection above it at {bad.sum()} of {len(bad)} times"
         )
+    # within BOUNDS_TOL of [0, 1] is rounding (the Taylor-24 step is not exactly unitary): written as the bound
+    population, projection = np.clip(population, 0.0, 1.0), np.clip(projection, 0.0, 1.0)
 
     omega_eff, _ = raman_rabi_local(geo)
     tau_osc = fit_envelope_time_us(t_grid_us, projection, abs(raman_splitting_exact(geo)))

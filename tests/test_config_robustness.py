@@ -136,3 +136,10 @@ def test_extreme_values_exit_cleanly(tmp_path, capsys, leaf):
 @pytest.mark.parametrize("leaf", INT_LEAVES, ids=[".".join(leaf) for leaf in INT_LEAVES])
 def test_extreme_integers_exit_cleanly(tmp_path, capsys, leaf):
     _exit_cleanly(tmp_path, capsys, leaf, INTEGERS)
+
+
+@pytest.mark.parametrize("value", ["-1e+10 MHz", "-1e+11 MHz"])
+def test_far_detuning_writes_populations_within_bounds(tmp_path, capsys, value):
+    # the one-step propagator is unitary only to rounding: these detunings put population_r
+    # within 1e-9 above 1 before it is written
+    _exit_cleanly(tmp_path, capsys, ("geometry", "detuning_2"), [value])

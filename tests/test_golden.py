@@ -39,7 +39,7 @@ GOLDEN = {
     },
     ("dephasing", "--flags", "none"): {
         "dephasing_none.csv": "4f1cef5f19cb944fb1af40cfdb482d2ebf97f90513da92011cc841eb6571280c",
-        "dephasing_none.json": "699b4c4385527d080dceb626f3b076e61598729a9a4d5718bd8d70518786ad4a",
+        "dephasing_none.json": "0ca9f982a4a774941673d18e7f2512e7a38617a47463b645de80ec73aa93eb4c",
     },
     ("dephasing", "--flags", "motion"): {
         "dephasing_motion.csv": "cc39e26dbf1416d2523fc5e61889c06a7d08f279ff1edc5244e7c9fdb3219888",
