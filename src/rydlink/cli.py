@@ -138,11 +138,21 @@ def cmd_dephasing(cfg: RunConfig, args, writer: RunWriter):
     flags = _parse_flags(args.flags)
     sim = cfg.parsed["simulation"]
     # the envelope fit starts at the Raman splitting; checked here, as no other command needs its eigenvalues
-    phase = dephasing.raman_splitting_exact(cfg.geometry) * sim["dephasing_t_max"]
+    splitting = dephasing.raman_splitting_exact(cfg.geometry)
+    floor = dephasing.MIN_SPLITTING_ROUNDINGS * dephasing.eigenvalue_rounding(cfg.geometry)
+    phase = splitting * sim["dephasing_t_max"]
+    keys = (
+        "simulation.dephasing_t_max, geometry.beams.C.rabi, geometry.beams.E.rabi, geometry.detuning_1, "
+        "geometry.detuning_2"
+    )
+    if not splitting > floor:
+        raise ConfigError(
+            f"{keys}: the Raman splitting {splitting:.3g} rad/s is below {floor:.3g} rad/s, "
+            f"{dephasing.MIN_SPLITTING_ROUNDINGS:g} times the rounding of the eigenvalues it is the difference of"
+        )
     if not phase >= dephasing.MIN_FIT_PHASE:
         raise ConfigError(
-            "simulation.dephasing_t_max, geometry.beams.C.rabi, geometry.beams.E.rabi, geometry.detuning_1, "
-            f"geometry.detuning_2: the dephasing window spans {phase:.3g} rad of the Raman oscillation, "
+            f"{keys}: the dephasing window spans {phase:.3g} rad of the Raman oscillation, "
             f"too little for the envelope fit to see it (at least {dephasing.MIN_FIT_PHASE:.3g} rad)"
         )
     nodes = math.prod(dephasing.rule_sizes(cfg.ensemble, flags, sim["dephasing_samples"]))

@@ -25,7 +25,8 @@ Per-node generators are time independent and the time grid is uniform from
 t = 0, so exp(G t_i) = P^i with P = exp(G dt). P comes from Taylor-24 scaling
 and squaring (Al-Mohy and Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)),
 and the n_t values of a node from about 2 sqrt(n_t) row and column powers of P
-and one batched product, all matrix products over a stack of nodes. On the 16
+and one batched product written in place into the output, all matrix products
+over a stack of nodes. On the 16
 real coordinates of rho (populations, then Re and Im of each coherence) the
 Liouvillian is a real matrix, and the no-jump generator -i H_eff is built real,
 on the 8 coordinates (Re psi, Im psi) of the state.
@@ -54,10 +55,15 @@ BOUNDS_TOL = 1e-9  # rounding allowed in 0 <= projection <= population <= 1
 # 4 us), and to 20 x 17 on the packaged cloud, 1.2e-13 from it; at 320 the first gap is 2.3e-4
 MIN_SAMPLES = 352
 STIFFNESS_TOL = 1e-10  # largest eps gamma t_max, the rounding the Lindblad propagation may lose
-FIT_MAX_STEPS = 200  # Levenberg-Marquardt steps of the envelope fit; the dataset and ensemble fits need 5 to 14
+# Levenberg-Marquardt steps of the envelope fit; the dataset and ensemble fits take 4 to 12 residual evaluations
+FIT_MAX_STEPS = 200
 # smallest Raman phase omega t_max the envelope fit starts from: below sqrt(eps) rad its cos(omega t)
 # rounds to 1 across the window and cannot be told from the constant term
 MIN_FIT_PHASE = math.sqrt(np.finfo(float).eps)
+# smallest Raman splitting, in units of eigenvalue_rounding: eigh leaves at most 0.62 of that in the
+# splitting (either detuning alone from 1e2 to 1e13 MHz, against 50 digits), so one above 100 of it
+# is within a percent
+MIN_SPLITTING_ROUNDINGS = 100.0
 
 # nodes of the full product rule over the atoms, at which it matches a rule of twice
 # the nodes on every axis to 1e-12 on the packaged cloud and to 1e-8 on a 7 um one
@@ -196,6 +202,11 @@ def _four_level_hamiltonian(geo: BeamGeometry, s1, s2, doppler):
     return H
 
 
+def _peak_spectrum(geo: BeamGeometry) -> tuple:
+    """(eigenvalues, eigenvectors) of the 4-level Hamiltonian at the peak of both beams, at rest."""
+    return np.linalg.eigh(_four_level_hamiltonian(geo, np.ones(1), np.ones(1), np.zeros(1))[0])
+
+
 def raman_splitting_exact(geo: BeamGeometry) -> float:
     """Exact s-r oscillation frequency from the 4-level eigenvalues.
 
@@ -203,11 +214,16 @@ def raman_splitting_exact(geo: BeamGeometry) -> float:
     it deviates from the adiabatic-elimination formula at relative order
     (Omega / 2 Delta)^2, about a percent for the default parameters.
     """
-    H = _four_level_hamiltonian(geo, np.ones(1), np.ones(1), np.zeros(1))[0]
-    evals, evecs = np.linalg.eigh(H)
+    evals, evecs = _peak_spectrum(geo)
     weights = abs(evecs[LEVEL_S, :]) ** 2 * abs(evecs[LEVEL_R, :]) ** 2
     idx = np.argsort(weights)[-2:]
     return float(abs(evals[idx[0]] - evals[idx[1]]))
+
+
+def eigenvalue_rounding(geo: BeamGeometry) -> float:
+    """eps max|E| over the eigenvalues E of raman_splitting_exact, rad/s: the scale of the
+    absolute rounding eigh leaves in each of them, and so in the splitting."""
+    return float(np.finfo(float).eps * np.abs(_peak_spectrum(geo)[0]).max())
 
 
 def rule_sizes(ens: EnsembleConfig, flags: SimulationFlags, budget: int) -> tuple:
@@ -254,6 +270,18 @@ def jacobi_rule(b, n: int) -> tuple:
     return 0.5 * (1.0 + t), weights / weights.sum(axis=1, keepdims=True)
 
 
+@functools.cache
+def _hermite_rule(n: int) -> tuple:
+    """(nodes, weights) of the n-point Gauss-Hermite rule for the standard normal density, the
+    weights summing to 1; read-only, as every caller in the process shares them."""
+    from numpy.polynomial import hermite_e
+
+    v, w = hermite_e.hermegauss(n)
+    w = w / w.sum()
+    v.flags.writeable = w.flags.writeable = False
+    return v, w
+
+
 def atom_nodes(ens: EnsembleConfig, k_sw, waist_um: float, flags: SimulationFlags, budget: int) -> tuple:
     """(rho^2 in um^2, Doppler shift in rad/s, weight) at each node of the rule over the atoms.
 
@@ -266,8 +294,6 @@ def atom_nodes(ens: EnsembleConfig, k_sw, waist_um: float, flags: SimulationFlag
     with sigma sigma_v |k_sw|. Nodes run over rho^2 first, then the Doppler shift; the weights
     are positive and sum to 1.
     """
-    from numpy.polynomial import hermite_e
-
     n_x, n_theta, n_v = rule_sizes(ens, flags, budget)
     rho_sq, w_rho = np.zeros(1), np.ones(1)
     if flags.inhomo:
@@ -281,10 +307,10 @@ def atom_nodes(ens: EnsembleConfig, k_sw, waist_um: float, flags: SimulationFlag
             intensity, w_x = jacobi_rule(b, n_x)
             rho_sq = -(waist_um**2) * np.log(np.clip(intensity, 0.0, 1.0)).ravel()
         w_rho = (w_x / n_theta).ravel()
-    v, w_v = hermite_e.hermegauss(n_v) if flags.motion else (np.zeros(1), np.ones(1))
+    v, w_v = _hermite_rule(n_v) if flags.motion else (np.zeros(1), np.ones(1))
     sigma_doppler = thermal_velocity_sigma(ens.temperature_uK, ens.atomic_mass_amu) * np.linalg.norm(k_sw)
     doppler = sigma_doppler * v * 1e6  # rad/um * um/us -> rad/us -> rad/s
-    weights = np.outer(w_rho, w_v / w_v.sum()).ravel()
+    weights = np.outer(w_rho, w_v).ravel()
     return np.repeat(rho_sq, len(v)), np.tile(doppler, len(rho_sq)), weights
 
 
@@ -292,11 +318,12 @@ def atom_nodes(ens: EnsembleConfig, k_sw, waist_um: float, flags: SimulationFlag
 TAYLOR_24 = np.array([1.0 / math.factorial(k) if k <= 24 else 0.0 for k in range(30)]).reshape(5, 6)
 THETA_24 = 2.2190488693650896
 # nodes propagated at once: bounds the temporaries of _expm and _powers. At 256 a warm ensemble pass
-# (budget 4000, 640 points, three runs) faults about 8,900 pages: each block's temporaries outgrow
-# the free heap glibc keeps (twice the largest block freed, the 6.5 MiB (n_t, n) output) and are
-# faulted in again by the next block; at 128, none. The packaged motion + inhomo + scatter run
-# still faults about 3,300 per call (_propagate 1,720, _expm 930, _real_liouvillian 660, _powers
-# 60) on trims between runs of other node counts, which a once-per-call workspace does not end.
+# (budget 4000, 640 points, three runs) faults about 2,250 pages (8,800 when each block's values
+# were copied into the output): each block's temporaries outgrow the free heap glibc keeps (twice
+# the largest block freed, the 6.5 MiB (n_t, n) output) and are faulted in again by the next block;
+# at 128, none. The packaged motion + inhomo + scatter run still faults about 1,800 per call when
+# run alone in a loop (_expm 890, _propagate 800, _powers 80, _batched_amplitudes 50) on trims
+# between runs of other node counts, which a once-per-call workspace does not end.
 BLOCK = 128
 
 
@@ -329,18 +356,19 @@ def _expm(A):
 
 
 def _powers(M, x, count):
-    """(the rows x M^j for j < count, M^(2^c)) for a real M (n, m, m) and x (r, m) or
-    (n, r, m): an (n, count r, m) array with j outermost, built by doubling, and the last of
-    the squarings that build it, 2^c >= count."""
+    """(the rows x M^j for j < count, the last power of M they were multiplied by) for a real
+    M (n, m, m) and x (r, m) or (n, r, m): an (n, count r, m) array with j outermost, built by
+    doubling, and M^(2^c) with 2^c < count <= 2^(c + 1), or M itself when count is 1."""
     r = x.shape[-2]
     out = np.empty((len(M), count * r, M.shape[-1]))
     out[:, :r] = x
     done = r
     while done < count * r:
+        if done > r:
+            M = M @ M
         step = min(done, count * r - done)
         np.matmul(out[:, :step], M, out=out[:, done : done + step])
         done += step
-        M = M @ M
     return out, M
 
 
@@ -352,23 +380,26 @@ def _propagate(G, rows, t_grid_s):
     other raises ValueError), so exp(G t_i) = P^i with P = exp(G dt). Writing i = a B + b with
     B the least power of two >= sqrt(n_t), each value is the row e_j^T P^b times the column
     Q^a e_k, Q = P^B, k = rows[0]: the rows and columns come by doubling, and the values of
-    BLOCK nodes at a time from one batched product.
+    BLOCK nodes at a time from one batched product, written into the output in place. The
+    output holds all n_a B values of a <= n_a = ceil(n_t / B) and is returned as its first n_t.
     """
     t = np.asarray(t_grid_s, dtype=float)
     n_t = len(t)
     dt = t[-1] / max(n_t - 1, 1)
     if t[0] != 0.0 or np.abs(t - dt * np.arange(n_t)).max() > 16 * np.finfo(float).eps * np.abs(t).max():
         raise ValueError("the propagator needs a uniformly spaced time grid from t = 0")
-    out = np.empty((len(G), n_t, len(rows)))
     eye = np.eye(G.shape[-1])
     n_b = 1 << math.ceil(math.log2(n_t) / 2)
+    n_a = -(-n_t // n_b)
+    out = np.empty((len(G), n_a * n_b, len(rows)))
     for lo in range(0, len(G), BLOCK):
         g = G[lo : lo + BLOCK]
-        powers, Q = _powers(_expm(g * dt), eye[rows], n_b)  # e_j^T P^b, and P^B
-        cols, _ = _powers(Q.transpose(0, 2, 1), eye[rows[:1]], -(-n_t // n_b))  # (Q^a e_k)^T
-        values = cols @ powers.transpose(0, 2, 1)  # (n, a, b j)
-        out[lo : lo + BLOCK] = values.reshape(len(g), -1, len(rows))[:, :n_t]
-    return out
+        powers, half = _powers(_expm(g * dt), eye[rows], n_b)  # e_j^T P^b, and P^(B/2)
+        Q = half @ half
+        cols, _ = _powers(Q.transpose(0, 2, 1), eye[rows[:1]], n_a)  # (Q^a e_k)^T
+        # (n, a, b j): each value at a B + b in place
+        np.matmul(cols, powers.transpose(0, 2, 1), out=out[lo : lo + BLOCK].reshape(len(g), n_a, -1))
+    return out[:, :n_t]
 
 
 def _real_liouvillian(H, gamma):
@@ -495,29 +526,41 @@ def simulate_single_excitation(
     return population, projection, record
 
 
-def _envelope_residual(tau, y, s, om):
+def _envelope_residual(tau, tau_sq, y, s, om):
     """(RSS, residual, Kaufman Jacobian (2, m), linear coefficients) of the envelope model at
-    the nonlinear parameters (s, om) on the scaled times tau, or None where its Gram matrix is
-    singular.
+    the nonlinear parameters (s, om) on the scaled times tau, with tau_sq = tau^2, or None
+    where its Gram matrix is singular.
 
     The coefficients (c1, c2, b) of e cos(om tau), e sin(om tau) and e, e = exp(-s tau^2),
     solve the 3 x 3 normal equations; when that b is negative the constrained optimum has
     b = 0, and (c1, c2) solve the 2 x 2 ones. The Jacobian rows are the derivatives of the
-    model in s and om with the span of the basis projected out (Kaufman, BIT 15, 49 (1975)).
+    model in s and om with the span of the basis projected out (Kaufman, BIT 15, 49 (1975)),
+    by the same Gram inverse as the coefficients.
     """
-    e = np.exp(-s * tau**2)
-    basis = np.stack([e * np.cos(om * tau), e * np.sin(om * tau), e])
+    basis = np.empty((3, len(tau)))
+    np.multiply(om, tau, out=basis[1])
+    np.cos(basis[1], out=basis[0])
+    np.sin(basis[1], out=basis[1])
+    np.multiply(-s, tau_sq, out=basis[2])
+    np.exp(basis[2], out=basis[2])
+    basis[:2] *= basis[2]
     gram, moments = basis @ basis.T, basis @ y
     try:
-        c = np.linalg.solve(gram, moments)
+        inverse = np.linalg.inv(gram)
+        c = inverse @ moments
         if c[2] < 0.0:
-            basis, gram = basis[:2], gram[:2, :2]
-            c = np.linalg.solve(gram, moments[:2])
-        model = c @ basis
-        derivatives = np.stack([-(tau**2) * model, tau * (c[1] * basis[0] - c[0] * basis[1])])
-        jac = derivatives - np.linalg.solve(gram, basis @ derivatives.T).T @ basis
+            basis, inverse = basis[:2], np.linalg.inv(gram[:2, :2])
+            c = inverse @ moments[:2]
     except np.linalg.LinAlgError:
         return None
+    model = c @ basis
+    jac = np.empty((2, len(tau)))
+    np.multiply(tau_sq, model, out=jac[0])
+    np.negative(jac[0], out=jac[0])
+    np.multiply(c[1], basis[0], out=jac[1])
+    jac[1] -= c[0] * basis[1]
+    jac[1] *= tau
+    jac -= (jac @ basis.T) @ inverse @ basis
     r = y - model
     return r @ r, r, jac, np.append(c, 0.0)[:3]
 
@@ -528,7 +571,10 @@ def fit_envelope_time_us(t_grid_us, projection, omega_guess_rad_s: float) -> Env
     The model is linear in (a cos phi, -a sin phi, b) at fixed (w, w_osc), so a
     Levenberg-Marquardt search runs on s = 1/w^2 and w_osc alone with the linear part solved at
     each step (variable projection: Golub and Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)),
-    within w in [1e-3, 1e4] times the window, w_osc >= 0 and b >= 0. The standard error comes
+    within w in [1e-3, 1e4] times the window, w_osc >= 0 and b >= 0. The search stops where the
+    Gauss-Newton step would lower the RSS by at most eps RSS, a drop no evaluation of it could
+    confirm, or where no damped step beyond rounding lowers it; the dataset and ensemble fits
+    take 4 to 12 residual evaluations. The standard error comes
     from the full five-parameter Jacobian at the optimum, as (J^T J)^-1 RSS / (m - 5).
     An effectively undamped trace returns a very large w rather than failing, so the caller
     can treat "no decay" uniformly; its standard error then exceeds w. A fit that does not
@@ -538,23 +584,28 @@ def fit_envelope_time_us(t_grid_us, projection, omega_guess_rad_s: float) -> Env
     y = np.asarray(projection, dtype=float)
     t_span = t[-1] - t[0] if len(t) > 1 else 1.0
     tau = t / t_span  # in units of the window, so that (s, w_osc) = (1, w_osc t_span) at the start
+    tau_sq = tau**2
     lo, hi = np.array([1e-8, 0.0]), np.array([1e6, np.inf])
     theta = np.array([1.0, omega_guess_rad_s * 1e-6 * t_span])
-    state = _envelope_residual(tau, y, *theta)
+    state = _envelope_residual(tau, tau_sq, y, *theta)
     if state is None or not np.isfinite(state[0]):
         raise FitError("envelope fit exp(-(t/w)^2) (a cos(w_osc t + phi) + b): no finite start")
-    damping = 1e-3
+    damping, eps = 1e-3, np.finfo(float).eps
     for _ in range(FIT_MAX_STEPS):
         rss, r, jac, _ = state
         # -g is the exact gradient of RSS / 2: the terms Kaufman drops are normal to r
         A, g = jac @ jac.T, jac @ r
         scale = np.diag(np.maximum(np.diag(A), np.finfo(float).tiny))
+        # the Gauss-Newton step would lower RSS by g A^-1 g (regularised by eps on a flat
+        # direction); a drop of at most eps RSS is below what an evaluation of RSS resolves
+        if g @ np.linalg.solve(A + eps * scale, g) <= eps * rss:
+            break
         new = None
         while damping < 1e16:
             trial = np.clip(theta + np.linalg.solve(A + damping * scale, g), lo, hi)
             if np.all(np.abs(trial - theta) <= 1e-10 * (np.abs(theta) + 1e-10)):
                 break
-            new = _envelope_residual(tau, y, *trial)
+            new = _envelope_residual(tau, tau_sq, y, *trial)
             if new is not None and new[0] < rss:
                 break
             damping *= 10.0

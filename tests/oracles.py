@@ -1,6 +1,7 @@
 """Small-N brute-force oracles for the super-atom model of ``collective``,
-the scipy envelope fit that ``dephasing.fit_envelope_time_us`` replaced, and
-the per-value CSV formatter that ``cli.RunWriter.csv`` replaced.
+the two envelope fits that ``dephasing.fit_envelope_time_us`` replaced (scipy's
+curve_fit, then the variable-projection fit that stopped only when no step lowered
+the residual), and the per-value CSV formatter that ``cli.RunWriter.csv`` replaced.
 
 Each brute-force oracle evolves the complete blockaded many-atom state for
 a handful of atoms, so the tests can check the 3-level super-atom reduction
@@ -10,10 +11,13 @@ not use scipy; only the tests and these oracles do.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import curve_fit
+
+from rydlink import dephasing as dp
 
 
 @dataclass(frozen=True)
@@ -168,6 +172,96 @@ def curve_fit_envelope_time_us(t_grid_us, projection, omega_guess_rad_s: float) 
     bounds = ([0.0, 0.0, 1e-3 * t_span, 0.0, -np.pi], [2.0, 2.0, 1e4 * t_span, np.inf, np.pi])
     popt, pcov = curve_fit(model, t, np.asarray(projection, dtype=float), p0=p0, bounds=bounds, maxfev=40000)
     return float(popt[2]), float(np.sqrt(pcov[2, 2]))
+
+
+# Levenberg-Marquardt steps of no_descent_envelope_time_us
+NO_DESCENT_MAX_STEPS = 200
+
+
+def no_descent_envelope_residual(tau, y, s, om):
+    """(RSS, residual, Kaufman Jacobian (2, m), linear coefficients) of the envelope model at
+    the nonlinear parameters (s, om) on the scaled times tau, or None where its Gram matrix is
+    singular.
+
+    The coefficients (c1, c2, b) of e cos(om tau), e sin(om tau) and e, e = exp(-s tau^2),
+    solve the 3 x 3 normal equations; when that b is negative the constrained optimum has
+    b = 0, and (c1, c2) solve the 2 x 2 ones. The Jacobian rows are the derivatives of the
+    model in s and om with the span of the basis projected out (Kaufman, BIT 15, 49 (1975)).
+    """
+    e = np.exp(-s * tau**2)
+    basis = np.stack([e * np.cos(om * tau), e * np.sin(om * tau), e])
+    gram, moments = basis @ basis.T, basis @ y
+    try:
+        c = np.linalg.solve(gram, moments)
+        if c[2] < 0.0:
+            basis, gram = basis[:2], gram[:2, :2]
+            c = np.linalg.solve(gram, moments[:2])
+        model = c @ basis
+        derivatives = np.stack([-(tau**2) * model, tau * (c[1] * basis[0] - c[0] * basis[1])])
+        jac = derivatives - np.linalg.solve(gram, basis @ derivatives.T).T @ basis
+    except np.linalg.LinAlgError:
+        return None
+    r = y - model
+    return r @ r, r, jac, np.append(c, 0.0)[:3]
+
+
+def no_descent_envelope_time_us(t_grid_us, projection, omega_guess_rad_s: float) -> dp.EnvelopeTime:
+    """Fit exp(-(t/w)^2) (a cos(w_osc t + phi) + b) and return w in us, with its standard error.
+
+    The model is linear in (a cos phi, -a sin phi, b) at fixed (w, w_osc), so a
+    Levenberg-Marquardt search runs on s = 1/w^2 and w_osc alone with the linear part solved at
+    each step (variable projection: Golub and Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)),
+    within w in [1e-3, 1e4] times the window, w_osc >= 0 and b >= 0. The standard error comes
+    from the full five-parameter Jacobian at the optimum, as (J^T J)^-1 RSS / (m - 5).
+    An effectively undamped trace returns a very large w rather than failing, so the caller
+    can treat "no decay" uniformly; its standard error then exceeds w. A fit that does not
+    converge within NO_DESCENT_MAX_STEPS steps raises FitError.
+    """
+    t = np.asarray(t_grid_us, dtype=float)
+    y = np.asarray(projection, dtype=float)
+    t_span = t[-1] - t[0] if len(t) > 1 else 1.0
+    tau = t / t_span  # in units of the window, so that (s, w_osc) = (1, w_osc t_span) at the start
+    lo, hi = np.array([1e-8, 0.0]), np.array([1e6, np.inf])
+    theta = np.array([1.0, omega_guess_rad_s * 1e-6 * t_span])
+    state = no_descent_envelope_residual(tau, y, *theta)
+    if state is None or not np.isfinite(state[0]):
+        raise dp.FitError("envelope fit exp(-(t/w)^2) (a cos(w_osc t + phi) + b): no finite start")
+    damping = 1e-3
+    for _ in range(NO_DESCENT_MAX_STEPS):
+        rss, r, jac, _ = state
+        # -g is the exact gradient of RSS / 2: the terms Kaufman drops are normal to r
+        A, g = jac @ jac.T, jac @ r
+        scale = np.diag(np.maximum(np.diag(A), np.finfo(float).tiny))
+        new = None
+        while damping < 1e16:
+            trial = np.clip(theta + np.linalg.solve(A + damping * scale, g), lo, hi)
+            if np.all(np.abs(trial - theta) <= 1e-10 * (np.abs(theta) + 1e-10)):
+                break
+            new = no_descent_envelope_residual(tau, y, *trial)
+            if new is not None and new[0] < rss:
+                break
+            damping *= 10.0
+        if new is None or not new[0] < rss:
+            break  # no step beyond rounding lowers the residual: a minimum, or one on a bound
+        theta, state = trial, new
+        damping = max(damping / 10.0, 1e-12)
+    else:
+        raise dp.FitError(f"envelope fit exp(-(t/w)^2) (a cos(w_osc t + phi) + b): no convergence in {NO_DESCENT_MAX_STEPS} steps")
+    rss, _, _, (c1, c2, b) = state
+    w, om = t_span / math.sqrt(theta[0]), theta[1] / t_span
+    if len(t) <= 5:
+        return dp.EnvelopeTime(w, None)
+    e, cos, sin = np.exp(-((t / w) ** 2)), np.cos(om * t), np.sin(om * t)
+    model = e * (c1 * cos + c2 * sin + b)
+    J = np.stack([e * cos, e * sin, e, 2 * t**2 / w**3 * model, t * e * (c2 * cos - c1 * sin)], axis=1)
+    norms = np.linalg.norm(J, axis=0)
+    norms[norms == 0.0] = 1.0
+    # pseudo-inverse of J^T J with the columns scaled to unit norm, dropping singular values as
+    # scipy's curve_fit does
+    _, sv, vt = np.linalg.svd(J / norms, full_matrices=False)
+    keep = sv > np.finfo(float).eps * max(J.shape) * sv[0]
+    var = np.sum((vt[keep, 3] / sv[keep]) ** 2) / norms[3] ** 2 * rss / (len(t) - 5)
+    return dp.EnvelopeTime(w, math.sqrt(var) if math.isfinite(var) else None)
 
 
 def csv_bytes_per_value(header, rows) -> bytes:

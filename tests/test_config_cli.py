@@ -450,6 +450,9 @@ class TestCli:
             ("ensemble.cloud_sigma[2]", ["3.5 um", "3.5 um", "0 um"], ["dephasing"]),
             ("geometry.detuning_1", "0 MHz", ["rabi", "--pair"]),
             ("geometry.detuning_2", "610 MHz", ["dephasing"]),
+            # a Raman splitting of 0.0048 rad/s, below the 1e3 rad/s rounding of the eigenvalues it
+            # is the difference of: it cleared MIN_FIT_PHASE on 1.9e-8 rad and exited 3
+            ("geometry.detuning_2", "-1e+12 MHz", ["dephasing", "--flags", "none"]),
             ("ensemble.effective_atom_number", 0, ["rabi", "--collective"]),
             # the ensemble record holds the atom number as a float
             ("ensemble.effective_atom_number", 2**1024, ["rabi", "--pair"]),
@@ -520,6 +523,7 @@ class TestCli:
             "transmission-above-1", "negative-retrieval", "zero-transmission", "zero-retrieval",
             "g2-single-trial", "dlcz-p-above-range", "dlcz-p-zero",
             "negative-cloud-sigma", "zero-cloud-sigma", "zero-detuning", "same-sign-detunings",
+            "splitting-below-rounding",
             "no-atoms", "atoms-past-float", "atoms-far-past-float", "dephasing-points-2-62",
             "dephasing-points-2-63", "dephasing-points-past-float", "dephasing-values-past-bound",
             "seed-past-double", "seed-past-float", "negative-spinwave-lifetime", "zero-temperature", "negative-linewidth",

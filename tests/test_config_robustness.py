@@ -141,5 +141,7 @@ def test_extreme_integers_exit_cleanly(tmp_path, capsys, leaf):
 @pytest.mark.parametrize("value", ["-1e+10 MHz", "-1e+11 MHz"])
 def test_far_detuning_writes_populations_within_bounds(tmp_path, capsys, value):
     # the one-step propagator is unitary only to rounding: these detunings put population_r
-    # within 1e-9 above 1 before it is written
+    # within 1e-9 above 1 before it is written; their Raman splittings, 0.034 and 3.4e-4 of
+    # the rounding of the eigenvalues, now stop both at exit 2 before any propagation, and
+    # test_dephasing's test_far_detuning_stays_in_the_unit_interval checks the clip itself
     _exit_cleanly(tmp_path, capsys, ("geometry", "detuning_2"), [value])

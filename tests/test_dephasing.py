@@ -82,6 +82,18 @@ class TestRamanCoupling:
         assert abs(exact - omega) / omega < 0.02
         assert abs(exact - omega) / omega > 1e-4  # genuinely different estimators
 
+    @pytest.mark.parametrize(
+        "detuning_2, resolved",
+        # split / rounding: 8.5e12, 3.4e4, 3.5 (the splitting 2% off a 50-digit one) and 3.4e-6
+        [("-610 MHz", True), ("-1e+7 MHz", True), ("-1e+9 MHz", False), ("-1e+12 MHz", False)],
+    )
+    def test_splitting_against_the_rounding_of_its_eigenvalues(self, cfg, detuning_2, resolved):
+        geo = dataclasses.replace(cfg.geometry, detuning_2=parse_quantity(detuning_2, "frequency"))
+        evals = np.linalg.eigvalsh(dp._four_level_hamiltonian(geo, np.ones(1), np.ones(1), np.zeros(1))[0])
+        assert dp.eigenvalue_rounding(geo) == pytest.approx(np.finfo(float).eps * np.abs(evals).max(), rel=1e-12)
+        floor = dp.MIN_SPLITTING_ROUNDINGS * dp.eigenvalue_rounding(geo)
+        assert (dp.raman_splitting_exact(geo) > floor) == resolved
+
 
 ATOMS = st.lists(
     st.tuples(st.floats(0.2, 1.0), st.floats(0.2, 1.0), st.floats(-5e6, 5e6)),
@@ -301,6 +313,20 @@ class TestPropagator:
         with pytest.raises(ValueError, match=match):
             dp._propagate(dp._real_liouvillian(H[:3], 0.0), [dp.LEVEL_R], t_grid_s)
 
+    @pytest.mark.parametrize("n_t", [5, 17, 641], ids=["8-values", "24-values", "672-values"])
+    def test_grids_whose_last_block_of_values_runs_over(self, packaged_batch, gamma_e, n_t):
+        # n_t = a B + b with a < n_a = ceil(n_t / B): each block computes n_a B values, more than n_t,
+        # and the output keeps the first n_t, within the tolerances of the packaged grids
+        H, weights = packaged_batch
+        t = np.linspace(0.0, 4e-6, n_t)
+        for gamma in (0.0, gamma_e):
+            assert dp._propagate(dp._real_liouvillian(H, gamma), [dp.LEVEL_R], t).shape == (len(H), n_t, 1)
+            err = dp._batched_lindblad_trace(H, gamma, t) - sk.spectral_lindblad_trace(H, gamma, t)
+            assert np.abs(err).max() <= 5e-12 and np.abs(err @ weights).max() <= 2e-13
+            err = dp._batched_amplitudes(H, gamma, t) - sk.spectral_amplitudes(H, gamma, t)
+            assert err.shape == (n_t, len(H))
+            assert np.abs(err).max() <= 1e-11 and np.abs(err @ weights).max() <= 5e-13
+
     def test_hamiltonian_is_real_symmetric(self, packaged_batch):
         # the real form [[D, H], [-H, D]] of the no-jump generator rests on H = H^T real
         H, _ = packaged_batch
@@ -414,6 +440,15 @@ class TestQuadratureRule:
         assert np.all((x > 0) & (x < 1)) and np.all(w > 0)
         assert np.abs(x[0] ** k[:, None] @ w[0] * (b + k) / b - 1).max() <= 5e-14
 
+    def test_hermite_rule_is_one_read_only_pair_per_size(self):
+        # every motion run shares the cached arrays, so none of them may write into them
+        v, w = dp._hermite_rule(dp.N_V)
+        assert dp._hermite_rule(dp.N_V)[0] is v and dp._hermite_rule(dp.N_V)[1] is w
+        assert not v.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            w[0] = 0.0
+        assert w.sum() == pytest.approx(1.0, rel=1e-15) and w @ v**2 == pytest.approx(1.0, rel=1e-13)
+
     def test_jacobi_rule_at_the_smallest_b_the_config_allows(self):
         # a beam 1.4e-4 times the cloud: the nodes stay inside (0, 1) and the moments near exact
         b = dp.MIN_JACOBI_B
@@ -501,7 +536,8 @@ FIT_RUNS = {
 
 
 class TestEnvelopeFit:
-    """dp.fit_envelope_time_us against scipy's curve_fit over all five parameters."""
+    """dp.fit_envelope_time_us against scipy's curve_fit over all five parameters, and against the
+    variable-projection fit it replaced, which stopped only where no step lowered the residual."""
 
     @pytest.mark.parametrize("run", FIT_RUNS)
     def test_matches_curve_fit(self, cfg, gamma_e, run):
@@ -531,6 +567,57 @@ class TestEnvelopeFit:
         fit = dp.fit_envelope_time_us(t, y, 1.01 * 2 * np.pi * 1.3e6)
         w, se = oracles.curve_fit_envelope_time_us(t, y, 1.01 * 2 * np.pi * 1.3e6)
         assert abs(fit - w) <= 1e-3 * se and fit.se_us == pytest.approx(se, rel=1e-2)
+
+    @staticmethod
+    @functools.cache
+    def projection(run):
+        """(t, projection, omega guess) of a FIT_RUNS case on the packaged config."""
+        cfg = load_config()
+        flags, budget, points = FIT_RUNS[run]
+        sim = cfg.parsed["simulation"]
+        t = np.linspace(0.0, sim["dephasing_t_max"] * 1e6, points or sim["dephasing_points"])
+        _, projection, _ = dp.simulate_single_excitation(
+            cfg.geometry, cfg.ensemble, cfg.parsed["raman"]["intermediate_linewidth"], flags,
+            budget or sim["dephasing_samples"], 1, t,
+        )
+        return t, projection, dp.raman_splitting_exact(cfg.geometry)
+
+    @staticmethod
+    def counted_fit(monkeypatch, t, y, omega):
+        """(the fit, the residual evaluations it took)."""
+        calls = []
+        residual = dp._envelope_residual
+        monkeypatch.setattr(dp, "_envelope_residual", lambda *args: calls.append(1) or residual(*args))
+        fit = dp.fit_envelope_time_us(t, y, omega)
+        monkeypatch.setattr(dp, "_envelope_residual", residual)
+        return fit, len(calls)
+
+    @pytest.mark.parametrize("run", FIT_RUNS)
+    def test_matches_the_fit_that_stopped_at_no_descent(self, monkeypatch, run):
+        # the fit it replaced also stops, beyond the residual's rounding, where no step lowers RSS: at
+        # most 2.2e-7 se apart (ensemble-motion-inhomo-scatter), in 4 to 12 evaluations where it took 7 to 23
+        t, y, omega = self.projection(run)
+        fit, evaluations = self.counted_fit(monkeypatch, t, y, omega)
+        oracle = oracles.no_descent_envelope_time_us(t, y, omega)
+        assert abs(fit - oracle) <= 1e-6 * oracle.se_us
+        assert fit.se_us == pytest.approx(oracle.se_us, rel=1e-5)
+        assert evaluations <= 14
+
+    @pytest.mark.parametrize("run", FIT_RUNS)
+    @pytest.mark.parametrize("direction", [np.inf, -np.inf], ids=["up", "down"])
+    def test_one_ulp_moves_neither_tau_nor_the_evaluations(self, monkeypatch, run, direction):
+        t, y, omega = self.projection(run)
+        fit, evaluations = self.counted_fit(monkeypatch, t, y, omega)
+        moved, moved_evaluations = self.counted_fit(monkeypatch, t, np.nextafter(y, direction), omega)
+        assert abs(moved - fit) <= 1e-6 * fit.se_us
+        assert abs(moved_evaluations - evaluations) <= 2
+
+    def test_zero_projection_stops_at_the_start(self):
+        # no residual to lower: both fits return the start, the window, with a standard error of 0
+        t = np.linspace(0.0, 4.0, 320)
+        for fit in (dp.fit_envelope_time_us, oracles.no_descent_envelope_time_us):
+            result = fit(t, np.zeros_like(t), 8e6)
+            assert float(result) == 4.0 and result.se_us == 0.0
 
     def test_no_convergence_raises(self, monkeypatch):
         t = np.linspace(0.0, 4.0, 50)

@@ -39,24 +39,24 @@ GOLDEN = {
     },
     ("dephasing", "--flags", "none"): {
         "dephasing_none.csv": "4f1cef5f19cb944fb1af40cfdb482d2ebf97f90513da92011cc841eb6571280c",
-        "dephasing_none.json": "0ca9f982a4a774941673d18e7f2512e7a38617a47463b645de80ec73aa93eb4c",
+        "dephasing_none.json": "7082a160284ec7a495ac5102d363601109cc71494a0d8a092a939a6ca57131be",
     },
     ("dephasing", "--flags", "motion"): {
         "dephasing_motion.csv": "cc39e26dbf1416d2523fc5e61889c06a7d08f279ff1edc5244e7c9fdb3219888",
-        "dephasing_motion.json": "5f0b1d948562d38c59eb9a5897d83710b34ef2e744458b1e07d71fec0e067942",
+        "dephasing_motion.json": "2fe9b8a77a23b60dabcc8361f492f1538dc26210894875d998a17c8be0d21ffb",
     },
     ("dephasing", "--flags", "inhomo"): {
         "dephasing_inhomo.csv": "a2c7d7c3f22f9eb7f86d1171f23a70385744e4947c82da98aac381b969b1a378",
-        "dephasing_inhomo.json": "e41e8ec6da63303d5163fa44fa79b3eff12ff254617a4c7a018cf1f767daba86",
+        "dephasing_inhomo.json": "b28f517340eb5cb3e34d9be95598992db62e966c0bb062f8ed0eba3ba9257d51",
     },
     ("dephasing", "--flags", "scatter"): {
         "dephasing_scatter.csv": "2c936a691676bcfcb10de310632222edbc38e88e280d2c2cd931ac0b7969f7e9",
-        "dephasing_scatter.json": "01162a04235108619fd83524d9f8f0b314eece101790daac58f9eb5fa8115fd9",
+        "dephasing_scatter.json": "53ee1585e407763b43d2015ab6e756081fe9300b471cb21e684951f20f255aee",
     },
     # the only command that runs the Lindblad batch
     ("dephasing", "--flags", "motion,inhomo,scatter"): {
         "dephasing_motion-inhomo-scatter.csv": "c2efb11f62772fdfe7e8b7ba56a0f1dcfba8e3dde320d9c87d761915ae1ca413",
-        "dephasing_motion-inhomo-scatter.json": "dc7315483ab261c61f70e37219e119a674530f10146c20a0e5b7e75234fbbc01",
+        "dephasing_motion-inhomo-scatter.json": "52be559acdfe712cf52e86ba9d1165be1a9cd791a7f1ba0e8adfc20fc0f163d3",
     },
     ("g2", "--field", "single"): {
         "g2_single.json": "65f76bd7f2cbcf3958a20e01ef094c90f9febfcdcf7c22b965fc05d6d11f1715",
