@@ -140,7 +140,7 @@ def cmd_dephasing(cfg: RunConfig, args, writer: RunWriter):
     # the envelope fit starts at the Raman splitting; checked here, as no other command needs its eigenvalues
     splitting = dephasing.raman_splitting_exact(cfg.geometry)
     floor = dephasing.MIN_SPLITTING_ROUNDINGS * dephasing.eigenvalue_rounding(cfg.geometry)
-    phase = splitting * sim["dephasing_t_max"]
+    raman_phase = splitting * sim["dephasing_t_max"]
     keys = (
         "simulation.dephasing_t_max, geometry.beams.C.rabi, geometry.beams.E.rabi, geometry.detuning_1, "
         "geometry.detuning_2"
@@ -150,19 +150,22 @@ def cmd_dephasing(cfg: RunConfig, args, writer: RunWriter):
             f"{keys}: the Raman splitting {splitting:.3g} rad/s is below {floor:.3g} rad/s, "
             f"{dephasing.MIN_SPLITTING_ROUNDINGS:g} times the rounding of the eigenvalues it is the difference of"
         )
-    if not phase >= dephasing.MIN_FIT_PHASE:
+    if not raman_phase >= dephasing.MIN_FIT_PHASE:
         raise ConfigError(
-            f"{keys}: the dephasing window spans {phase:.3g} rad of the Raman oscillation, "
-            f"too little for the envelope fit to see it (at least {dephasing.MIN_FIT_PHASE:.3g} rad)"
+            f"{keys}: the dephasing window spans {raman_phase:.3g} rad of the Raman oscillation, "
+            f"too little for the envelope fit to tell its decay from the oscillation "
+            f"(at least one period, {dephasing.MIN_FIT_PHASE:.3g} rad)"
         )
-    nodes = math.prod(dephasing.rule_sizes(cfg.ensemble, flags, sim["dephasing_samples"]))
+    t_max_us = sim["dephasing_t_max"] * 1e6
+    doppler_phase = dephasing.doppler_phase(cfg.geometry, cfg.ensemble, t_max_us)
+    nodes = math.prod(dephasing.rule_sizes(cfg.ensemble, flags, sim["dephasing_samples"], doppler_phase))
     if sim["dephasing_points"] * nodes > MAX_DEPHASING_VALUES:
         raise ConfigError(
             "simulation.dephasing_points, simulation.dephasing_samples, ensemble.cloud_sigma: "
             f"{sim['dephasing_points']} points at the {nodes} nodes of the rule take more than "
             f"{MAX_DEPHASING_VALUES} values per array"
         )
-    t_grid = np.linspace(0.0, sim["dephasing_t_max"] * 1e6, sim["dephasing_points"])
+    t_grid = np.linspace(0.0, t_max_us, sim["dephasing_points"])
     gamma_e = cfg.parsed["raman"]["intermediate_linewidth"]
     try:
         population, projection, record = dephasing.simulate_single_excitation(

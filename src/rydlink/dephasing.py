@@ -19,7 +19,9 @@ is proportional to I^(w^2 / (2 sigma^2) - 1), a midpoint rule in the azimuth
 when the cloud is anisotropic, each azimuth node with its own sigma and so
 its own Jacobi rule, and Gauss-Hermite in the Doppler shift. The other beam's
 intensity is I^(w^2 / w_other^2). An axis whose mechanism is off collapses to
-one node.
+one node. The Doppler axis is sized by the run: it has the fewest Hermite nodes
+whose mean of cos(x v), v standard normal, stays within DOPPLER_TOL of the exact
+exp(-x^2 / 2) at every Doppler phase x up to the run's sigma_D t_max.
 
 Per-node generators are time independent and the time grid is uniform from
 t = 0, so exp(G t_i) = P^i with P = exp(G dt). P comes from Taylor-24 scaling
@@ -34,6 +36,7 @@ on the 8 coordinates (Re psi, Im psi) of the state.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import asdict, dataclass
@@ -50,16 +53,19 @@ AMU = 1.66053906892e-27  # kg
 LEVEL_S, LEVEL_E1, LEVEL_E2, LEVEL_R = 0, 1, 2, 3
 
 BOUNDS_TOL = 1e-9  # rounding allowed in 0 <= projection <= population <= 1
-# smallest node budget: the rule of a motion + inhomo run then shrinks to 11 x 4 x 8 nodes on a
-# (3.5, 5.0) um cloud, 3.6e-5 from the full rule in population and projection (80 points over
-# 4 us), and to 20 x 17 on the packaged cloud, 1.2e-13 from it; at 320 the first gap is 2.3e-4
+# smallest node budget, set under the fixed 32-node Doppler rule that the sized one replaced: the rule
+# of a motion + inhomo run there shrinks to 11 x 4 x 8 nodes on a (3.5, 5.0) um cloud, 3.6e-5 from the
+# full rule in population and projection (40 points over 4 us), and one node fewer to 10 x 4 x 8, 2.2e-4
+# from it. The sized rule shrinks to 17 x 4 x 5 there, 3.7e-5 from its full rule (as at every budget from
+# 240 to 359), and to 20 x 17 on the packaged cloud, 1.1e-13 from it
 MIN_SAMPLES = 352
 STIFFNESS_TOL = 1e-10  # largest eps gamma t_max, the rounding the Lindblad propagation may lose
 # Levenberg-Marquardt steps of the envelope fit; the dataset and ensemble fits take 4 to 12 residual evaluations
 FIT_MAX_STEPS = 200
-# smallest Raman phase omega t_max the envelope fit starts from: below sqrt(eps) rad its cos(omega t)
-# rounds to 1 across the window and cannot be told from the constant term
-MIN_FIT_PHASE = math.sqrt(np.finfo(float).eps)
+# smallest Raman phase omega t_max the envelope fit starts from, one Raman period: in a window of less
+# the cosine term and the Gaussian envelope fit the same parabola, so the envelope time cannot be told
+# (with no mechanism the fit writes 3.4 us at 1.9 rad, and no decay from 3.4 rad up)
+MIN_FIT_PHASE = 2.0 * math.pi
 # smallest Raman splitting, in units of eigenvalue_rounding: eigh leaves at most 0.62 of that in the
 # splitting (either detuning alone from 1e2 to 1e13 MHz, against 50 digits), so one above 100 of it
 # is within a percent
@@ -69,17 +75,35 @@ MIN_SPLITTING_ROUNDINGS = 100.0
 # the nodes on every axis to 1e-12 on the packaged cloud and to 1e-8 on a 7 um one
 N_X = 20  # Gauss-Jacobi, in the relative intensity of the narrower of beams C and E
 N_THETA = 16  # midpoint, in the azimuth on [0, pi/2]; only when sigma_x != sigma_y
-N_V = 32  # Gauss-Hermite, in the Doppler shift
+# Gauss-Hermite, in the Doppler shift: a run takes the fewest nodes n whose mean of cos(x v) stays
+# within DOPPLER_TOL of exp(-x^2 / 2) for every Doppler phase x up to its own sigma_D t_max, the
+# first n whose reach DOPPLER_REACH[n - 1] covers it (20 for the packaged 2.56 rad). The reach of
+# n nodes is the phase, to 1e-9 relative, where their miss first exceeds the tolerance; beyond it
+# the miss oscillates, and may pass through zero, so the reach, not the miss at t_max alone, sizes
+# a run (tests check the table against oracles.doppler_reach, the bisection that wrote it).
+DOPPLER_TOL = 1e-13
+DOPPLER_REACH = (
+    4.4713571761834103e-07, 0.0010465088507771725, 0.015127966180443764, 0.06001833948175772,
+    0.14066757692489773, 0.2526000142097473, 0.3885936946608126, 0.5420911504188552,
+    0.7077622882206924, 0.8817103505134583, 1.0612297058105469, 1.2438297283370048,
+    1.428346671455074, 1.6135701540042646, 1.7987063527107239, 1.9828891757060774,
+    2.166453311801888, 2.348713279061485, 2.5290208417573012, 2.7075290677021258,
+    2.884694648964796, 3.05968314409256, 3.2327756300219335, 3.4039974623010494,
+    3.5733032412827015, 3.74065706593683, 3.9063382302992977, 4.070082009129692,
+    4.232092511374503, 4.3918451853096485, 4.550516345188953, 4.706755280785728,
+    4.861911865591537, 5.01510762172984,
+)
+N_V = len(DOPPLER_REACH)
+# largest Doppler phase sigma_D t_max a run may reach, 5.015 rad for the N_V = 34 nodes: every phase
+# up to 5 rad runs (32 nodes reach only 4.71, and miss by 2.4e-12 at 5)
+DOPPLER_PHASE_MAX = DOPPLER_REACH[-1]
 # smallest b = w^2 / (2 sigma^2) of the Gauss-Jacobi axis: there the N_X-node rule's moments <I^k>,
 # k < 2 N_X, are exact to 2e-8 relative (4e-6 at 1e-10). Its nodes are (1 + t) / 2 with an absolute
 # rounding of eps, and the smallest, about b / 400, is zero or negative from b ~ 1e-14
 MIN_JACOBI_B = 1e-8
-# largest Doppler phase sigma_D t_max that N_V Hermite nodes resolve: their mean of cos(x v)
-# misses exp(-x^2 / 2) by 2.4e-12 at x = 5, 1.4e-5 at 7 and 0.38 at 10 (the packaged cloud
-# reaches 2.56 at 4 us)
-DOPPLER_PHASE_MAX = 5.0
 # a budget below the full rule shrinks the azimuth and Doppler axes to no less than this share
-# of their nodes before n_x: 4 x 8 nodes lose about 1e-6 on a (3.5, 5.0) um cloud
+# of their nodes before n_x: 4 x 5 nodes (of 16 x 20 at the packaged phase) lose 3.7e-5 on a
+# (3.5, 5.0) um cloud
 MIN_FAST_SCALE = 0.25
 
 
@@ -226,19 +250,20 @@ def eigenvalue_rounding(geo: BeamGeometry) -> float:
     return float(np.finfo(float).eps * np.abs(_peak_spectrum(geo)[0]).max())
 
 
-def rule_sizes(ens: EnsembleConfig, flags: SimulationFlags, budget: int) -> tuple:
-    """(n_x, n_theta, n_v), the nodes of the product rule on each axis.
+def rule_sizes(ens: EnsembleConfig, flags: SimulationFlags, budget: int, phase: float) -> tuple:
+    """(n_x, n_theta, n_v), the nodes of the product rule on each axis of a run that reaches the
+    Doppler phase sigma_D t_max = ``phase``.
 
     An axis whose mechanism is off has one node, and so has the azimuth of an
-    isotropic cloud. A full rule of more than ``budget`` nodes first shrinks the
-    azimuth and Doppler axes by one factor, to no less than MIN_FAST_SCALE of their
-    nodes, and then n_x until the product fits.
+    isotropic cloud; the Doppler axis has doppler_nodes(phase). A full rule of more
+    than ``budget`` nodes first shrinks the azimuth and Doppler axes by one factor, to no
+    less than MIN_FAST_SCALE of their nodes, and then n_x until the product fits.
     """
     sigma_x, sigma_y, _ = ens.cloud_sigma_um
     full = (
         N_X if flags.inhomo else 1,
         N_THETA if flags.inhomo and sigma_x != sigma_y else 1,
-        N_V if flags.motion else 1,
+        doppler_nodes(phase) if flags.motion else 1,
     )
     if math.prod(full) <= budget:
         return full
@@ -282,8 +307,30 @@ def _hermite_rule(n: int) -> tuple:
     return v, w
 
 
-def atom_nodes(ens: EnsembleConfig, k_sw, waist_um: float, flags: SimulationFlags, budget: int) -> tuple:
-    """(rho^2 in um^2, Doppler shift in rad/s, weight) at each node of the rule over the atoms.
+def doppler_phase(geo: BeamGeometry, ens: EnsembleConfig, t_max_us: float) -> float:
+    """sigma_D t_max, rad, of a window of ``t_max_us``: sigma_D = 1 / tau_free is the sigma of the
+    Doppler shift v.k_sw of the Rydberg spin wave."""
+    k_sw = np.linalg.norm(protocol_modes(geo).k2)
+    return t_max_us / motional_coherence_time_us(k_sw, ens.temperature_uK, ens.atomic_mass_amu)
+
+
+def doppler_miss(n: int, phase) -> np.ndarray:
+    """|mean of cos(x v) over the n-node Hermite rule - exp(-x^2 / 2)| at each Doppler phase x:
+    the error of the rule's mean of the phase factor exp(i x v) that a Doppler shift of v sigma_D
+    winds up in |r> by the time x / sigma_D."""
+    v, w = _hermite_rule(n)
+    x = np.asarray(phase, dtype=float)
+    return np.abs(np.cos(np.multiply.outer(x, v)) @ w - np.exp(-0.5 * x * x))
+
+
+def doppler_nodes(phase: float) -> int:
+    """The fewest Hermite nodes whose reach covers the Doppler phase, or N_V past DOPPLER_PHASE_MAX."""
+    return min(bisect.bisect_left(DOPPLER_REACH, phase) + 1, N_V)
+
+
+def atom_nodes(ens: EnsembleConfig, k_sw, waist_um: float, flags: SimulationFlags, sizes: tuple) -> tuple:
+    """(rho^2 in um^2, Doppler shift in rad/s, weight) at each node of the rule over the atoms, with
+    ``sizes`` = (n_x, n_theta, n_v) nodes on its axes, as rule_sizes gives them.
 
     Positions are Gaussian with sigma ``ens.cloud_sigma_um``, so x = sigma_x sqrt(2u) cos(theta),
     y = sigma_y sqrt(2u) sin(theta) with u ~ Exp(1) and theta uniform, and rho^2 = 2 u sigma_t^2
@@ -294,7 +341,7 @@ def atom_nodes(ens: EnsembleConfig, k_sw, waist_um: float, flags: SimulationFlag
     with sigma sigma_v |k_sw|. Nodes run over rho^2 first, then the Doppler shift; the weights
     are positive and sum to 1.
     """
-    n_x, n_theta, n_v = rule_sizes(ens, flags, budget)
+    n_x, n_theta, n_v = sizes
     rho_sq, w_rho = np.zeros(1), np.ones(1)
     if flags.inhomo:
         theta = (np.arange(n_theta) + 0.5) * np.pi / (2 * n_theta)
@@ -471,15 +518,16 @@ def simulate_single_excitation(
     k_sw = protocol_modes(geo).k2  # Rydberg spin-wave wave vector, rad/um
     gamma = gamma_e if flags.scatter else 0.0
     tau_free = motional_coherence_time_us(np.linalg.norm(k_sw), ens.temperature_uK, ens.atomic_mass_amu)
-    phase = np.abs(t_grid_us).max() / tau_free  # sigma_D t_max, with sigma_D = 1 / tau_free
+    phase = np.abs(t_grid_us).max() / tau_free  # doppler_phase of the window, from the k_sw read here
     if flags.motion and not phase <= DOPPLER_PHASE_MAX:
         raise BatchError(
             f"{_mechanisms(flags, gamma)} at detunings {geo.detuning_1:.6g}, {geo.detuning_2:.6g} rad/s: "
-            f"Doppler phase sigma_D t_max = {phase:.3g} rad, above the {DOPPLER_PHASE_MAX:g} rad "
-            f"that the {N_V}-node Hermite rule resolves"
+            f"Doppler phase sigma_D t_max = {phase:.3g} rad, above the {DOPPLER_PHASE_MAX:.4g} rad up to "
+            f"which the Doppler mean meets its tolerance {DOPPLER_TOL:g}"
         )
     w_c, w_e = geo.beams["C"].waist_um, geo.beams["E"].waist_um
-    rho_sq, doppler, weights = atom_nodes(ens, k_sw, min(w_c, w_e), flags, n_samples)
+    sizes = rule_sizes(ens, flags, n_samples, phase)
+    rho_sq, doppler, weights = atom_nodes(ens, k_sw, min(w_c, w_e), flags, sizes)
     s1 = np.exp(-rho_sq / w_c**2)
     s2 = np.exp(-rho_sq / w_e**2)
 
@@ -523,6 +571,13 @@ def simulate_single_excitation(
             ),
         },
     }
+    if flags.motion:
+        # the largest miss of the n_v that ran over the written times: up to its reach the miss only
+        # grows, so up to rounding it is the miss at t_max, unless the budget shrank the axis below
+        # the nodes the run's phase needs
+        n_v = sizes[2]
+        x = phase if n_v >= doppler_nodes(phase) else np.abs(t_grid_us) / tau_free
+        record.update(doppler_tolerance=DOPPLER_TOL, doppler_miss=float(doppler_miss(n_v, x).max()))
     return population, projection, record
 
 

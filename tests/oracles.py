@@ -1,7 +1,9 @@
 """Small-N brute-force oracles for the super-atom model of ``collective``,
 the two envelope fits that ``dephasing.fit_envelope_time_us`` replaced (scipy's
 curve_fit, then the variable-projection fit that stopped only when no step lowered
-the residual), and the per-value CSV formatter that ``cli.RunWriter.csv`` replaced.
+the residual), the fixed Doppler rule that ``dephasing.doppler_nodes`` replaced
+and the bisection that wrote its ``DOPPLER_REACH`` table, and the per-value CSV
+formatter that ``cli.RunWriter.csv`` replaced.
 
 Each brute-force oracle evolves the complete blockaded many-atom state for
 a handful of atoms, so the tests can check the 3-level super-atom reduction
@@ -262,6 +264,30 @@ def no_descent_envelope_time_us(t_grid_us, projection, omega_guess_rad_s: float)
     keep = sv > np.finfo(float).eps * max(J.shape) * sv[0]
     var = np.sum((vt[keep, 3] / sv[keep]) ** 2) / norms[3] ** 2 * rss / (len(t) - 5)
     return dp.EnvelopeTime(w, math.sqrt(var) if math.isfinite(var) else None)
+
+
+FIXED_N_V = 32  # Hermite nodes of the Doppler axis at every phase up to the 5 rad it admitted
+
+
+def fixed_doppler_nodes(phase: float) -> int:
+    """The Doppler axis before it was sized by the run: FIXED_N_V nodes whatever the phase. A test
+    puts it in the place of ``dephasing.doppler_nodes``."""
+    return FIXED_N_V
+
+
+def doppler_reach(n: int) -> float:
+    """The Doppler phase, to 1e-9 relative, up to which ``dephasing.doppler_miss(n, x)`` stays within
+    DOPPLER_TOL: from [0, 10] rad, where every rule of at most N_V nodes fails, each grid of 32 cells
+    narrows to the cell of the previous one in which the miss first exceeds the tolerance."""
+    lo, hi = 0.0, 10.0
+    while hi - lo > 1e-9 * hi:
+        x = np.linspace(lo, hi, 33)[1:]
+        over = dp.doppler_miss(n, x) > dp.DOPPLER_TOL
+        if not over.any():
+            return float(hi)  # the miss at hi was within rounding of the tolerance
+        first = over.argmax()
+        lo, hi = x[first - 1] if first else lo, x[first]
+    return float(lo)
 
 
 def csv_bytes_per_value(header, rows) -> bytes:

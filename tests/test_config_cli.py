@@ -19,6 +19,12 @@ from rydlink.config import ConfigError, load_config, parse_quantity
 TWO_PI = 2.0 * np.pi
 
 
+def packaged_doppler_phase():
+    """sigma_D t_max of the packaged config, 2.56 rad."""
+    cfg = load_config()
+    return dephasing.doppler_phase(cfg.geometry, cfg.ensemble, cfg.parsed["simulation"]["dephasing_t_max"] * 1e6)
+
+
 @pytest.fixture(scope="module")
 def default_raw():
     import importlib.resources
@@ -389,8 +395,8 @@ class TestCli:
 
     @pytest.mark.parametrize("flags", ["motion", "motion,inhomo", "motion,scatter", "motion,inhomo,scatter"])
     def test_doppler_phase_beyond_the_hermite_rule_exits_3(self, tmp_path, capsys, default_raw, flags):
-        # sigma_D t_max = 2.1e12 rad: 32 Hermite nodes resolve 5, so every run with motion fails;
-        # the runs with scatter exited 0 with aliased curves before the phase was checked
+        # sigma_D t_max = 2.1e12 rad: 34 Hermite nodes hold the Doppler mean to 5.015, so every run
+        # with motion fails; the runs with scatter exited 0 with aliased curves before the phase was checked
         raw = yaml.safe_load(yaml.safe_dump(default_raw))
         raw["ensemble"]["temperature"] = "1e20 K"
         out = tmp_path / "o"
@@ -399,6 +405,39 @@ class TestCli:
         err = capsys.readouterr().err
         assert "ensemble.temperature, ensemble.atomic_mass" in err and "Doppler phase" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("factor, code", [(1.0 - 1e-6, 0), (1.0 + 1e-6, 3)], ids=["below", "above"])
+    def test_doppler_phase_at_the_derived_cap(self, tmp_path, capsys, default_raw, factor, code):
+        # the cap is the reach of the N_V-node rule at DOPPLER_TOL, above the 5 rad the fixed 32-node rule
+        # admitted: a phase just below it runs on N_V nodes within the tolerance, one just above exits 3
+        cap = dephasing.DOPPLER_PHASE_MAX
+        assert 5.0 < cap
+        raw = yaml.safe_load(yaml.safe_dump(default_raw))
+        temperature_uK = load_config().ensemble.temperature_uK * (factor * cap / packaged_doppler_phase()) ** 2
+        raw["ensemble"]["temperature"] = f"{temperature_uK!r} uK"
+        out = tmp_path / "o"
+        argv = ["--config", write_config(tmp_path, raw), "--out", str(out), "dephasing", "--flags", "motion"]
+        assert cli.main(argv) == code
+        err = capsys.readouterr().err
+        if code:
+            assert "ensemble.temperature, ensemble.atomic_mass" in err and f"{cap:.4g} rad" in err
+            assert f"tolerance {dephasing.DOPPLER_TOL:g}" in err and not out.exists()
+        else:
+            record = json.loads((out / "dephasing_motion.json").read_text())
+            assert record["n_nodes"] == dephasing.N_V
+            assert record["doppler_miss"] <= record["doppler_tolerance"] == dephasing.DOPPLER_TOL
+
+    def test_window_of_more_than_one_raman_period_runs(self, tmp_path, default_raw):
+        # -2.5e3 MHz: the window spans 7.5 rad, past the 2 pi gate, and the run writes its files
+        raw = yaml.safe_load(yaml.safe_dump(default_raw))
+        raw["geometry"]["detuning_2"] = "-2.5e+3 MHz"
+        cfg = load_config(write_config(tmp_path, raw))
+        phase = dephasing.raman_splitting_exact(cfg.geometry) * cfg.parsed["simulation"]["dephasing_t_max"]
+        assert dephasing.MIN_FIT_PHASE < phase == pytest.approx(7.5, abs=0.05)
+        out = tmp_path / "o"
+        argv = ["--config", write_config(tmp_path, raw), "--out", str(out), "dephasing", "--flags", "none"]
+        assert cli.main(argv) == 0
+        assert (out / "dephasing_none.json").is_file()
 
     @pytest.mark.parametrize(
         "t_max, flags, failure",
@@ -451,8 +490,17 @@ class TestCli:
             ("geometry.detuning_1", "0 MHz", ["rabi", "--pair"]),
             ("geometry.detuning_2", "610 MHz", ["dephasing"]),
             # a Raman splitting of 0.0048 rad/s, below the 1e3 rad/s rounding of the eigenvalues it
-            # is the difference of: it cleared MIN_FIT_PHASE on 1.9e-8 rad and exited 3
+            # is the difference of: it cleared the window gate of sqrt(eps) rad that MIN_FIT_PHASE was
+            # then on 1.9e-8 rad and exited 3; the 2 pi gate of today would refuse it as well
             ("geometry.detuning_2", "-1e+12 MHz", ["dephasing", "--flags", "none"]),
+            # windows of less than one Raman period, MIN_FIT_PHASE = 2 pi rad: 5.95 rad at -3.16e3 MHz
+            # down to 0.0019 rad at -1e7 MHz. Under a gate of sqrt(eps) rad each exited 0: -3.16e3 and
+            # -5.62e3 MHz wrote the w bound (no decay), the others a plausible decay time, such as
+            # 3.36 us at -1e4 MHz (1.9 rad), where the fit cannot tell the envelope from the cosine
+            *[
+                ("geometry.detuning_2", detuning, ["dephasing", "--flags", "none"])
+                for detuning in ("-3.16e+3 MHz", "-5.62e+3 MHz", "-1e+4 MHz", "-3.16e+4 MHz", "-1e+5 MHz", "-1e+7 MHz")
+            ],
             ("ensemble.effective_atom_number", 0, ["rabi", "--collective"]),
             # the ensemble record holds the atom number as a float
             ("ensemble.effective_atom_number", 2**1024, ["rabi", "--pair"]),
@@ -461,11 +509,17 @@ class TestCli:
             ("simulation.dephasing_points", 2**62, ["dephasing", "--flags", "none"]),
             ("simulation.dephasing_points", 2**63, ["dephasing", "--flags", "none"]),
             ("simulation.dephasing_points", 10**400, ["dephasing", "--flags", "none"]),
-            # an anisotropic cloud's full rule has 10,240 nodes: 4097 points of it pass the
-            # (points, nodes) values that 2**16 points hold at the packaged 640 nodes
+            # an anisotropic cloud's full rule has N_X x N_THETA x 20 = 6,400 nodes at the packaged
+            # Doppler phase: one point more than MAX_DEPHASING_VALUES of them hold, 640 x 2**16
             (
                 ("ensemble.cloud_sigma", "simulation.dephasing_samples", "simulation.dephasing_points"),
-                (["3.5 um", "5.0 um", "6.5 um"], 10**6, 4097),
+                (
+                    ["3.5 um", "5.0 um", "6.5 um"],
+                    10**6,
+                    config.MAX_DEPHASING_VALUES
+                    // (dephasing.N_X * dephasing.N_THETA * dephasing.doppler_nodes(packaged_doppler_phase()))
+                    + 1,
+                ),
                 ["dephasing", "--flags", "motion,inhomo"],
             ),
             # JSON readers that hold numbers as doubles round a seed past 2**53
@@ -523,7 +577,8 @@ class TestCli:
             "transmission-above-1", "negative-retrieval", "zero-transmission", "zero-retrieval",
             "g2-single-trial", "dlcz-p-above-range", "dlcz-p-zero",
             "negative-cloud-sigma", "zero-cloud-sigma", "zero-detuning", "same-sign-detunings",
-            "splitting-below-rounding",
+            "splitting-below-rounding", "window-5.95-rad", "window-3.37-rad", "window-1.9-rad",
+            "window-0.6-rad", "window-0.19-rad", "window-0.0019-rad",
             "no-atoms", "atoms-past-float", "atoms-far-past-float", "dephasing-points-2-62",
             "dephasing-points-2-63", "dephasing-points-past-float", "dephasing-values-past-bound",
             "seed-past-double", "seed-past-float", "negative-spinwave-lifetime", "zero-temperature", "negative-linewidth",

@@ -33,6 +33,13 @@ def dk_norm(cfg):
     return np.linalg.norm(protocol_modes(cfg.geometry).k2)
 
 
+@pytest.fixture(scope="module")
+def packaged_phase(cfg):
+    """sigma_D t_max of the packaged config, 2.56 rad."""
+    t_max_us = cfg.parsed["simulation"]["dephasing_t_max"] * 1e6
+    return dp.doppler_phase(cfg.geometry, cfg.ensemble, t_max_us)
+
+
 class TestThermalMotion:
     def test_velocity_sigma_value(self):
         # sqrt(kB T / m) at 150 uK for mass 86.909 amu: 0.1196 um/us
@@ -207,13 +214,12 @@ class TestSpectralSum:
 
 
 @pytest.fixture(scope="module")
-def packaged_batch(cfg, gamma_e):
-    """The 4x4 Hamiltonians at the 640 nodes of the packaged rule with motion and
+def packaged_batch(cfg, gamma_e, packaged_phase):
+    """The 4x4 Hamiltonians at the 400 nodes of the packaged rule with motion and
     inhomogeneity, and the node weights."""
-    geo = cfg.geometry
-    rho_sq, doppler, weights = dp.atom_nodes(
-        cfg.ensemble, protocol_modes(geo).k2, geo.beams["C"].waist_um, SimulationFlags(True, True), 2000
-    )
+    geo, flags = cfg.geometry, SimulationFlags(True, True)
+    sizes = dp.rule_sizes(cfg.ensemble, flags, 2000, packaged_phase)
+    rho_sq, doppler, weights = dp.atom_nodes(cfg.ensemble, protocol_modes(geo).k2, geo.beams["C"].waist_um, flags, sizes)
     s1, s2 = (np.exp(-rho_sq / geo.beams[b].waist_um**2) for b in ("C", "E"))
     return dp._four_level_hamiltonian(geo, s1, s2, doppler), weights
 
@@ -358,7 +364,9 @@ class TestPropagator:
         drawn = (X + X.T + 1j * (np.triu(X, 1) - np.triu(X, 1).T))[None]
         k_sw = protocol_modes(cfg.geometry).k2
         waist = cfg.geometry.beams["C"].waist_um
-        rho_sq, doppler, _ = dp.atom_nodes(cfg.ensemble, k_sw, waist, SimulationFlags(True, True), 2000)
+        flags = SimulationFlags(True, True)
+        phase = dp.doppler_phase(cfg.geometry, cfg.ensemble, cfg.parsed["simulation"]["dephasing_t_max"] * 1e6)
+        rho_sq, doppler, _ = dp.atom_nodes(cfg.ensemble, k_sw, waist, flags, dp.rule_sizes(cfg.ensemble, flags, 2000, phase))
         s1, s2 = (np.exp(-rho_sq[::97] / cfg.geometry.beams[b].waist_um**2) for b in ("C", "E"))
         packaged = dp._four_level_hamiltonian(cfg.geometry, s1, s2, doppler[::97])
         for H in (drawn, packaged):
@@ -366,36 +374,113 @@ class TestPropagator:
             assert np.abs(evals.real).max() <= gamma * (1.0 + 1e-12)
 
 
+class TestDopplerRule:
+    """The Hermite axis in the Doppler shift, sized by the run's phase sigma_D t_max."""
+
+    CAP = dp.DOPPLER_PHASE_MAX
+
+    @pytest.mark.parametrize("phase", np.r_[np.geomspace(1e-8, 1.0, 17), np.linspace(1.0, CAP, 64)])
+    def test_fewest_nodes_that_meet_the_tolerance(self, phase):
+        n = dp.doppler_nodes(phase)
+        assert dp.doppler_miss(n, phase) <= dp.DOPPLER_TOL
+        assert n == 1 or dp.doppler_miss(n - 1, phase) > dp.DOPPLER_TOL
+
+    @pytest.mark.parametrize("n", range(1, dp.N_V + 1))
+    def test_reach_table_is_the_bisection(self, n):
+        assert dp.DOPPLER_REACH[n - 1] == pytest.approx(oracles.doppler_reach(n), rel=1e-8)
+
+    @pytest.mark.parametrize("n", range(1, dp.N_V + 1))
+    def test_miss_does_not_fall_as_the_phase_grows(self, n):
+        # up to its reach the miss of n nodes only grows, beyond rounding, and stays within the
+        # tolerance: meeting it at t_max meets it at every earlier time of the window
+        reach = dp.DOPPLER_REACH[n - 1]
+        x = np.linspace(0.0, reach, 400)
+        miss = dp.doppler_miss(n, x)
+        assert miss.max() <= dp.DOPPLER_TOL
+        assert (np.maximum.accumulate(miss) - miss).max() <= 1e-15
+        assert dp.doppler_miss(n, reach * (1.0 + 1e-8)) > 0.99 * dp.DOPPLER_TOL
+
+    def test_a_zero_of_the_miss_past_the_reach_sizes_nothing(self):
+        # the 2-node mean, cos x, crosses exp(-x^2 / 2) at this phase, so its miss there is below the
+        # tolerance although 2 nodes fail from 0.001 rad on: the fewest nodes that meet it at t_max
+        # alone would be 2, and the reach gives the 33 that meet it at every earlier time
+        x = 4.712404041776436
+        assert dp.doppler_miss(2, x) <= dp.DOPPLER_TOL < dp.doppler_miss(2, 1.0)
+        assert dp.doppler_nodes(x) == 33
+
+    def test_cap_admits_every_phase_the_fixed_rule_did(self, packaged_phase):
+        # the 32 nodes of the fixed rule missed by 2.4e-12 at 5 rad; N_V meet the tolerance there
+        assert 5.0 < self.CAP < 5.02
+        assert dp.doppler_miss(dp.N_V, 5.0) <= dp.DOPPLER_TOL < dp.doppler_miss(oracles.FIXED_N_V, 5.0)
+        assert dp.doppler_nodes(self.CAP) == dp.N_V and dp.doppler_nodes(np.nextafter(self.CAP, 6.0)) == dp.N_V
+        assert all(np.diff(dp.DOPPLER_REACH) > 0.0)
+        assert dp.doppler_nodes(packaged_phase) == 20
+
+    def test_record_states_the_miss_of_a_shrunk_axis(self, cfg, gamma_e):
+        # a budget of 10 keeps 10 of the 20 nodes the packaged phase needs: the record writes their
+        # largest miss over the written times, above the tolerance, and does not claim to meet it
+        t = np.linspace(0.0, 4.0, 60)
+        _, _, record = dp.simulate_single_excitation(
+            cfg.geometry, cfg.ensemble, gamma_e, SimulationFlags(motion=True), 10, 1, t
+        )
+        assert record["n_nodes"] == 10 and record["doppler_tolerance"] == dp.DOPPLER_TOL
+        assert record["doppler_miss"] == dp.doppler_miss(10, t / record["tau_free_us"]).max() > 1e3 * dp.DOPPLER_TOL
+
+    # of the five packaged flag sets only these two have a Doppler axis
+    @pytest.mark.parametrize(
+        "flags", [SimulationFlags(motion=True), SimulationFlags(True, True, True)], ids=["motion", "motion-inhomo-scatter"]
+    )
+    def test_matches_the_fixed_32_node_rule(self, cfg, gamma_e, packaged_phase, monkeypatch, flags):
+        sim = cfg.parsed["simulation"]
+        t_grid = np.linspace(0.0, sim["dephasing_t_max"] * 1e6, sim["dephasing_points"])
+        args = (cfg.geometry, cfg.ensemble, gamma_e, flags, sim["dephasing_samples"], cfg.seed, t_grid)
+        population, projection, record = dp.simulate_single_excitation(*args)
+        n_v = dp.doppler_nodes(packaged_phase)
+        monkeypatch.setattr(dp, "doppler_nodes", oracles.fixed_doppler_nodes)
+        fixed_population, fixed_projection, fixed_record = dp.simulate_single_excitation(*args)
+        assert np.abs(population - fixed_population).max() <= 1e-12
+        assert np.abs(projection - fixed_projection).max() <= 1e-12
+        assert fixed_record["n_nodes"] * n_v == record["n_nodes"] * oracles.FIXED_N_V
+
+
 class TestQuadratureRule:
     @pytest.mark.parametrize("on", list(itertools.product((False, True), repeat=3)))
-    def test_axes_collapse_when_off_or_isotropic(self, cfg, on):
+    def test_axes_collapse_when_off_or_isotropic(self, cfg, packaged_phase, on):
         flags = SimulationFlags(*on)
         motion, inhomo, _ = on
-        assert dp.rule_sizes(cfg.ensemble, flags, 10**6) == (20 if inhomo else 1, 1, 32 if motion else 1)
+        n_v = dp.doppler_nodes(packaged_phase) if motion else 1
+        assert dp.rule_sizes(cfg.ensemble, flags, 10**6, packaged_phase) == (dp.N_X if inhomo else 1, 1, n_v)
         anisotropic = dataclasses.replace(cfg.ensemble, cloud_sigma_um=(3.5, 5.0, 6.5))
-        assert dp.rule_sizes(anisotropic, flags, 10**6) == (20 if inhomo else 1, 16 if inhomo else 1, 32 if motion else 1)
+        full = (dp.N_X if inhomo else 1, dp.N_THETA if inhomo else 1, n_v)
+        assert dp.rule_sizes(anisotropic, flags, 10**6, packaged_phase) == full
 
     @staticmethod
     @functools.cache
-    def written_values(anisotropic, budget):
-        """Population and projection of a motion + inhomo run at 40 points of the packaged window."""
+    def written_values(anisotropic, budget, fixed=False):
+        """Population and projection of a motion + inhomo run at 40 points of the packaged window, on
+        the fixed 32-node Doppler rule of the oracles if ``fixed``."""
         cfg = load_config()
         ens = dataclasses.replace(cfg.ensemble, cloud_sigma_um=(3.5, 5.0, 6.5)) if anisotropic else cfg.ensemble
-        population, projection, _ = dp.simulate_single_excitation(
-            cfg.geometry, ens, cfg.parsed["raman"]["intermediate_linewidth"], SimulationFlags(True, True),
-            budget, 1, np.linspace(0.0, 4.0, 40),
-        )
+        with pytest.MonkeyPatch.context() as patch:
+            if fixed:
+                patch.setattr(dp, "doppler_nodes", oracles.fixed_doppler_nodes)
+            population, projection, _ = dp.simulate_single_excitation(
+                cfg.geometry, ens, cfg.parsed["raman"]["intermediate_linewidth"], SimulationFlags(True, True),
+                budget, 1, np.linspace(0.0, 4.0, 40),
+            )
         return np.r_[population, projection]
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(dp.MIN_SAMPLES, 30_000), st.booleans())
     def test_budget_shrinks_the_rule_until_it_fits(self, budget, anisotropic):
-        ens = load_config().ensemble
+        cfg = load_config()
+        ens = cfg.ensemble
         if anisotropic:
             ens = dataclasses.replace(ens, cloud_sigma_um=(3.5, 5.0, 6.5))
         flags = SimulationFlags(motion=True, inhomo=True)
-        full = dp.rule_sizes(ens, flags, 10**6)
-        sizes = dp.rule_sizes(ens, flags, budget)
+        phase = dp.doppler_phase(cfg.geometry, ens, 4.0)  # the window of written_values
+        full = dp.rule_sizes(ens, flags, 10**6, phase)
+        sizes = dp.rule_sizes(ens, flags, budget, phase)
         if math.prod(full) <= budget:
             assert sizes == full
         else:
@@ -410,7 +495,7 @@ class TestQuadratureRule:
         [((3.5, 3.5, 6.5), (1.2e-12, 5e-11)), ((3.5, 5.0, 6.5), (1.5e-8, 4e-7))],
         ids=["isotropic", "anisotropic"],
     )
-    def test_weights_and_moments(self, cfg, dk_norm, sigma, rho_tol):
+    def test_weights_and_moments(self, cfg, dk_norm, packaged_phase, sigma, rho_tol):
         # positive weights summing to 1, and exact moments of the beam-C intensity I = exp(-rho^2 / w^2),
         # the variable of the Gauss rule: <I^k> = (1 + 2k sigma_x^2 / w^2)^-1/2 (1 + 2k sigma_y^2 / w^2)^-1/2
         # for k < 2 N_X, and <doppler^2> = (sigma_v |k| 1e6)^2. <rho^2> = sigma_x^2 + sigma_y^2 and
@@ -419,7 +504,8 @@ class TestQuadratureRule:
         ens = dataclasses.replace(cfg.ensemble, cloud_sigma_um=sigma)
         k_sw = protocol_modes(cfg.geometry).k2
         waist = cfg.geometry.beams["C"].waist_um
-        rho_sq, doppler, w = dp.atom_nodes(ens, k_sw, waist, SimulationFlags(True, True), 10**6)
+        flags = SimulationFlags(True, True)
+        rho_sq, doppler, w = dp.atom_nodes(ens, k_sw, waist, flags, dp.rule_sizes(ens, flags, 10**6, packaged_phase))
         assert np.all(w > 0) and w.sum() == pytest.approx(1.0, abs=1e-14)
         sx2, sy2 = sigma[0] ** 2, sigma[1] ** 2
         k = np.arange(2 * dp.N_X)
@@ -461,7 +547,7 @@ class TestQuadratureRule:
     def test_extreme_clouds_give_finite_nodes(self, cfg, sigma):
         # a cloud far narrower or wider than the beam puts every atom at I = 1 or at I = 0
         ens = dataclasses.replace(cfg.ensemble, cloud_sigma_um=(sigma, sigma, 6.5))
-        rho_sq, _, w = dp.atom_nodes(ens, np.ones(3), 13.0, SimulationFlags(inhomo=True), 10**6)
+        rho_sq, _, w = dp.atom_nodes(ens, np.ones(3), 13.0, SimulationFlags(inhomo=True), (dp.N_X, 1, 1))
         intensity = np.exp(-rho_sq / 13.0**2)
         assert np.all(np.isfinite(w)) and w.sum() == pytest.approx(1.0, abs=1e-14)
         assert w @ intensity == pytest.approx(1.0 if sigma < 1 else 0.0, abs=1e-12)
@@ -472,12 +558,12 @@ class TestQuadratureRule:
         # rounds to zero or below; it must give I = 0 (rho^2 = inf), not log of a negative
         ens = dataclasses.replace(cfg.ensemble, cloud_sigma_um=(1.2e8, 1.2e8, 6.5))
         assert dp.jacobi_rule(np.array([1e-15]), dp.N_X)[0].min() <= 0.0
-        rho_sq, _, w = dp.atom_nodes(ens, np.ones(3), 13.0, SimulationFlags(inhomo=True), 10**6)
+        rho_sq, _, w = dp.atom_nodes(ens, np.ones(3), 13.0, SimulationFlags(inhomo=True), (dp.N_X, 1, 1))
         assert np.all(np.isfinite(w)) and np.all(rho_sq >= 0.0)
 
     @pytest.mark.parametrize("flags", [SimulationFlags(True, True), SimulationFlags(True, True, True)],
                              ids=["motion-inhomo", "motion-inhomo-scatter"])
-    def test_matches_the_laguerre_rule_on_the_packaged_cloud(self, cfg, gamma_e, monkeypatch, flags):
+    def test_matches_the_laguerre_rule_on_the_packaged_cloud(self, cfg, gamma_e, packaged_phase, monkeypatch, flags):
         # the 48 x 32 Gauss-Laguerre rule it replaced, about 1e-11 from a converged rule here
         sim = cfg.parsed["simulation"]
         t_grid = np.linspace(0.0, sim["dephasing_t_max"] * 1e6, sim["dephasing_points"])
@@ -485,20 +571,27 @@ class TestQuadratureRule:
         pop_j, proj_j, record_j = dp.simulate_single_excitation(*args)
         monkeypatch.setattr(dp, "atom_nodes", laguerre_rule.atom_nodes)
         pop_l, proj_l, record_l = dp.simulate_single_excitation(*args)
-        assert (record_j["n_nodes"], record_l["n_nodes"]) == (640, 1536)
+        nodes = math.prod(dp.rule_sizes(cfg.ensemble, flags, sim["dephasing_samples"], packaged_phase))
+        assert (record_j["n_nodes"], record_l["n_nodes"]) == (nodes, laguerre_rule.N_U * laguerre_rule.N_V)
         assert np.max(np.abs(pop_j - pop_l)) <= 1e-10
         assert np.max(np.abs(proj_j - proj_l)) <= 1e-10
 
-    def test_floor_is_the_smallest_budget_within_1e_4(self):
-        # at MIN_SAMPLES the motion + inhomo rule lies within 1e-4 of the full one on both clouds;
-        # one node fewer, it does not on the (3.5, 5.0) um cloud
+    @pytest.mark.parametrize("fixed", [True, False], ids=["fixed-32-node-doppler", "sized-doppler"])
+    def test_floor_is_the_smallest_budget_within_1e_4(self, fixed):
+        # at MIN_SAMPLES the motion + inhomo rule lies within 1e-12 of the full one on the packaged cloud
+        # and within 1e-4 on the (3.5, 5.0) um one. The floor was set on the fixed 32-node Doppler rule,
+        # where one node fewer misses 1e-4; the sized rule keeps 4 x 5 of its 16 x 20 fast nodes there,
+        # 3.7e-5 off at every budget from 240 to 359, so on it the floor is not the smallest that works
         floor = dp.MIN_SAMPLES
 
         def gap(anisotropic, budget):
-            return np.abs(self.written_values(anisotropic, budget) - self.written_values(anisotropic, 10**6)).max()
+            full = self.written_values(anisotropic, 10**6, fixed)
+            return np.abs(self.written_values(anisotropic, budget, fixed) - full).max()
 
         assert gap(False, floor) <= 1e-12
-        assert gap(True, floor) <= 1e-4 < gap(True, floor - 1)
+        assert gap(True, floor) <= 1e-4
+        if fixed:
+            assert 1e-4 < gap(True, floor - 1)
 
     @pytest.mark.parametrize("flags", [SimulationFlags(), SimulationFlags(scatter=True)], ids=["none", "scatter"])
     def test_none_and_scatter_evaluate_one_node(self, cfg, gamma_e, monkeypatch, flags):
@@ -675,7 +768,7 @@ class TestSimulation:
         assert record["tau_free_us"] == pytest.approx(1.6, rel=0.15)
 
     def test_doubling_samples_is_stable(self, cfg, gamma_e):
-        # a budget of 400 shrinks the 20 x 32 rule to 20 x 20 nodes; 2000 runs the full rule
+        # sigma_D t_max = 3.2 rad: a budget of 400 shrinks the 20 x 23 rule to 20 x 20 nodes; 2000 runs the full rule
         kw = dict(flags=SimulationFlags(motion=True, inhomo=True), t_grid_us=self.grid(t_max=5.0, n=250))
         _, _, a = dp.simulate_single_excitation(cfg.geometry, cfg.ensemble, gamma_e, n_samples=400, seed=3, **kw)
         _, _, b = dp.simulate_single_excitation(cfg.geometry, cfg.ensemble, gamma_e, n_samples=2000, seed=3, **kw)
@@ -718,7 +811,11 @@ class TestSimulation:
         )
         assert "tau_convention" in record["metadata"]
         assert record["seed"] == 5
-        assert (record["n_samples"], record["n_nodes"]) == (dp.MIN_SAMPLES, 32)
+        phase = dp.doppler_phase(cfg.geometry, cfg.ensemble, 4.0)
+        assert (record["n_samples"], record["n_nodes"]) == (dp.MIN_SAMPLES, dp.doppler_nodes(phase))
         assert record["flags"] == {"motion": True, "inhomo": False, "scatter": False}
+        # the Doppler axis states its tolerance and meets it at every written time
+        assert record["doppler_tolerance"] == dp.DOPPLER_TOL
+        assert 0.0 <= record["doppler_miss"] <= dp.DOPPLER_TOL
         # metadata holds only what the record has nowhere else
         assert set(record["metadata"]) == {"omega_eff_rad_s", "spinwave_k_rad_um", "tau_convention"}

@@ -42,8 +42,8 @@ GOLDEN = {
         "dephasing_none.json": "7082a160284ec7a495ac5102d363601109cc71494a0d8a092a939a6ca57131be",
     },
     ("dephasing", "--flags", "motion"): {
-        "dephasing_motion.csv": "cc39e26dbf1416d2523fc5e61889c06a7d08f279ff1edc5244e7c9fdb3219888",
-        "dephasing_motion.json": "2fe9b8a77a23b60dabcc8361f492f1538dc26210894875d998a17c8be0d21ffb",
+        "dephasing_motion.csv": "fdf2ae3b6edbb9e8a317dcff0d5047c543c93628e284dee7f69c37a11ceeea44",
+        "dephasing_motion.json": "82a1d3b635031552bedabb5f6a95f1e25e0873e49380b29894fec98541e5046d",
     },
     ("dephasing", "--flags", "inhomo"): {
         "dephasing_inhomo.csv": "a2c7d7c3f22f9eb7f86d1171f23a70385744e4947c82da98aac381b969b1a378",
@@ -55,8 +55,8 @@ GOLDEN = {
     },
     # the only command that runs the Lindblad batch
     ("dephasing", "--flags", "motion,inhomo,scatter"): {
-        "dephasing_motion-inhomo-scatter.csv": "c2efb11f62772fdfe7e8b7ba56a0f1dcfba8e3dde320d9c87d761915ae1ca413",
-        "dephasing_motion-inhomo-scatter.json": "52be559acdfe712cf52e86ba9d1165be1a9cd791a7f1ba0e8adfc20fc0f163d3",
+        "dephasing_motion-inhomo-scatter.csv": "98fb63cfe7001f4ac7a369122cfc9dbbe5c8b606de9e0e0fe7bc3f85e6e8ac0f",
+        "dephasing_motion-inhomo-scatter.json": "fceb3acaa5b193aeaf65012ca8bd4ac0302d523cb81b56df325b1d2b2c3301b1",
     },
     ("g2", "--field", "single"): {
         "g2_single.json": "65f76bd7f2cbcf3958a20e01ef094c90f9febfcdcf7c22b965fc05d6d11f1715",
