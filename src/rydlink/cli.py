@@ -16,7 +16,6 @@ import dataclasses
 import functools
 import hashlib
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -24,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import collective, dephasing, measurement, repeater
-from .config import MAX_DEPHASING_VALUES, ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, load_config
 from .measurement import DetectorModel, PhotonFieldModel
 
 ARTIFACT_VERSION = 1
@@ -134,46 +133,33 @@ def _parse_flags(spec: str) -> dephasing.SimulationFlags:
     return dephasing.SimulationFlags(**dict.fromkeys(parts, True))
 
 
+# the config keys that set each limit at which dephasing.simulate_single_excitation refuses a run
+_SPLITTING_KEYS = "geometry.beams.C.rabi, geometry.beams.E.rabi, geometry.detuning_1, geometry.detuning_2"
+REFUSAL_KEYS = {
+    "splitting": _SPLITTING_KEYS,
+    "fit_phase": f"simulation.dephasing_t_max, {_SPLITTING_KEYS}",
+    # sigma_D t_max = t_max |k_A + k_B| sqrt(kB T / m)
+    "doppler": "simulation.dephasing_t_max, ensemble.temperature, ensemble.atomic_mass, geometry.beams.A.wavelength, "
+    "geometry.beams.A.direction, geometry.beams.B.wavelength, geometry.beams.B.direction",
+    "stiffness": "simulation.dephasing_t_max, raman.intermediate_linewidth",
+    "values": "simulation.dephasing_points, simulation.dephasing_samples, ensemble.cloud_sigma",
+}
+
+
 def cmd_dephasing(cfg: RunConfig, args, writer: RunWriter):
     flags = _parse_flags(args.flags)
     sim = cfg.parsed["simulation"]
-    # the envelope fit starts at the Raman splitting; checked here, as no other command needs its eigenvalues
-    splitting = dephasing.raman_splitting_exact(cfg.geometry)
-    floor = dephasing.MIN_SPLITTING_ROUNDINGS * dephasing.eigenvalue_rounding(cfg.geometry)
-    raman_phase = splitting * sim["dephasing_t_max"]
-    keys = (
-        "simulation.dephasing_t_max, geometry.beams.C.rabi, geometry.beams.E.rabi, geometry.detuning_1, "
-        "geometry.detuning_2"
-    )
-    if not splitting > floor:
-        raise ConfigError(
-            f"{keys}: the Raman splitting {splitting:.3g} rad/s is below {floor:.3g} rad/s, "
-            f"{dephasing.MIN_SPLITTING_ROUNDINGS:g} times the rounding of the eigenvalues it is the difference of"
-        )
-    if not raman_phase >= dephasing.MIN_FIT_PHASE:
-        raise ConfigError(
-            f"{keys}: the dephasing window spans {raman_phase:.3g} rad of the Raman oscillation, "
-            f"too little for the envelope fit to tell its decay from the oscillation "
-            f"(at least one period, {dephasing.MIN_FIT_PHASE:.3g} rad)"
-        )
-    t_max_us = sim["dephasing_t_max"] * 1e6
-    doppler_phase = dephasing.doppler_phase(cfg.geometry, cfg.ensemble, t_max_us)
-    nodes = math.prod(dephasing.rule_sizes(cfg.ensemble, flags, sim["dephasing_samples"], doppler_phase))
-    if sim["dephasing_points"] * nodes > MAX_DEPHASING_VALUES:
-        raise ConfigError(
-            "simulation.dephasing_points, simulation.dephasing_samples, ensemble.cloud_sigma: "
-            f"{sim['dephasing_points']} points at the {nodes} nodes of the rule take more than "
-            f"{MAX_DEPHASING_VALUES} values per array"
-        )
-    t_grid = np.linspace(0.0, t_max_us, sim["dephasing_points"])
+    t_grid = np.linspace(0.0, sim["dephasing_t_max"] * 1e6, sim["dephasing_points"])
     gamma_e = cfg.parsed["raman"]["intermediate_linewidth"]
     try:
         population, projection, record = dephasing.simulate_single_excitation(
             cfg.geometry, cfg.ensemble, gamma_e, flags, sim["dephasing_samples"], cfg.seed, t_grid
         )
+    except dephasing.Refused as exc:
+        raise ConfigError(f"{REFUSAL_KEYS[exc.limit]}: {exc}") from None
     except dephasing.FitError as exc:
         raise dephasing.FitError(f"simulation.dephasing_t_max, simulation.dephasing_points: {exc}") from None
-    except (dephasing.BatchError, np.linalg.LinAlgError) as exc:
+    except dephasing.BatchError as exc:
         # the window and the detunings enter every batch; the rest only with their mechanism
         keys = {"scatter": "raman.intermediate_linewidth, ", "motion": "ensemble.temperature, ensemble.atomic_mass, "}
         named = "simulation.dephasing_t_max, " + "".join(text for name, text in keys.items() if getattr(flags, name))

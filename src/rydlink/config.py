@@ -26,17 +26,13 @@ import yaml
 
 from .collective import EnsembleConfig
 from .dephasing import (
-    AMU, MIN_JACOBI_B, MIN_SAMPLES, motional_coherence_time_us, shift_cancelling_branch_weights, thermal_velocity_sigma
+    AMU, MAX_DEPHASING_POINTS, MIN_JACOBI_B, MIN_SAMPLES, motional_coherence_time_us, shift_cancelling_branch_weights,
+    thermal_velocity_sigma
 )
 from .geometry import BEAM_IDS, Beam, BeamGeometry, modes_distinguishable, protocol_modes
 from .measurement import DLCZ_MAX_EXCITATION
 
 DEFAULT_CONFIG_RESOURCE = "default.yaml"
-# the dephasing command allocates (points, nodes) arrays: at the 640 nodes of the packaged
-# rule, 2**16 points hold 0.7 GB of complex amplitudes, and it refuses a rule of more nodes
-# beyond that many values
-MAX_DEPHASING_POINTS = 2**16
-MAX_DEPHASING_VALUES = 640 * MAX_DEPHASING_POINTS
 
 TWO_PI = math.tau
 

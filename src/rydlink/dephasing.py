@@ -53,6 +53,10 @@ AMU = 1.66053906892e-27  # kg
 LEVEL_S, LEVEL_E1, LEVEL_E2, LEVEL_R = 0, 1, 2, 3
 
 BOUNDS_TOL = 1e-9  # rounding allowed in 0 <= projection <= population <= 1
+# a run allocates (points, nodes) arrays: at 640 nodes, 2**16 points hold 0.7 GB of complex
+# amplitudes, and a rule of more nodes is refused beyond that many values
+MAX_DEPHASING_POINTS = 2**16
+MAX_DEPHASING_VALUES = 640 * MAX_DEPHASING_POINTS
 # smallest node budget, set under the fixed 32-node Doppler rule that the sized one replaced: the rule
 # of a motion + inhomo run there shrinks to 11 x 4 x 8 nodes on a (3.5, 5.0) um cloud, 3.6e-5 from the
 # full rule in population and projection (40 points over 4 us), and one node fewer to 10 x 4 x 8, 2.2e-4
@@ -66,9 +70,9 @@ FIT_MAX_STEPS = 200
 # the cosine term and the Gaussian envelope fit the same parabola, so the envelope time cannot be told
 # (with no mechanism the fit writes 3.4 us at 1.9 rad, and no decay from 3.4 rad up)
 MIN_FIT_PHASE = 2.0 * math.pi
-# smallest Raman splitting, in units of eigenvalue_rounding: eigh leaves at most 0.62 of that in the
-# splitting (either detuning alone from 1e2 to 1e13 MHz, against 50 digits), so one above 100 of it
-# is within a percent
+# smallest Raman splitting, in units of the rounding raman_splitting gives: eigh leaves at most 0.62
+# of that in the splitting (either detuning alone from 1e2 to 1e13 MHz, against 50 digits), so one
+# above 100 of it is within a percent
 MIN_SPLITTING_ROUNDINGS = 100.0
 
 # nodes of the full product rule over the atoms, at which it matches a rule of twice
@@ -78,23 +82,24 @@ N_THETA = 16  # midpoint, in the azimuth on [0, pi/2]; only when sigma_x != sigm
 # Gauss-Hermite, in the Doppler shift: a run takes the fewest nodes n whose mean of cos(x v) stays
 # within DOPPLER_TOL of exp(-x^2 / 2) for every Doppler phase x up to its own sigma_D t_max, the
 # first n whose reach DOPPLER_REACH[n - 1] covers it (20 for the packaged 2.56 rad). The reach of
-# n nodes is the phase, to 1e-9 relative, where their miss first exceeds the tolerance; beyond it
-# the miss oscillates, and may pass through zero, so the reach, not the miss at t_max alone, sizes
-# a run (tests check the table against oracles.doppler_reach, the bisection that wrote it).
+# n nodes is the phase, to 1e-9 relative, where their miss first exceeds 0.99 DOPPLER_TOL, which
+# leaves the 1e-16 of rounding in the miss room below the tolerance; beyond it the miss oscillates,
+# and may pass through zero, so the reach, not the miss at t_max alone, sizes a run (tests check
+# the table against oracles.doppler_reach, the bisection that wrote it).
 DOPPLER_TOL = 1e-13
 DOPPLER_REACH = (
-    4.4713571761834103e-07, 0.0010465088507771725, 0.015127966180443764, 0.06001833948175772,
-    0.14066757692489773, 0.2526000142097473, 0.3885936946608126, 0.5420911504188552,
-    0.7077622882206924, 0.8817103505134583, 1.0612297058105469, 1.2438297283370048,
-    1.428346671455074, 1.6135701540042646, 1.7987063527107239, 1.9828891757060774,
-    2.166453311801888, 2.348713279061485, 2.5290208417573012, 2.7075290677021258,
-    2.884694648964796, 3.05968314409256, 3.2327756300219335, 3.4039974623010494,
-    3.5733032412827015, 3.74065706593683, 3.9063382302992977, 4.070082009129692,
-    4.232092511374503, 4.3918451853096485, 4.550516345188953, 4.706755280785728,
-    4.861911865591537, 5.01510762172984,
+    4.448954354918655e-07, 0.0010439753532409668, 0.015101470262379735, 0.059947986164843314,
+    0.14052398706553504, 0.2523735169052088, 0.38830291625345126, 0.541734398866538,
+    0.7073531491914764, 0.8812904357910156, 1.0606765843112953, 1.2432882192661054,
+    1.4277747366577387, 1.612979769706726, 1.7980194187839516, 1.9822034999378957,
+    2.1657348456210457, 2.348022470541764, 2.528305081941653, 2.706823367625475,
+    2.883954171265941, 3.058849271328654, 3.2319283590186387, 3.4032186868716963,
+    3.572444936435204, 3.739843698567711, 3.9056396487285383, 4.06917307554977,
+    4.231300354877021, 4.390926164051052, 4.549589027301408, 4.70591576769948,
+    4.861145317554474, 5.014239550509956,
 )
 N_V = len(DOPPLER_REACH)
-# largest Doppler phase sigma_D t_max a run may reach, 5.015 rad for the N_V = 34 nodes: every phase
+# largest Doppler phase sigma_D t_max a run may reach, 5.014 rad for the N_V = 34 nodes: every phase
 # up to 5 rad runs (32 nodes reach only 4.71, and miss by 2.4e-12 at 5)
 DOPPLER_PHASE_MAX = DOPPLER_REACH[-1]
 # smallest b = w^2 / (2 sigma^2) of the Gauss-Jacobi axis: there the N_X-node rule's moments <I^k>,
@@ -137,7 +142,16 @@ class FitError(RuntimeError):
 
 
 class BatchError(RuntimeError):
-    """The ensemble batch is too stiff, or gave a population outside [0, 1] or a projection above it."""
+    """The ensemble batch gave a population outside [0, 1] or a projection above it."""
+
+
+class Refused(ValueError):
+    """A run that the inputs rule out before any propagation. ``limit`` names the limit it breaks:
+    "splitting", "fit_phase", "doppler", "stiffness" or "values"."""
+
+    def __init__(self, limit: str, message: str):
+        super().__init__(message)
+        self.limit = limit
 
 
 def shift_cancelling_branch_weights(detuning_1: float, detuning_2: float) -> tuple:
@@ -226,28 +240,19 @@ def _four_level_hamiltonian(geo: BeamGeometry, s1, s2, doppler):
     return H
 
 
-def _peak_spectrum(geo: BeamGeometry) -> tuple:
-    """(eigenvalues, eigenvectors) of the 4-level Hamiltonian at the peak of both beams, at rest."""
-    return np.linalg.eigh(_four_level_hamiltonian(geo, np.ones(1), np.ones(1), np.zeros(1))[0])
+def raman_splitting(geo: BeamGeometry) -> tuple:
+    """(splitting, rounding), rad/s: the exact s-r oscillation frequency from the eigenvalues E of
+    the 4-level Hamiltonian at the peak of both beams, at rest, and eps max|E|, the scale of the
+    absolute rounding eigh leaves in each of them, and so in the splitting.
 
-
-def raman_splitting_exact(geo: BeamGeometry) -> float:
-    """Exact s-r oscillation frequency from the 4-level eigenvalues.
-
-    This is what the simulated homogeneous oscillation actually runs at;
-    it deviates from the adiabatic-elimination formula at relative order
-    (Omega / 2 Delta)^2, about a percent for the default parameters.
+    The splitting is what the simulated homogeneous oscillation actually runs at; it deviates
+    from the adiabatic-elimination formula at relative order (Omega / 2 Delta)^2, about a
+    percent for the default parameters.
     """
-    evals, evecs = _peak_spectrum(geo)
+    evals, evecs = np.linalg.eigh(_four_level_hamiltonian(geo, np.ones(1), np.ones(1), np.zeros(1))[0])
     weights = abs(evecs[LEVEL_S, :]) ** 2 * abs(evecs[LEVEL_R, :]) ** 2
     idx = np.argsort(weights)[-2:]
-    return float(abs(evals[idx[0]] - evals[idx[1]]))
-
-
-def eigenvalue_rounding(geo: BeamGeometry) -> float:
-    """eps max|E| over the eigenvalues E of raman_splitting_exact, rad/s: the scale of the
-    absolute rounding eigh leaves in each of them, and so in the splitting."""
-    return float(np.finfo(float).eps * np.abs(_peak_spectrum(geo)[0]).max())
+    return float(abs(evals[idx[0]] - evals[idx[1]])), float(np.finfo(float).eps * np.abs(evals).max())
 
 
 def rule_sizes(ens: EnsembleConfig, flags: SimulationFlags, budget: int, phase: float) -> tuple:
@@ -462,12 +467,9 @@ def _batched_lindblad_trace(H, gamma, t_grid_s):
 
     H: (n, 4, 4); collapse: sqrt(gamma)|s><e1|, sqrt(gamma)|s><e2|.
     Returns (n_t, n) array of rho_rr. The fastest decay rate of this Liouvillian is gamma,
-    so a batch with eps gamma t_max above STIFFNESS_TOL, too stiff to propagate to that
-    accuracy, raises BatchError.
+    so eps gamma t_max is the rounding it loses: simulate_single_excitation refuses a run
+    where that exceeds STIFFNESS_TOL.
     """
-    stiffness = np.finfo(float).eps * gamma * np.abs(t_grid_s).max()
-    if not stiffness <= STIFFNESS_TOL:
-        raise BatchError(f"gamma_e {gamma:.6g} rad/s: too stiff, eps gamma t_max = {stiffness:.3g}")
     return _propagate(_real_liouvillian(H, gamma), [LEVEL_R], t_grid_s)[..., 0].T
 
 
@@ -484,12 +486,6 @@ def _batched_amplitudes(H, gamma, t_grid_s):
     excited = [LEVEL_E1, LEVEL_E2, 4 + LEVEL_E1, 4 + LEVEL_E2]
     G[:, excited, excited] = -0.5 * gamma
     return _propagate(G, [LEVEL_R, 4 + LEVEL_R], t_grid_s).view(complex)[..., 0].T
-
-
-def _mechanisms(flags: SimulationFlags, gamma: float) -> str:
-    """The flags that are on, for a BatchError."""
-    mechanisms = {"motion": flags.motion, "inhomo": flags.inhomo, f"scatter (gamma_e {gamma:.6g} rad/s)": flags.scatter}
-    return ", ".join(name for name, value in mechanisms.items() if value) or "no mechanism"
 
 
 def simulate_single_excitation(
@@ -511,22 +507,41 @@ def simulate_single_excitation(
     projection is |weighted mean of the coherent r amplitude|^2, normalized
     to 1 at t = 0; it can never exceed the population, and a batch that
     breaks this or [0, 1] raises BatchError.
+
+    Every limit the inputs decide is checked first, before any node is built: a run that breaks
+    one of MIN_SPLITTING_ROUNDINGS, MIN_FIT_PHASE, DOPPLER_PHASE_MAX (with motion), STIFFNESS_TOL
+    (with scatter) or MAX_DEPHASING_VALUES raises Refused.
     """
     t_grid_us = np.asarray(t_grid_us, dtype=float)
     t_grid_s = t_grid_us * 1e-6
+    t_max_s = np.abs(t_grid_s).max()
 
+    splitting, rounding = raman_splitting(geo)  # where the envelope fit starts
+    floor, raman_phase = MIN_SPLITTING_ROUNDINGS * rounding, splitting * t_max_s
+    if not splitting > floor:
+        raise Refused("splitting", f"the Raman splitting {splitting:.3g} rad/s is below {floor:.3g} rad/s, "
+                      f"{MIN_SPLITTING_ROUNDINGS:g} times the rounding of the eigenvalues it is the difference of")
+    if not raman_phase >= MIN_FIT_PHASE:
+        raise Refused("fit_phase", f"the dephasing window spans {raman_phase:.3g} rad of the Raman oscillation, too "
+                      "little for the envelope fit to tell its decay from the oscillation (at least one period, "
+                      f"{MIN_FIT_PHASE:.3g} rad)")
     k_sw = protocol_modes(geo).k2  # Rydberg spin-wave wave vector, rad/um
-    gamma = gamma_e if flags.scatter else 0.0
     tau_free = motional_coherence_time_us(np.linalg.norm(k_sw), ens.temperature_uK, ens.atomic_mass_amu)
     phase = np.abs(t_grid_us).max() / tau_free  # doppler_phase of the window, from the k_sw read here
     if flags.motion and not phase <= DOPPLER_PHASE_MAX:
-        raise BatchError(
-            f"{_mechanisms(flags, gamma)} at detunings {geo.detuning_1:.6g}, {geo.detuning_2:.6g} rad/s: "
-            f"Doppler phase sigma_D t_max = {phase:.3g} rad, above the {DOPPLER_PHASE_MAX:.4g} rad up to "
-            f"which the Doppler mean meets its tolerance {DOPPLER_TOL:g}"
-        )
-    w_c, w_e = geo.beams["C"].waist_um, geo.beams["E"].waist_um
+        raise Refused("doppler", f"Doppler phase sigma_D t_max = {phase:.3g} rad, above the {DOPPLER_PHASE_MAX:.4g} "
+                      f"rad up to which the Doppler mean meets its tolerance {DOPPLER_TOL:g}")
+    gamma = gamma_e if flags.scatter else 0.0
+    stiffness = np.finfo(float).eps * gamma * t_max_s
+    if not stiffness <= STIFFNESS_TOL:
+        raise Refused("stiffness", f"gamma_e {gamma:.6g} rad/s is too stiff to propagate: eps gamma t_max = "
+                      f"{stiffness:.3g}, above {STIFFNESS_TOL:g}")
     sizes = rule_sizes(ens, flags, n_samples, phase)
+    if len(t_grid_us) * math.prod(sizes) > MAX_DEPHASING_VALUES:
+        raise Refused("values", f"{len(t_grid_us)} points at the {math.prod(sizes)} nodes of the rule take more "
+                      f"than {MAX_DEPHASING_VALUES} values per array")
+
+    w_c, w_e = geo.beams["C"].waist_um, geo.beams["E"].waist_um
     rho_sq, doppler, weights = atom_nodes(ens, k_sw, min(w_c, w_e), flags, sizes)
     s1 = np.exp(-rho_sq / w_c**2)
     s2 = np.exp(-rho_sq / w_e**2)
@@ -544,15 +559,12 @@ def simulate_single_excitation(
             population = (np.abs(amps) ** 2) @ weights
     bad = ~((np.abs(population - 0.5) <= 0.5 + BOUNDS_TOL) & (projection <= population + BOUNDS_TOL))
     if bad.any():
-        raise BatchError(
-            f"{_mechanisms(flags, gamma)} at detunings {geo.detuning_1:.6g}, {geo.detuning_2:.6g} rad/s: "
-            f"a population outside [0, 1] or a projection above it at {bad.sum()} of {len(bad)} times"
-        )
+        raise BatchError(f"a population outside [0, 1] or a projection above it at {bad.sum()} of {len(bad)} times")
     # within BOUNDS_TOL of [0, 1] is rounding (the Taylor-24 step is not exactly unitary): written as the bound
     population, projection = np.clip(population, 0.0, 1.0), np.clip(projection, 0.0, 1.0)
 
     omega_eff, _ = raman_rabi_local(geo)
-    tau_osc = fit_envelope_time_us(t_grid_us, projection, abs(raman_splitting_exact(geo)))
+    tau_osc = fit_envelope_time_us(t_grid_us, projection, splitting)
     record = {
         "flags": asdict(flags),
         "n_samples": n_samples,

@@ -275,14 +275,14 @@ def fixed_doppler_nodes(phase: float) -> int:
     return FIXED_N_V
 
 
-def doppler_reach(n: int) -> float:
+def doppler_reach(n: int, tol: float) -> float:
     """The Doppler phase, to 1e-9 relative, up to which ``dephasing.doppler_miss(n, x)`` stays within
-    DOPPLER_TOL: from [0, 10] rad, where every rule of at most N_V nodes fails, each grid of 32 cells
+    ``tol``: from [0, 10] rad, where every rule of at most N_V nodes fails, each grid of 32 cells
     narrows to the cell of the previous one in which the miss first exceeds the tolerance."""
     lo, hi = 0.0, 10.0
     while hi - lo > 1e-9 * hi:
         x = np.linspace(lo, hi, 33)[1:]
-        over = dp.doppler_miss(n, x) > dp.DOPPLER_TOL
+        over = dp.doppler_miss(n, x) > tol
         if not over.any():
             return float(hi)  # the miss at hi was within rounding of the tolerance
         first = over.argmax()

@@ -371,45 +371,46 @@ class TestCli:
         # the population, populations that overflow to inf and a singular eigenbasis
         ["1e5 MHz", "1e12 MHz", "1e20 MHz", "1e146 MHz"],
     )
-    def test_ensemble_batch_out_of_bounds_exits_3(self, tmp_path, capsys, default_raw, linewidth):
+    def test_stiff_scatter_exits_2(self, tmp_path, capsys, default_raw, linewidth):
         raw = yaml.safe_load(yaml.safe_dump(default_raw))
         raw["raman"]["intermediate_linewidth"] = linewidth
         out = tmp_path / "o"
         argv = ["--config", write_config(tmp_path, raw), "--out", str(out), "dephasing", "--flags", "scatter"]
-        assert cli.main(argv) == 3
-        assert "raman.intermediate_linewidth" in capsys.readouterr().err
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "raman.intermediate_linewidth" in err and "too stiff" in err
         assert not out.exists()
 
-    def test_motion_batch_out_of_bounds_names_temperature(self, tmp_path, capsys, default_raw):
-        # a Doppler shift far too fast for the window: the failure is the motion's, not the scattering's
+    def test_doppler_refusal_names_temperature_not_linewidth(self, tmp_path, capsys, default_raw):
+        # a Doppler shift far too fast for the window: the refusal is the motion's, not the scattering's
         raw = yaml.safe_load(yaml.safe_dump(default_raw))
         raw["ensemble"]["temperature"] = "1e20 K"
         out = tmp_path / "o"
         argv = ["--config", write_config(tmp_path, raw), "--out", str(out), "dephasing", "--flags", "motion"]
-        assert cli.main(argv) == 3
+        assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert "ensemble.temperature" in err and "raman.intermediate_linewidth" not in err
-        # the message names the mechanisms that were on, and no scattering rate
-        assert "motion at detunings" in err and "gamma_e" not in err
+        # the message names the Doppler phase, and no scattering rate
+        assert "Doppler phase" in err and "gamma_e" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", ["motion", "motion,inhomo", "motion,scatter", "motion,inhomo,scatter"])
-    def test_doppler_phase_beyond_the_hermite_rule_exits_3(self, tmp_path, capsys, default_raw, flags):
-        # sigma_D t_max = 2.1e12 rad: 34 Hermite nodes hold the Doppler mean to 5.015, so every run
-        # with motion fails; the runs with scatter exited 0 with aliased curves before the phase was checked
+    def test_doppler_phase_beyond_the_hermite_rule_exits_2(self, tmp_path, capsys, default_raw, flags):
+        # sigma_D t_max = 2.1e12 rad: 34 Hermite nodes hold the Doppler mean to 5.014, so every run
+        # with motion is refused; the runs with scatter exited 0 with aliased curves before the phase was checked
         raw = yaml.safe_load(yaml.safe_dump(default_raw))
         raw["ensemble"]["temperature"] = "1e20 K"
         out = tmp_path / "o"
         argv = ["--config", write_config(tmp_path, raw), "--out", str(out), "dephasing", "--flags", flags]
-        assert cli.main(argv) == 3
+        assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert "ensemble.temperature, ensemble.atomic_mass" in err and "Doppler phase" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("factor, code", [(1.0 - 1e-6, 0), (1.0 + 1e-6, 3)], ids=["below", "above"])
+    @pytest.mark.parametrize("factor, code", [(1.0 - 1e-6, 0), (1.0 + 1e-6, 2)], ids=["below", "above"])
     def test_doppler_phase_at_the_derived_cap(self, tmp_path, capsys, default_raw, factor, code):
-        # the cap is the reach of the N_V-node rule at DOPPLER_TOL, above the 5 rad the fixed 32-node rule
-        # admitted: a phase just below it runs on N_V nodes within the tolerance, one just above exits 3
+        # the cap is the reach of the N_V-node rule at 0.99 DOPPLER_TOL, above the 5 rad the fixed 32-node rule
+        # admitted: a phase just below it runs on N_V nodes within the tolerance, one just above exits 2
         cap = dephasing.DOPPLER_PHASE_MAX
         assert 5.0 < cap
         raw = yaml.safe_load(yaml.safe_dump(default_raw))
@@ -432,7 +433,7 @@ class TestCli:
         raw = yaml.safe_load(yaml.safe_dump(default_raw))
         raw["geometry"]["detuning_2"] = "-2.5e+3 MHz"
         cfg = load_config(write_config(tmp_path, raw))
-        phase = dephasing.raman_splitting_exact(cfg.geometry) * cfg.parsed["simulation"]["dephasing_t_max"]
+        phase = dephasing.raman_splitting(cfg.geometry)[0] * cfg.parsed["simulation"]["dephasing_t_max"]
         assert dephasing.MIN_FIT_PHASE < phase == pytest.approx(7.5, abs=0.05)
         out = tmp_path / "o"
         argv = ["--config", write_config(tmp_path, raw), "--out", str(out), "dephasing", "--flags", "none"]
@@ -445,14 +446,97 @@ class TestCli:
         [("40 us", "motion", "Doppler phase"), ("1 s", "scatter", "too stiff")],
         ids=["doppler-phase", "stiff-scatter"],
     )
-    def test_batch_failure_of_a_long_window_names_t_max(self, tmp_path, capsys, default_raw, t_max, flags, failure):
+    def test_refusal_of_a_long_window_names_t_max(self, tmp_path, capsys, default_raw, t_max, flags, failure):
         raw = yaml.safe_load(yaml.safe_dump(default_raw))
         raw["simulation"]["dephasing_t_max"] = t_max
         out = tmp_path / "o"
         argv = ["--config", write_config(tmp_path, raw), "--out", str(out), "dephasing", "--flags", flags]
-        assert cli.main(argv) == 3
+        assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert "simulation.dephasing_t_max" in err and failure in err
+        assert not out.exists()
+
+    # the config keys each limit of dephasing.simulate_single_excitation depends on
+    LIMIT_KEYS = {
+        "splitting": ("geometry.beams.C.rabi", "geometry.beams.E.rabi", "geometry.detuning_1", "geometry.detuning_2"),
+        "fit_phase": (
+            "simulation.dephasing_t_max", "geometry.beams.C.rabi", "geometry.beams.E.rabi", "geometry.detuning_1",
+            "geometry.detuning_2",
+        ),
+        "doppler": (
+            "simulation.dephasing_t_max", "ensemble.temperature", "ensemble.atomic_mass",
+            "geometry.beams.A.wavelength", "geometry.beams.A.direction", "geometry.beams.B.wavelength",
+            "geometry.beams.B.direction",
+        ),
+        "stiffness": ("simulation.dephasing_t_max", "raman.intermediate_linewidth"),
+        "values": ("simulation.dephasing_points", "simulation.dephasing_samples", "ensemble.cloud_sigma"),
+    }
+
+    @pytest.mark.parametrize(
+        "limit, changes, flags",
+        [
+            ("splitting", {"geometry.detuning_2": "-1e+12 MHz"}, "motion,inhomo,scatter"),
+            ("fit_phase", {"geometry.detuning_2": "-1e+4 MHz"}, "motion,inhomo,scatter"),
+            # both mechanisms on: the Doppler refusal names no scattering key
+            ("doppler", {"ensemble.temperature": "1e20 K"}, "motion,scatter"),
+            # and the stiffness refusal no motion key
+            ("stiffness", {"raman.intermediate_linewidth": "1e5 MHz"}, "motion,scatter"),
+            # 20 x 16 x 20 nodes on an anisotropic cloud, at one point more than 640 x 2**16 values hold
+            (
+                "values",
+                {
+                    "ensemble.cloud_sigma": ["3.5 um", "5.0 um", "6.5 um"],
+                    "simulation.dephasing_samples": 10**6,
+                    "simulation.dephasing_points": dephasing.MAX_DEPHASING_VALUES // 6400 + 1,
+                },
+                "motion,inhomo",
+            ),
+        ],
+        ids=["splitting", "fit_phase", "doppler", "stiffness", "values"],
+    )
+    def test_each_limit_is_refused_before_propagation_naming_its_own_keys(
+        self, tmp_path, capsys, monkeypatch, default_raw, limit, changes, flags
+    ):
+        def propagate(*args):
+            raise AssertionError("a refused run propagated")
+
+        monkeypatch.setattr(dephasing, "_propagate", propagate)
+        raw = yaml.safe_load(yaml.safe_dump(default_raw))
+        for dotted, value in changes.items():
+            *path, leaf = dotted.split(".")
+            node = raw
+            for key in path:
+                node = node[key]
+            node[leaf] = value
+        out = tmp_path / "o"
+        argv = ["--config", write_config(tmp_path, raw), "--out", str(out), "dephasing", "--flags", flags]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        own = self.LIMIT_KEYS[limit]
+        assert all(key in err for key in own), err
+        others = {key for keys in self.LIMIT_KEYS.values() for key in keys} - set(own)
+        assert not [key for key in others if key in err], err
+        assert not out.exists()
+        assert set(cli.REFUSAL_KEYS) == set(self.LIMIT_KEYS)
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            ("none", "simulation.dephasing_t_max, "),
+            (
+                "motion,scatter",
+                "simulation.dephasing_t_max, raman.intermediate_linewidth, ensemble.temperature, ensemble.atomic_mass, ",
+            ),
+        ],
+    )
+    def test_batch_out_of_bounds_exits_3(self, tmp_path, capsys, monkeypatch, flags, named):
+        # a bound below 0 puts every time of the batch out of bounds: the one failure left to exit 3
+        # after the fit's, naming the window, the detunings and the keys of each mechanism that is on
+        monkeypatch.setattr(dephasing, "BOUNDS_TOL", -1.0)
+        out = tmp_path / "o"
+        assert run_cli(["dephasing", "--flags", flags], out) == 3
+        err = capsys.readouterr().err
+        assert f"numerical failure: {named}geometry.detuning_1, geometry.detuning_2: a population outside" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -516,7 +600,7 @@ class TestCli:
                 (
                     ["3.5 um", "5.0 um", "6.5 um"],
                     10**6,
-                    config.MAX_DEPHASING_VALUES
+                    dephasing.MAX_DEPHASING_VALUES
                     // (dephasing.N_X * dephasing.N_THETA * dephasing.doppler_nodes(packaged_doppler_phase()))
                     + 1,
                 ),

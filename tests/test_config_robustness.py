@@ -145,3 +145,31 @@ def test_far_detuning_writes_populations_within_bounds(tmp_path, capsys, value):
     # the rounding of the eigenvalues, now stop both at exit 2 before any propagation, and
     # test_dephasing's test_far_detuning_stays_in_the_unit_interval checks the clip itself
     _exit_cleanly(tmp_path, capsys, ("geometry", "detuning_2"), [value])
+
+
+# each detuning alone at each decade from 1e3 to 1e13 MHz, keeping the opposite signs the Raman
+# coupling needs, through the five flag sets of the default dataset
+DETUNINGS = [
+    (key, f"{sign * 10.0**k:g} MHz") for key, sign in (("detuning_1", 1), ("detuning_2", -1)) for k in range(3, 14)
+]
+FLAG_SETS = ("none", "motion", "inhomo", "scatter", "motion,inhomo,scatter")
+
+
+@pytest.mark.parametrize("key, value", DETUNINGS, ids=[f"{key}={value}" for key, value in DETUNINGS])
+def test_detuning_table_exits_0_or_2_naming_the_detuning(tmp_path, capsys, key, value):
+    # never 3: a far detuning shrinks the Raman splitting, which the dephasing run refuses before any
+    # propagation once its window spans less than one Raman period or it sinks into eigenvalue rounding
+    raw = copy.deepcopy(PACKAGED)
+    raw["geometry"][key] = value
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    for flags in FLAG_SETS:
+        label = f"geometry.{key} = {value}, dephasing --flags {flags}"
+        outdir = tmp_path / flags
+        code = cli.main(["--config", str(path), "--out", str(outdir), "dephasing", "--flags", flags])
+        err = capsys.readouterr().err
+        assert code in (cli.EXIT_OK, cli.EXIT_CONFIG), f"{label}: {err}"
+        if code == cli.EXIT_CONFIG:
+            assert f"geometry.{key}" in err and not outdir.exists(), f"{label}: {err}"
+        else:
+            _check_outputs(outdir, label)

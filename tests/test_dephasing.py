@@ -85,7 +85,7 @@ class TestRamanCoupling:
     def test_exact_splitting_close_to_perturbative(self, cfg):
         # deviation at relative order (Omega/2 Delta)^2, about 1% here
         omega, _ = dp.raman_rabi_local(cfg.geometry)
-        exact = dp.raman_splitting_exact(cfg.geometry)
+        exact = dp.raman_splitting(cfg.geometry)[0]
         assert abs(exact - omega) / omega < 0.02
         assert abs(exact - omega) / omega > 1e-4  # genuinely different estimators
 
@@ -97,9 +97,9 @@ class TestRamanCoupling:
     def test_splitting_against_the_rounding_of_its_eigenvalues(self, cfg, detuning_2, resolved):
         geo = dataclasses.replace(cfg.geometry, detuning_2=parse_quantity(detuning_2, "frequency"))
         evals = np.linalg.eigvalsh(dp._four_level_hamiltonian(geo, np.ones(1), np.ones(1), np.zeros(1))[0])
-        assert dp.eigenvalue_rounding(geo) == pytest.approx(np.finfo(float).eps * np.abs(evals).max(), rel=1e-12)
-        floor = dp.MIN_SPLITTING_ROUNDINGS * dp.eigenvalue_rounding(geo)
-        assert (dp.raman_splitting_exact(geo) > floor) == resolved
+        splitting, rounding = dp.raman_splitting(geo)
+        assert rounding == pytest.approx(np.finfo(float).eps * np.abs(evals).max(), rel=1e-12)
+        assert (splitting > dp.MIN_SPLITTING_ROUNDINGS * rounding) == resolved
 
 
 ATOMS = st.lists(
@@ -378,16 +378,28 @@ class TestDopplerRule:
     """The Hermite axis in the Doppler shift, sized by the run's phase sigma_D t_max."""
 
     CAP = dp.DOPPLER_PHASE_MAX
+    # the tolerance the reach table is bisected at: 1% below DOPPLER_TOL leaves room for the rounding of
+    # the miss, which moves it by up to 1e-16 (8e-17 seen just past a reach)
+    SIZING_TOL = 0.99 * dp.DOPPLER_TOL
+    MISS_ROUNDING = 5e-16
 
     @pytest.mark.parametrize("phase", np.r_[np.geomspace(1e-8, 1.0, 17), np.linspace(1.0, CAP, 64)])
     def test_fewest_nodes_that_meet_the_tolerance(self, phase):
+        # n nodes meet the sizing tolerance at the phase, and n - 1, whose reach lies below it, do not:
+        # both up to the rounding of the miss, which still leaves n within DOPPLER_TOL
         n = dp.doppler_nodes(phase)
-        assert dp.doppler_miss(n, phase) <= dp.DOPPLER_TOL
-        assert n == 1 or dp.doppler_miss(n - 1, phase) > dp.DOPPLER_TOL
+        assert dp.doppler_miss(n, phase) <= self.SIZING_TOL + self.MISS_ROUNDING < dp.DOPPLER_TOL
+        assert n == 1 or dp.doppler_miss(n - 1, phase) > self.SIZING_TOL - self.MISS_ROUNDING
 
     @pytest.mark.parametrize("n", range(1, dp.N_V + 1))
     def test_reach_table_is_the_bisection(self, n):
-        assert dp.DOPPLER_REACH[n - 1] == pytest.approx(oracles.doppler_reach(n), rel=1e-8)
+        assert dp.DOPPLER_REACH[n - 1] == pytest.approx(oracles.doppler_reach(n, self.SIZING_TOL), rel=1e-8)
+
+    def test_reach_table_leaves_room_for_rounding(self):
+        # each reach rounded to 10 significant digits stays below DOPPLER_TOL by more than the 1e-16
+        # rounding of the miss (9.9e-14 at worst): a table bisected at DOPPLER_TOL itself gave 1.0009e-13
+        misses = [dp.doppler_miss(n, float(f"{reach:.9e}")) for n, reach in enumerate(dp.DOPPLER_REACH, 1)]
+        assert max(misses) <= self.SIZING_TOL + self.MISS_ROUNDING < dp.DOPPLER_TOL
 
     @pytest.mark.parametrize("n", range(1, dp.N_V + 1))
     def test_miss_does_not_fall_as_the_phase_grows(self, n):
@@ -398,7 +410,8 @@ class TestDopplerRule:
         miss = dp.doppler_miss(n, x)
         assert miss.max() <= dp.DOPPLER_TOL
         assert (np.maximum.accumulate(miss) - miss).max() <= 1e-15
-        assert dp.doppler_miss(n, reach * (1.0 + 1e-8)) > 0.99 * dp.DOPPLER_TOL
+        # and the reach is tight: just past it the miss is at the sizing tolerance, up to rounding
+        assert dp.doppler_miss(n, reach * (1.0 + 1e-8)) > self.SIZING_TOL - self.MISS_ROUNDING
 
     def test_a_zero_of_the_miss_past_the_reach_sizes_nothing(self):
         # the 2-node mean, cos x, crosses exp(-x^2 / 2) at this phase, so its miss there is below the
@@ -640,7 +653,7 @@ class TestEnvelopeFit:
         _, projection, record = dp.simulate_single_excitation(
             cfg.geometry, cfg.ensemble, gamma_e, flags, budget or sim["dephasing_samples"], 1, t
         )
-        w, se = oracles.curve_fit_envelope_time_us(t, projection, dp.raman_splitting_exact(cfg.geometry))
+        w, se = oracles.curve_fit_envelope_time_us(t, projection, dp.raman_splitting(cfg.geometry)[0])
         # measured: at most 1.2e-4 of se apart in w, and 9e-4 relative in se (on none, where
         # curve_fit's finite-difference Jacobian is the coarser one)
         assert abs(record["tau_osc_us"] - w) <= 1e-3 * se
@@ -673,7 +686,7 @@ class TestEnvelopeFit:
             cfg.geometry, cfg.ensemble, cfg.parsed["raman"]["intermediate_linewidth"], flags,
             budget or sim["dephasing_samples"], 1, t,
         )
-        return t, projection, dp.raman_splitting_exact(cfg.geometry)
+        return t, projection, dp.raman_splitting(cfg.geometry)[0]
 
     @staticmethod
     def counted_fit(monkeypatch, t, y, omega):
@@ -728,18 +741,34 @@ class TestSimulation:
     def grid(self, t_max=4.0, n=150):
         return np.linspace(0.0, t_max, n)
 
-    @pytest.mark.parametrize("detuning_2", ["-1e+10 MHz", "-1e+11 MHz"])
-    def test_far_detuning_stays_in_the_unit_interval(self, cfg, gamma_e, detuning_2):
-        # the one-step propagator is unitary only to rounding: at these detunings the lossless
-        # population comes out within 1e-9 above 1 and is returned as 1
+    @staticmethod
+    def far_detuned(cfg, gamma_e, detuning_2):
         geo = dataclasses.replace(cfg.geometry, detuning_2=parse_quantity(detuning_2, "frequency"))
         sim = cfg.parsed["simulation"]
         t_grid = np.linspace(0.0, sim["dephasing_t_max"] * 1e6, sim["dephasing_points"])
-        population, projection, _ = dp.simulate_single_excitation(
+        return dp.simulate_single_excitation(
             geo, cfg.ensemble, gamma_e, SimulationFlags(), sim["dephasing_samples"], cfg.seed, t_grid
         )
+
+    @pytest.mark.parametrize("detuning_2", ["-1e+10 MHz", "-1e+11 MHz"])
+    def test_far_detuning_stays_in_the_unit_interval(self, monkeypatch, cfg, gamma_e, detuning_2):
+        # the one-step propagator is unitary only to rounding: at these detunings the lossless
+        # population comes out within 1e-9 above 1 and is returned as 1. Their splittings lie
+        # below the rounding of the eigenvalues and their windows span ~1e-6 rad, so the clip
+        # is reached with both gates off
+        monkeypatch.setattr(dp, "MIN_SPLITTING_ROUNDINGS", 0.0)
+        monkeypatch.setattr(dp, "MIN_FIT_PHASE", 0.0)
+        population, projection, _ = self.far_detuned(cfg, gamma_e, detuning_2)
         for values in (population, projection):
             assert np.all((values >= 0.0) & (values <= 1.0))
+
+    @pytest.mark.parametrize("detuning_2", ["-1e+10 MHz", "-1e+11 MHz"])
+    def test_far_detuning_is_refused_at_the_splitting(self, monkeypatch, cfg, gamma_e, detuning_2):
+        # 0.034 and 3.4e-4 of the rounding of the eigenvalues: refused before any propagation
+        monkeypatch.setattr(dp, "_propagate", None)
+        with pytest.raises(dp.Refused, match="the Raman splitting .* is below") as refused:
+            self.far_detuned(cfg, gamma_e, detuning_2)
+        assert refused.value.limit == "splitting"
 
     def test_all_off_is_undamped(self, cfg, gamma_e):
         population, projection, record = dp.simulate_single_excitation(
@@ -756,8 +785,8 @@ class TestSimulation:
         population, _, _ = dp.simulate_single_excitation(
             cfg.geometry, cfg.ensemble, gamma_e, SimulationFlags(), dp.MIN_SAMPLES, 1, t
         )
-        w_fit = oracles.fit_oscillation_frequency(t * 1e-6, population, dp.raman_splitting_exact(cfg.geometry))
-        assert abs(w_fit - dp.raman_splitting_exact(cfg.geometry)) / w_fit < 1e-3
+        w_fit = oracles.fit_oscillation_frequency(t * 1e-6, population, dp.raman_splitting(cfg.geometry)[0])
+        assert abs(w_fit - dp.raman_splitting(cfg.geometry)[0]) / w_fit < 1e-3
 
     def test_motion_only_tau_ratio(self, cfg, gamma_e):
         _, _, record = dp.simulate_single_excitation(
