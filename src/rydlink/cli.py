@@ -4,8 +4,9 @@ Column orders are frozen and documented in FORMATS.md. All floats are
 written with a fixed %.12g format so identical (config, seed) pairs give
 byte-identical files. A run writes its artifacts only once its command has
 succeeded, and ends by replacing manifest.json, which holds their sha256
-checksums. The argument parser is built once per process, and ``main``
-looks its ``cmd_*`` function up by name on every call.
+checksums. The argument parser is built once per process, ``main`` looks
+its ``cmd_*`` function up by name on every call, and calls with the same
+config bytes share one checked, read-only ``RunConfig`` (``load_config``).
 """
 
 from __future__ import annotations
@@ -156,14 +157,17 @@ def cmd_dephasing(cfg: RunConfig, args, writer: RunWriter):
             cfg.geometry, cfg.ensemble, gamma_e, flags, sim["dephasing_samples"], cfg.seed, t_grid
         )
     except dephasing.Refused as exc:
-        raise ConfigError(f"{REFUSAL_KEYS[exc.limit]}: {exc}") from None
+        keys = REFUSAL_KEYS[exc.limit]
+        if exc.limit == "values" and flags.motion:  # the Doppler axis takes the nodes of its phase
+            keys += ", " + REFUSAL_KEYS["doppler"]
+        raise ConfigError(f"{keys}: {exc}") from None
     except dephasing.FitError as exc:
         raise dephasing.FitError(f"simulation.dephasing_t_max, simulation.dephasing_points: {exc}") from None
     except dephasing.BatchError as exc:
-        # the window and the detunings enter every batch; the rest only with their mechanism
+        # the window and the Raman coupling enter every batch; the rest only with their mechanism
         keys = {"scatter": "raman.intermediate_linewidth, ", "motion": "ensemble.temperature, ensemble.atomic_mass, "}
         named = "simulation.dephasing_t_max, " + "".join(text for name, text in keys.items() if getattr(flags, name))
-        raise dephasing.BatchError(f"{named}geometry.detuning_1, geometry.detuning_2: {exc}") from None
+        raise dephasing.BatchError(f"{named}{_SPLITTING_KEYS}: {exc}") from None
     # the parsed names, so that equivalent --flags texts name the same files
     tag = "-".join(name for name, on in record["flags"].items() if on) or "none"
     writer.csv(f"dephasing_{tag}.csv", ("t_us", "population_r", "projection"), zip(t_grid, population, projection))

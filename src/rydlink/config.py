@@ -7,8 +7,12 @@ rejected with the offending dotted path, so typos fail loudly instead of
 silently falling back to defaults. Each leaf of ``_SCHEMA`` also holds its
 key's range, so an out-of-range value fails at load naming its key.
 
-``load_config`` reads the file on every call but parses its YAML only when
-the content differs from the last one parsed; every check runs on every call.
+``load_config`` reads the file on every call, but parses, checks, builds and
+hashes it only when the content differs from the last one loaded: every call
+with the same bytes shares one ``RunConfig``, so its mappings are read-only. A
+load that fails is not kept, so a bad config is checked, and refused, on every
+call. A test that monkeypatches a limit ``load_config`` reads must call
+``_run_config.cache_clear()``.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import io
 import json
 import math
 import sys
+import types
 from dataclasses import dataclass
 
 import yaml
@@ -127,7 +132,7 @@ _SQUARABLE = (lambda v: v > 0.0 and 0.0 < v * v < math.inf, "be positive, with a
 # "dimensionless" (a plain number), int, or (element kind, length) for
 # a list, whose elements are checked one by one as key[i]. A check is a
 # (test, requirement) pair or None. The records built from the parsed tree
-# do not check again; the rules across keys are in load_config.
+# do not check again; the rules across keys are in _run_config.
 _BEAM_SCHEMA = {
     "wavelength": ("length", _SQUARABLE),
     "direction": (("dimensionless", 3), None),  # Beam requires a unit vector
@@ -210,18 +215,18 @@ def _validate(node, schema, path: str):
     missing = sorted(set(schema) - set(node))
     if missing:
         raise ConfigError(f"{path}.{missing[0]}: missing key")
-    return {
+    return types.MappingProxyType({
         key: _validate(node[key], spec, f"{path}.{key}")
         if isinstance(spec, dict)
         else _parse_leaf(node[key], *spec, f"{path}.{key}")
         for key, spec in schema.items()
-    }
+    })
 
 
 @dataclass(frozen=True)
 class RunConfig:
     config_hash: str  # sha256 of the YAML tree, for provenance
-    parsed: dict  # same tree with quantities in canonical units
+    parsed: types.MappingProxyType  # same tree with quantities in canonical units, read-only at every level
     geometry: BeamGeometry
     ensemble: EnsembleConfig
 
@@ -241,7 +246,7 @@ class RunConfig:
         return geo.beams["A"].rabi * geo.beams["B"].rabi / (2.0 * abs(geo.detuning_1))
 
 
-def _build_geometry(parsed: dict) -> BeamGeometry:
+def _build_geometry(parsed: types.MappingProxyType) -> BeamGeometry:
     g = parsed["geometry"]
     beams = {}
     for bid, spec in g["beams"].items():
@@ -265,7 +270,7 @@ def _build_geometry(parsed: dict) -> BeamGeometry:
     return geo
 
 
-def _build_ensemble(parsed: dict) -> EnsembleConfig:
+def _build_ensemble(parsed: types.MappingProxyType) -> EnsembleConfig:
     e = parsed["ensemble"]
     ens = EnsembleConfig(
         effective_atom_number=float(e["effective_atom_number"]),
@@ -282,33 +287,14 @@ def _build_ensemble(parsed: dict) -> EnsembleConfig:
 
 
 @functools.lru_cache(maxsize=1)  # the CLI, the dataset script and a benchmark pass each load one content
-def _yaml_tree(data: bytes, name: str, loader):
-    """The YAML tree of a file's bytes, shared by every call with the same arguments, so no
-    caller may change it; a parse that raises is not kept."""
+def _run_config(data: bytes, name: str, loader) -> RunConfig:
+    """The checked RunConfig of a file's bytes, shared by every call with the same arguments, so
+    it is read-only; a load that raises is not kept."""
     # a named stream: the parser decodes the bytes itself, so its marks name the file and a
     # file that is not UTF-8 is a YAML error
     stream = io.BytesIO(data)
     stream.name = name
-    return yaml.load(stream, Loader=loader)
-
-
-def load_config(path=None) -> RunConfig:
-    """Load and validate a YAML run configuration (default: packaged)."""
-    source = DEFAULT_CONFIG_RESOURCE if path is None else path
-    # libyaml when PyYAML was built with it: the same tree, about 6x faster
-    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-    try:
-        if path is None:
-            data, name = (importlib.resources.files("rydlink.data") / DEFAULT_CONFIG_RESOURCE).read_bytes(), source
-        else:
-            with open(path, "rb") as fh:
-                data, name = fh.read(), fh.name
-    except OSError as exc:
-        raise ConfigError(f"{source}: {exc.strerror}") from None
-    try:
-        raw = _yaml_tree(data, name, loader)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{source}: bad YAML: {exc}") from None
+    raw = yaml.load(stream, Loader=loader)
     if not isinstance(raw, dict):
         raise ConfigError("top level must be a mapping")
     parsed = _validate(raw, _SCHEMA, "config")
@@ -344,3 +330,22 @@ def load_config(path=None) -> RunConfig:
         if not (0.0 < omega < math.inf and math.isfinite(3.0 * (TWO_PI / omega) * 1e9)):
             raise ConfigError(f"{keys}: Rabi frequency {omega:.6g} rad/s and its three periods in ns must be finite")
     return cfg
+
+
+def load_config(path=None) -> RunConfig:
+    """Load and validate a YAML run configuration (default: packaged)."""
+    source = DEFAULT_CONFIG_RESOURCE if path is None else path
+    # libyaml when PyYAML was built with it: the same tree, about 6x faster
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    try:
+        if path is None:
+            data, name = (importlib.resources.files("rydlink.data") / DEFAULT_CONFIG_RESOURCE).read_bytes(), source
+        else:
+            with open(path, "rb") as fh:
+                data, name = fh.read(), fh.name
+    except OSError as exc:
+        raise ConfigError(f"{source}: {exc.strerror}") from None
+    try:
+        return _run_config(data, name, loader)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{source}: bad YAML: {exc}") from None

@@ -1,8 +1,9 @@
 """Beam wave vectors and the spin-wave momentum modes of the protocol.
 
-Wave vectors are read-only ``(3,)`` float arrays in rad/um; wavelengths
-are in nm, waists in um, and z is the optical axis. The protocol modes
-are plain sums and differences of beam wave vectors.
+Wave vectors are read-only ``(3,)`` float arrays in rad/um, and the beams of
+a geometry a read-only mapping; wavelengths are in nm, waists in um, and z is
+the optical axis. The protocol modes are plain sums and differences of beam
+wave vectors.
 ``modes_distinguishable`` is the scheme's validity condition on the beam
 geometry; the configuration loader applies it once.
 """
@@ -10,6 +11,7 @@ geometry; the configuration loader applies it once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -43,9 +45,12 @@ class Beam:
 class BeamGeometry:
     """All beams plus the shared detunings; the crossing angles follow from the directions."""
 
-    beams: dict  # BEAM_IDS -> Beam
+    beams: MappingProxyType  # BEAM_IDS -> Beam, read-only
     detuning_1: float  # rad/s, signed, path via |e1>
     detuning_2: float  # rad/s, signed, path via |e2>
+
+    def __post_init__(self):
+        object.__setattr__(self, "beams", MappingProxyType(dict(self.beams)))
 
 
 def beam_wavevector(beam_id: str, geo: BeamGeometry) -> np.ndarray:

@@ -6,6 +6,7 @@ import re
 import runpy
 import subprocess
 import sys
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -176,34 +177,34 @@ def parses(monkeypatch):
     return done
 
 
-def _containers(node):
-    """ids of the dicts and lists in a tree (tuples are walked but immutable)."""
+def _mutable(node):
+    """The dicts and lists in a tree, walked through its read-only mappings and tuples."""
     if isinstance(node, (dict, list)):
-        yield id(node)
-    if isinstance(node, (dict, list, tuple)):
-        for child in node.values() if isinstance(node, dict) else node:
-            yield from _containers(child)
+        yield node
+    if isinstance(node, (Mapping, list, tuple)):
+        for child in node.values() if isinstance(node, Mapping) else node:
+            yield from _mutable(child)
 
 
 class TestConfigCache:
-    def test_one_parse_per_content_and_every_check_per_call(self, tmp_path, default_raw, parses, monkeypatch):
+    def test_one_check_per_content(self, tmp_path, default_raw, parses, monkeypatch):
         checks = []
         # the schema walk, and the rule across keys on the spin-wave wave vector
         for name in ("_validate", "protocol_modes"):
             original = getattr(config, name)
             monkeypatch.setattr(config, name, lambda *a, _f=original, _n=name: checks.append(_n) or _f(*a))
         path = write_config(tmp_path, default_raw)
-        load_config(path)
+        first = load_config(path)
+        assert "protocol_modes" in checks and "_validate" in checks
         per_load = sorted(checks)
-        assert "protocol_modes" in per_load and "_validate" in per_load
-        load_config(path)
-        assert len(parses) == 1
-        assert sorted(checks) == sorted(per_load * 2)
+        # the same bytes again: no parse, no check, and the one RunConfig
+        assert load_config(path) is first
+        assert len(parses) == 1 and sorted(checks) == per_load
         raw = copy.deepcopy(default_raw)
         raw["simulation"]["seed"] += 1
         write_config(tmp_path, raw)
         assert load_config(path).seed == default_raw["simulation"]["seed"] + 1
-        assert len(parses) == 2
+        assert len(parses) == 2 and sorted(checks) == sorted(per_load * 2)
 
     def test_rewritten_config_is_read_again(self, tmp_path, default_raw):
         # the same path, rewritten between two runs of one process, must give the new content's run
@@ -225,38 +226,61 @@ class TestConfigCache:
         assert second["seed"] == first["seed"] + 1
 
     @pytest.mark.parametrize("from_file", [False, True], ids=["packaged", "file"])
-    def test_loads_share_no_container(self, tmp_path, default_raw, from_file):
+    def test_shared_config_is_read_only(self, tmp_path, default_raw, from_file):
         path = write_config(tmp_path, default_raw) if from_file else None
         first = load_config(path)
-        parsed = copy.deepcopy(first.parsed)
-        first.parsed["simulation"]["seed"] = 123
-        first.parsed["geometry"]["beams"].clear()
+        assert not list(_mutable(first.parsed))
+        # the tree, one of its sections, a beam's section and the beams of the geometry
+        for mapping, key in (
+            (first.parsed, "simulation"),
+            (first.parsed["simulation"], "seed"),
+            (first.parsed["geometry"]["beams"]["A"], "rabi"),
+            (first.geometry.beams, "A"),
+        ):
+            with pytest.raises(TypeError):
+                mapping[key] = None
+            with pytest.raises(TypeError):
+                del mapping[key]
+        with pytest.raises(ValueError, match="read-only"):
+            first.geometry.beams["A"].direction[0] = 1.0
         again = load_config(path)
-        assert again.parsed == parsed and again.config_hash == first.config_hash
-        assert again.config_hash == load_config(write_config(tmp_path, default_raw, "copy.yaml")).config_hash
-        third = load_config(path)
-        assert set(_containers(again.parsed)).isdisjoint(_containers(third.parsed))
+        assert again is first
+        # a load that no cache serves gives the same config
+        config._run_config.cache_clear()
+        fresh = load_config(path)
+        assert fresh is not first
+        assert fresh.parsed == first.parsed and fresh.config_hash == first.config_hash
+        assert fresh.config_hash == load_config(write_config(tmp_path, default_raw, "copy.yaml")).config_hash
 
-    def test_config_that_fails_a_check_is_parsed_again(self, tmp_path, default_raw, parses):
+    def test_config_that_fails_a_check_is_refused_on_every_call(self, tmp_path, capsys, default_raw, parses):
+        load_config(write_config(tmp_path, default_raw, "good.yaml"))  # a good config in the slot serves no other
         raw = copy.deepcopy(default_raw)
         raw["simulation"]["seed"] = -1
         path = write_config(tmp_path, raw)
-        for _ in range(2):  # the tree may be kept, but the checks run again
+        for _ in range(2):  # nothing of a load that fails is kept: it is parsed and checked again
             with pytest.raises(ConfigError, match=r"config\.simulation\.seed: must be >= 0"):
                 load_config(path)
         bad = tmp_path / "bad.yaml"
         bad.write_text("a: [1, 2\n")
-        for _ in range(2):  # a parse that raises is not kept
+        for _ in range(2):
             with pytest.raises(ConfigError, match="bad YAML"):
                 load_config(str(bad))
-        assert len(parses) == 3
+        assert len(parses) == 5
+        # a rule across keys, through the command line: exit 2 naming its keys on every call
+        raw = copy.deepcopy(default_raw)
+        raw["geometry"]["beams"]["C"]["waist"] = "1e-6 um"
+        path = write_config(tmp_path, raw, "narrow.yaml")
+        for _ in range(2):
+            assert cli.main(["--config", path, "--out", str(tmp_path / "o"), "rabi", "--single"]) == 2
+            assert "geometry.beams.C.waist, geometry.beams.E.waist" in capsys.readouterr().err
+        assert len(parses) == 7 and not (tmp_path / "o").exists()
 
     def test_cache_is_bounded(self, tmp_path, default_raw):
         raw = copy.deepcopy(default_raw)
         for seed in range(4):
             raw["simulation"]["seed"] = seed
             assert load_config(write_config(tmp_path, raw, f"seed{seed}.yaml")).seed == seed
-        assert config._yaml_tree.cache_info().currsize == 1
+        assert config._run_config.cache_info().currsize == 1
 
 
 def run_cli(args, outdir):
@@ -481,7 +505,8 @@ class TestCli:
             ("doppler", {"ensemble.temperature": "1e20 K"}, "motion,scatter"),
             # and the stiffness refusal no motion key
             ("stiffness", {"raman.intermediate_linewidth": "1e5 MHz"}, "motion,scatter"),
-            # 20 x 16 x 20 nodes on an anisotropic cloud, at one point more than 640 x 2**16 values hold
+            # 20 x 16 x 20 nodes on an anisotropic cloud, at one point more than 640 x 2**16 values hold;
+            # the Doppler axis takes the nodes of its phase, so the refusal also names the Doppler keys
             (
                 "values",
                 {
@@ -491,8 +516,18 @@ class TestCli:
                 },
                 "motion,inhomo",
             ),
+            # 20 x 33 nodes at 520 uK on the packaged cloud: 640 nodes hold 2**16 points, but the phase needs 33
+            (
+                "values",
+                {
+                    "ensemble.temperature": "520 uK",
+                    "simulation.dephasing_samples": 10**6,
+                    "simulation.dephasing_points": dephasing.MAX_DEPHASING_POINTS,
+                },
+                "motion,inhomo",
+            ),
         ],
-        ids=["splitting", "fit_phase", "doppler", "stiffness", "values"],
+        ids=["splitting", "fit_phase", "doppler", "stiffness", "values", "values-doppler-nodes"],
     )
     def test_each_limit_is_refused_before_propagation_naming_its_own_keys(
         self, tmp_path, capsys, monkeypatch, default_raw, limit, changes, flags
@@ -512,7 +547,7 @@ class TestCli:
         argv = ["--config", write_config(tmp_path, raw), "--out", str(out), "dephasing", "--flags", flags]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
-        own = self.LIMIT_KEYS[limit]
+        own = self.LIMIT_KEYS[limit] + (self.LIMIT_KEYS["doppler"] if limit == "values" and "motion" in flags else ())
         assert all(key in err for key in own), err
         others = {key for keys in self.LIMIT_KEYS.values() for key in keys} - set(own)
         assert not [key for key in others if key in err], err
@@ -536,7 +571,34 @@ class TestCli:
         out = tmp_path / "o"
         assert run_cli(["dephasing", "--flags", flags], out) == 3
         err = capsys.readouterr().err
-        assert f"numerical failure: {named}geometry.detuning_1, geometry.detuning_2: a population outside" in err
+        raman = "geometry.beams.C.rabi, geometry.beams.E.rabi, geometry.detuning_1, geometry.detuning_2"
+        assert f"numerical failure: {named}{raman}: a population outside" in err
+        assert not out.exists()
+
+    def test_batch_failure_of_a_fast_raman_beam_names_its_rabi_keys(self, tmp_path, capsys, default_raw):
+        # a Raman Rabi frequency of 1e12 MHz passes every limit, and its batch leaves [0, 1]
+        raw = yaml.safe_load(yaml.safe_dump(default_raw))
+        raw["geometry"]["beams"]["C"]["rabi"] = "1e+12 MHz"
+        out = tmp_path / "o"
+        argv = ["--config", write_config(tmp_path, raw), "--out", str(out), "dephasing", "--flags", "none"]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert "geometry.beams.C.rabi, geometry.beams.E.rabi" in err and "a population outside" in err
+        assert not out.exists()
+
+    def test_values_refusal_without_motion_names_no_doppler_key(self, tmp_path, capsys, monkeypatch, default_raw):
+        # no run without motion reaches 640 x 2**16 values (its rule has at most 20 x 16 nodes), so the
+        # cap is lowered to refuse one: the Doppler axis has one node, and the refusal names none of its keys
+        monkeypatch.setattr(dephasing, "MAX_DEPHASING_VALUES", 20 * 16 * 40 - 1)
+        raw = yaml.safe_load(yaml.safe_dump(default_raw))
+        raw["ensemble"]["cloud_sigma"] = ["3.5 um", "5.0 um", "6.5 um"]
+        raw["simulation"]["dephasing_points"] = 40
+        out = tmp_path / "o"
+        argv = ["--config", write_config(tmp_path, raw), "--out", str(out), "dephasing", "--flags", "inhomo"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert all(key in err for key in self.LIMIT_KEYS["values"]), err
+        assert not [key for key in self.LIMIT_KEYS["doppler"] if key in err], err
         assert not out.exists()
 
     @pytest.mark.parametrize(
