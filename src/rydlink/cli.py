@@ -161,8 +161,8 @@ def cmd_dephasing(cfg: RunConfig, args, writer: RunWriter):
         if exc.limit == "values" and flags.motion:  # the Doppler axis takes the nodes of its phase
             keys += ", " + REFUSAL_KEYS["doppler"]
         raise ConfigError(f"{keys}: {exc}") from None
-    except dephasing.FitError as exc:
-        raise dephasing.FitError(f"simulation.dephasing_t_max, simulation.dephasing_points: {exc}") from None
+    except dephasing.FitError as exc:  # the fit's model is one Raman cosine under an envelope, over the window
+        raise dephasing.FitError(f"{REFUSAL_KEYS['fit_phase']}, simulation.dephasing_points: {exc}") from None
     except dephasing.BatchError as exc:
         # the window and the Raman coupling enter every batch; the rest only with their mechanism
         keys = {"scatter": "raman.intermediate_linewidth, ", "motion": "ensemble.temperature, ensemble.atomic_mass, "}

@@ -140,9 +140,15 @@ _BEAM_SCHEMA = {
     "rabi": ("frequency", _SQUARABLE),
 }
 
+# the keys of each beam that some command reads: A's waist sets the mode gate, C's and E's the
+# Raman profile, A's and B's Rabi frequencies the excitation pair and C's and E's the Raman coupling
+_BEAM_KEYS = dict.fromkeys(BEAM_IDS, tuple(_BEAM_SCHEMA)) | {
+    "B": ("wavelength", "direction", "rabi"), "D": ("wavelength", "direction")
+}
+
 _SCHEMA = {
     "geometry": {
-        "beams": {b: _BEAM_SCHEMA for b in BEAM_IDS},
+        "beams": {b: {key: _BEAM_SCHEMA[key] for key in keys} for b, keys in _BEAM_KEYS.items()},
         "detuning_1": ("frequency", None),
         "detuning_2": ("frequency", None),
     },
@@ -254,8 +260,8 @@ def _build_geometry(parsed: types.MappingProxyType) -> BeamGeometry:
             beams[bid] = Beam(
                 wavelength_nm=spec["wavelength"] * 1e3,  # canonical um -> nm
                 direction=spec["direction"],
-                waist_um=spec["waist"],
-                rabi=spec["rabi"],
+                waist_um=spec.get("waist"),
+                rabi=spec.get("rabi"),
             )
         except ValueError as exc:
             raise ConfigError(f"geometry.beams.{bid}.direction: {exc}") from None

@@ -206,21 +206,14 @@ def motional_coherence_time_us(delta_k_rad_per_um: float, temperature_uK: float,
     return float(1.0 / (dk * sigma_v))
 
 
-def raman_rabi_local(geo: BeamGeometry) -> tuple:
-    """Effective two-photon Rabi frequency and residual differential shift.
+def raman_rabi_local(geo: BeamGeometry) -> float:
+    """Effective two-photon Rabi frequency, rad/s, by adiabatic elimination.
 
     Evaluated at the peak of both beams; the Gaussian profile across the
-    cloud enters the simulation through ``_four_level_hamiltonian``. The
-    differential shift vanishes by construction for the shift-cancelling
-    weights.
+    cloud enters the simulation through ``_four_level_hamiltonian``.
     """
-    o1, o2 = geo.beams["C"].rabi, geo.beams["E"].rabi
     b1, b2 = shift_cancelling_branch_weights(geo.detuning_1, geo.detuning_2)
-    path_sum = b1 / geo.detuning_1 + b2 / geo.detuning_2
-    omega_eff = (o1 * o2 / 2.0) * path_sum
-    shift_weight = abs(b1) / geo.detuning_1 + abs(b2) / geo.detuning_2
-    light_shift = (o1**2 / 4.0 - o2**2 / 4.0) * shift_weight
-    return float(omega_eff), float(light_shift)
+    return float(geo.beams["C"].rabi * geo.beams["E"].rabi / 2.0 * (b1 / geo.detuning_1 + b2 / geo.detuning_2))
 
 
 def _four_level_hamiltonian(geo: BeamGeometry, s1, s2, doppler):
@@ -380,7 +373,7 @@ BLOCK = 128
 
 
 def _expm(A):
-    """exp(A) of a stack of real or complex square matrices (..., m, m), by Taylor-24 scaling and
+    """exp(A) of a stack of real square matrices (..., m, m), by Taylor-24 scaling and
     squaring: each matrix is scaled by 2^-s to a 1-norm of at most THETA_24, and its polynomial,
     sum_j B_j A^6j with B_j the row TAYLOR_24[j] times the stacked powers A^0 ... A^5, taken by
     Horner in A^6 (Paterson and Stockmeyer, SIAM J. Comput. 2, 60 (1973)) and squared s times."""
@@ -563,7 +556,7 @@ def simulate_single_excitation(
     # within BOUNDS_TOL of [0, 1] is rounding (the Taylor-24 step is not exactly unitary): written as the bound
     population, projection = np.clip(population, 0.0, 1.0), np.clip(projection, 0.0, 1.0)
 
-    omega_eff, _ = raman_rabi_local(geo)
+    omega_eff = raman_rabi_local(geo)
     tau_osc = fit_envelope_time_us(t_grid_us, projection, splitting)
     record = {
         "flags": asdict(flags),

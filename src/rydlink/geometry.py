@@ -15,7 +15,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-BEAM_IDS = ("A", "B", "C", "D", "E", "read")
+BEAM_IDS = ("A", "B", "C", "D", "E")
 
 OVERLAP_THRESHOLD = 0.01
 
@@ -29,8 +29,8 @@ def _frozen(v: np.ndarray) -> np.ndarray:
 class Beam:
     wavelength_nm: float
     direction: np.ndarray  # unit vector
-    waist_um: float
-    rabi: float  # peak single-photon Rabi frequency, rad/s
+    waist_um: float | None = None  # None on a beam whose waist no formula reads (config._BEAM_KEYS)
+    rabi: float | None = None  # peak single-photon Rabi frequency, rad/s; None as for the waist
 
     def __post_init__(self):
         d = np.asarray(self.direction, dtype=float)

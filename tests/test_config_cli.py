@@ -143,15 +143,18 @@ class TestSchema:
             "waist": ("0 um", "1e300 um", "1e-300 um"),
             "rabi": ("-3 MHz", "1e300 MHz", "1e-300 MHz"),
         }
-        for beam in default_raw["geometry"]["beams"]:
-            for name, values in bad.items():
-                for value in values:
+        for beam, spec in default_raw["geometry"]["beams"].items():
+            for name in bad.keys() & spec.keys():
+                for value in bad[name]:
                     raw = yaml.safe_load(yaml.safe_dump(default_raw))
                     raw["geometry"]["beams"][beam][name] = value
                     key = f"geometry.beams.{beam}.{name}"
                     with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
                         load_config(write_config(tmp_path, raw))
 
+
+# the keys of the Raman coupling, which every numerical failure of dephasing names
+RAMAN_KEYS = "geometry.beams.C.rabi, geometry.beams.E.rabi, geometry.detuning_1, geometry.detuning_2"
 
 K2_ZERO_KEYS = (
     "geometry.beams.A.wavelength",
@@ -571,19 +574,39 @@ class TestCli:
         out = tmp_path / "o"
         assert run_cli(["dephasing", "--flags", flags], out) == 3
         err = capsys.readouterr().err
-        raman = "geometry.beams.C.rabi, geometry.beams.E.rabi, geometry.detuning_1, geometry.detuning_2"
-        assert f"numerical failure: {named}{raman}: a population outside" in err
+        assert f"numerical failure: {named}{RAMAN_KEYS}: a population outside" in err
         assert not out.exists()
 
-    def test_batch_failure_of_a_fast_raman_beam_names_its_rabi_keys(self, tmp_path, capsys, default_raw):
-        # a Raman Rabi frequency of 1e12 MHz passes every limit, and its batch leaves [0, 1]
+    @pytest.mark.parametrize(
+        "key, value, flags, named",
+        [
+            # a Raman Rabi frequency of 1e12 MHz passes every limit, and its batch leaves [0, 1]
+            (
+                "geometry.beams.C.rabi", "1e+12 MHz", "none",
+                f"simulation.dephasing_t_max, {RAMAN_KEYS}: a population outside",
+            ),
+            # a detuning_2 this close to 0 passes every limit too, and the envelope fit of the run with
+            # all three mechanisms, one Raman cosine under an envelope over the window, does not converge
+            *[
+                (
+                    "geometry.detuning_2", value, "motion,inhomo,scatter",
+                    f"simulation.dephasing_t_max, {RAMAN_KEYS}, simulation.dephasing_points: envelope fit",
+                )
+                for value in ("-1e-300 MHz", "-1e-12 MHz")
+            ],
+        ],
+        ids=["fast-raman-beam", "detuning-2-1e-300", "detuning-2-1e-12"],
+    )
+    def test_config_value_exits_3_naming_key(self, tmp_path, capsys, default_raw, key, value, flags, named):
         raw = yaml.safe_load(yaml.safe_dump(default_raw))
-        raw["geometry"]["beams"]["C"]["rabi"] = "1e+12 MHz"
+        *parents, leaf = key.split(".")
+        node = raw
+        for part in parents:
+            node = node[part]
+        node[leaf] = value
         out = tmp_path / "o"
-        argv = ["--config", write_config(tmp_path, raw), "--out", str(out), "dephasing", "--flags", "none"]
-        assert cli.main(argv) == 3
-        err = capsys.readouterr().err
-        assert "geometry.beams.C.rabi, geometry.beams.E.rabi" in err and "a population outside" in err
+        assert cli.main(["--config", write_config(tmp_path, raw), "--out", str(out), "dephasing", "--flags", flags]) == 3
+        assert f"numerical failure: {named}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_values_refusal_without_motion_names_no_doppler_key(self, tmp_path, capsys, monkeypatch, default_raw):
@@ -688,6 +711,15 @@ class TestCli:
             ("ensemble.free_rydberg_lifetime", "1.6 us", ["dephasing"]),
             ("geometry.theta_1", "5 deg", ["rabi", "--pair"]),
             ("output", {"directory": "out"}, ["g2", "--field", "single"]),
+            # beam values no command read: the read-out beam, B's waist and D's waist and Rabi frequency
+            (
+                "geometry.beams.read",
+                {"wavelength": "474 nm", "direction": [0.0, 0.0, -1.0], "waist": "7 um", "rabi": "23 MHz"},
+                ["rabi", "--pair"],
+            ),
+            ("geometry.beams.B.waist", "7 um", ["rabi", "--collective"]),
+            ("geometry.beams.D.waist", "520 um", ["dephasing"]),
+            ("geometry.beams.D.rabi", "23 MHz", ["dephasing"]),
             # the square of the scattering rate overflows
             ("raman.intermediate_linewidth", "1e300 MHz", ["dephasing", "--flags", "scatter"]),
             # checked at load, so a command that averages no ensemble refuses it too
@@ -731,7 +763,8 @@ class TestCli:
             "overflowing-detuning", "negative-rabi", "overflowing-waist",
             "unnormalized-direction", "zero-direction", "subnormal-period",
             "underflowing-thermal-velocity", "overflowing-thermal-velocity", "removed-free-rydberg-lifetime",
-            "removed-theta-1", "removed-output-directory", "overflowing-linewidth", "too-few-dephasing-samples",
+            "removed-theta-1", "removed-output-directory", "removed-read-beam", "removed-B-waist", "removed-D-waist",
+            "removed-D-rabi", "overflowing-linewidth", "too-few-dephasing-samples",
             "underflowing-calibration-fidelity", "underflowing-calibration-g2",
             "period-beyond-ns-single", "period-beyond-ns-pair", "overflowing-excitation-rabi",
             "underflowing-excitation-rabi", "zero-spin-wave-vector-none", "zero-spin-wave-vector-motion",

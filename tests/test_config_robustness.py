@@ -1,17 +1,25 @@
-"""Every key of the config schema at extreme values, through seven commands.
+"""Every key of the config schema at extreme values, through seven commands, and at a small
+step, through the default dataset.
 
-The table is derived from ``config._SCHEMA``, so a new key is covered without a new
+The tables are derived from ``config._SCHEMA``, so a new key is covered without a new
 row. Each leaf whose kind is a dimension or a plain number (every element of a list)
 is set to +-1e-300, +-1e-12, +-1e12 and +-1e300 of the unit its packaged value is
 written in, and each integer leaf to INTEGERS; each of COMMANDS runs on the result in
 process. The pytest configuration turns a numpy RuntimeWarning into an error, so a
 warning fails a case as a traceback would.
+
+A key that no command reads is a knob that silently does nothing: each leaf, and each
+element of a list of quantities on its own, is moved by a small step, and the commands
+of the default dataset must then change an artifact or an exit code, unless GATE_ONLY or
+UNREAD lists the leaf with its reason.
 """
 
 import copy
 import importlib.resources
 import json
+import runpy
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +50,26 @@ UNIT_INTERVAL = {  # populations and visibilities
 }
 
 PACKAGED = yaml.safe_load((importlib.resources.files("rydlink.data") / config.DEFAULT_CONFIG_RESOURCE).read_text())
+
+
+def _packaged(leaf):
+    """The packaged value at the key path ``leaf``."""
+    node = PACKAGED
+    for key in leaf:
+        node = node[key]
+    return node
+
+
+def _config(tmp_path, leaf, value):
+    """The path of the packaged config with ``value`` at the key path ``leaf``."""
+    raw = copy.deepcopy(PACKAGED)
+    node = raw
+    for key in leaf[:-1]:
+        node = node[key]
+    node[leaf[-1]] = value
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    return path
 
 
 def _leaves(schema, path=()):
@@ -102,34 +130,25 @@ def _json_items(node, key=""):
 
 def _exit_cleanly(tmp_path, capsys, leaf, values):
     """Each of ``values`` at the key ``leaf``, through each of COMMANDS: every run exits 0, 2 or 3,
-    an exit 2 names the key, and an exit 0 writes finite numbers only."""
+    an exit 2 or 3 names the key, and an exit 0 writes finite numbers only."""
     dotted = ".".join(leaf)
     for value in values:
-        raw = copy.deepcopy(PACKAGED)
-        node = raw
-        for key in leaf[:-1]:
-            node = node[key]
-        node[leaf[-1]] = value
-        path = tmp_path / "cfg.yaml"
-        path.write_text(yaml.safe_dump(raw))
+        path = _config(tmp_path, leaf, value)
         for i, command in enumerate(COMMANDS):
             label = f"{dotted} = {value!r}, {' '.join(command)}"
             outdir = tmp_path / str(i)
             code = cli.main(["--config", str(path), "--out", str(outdir), *command])
             err = capsys.readouterr().err
             assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NONCONVERGENCE), label
-            if code == cli.EXIT_CONFIG:
+            if code != cli.EXIT_OK:
                 assert dotted in err, f"{label}: {err}"
-            elif code == cli.EXIT_OK:
+            else:
                 _check_outputs(outdir, label)
 
 
 @pytest.mark.parametrize("leaf", LEAVES, ids=[".".join(leaf) for leaf in LEAVES])
 def test_extreme_values_exit_cleanly(tmp_path, capsys, leaf):
-    packaged = PACKAGED
-    for key in leaf:
-        packaged = packaged[key]
-    values = [_scaled(packaged, sign * magnitude) for magnitude in MAGNITUDES for sign in (1, -1)]
+    values = [_scaled(_packaged(leaf), sign * magnitude) for magnitude in MAGNITUDES for sign in (1, -1)]
     _exit_cleanly(tmp_path, capsys, leaf, values)
 
 
@@ -159,10 +178,7 @@ FLAG_SETS = ("none", "motion", "inhomo", "scatter", "motion,inhomo,scatter")
 def test_detuning_table_exits_0_or_2_naming_the_detuning(tmp_path, capsys, key, value):
     # never 3: a far detuning shrinks the Raman splitting, which the dephasing run refuses before any
     # propagation once its window spans less than one Raman period or it sinks into eigenvalue rounding
-    raw = copy.deepcopy(PACKAGED)
-    raw["geometry"][key] = value
-    path = tmp_path / "cfg.yaml"
-    path.write_text(yaml.safe_dump(raw))
+    path = _config(tmp_path, ("geometry", key), value)
     for flags in FLAG_SETS:
         label = f"geometry.{key} = {value}, dephasing --flags {flags}"
         outdir = tmp_path / flags
@@ -173,3 +189,107 @@ def test_detuning_table_exits_0_or_2_naming_the_detuning(tmp_path, capsys, key, 
             assert f"geometry.{key}" in err and not outdir.exists(), f"{label}: {err}"
         else:
             _check_outputs(outdir, label)
+
+
+DATASET = runpy.run_path(str(Path(__file__).resolve().parents[1] / "scripts" / "run_default_dataset.py"))["COMMANDS"]
+# a step down, which keeps every packaged value in its range (the transmission and the retrieval sit at 1)
+STEP = 0.93
+TILT = 0.02
+
+
+def _moves():
+    """(name, key path, list index or None) of each leaf, and of each element of a list of quantities
+    on its own; a direction is moved as one leaf, since Beam requires a unit vector."""
+    for leaf, kind in _leaves(config._SCHEMA):
+        dotted, packaged = ".".join(leaf), _packaged(leaf)
+        if isinstance(packaged, list) and kind != "dimensionless":
+            yield from ((f"{dotted}[{i}]", leaf, i) for i in range(len(packaged)))
+        else:
+            yield dotted, leaf, None
+
+
+MOVES = list(_moves())
+
+
+def _stepped(value):
+    """An integer up by 1, a number or quantity down by STEP, a direction tilted by TILT off its smallest
+    component and renormalised."""
+    if isinstance(value, list):
+        v = np.add(value, TILT * np.eye(3)[np.argmin(np.abs(value))])
+        return (v / np.linalg.norm(v)).tolist()
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return value * STEP
+    number, unit = value.split()
+    return f"{float(number) * STEP!r} {unit}"
+
+
+# the leaves a step moves nothing of. One that only gates gives a value at which the commands exit 2
+# naming it; one that no command reads says why it stays.
+GATE_ONLY = {
+    # the mode gate takes the overlap of k_D - k_E across the waist of A
+    "geometry.beams.A.waist": "1 um",
+    "geometry.beams.D.direction": _packaged(("geometry", "beams", "E", "direction")),
+    "geometry.beams.E.direction": _packaged(("geometry", "beams", "D", "direction")),
+    "geometry.beams.E.wavelength": "2000 nm",
+    # D is axial, and the mode gate sees k_D across the axis only: its wavelength meets the range check alone
+    "geometry.beams.D.wavelength": "0 nm",
+}
+UNREAD = {
+    "geometry.beams.C.wavelength": "k_C cancels from k3 = k2 - k_D + k_E; it sets k1, k4 and dk, which the "
+    "brute-force oracle of acceptance criterion 3 reads",
+    "geometry.beams.C.direction": "as C.wavelength",
+    "ensemble.cloud_sigma[2]": "no beam profile depends on z; the atom-sampler oracle of tests/test_atom_sampler.py "
+    "draws it",
+}
+
+
+def _dataset(tmp_path, path, baseline=None):
+    """(exit code, artifact sha256s or None) of each DATASET command on the config at ``path``, in order,
+    up to the first that differs from ``baseline``."""
+    results = []
+    for i, command in enumerate(DATASET):
+        outdir = tmp_path / str(i)
+        code = cli.main(["--config", str(path), "--out", str(outdir), *command])
+        outputs = json.loads((outdir / "manifest.json").read_text())["outputs"] if code == cli.EXIT_OK else None
+        results.append((code, outputs))
+        if baseline is not None and results[-1] != baseline[i]:
+            break
+    return results
+
+
+@pytest.fixture(scope="module")
+def dataset_baseline(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("baseline")
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(PACKAGED))
+    return _dataset(tmp_path, path)
+
+
+def test_gate_only_and_unread_name_schema_leaves():
+    assert set(GATE_ONLY) | set(UNREAD) <= {name for name, _, _ in MOVES}
+
+
+@pytest.mark.parametrize("name, leaf, index", MOVES, ids=[name for name, _, _ in MOVES])
+def test_every_key_moves_an_artifact_or_an_exit_code(tmp_path, capsys, dataset_baseline, name, leaf, index):
+    value = copy.deepcopy(_packaged(leaf))
+    if index is None:
+        value = _stepped(value)
+    else:
+        value[index] = _stepped(value[index])
+    path = _config(tmp_path, leaf, value)
+    config.load_config(path)  # the step stays in range, so what it moves is read, not refused
+    results = _dataset(tmp_path, path, dataset_baseline)
+    if name in GATE_ONLY or name in UNREAD:
+        moved = " ".join(DATASET[len(results) - 1])
+        assert results == dataset_baseline, f"{name} moves {moved}: drop it from the table"
+    else:
+        assert results != dataset_baseline, f"{name}: no command reads it; remove the key, or list it with its reason"
+
+
+@pytest.mark.parametrize("name", GATE_ONLY)
+def test_gate_only_keys_refuse_their_probe(tmp_path, capsys, name):
+    path = _config(tmp_path, tuple(name.split(".")), GATE_ONLY[name])
+    assert cli.main(["--config", str(path), "--out", str(tmp_path / "o"), *DATASET[0]]) == cli.EXIT_CONFIG
+    assert name in capsys.readouterr().err

@@ -18,7 +18,7 @@ from rydlink import cli
 DATASET_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_default_dataset.py"
 
 # sha256 of the packaged config's YAML tree, as json.dumps(tree, sort_keys=True)
-CONFIG_HASH = "e448729961095be5fb0d3ff3228244722a9f892dbadeafcb94ec4971af6b43c2"
+CONFIG_HASH = "98879f2defa72b356a07b5d5e23b628f7e2732a58e5eb4eaf0960a9b98fba43f"
 
 GOLDEN = {
     ("rabi", "--collective"): {
