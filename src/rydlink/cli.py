@@ -136,13 +136,18 @@ def _parse_flags(spec: str) -> dephasing.SimulationFlags:
 
 # the config keys that set each limit at which dephasing.simulate_single_excitation refuses a run
 _SPLITTING_KEYS = "geometry.beams.C.rabi, geometry.beams.E.rabi, geometry.detuning_1, geometry.detuning_2"
+_THERMAL_KEYS = "ensemble.temperature, ensemble.atomic_mass"
+_TAU_FREE_KEYS = (f"{_THERMAL_KEYS}, geometry.beams.A.wavelength, geometry.beams.A.direction, "  # 1/(|k2| sigma_v)
+                  "geometry.beams.B.wavelength, geometry.beams.B.direction")
 REFUSAL_KEYS = {
+    "detunings": "geometry.detuning_1, geometry.detuning_2",
+    "thermal": _THERMAL_KEYS,
     "splitting": _SPLITTING_KEYS,
     "fit_phase": f"simulation.dephasing_t_max, {_SPLITTING_KEYS}",
-    # sigma_D t_max = t_max |k_A + k_B| sqrt(kB T / m)
-    "doppler": "simulation.dephasing_t_max, ensemble.temperature, ensemble.atomic_mass, geometry.beams.A.wavelength, "
-    "geometry.beams.A.direction, geometry.beams.B.wavelength, geometry.beams.B.direction",
+    "tau_free": _TAU_FREE_KEYS,
+    "doppler": f"simulation.dephasing_t_max, {_TAU_FREE_KEYS}",  # sigma_D t_max = t_max / tau_free
     "stiffness": "simulation.dephasing_t_max, raman.intermediate_linewidth",
+    "jacobi": "geometry.beams.C.waist, geometry.beams.E.waist, ensemble.cloud_sigma",
     "values": "simulation.dephasing_points, simulation.dephasing_samples, ensemble.cloud_sigma",
 }
 
@@ -165,7 +170,7 @@ def cmd_dephasing(cfg: RunConfig, args, writer: RunWriter):
         raise dephasing.FitError(f"{REFUSAL_KEYS['fit_phase']}, simulation.dephasing_points: {exc}") from None
     except dephasing.BatchError as exc:
         # the window and the Raman coupling enter every batch; the rest only with their mechanism
-        keys = {"scatter": "raman.intermediate_linewidth, ", "motion": "ensemble.temperature, ensemble.atomic_mass, "}
+        keys = {"scatter": "raman.intermediate_linewidth, ", "motion": f"{_THERMAL_KEYS}, "}
         named = "simulation.dephasing_t_max, " + "".join(text for name, text in keys.items() if getattr(flags, name))
         raise dephasing.BatchError(f"{named}{_SPLITTING_KEYS}: {exc}") from None
     # the parsed names, so that equivalent --flags texts name the same files

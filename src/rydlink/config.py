@@ -3,7 +3,7 @@
 Dimensioned values are strings like ``"3 MHz"`` or ``"7 um"``; frequencies
 are understood as cycles and converted to angular units (a "3 MHz" Rabi
 frequency becomes 2 pi x 3e6 rad/s). Unknown keys anywhere in the tree are
-rejected with the offending dotted path, so typos fail loudly instead of
+rejected together, each with its dotted path, so typos fail loudly instead of
 silently falling back to defaults. Each leaf of ``_SCHEMA`` also holds its
 key's range, so an out-of-range value fails at load naming its key.
 
@@ -30,11 +30,8 @@ from dataclasses import dataclass
 import yaml
 
 from .collective import EnsembleConfig
-from .dephasing import (
-    AMU, MAX_DEPHASING_POINTS, MIN_JACOBI_B, MIN_SAMPLES, motional_coherence_time_us, shift_cancelling_branch_weights,
-    thermal_velocity_sigma
-)
-from .geometry import BEAM_IDS, Beam, BeamGeometry, modes_distinguishable, protocol_modes
+from .dephasing import AMU, MAX_DEPHASING_POINTS, MIN_SAMPLES
+from .geometry import BEAM_IDS, Beam, BeamGeometry, modes_distinguishable
 from .measurement import DLCZ_MAX_EXCITATION
 
 DEFAULT_CONFIG_RESOURCE = "default.yaml"
@@ -132,7 +129,9 @@ _SQUARABLE = (lambda v: v > 0.0 and 0.0 < v * v < math.inf, "be positive, with a
 # "dimensionless" (a plain number), int, or (element kind, length) for
 # a list, whose elements are checked one by one as key[i]. A check is a
 # (test, requirement) pair or None. The records built from the parsed tree
-# do not check again; the rules across keys are in _run_config.
+# do not check again. _run_config adds the mode gate and the two Rabi
+# frequencies RunConfig derives; the limits of a dephasing run are in its
+# own gate, dephasing.simulate_single_excitation.
 _BEAM_SCHEMA = {
     "wavelength": ("length", _SQUARABLE),
     "direction": (("dimensionless", 3), None),  # Beam requires a unit vector
@@ -149,7 +148,8 @@ _BEAM_KEYS = dict.fromkeys(BEAM_IDS, tuple(_BEAM_SCHEMA)) | {
 _SCHEMA = {
     "geometry": {
         "beams": {b: {key: _BEAM_SCHEMA[key] for key in keys} for b, keys in _BEAM_KEYS.items()},
-        "detuning_1": ("frequency", None),
+        # RunConfig.excitation_rabi divides by it
+        "detuning_1": ("frequency", (lambda v: v != 0.0, "be nonzero")),
         "detuning_2": ("frequency", None),
     },
     "raman": {
@@ -212,12 +212,20 @@ def _parse_leaf(value, kind, check, path: str):
     return value
 
 
+def _unknown_keys(node, schema, path: str) -> list:
+    """The dotted path of every key the schema lacks, at every level of the tree under known keys."""
+    if not isinstance(node, dict):
+        return []
+    found = [f"{path}.{key}" for key in sorted(set(node) - set(schema), key=str)]
+    for key, spec in schema.items():
+        if isinstance(spec, dict) and key in node:
+            found += _unknown_keys(node[key], spec, f"{path}.{key}")
+    return found
+
+
 def _validate(node, schema, path: str):
     if not isinstance(node, dict):
         raise ConfigError(f"{path}: expected a mapping")
-    unknown = sorted(set(node) - set(schema))
-    if unknown:
-        raise ConfigError(f"{path}.{unknown[0]}: unknown key")
     missing = sorted(set(schema) - set(node))
     if missing:
         raise ConfigError(f"{path}.{missing[0]}: missing key")
@@ -278,18 +286,12 @@ def _build_geometry(parsed: types.MappingProxyType) -> BeamGeometry:
 
 def _build_ensemble(parsed: types.MappingProxyType) -> EnsembleConfig:
     e = parsed["ensemble"]
-    ens = EnsembleConfig(
+    return EnsembleConfig(
         effective_atom_number=float(e["effective_atom_number"]),
         temperature_uK=e["temperature"] * 1e6,
         cloud_sigma_um=e["cloud_sigma"],
         atomic_mass_amu=e["atomic_mass"] / AMU,
     )
-    if not 0.0 < thermal_velocity_sigma(ens.temperature_uK, ens.atomic_mass_amu) < math.inf:
-        raise ConfigError(
-            "ensemble.temperature, ensemble.atomic_mass: the thermal velocity sqrt(kB T / m) "
-            "must be finite and nonzero"
-        )
-    return ens
 
 
 @functools.lru_cache(maxsize=1)  # the CLI, the dataset script and a benchmark pass each load one content
@@ -303,30 +305,12 @@ def _run_config(data: bytes, name: str, loader) -> RunConfig:
     raw = yaml.load(stream, Loader=loader)
     if not isinstance(raw, dict):
         raise ConfigError("top level must be a mapping")
+    unknown = _unknown_keys(raw, _SCHEMA, "config")  # all of them in one refusal, before any leaf is parsed
+    if unknown:
+        raise ConfigError(f"{', '.join(unknown)}: unknown key{'s' if len(unknown) > 1 else ''}")
     parsed = _validate(raw, _SCHEMA, "config")
     geometry = _build_geometry(parsed)
     ensemble = _build_ensemble(parsed)
-    try:  # the Raman coupling of beams C and E needs these weights; checked once, here
-        shift_cancelling_branch_weights(geometry.detuning_1, geometry.detuning_2)
-    except ValueError as exc:
-        raise ConfigError(f"geometry.detuning_1, geometry.detuning_2: {exc}") from None
-    # dephasing writes 1/(|k2| sigma_v), the free spin wave's coherence time, with k2 = k_A + k_B
-    k2 = math.hypot(*protocol_modes(geometry).k2)
-    if not math.isfinite(motional_coherence_time_us(k2, ensemble.temperature_uK, ensemble.atomic_mass_amu)):
-        raise ConfigError(
-            "geometry.beams.A.wavelength, geometry.beams.A.direction, geometry.beams.B.wavelength, "
-            "geometry.beams.B.direction, ensemble.temperature, ensemble.atomic_mass: the spin-wave "
-            f"wave vector k_A + k_B ({k2:.6g} rad/um) gives no finite motional coherence time 1/(|k2| sigma_v)"
-        )
-    # the Gauss-Jacobi rule of dephasing.atom_nodes is in the relative intensity of the narrower of beams C and E
-    ratio = min(geometry.beams["C"].waist_um, geometry.beams["E"].waist_um) / max(ensemble.cloud_sigma_um[:2])
-    b = 0.5 * ratio * ratio
-    if not b >= MIN_JACOBI_B:
-        raise ConfigError(
-            "geometry.beams.C.waist, geometry.beams.E.waist, ensemble.cloud_sigma: the narrower Raman beam gives "
-            f"b = w^2 / (2 sigma^2) = {b:.3g} across the cloud, below the {MIN_JACOBI_B:g} down to which the "
-            "dephasing rule over the atoms keeps its intensity nodes clear of rounding"
-        )
     config_hash = hashlib.sha256(json.dumps(raw, sort_keys=True).encode()).hexdigest()
     cfg = RunConfig(config_hash=config_hash, parsed=parsed, geometry=geometry, ensemble=ensemble)
     # each rabi file spans at most three periods of one of these frequencies and writes its times in ns

@@ -147,7 +147,8 @@ class BatchError(RuntimeError):
 
 class Refused(ValueError):
     """A run that the inputs rule out before any propagation. ``limit`` names the limit it breaks:
-    "splitting", "fit_phase", "doppler", "stiffness" or "values"."""
+    "detunings", "thermal", "splitting", "fit_phase", "tau_free", "doppler", "stiffness", "jacobi"
+    or "values"."""
 
     def __init__(self, limit: str, message: str):
         super().__init__(message)
@@ -159,11 +160,11 @@ def shift_cancelling_branch_weights(detuning_1: float, detuning_2: float) -> tup
 
     Their magnitudes are the intermediate-state admixtures and their relative
     sign is the product of the transition-amplitude signs along each path.
-    Requires opposite-sign detunings; the weights then also make the two
-    Raman paths add constructively.
+    Requires opposite-sign detunings, and raises Refused otherwise; the weights
+    then also make the two Raman paths add constructively.
     """
     if detuning_1 * detuning_2 >= 0:
-        raise ValueError("light-shift cancellation needs nonzero detunings of opposite sign")
+        raise Refused("detunings", "light-shift cancellation needs nonzero detunings of opposite sign")
     a1, a2 = abs(detuning_1), abs(detuning_2)
     w1 = a1 / (a1 + a2)
     w2 = a2 / (a1 + a2)
@@ -303,13 +304,6 @@ def _hermite_rule(n: int) -> tuple:
     w = w / w.sum()
     v.flags.writeable = w.flags.writeable = False
     return v, w
-
-
-def doppler_phase(geo: BeamGeometry, ens: EnsembleConfig, t_max_us: float) -> float:
-    """sigma_D t_max, rad, of a window of ``t_max_us``: sigma_D = 1 / tau_free is the sigma of the
-    Doppler shift v.k_sw of the Rydberg spin wave."""
-    k_sw = np.linalg.norm(protocol_modes(geo).k2)
-    return t_max_us / motional_coherence_time_us(k_sw, ens.temperature_uK, ens.atomic_mass_amu)
 
 
 def doppler_miss(n: int, phase) -> np.ndarray:
@@ -501,14 +495,19 @@ def simulate_single_excitation(
     to 1 at t = 0; it can never exceed the population, and a batch that
     breaks this or [0, 1] raises BatchError.
 
-    Every limit the inputs decide is checked first, before any node is built: a run that breaks
-    one of MIN_SPLITTING_ROUNDINGS, MIN_FIT_PHASE, DOPPLER_PHASE_MAX (with motion), STIFFNESS_TOL
-    (with scatter) or MAX_DEPHASING_VALUES raises Refused.
+    Every limit the inputs decide is checked first, before any node is built, and a run that breaks one
+    raises Refused: detunings of one sign, a zero or infinite thermal velocity, MIN_SPLITTING_ROUNDINGS,
+    MIN_FIT_PHASE, an infinite tau_free (every record writes it), DOPPLER_PHASE_MAX (with motion),
+    STIFFNESS_TOL (with scatter), MIN_JACOBI_B (with inhomo) and MAX_DEPHASING_VALUES.
     """
     t_grid_us = np.asarray(t_grid_us, dtype=float)
     t_grid_s = t_grid_us * 1e-6
     t_max_s = np.abs(t_grid_s).max()
 
+    shift_cancelling_branch_weights(geo.detuning_1, geo.detuning_2)  # refuses detunings of one sign
+    sigma_v = thermal_velocity_sigma(ens.temperature_uK, ens.atomic_mass_amu)
+    if not 0.0 < sigma_v < math.inf:  # before tau_free divides by it
+        raise Refused("thermal", f"the thermal velocity sqrt(kB T / m) is {sigma_v:.3g} um/us, not finite and nonzero")
     splitting, rounding = raman_splitting(geo)  # where the envelope fit starts
     floor, raman_phase = MIN_SPLITTING_ROUNDINGS * rounding, splitting * t_max_s
     if not splitting > floor:
@@ -519,8 +518,12 @@ def simulate_single_excitation(
                       "little for the envelope fit to tell its decay from the oscillation (at least one period, "
                       f"{MIN_FIT_PHASE:.3g} rad)")
     k_sw = protocol_modes(geo).k2  # Rydberg spin-wave wave vector, rad/um
-    tau_free = motional_coherence_time_us(np.linalg.norm(k_sw), ens.temperature_uK, ens.atomic_mass_amu)
-    phase = np.abs(t_grid_us).max() / tau_free  # doppler_phase of the window, from the k_sw read here
+    k_len = np.linalg.norm(k_sw)
+    tau_free = motional_coherence_time_us(k_len, ens.temperature_uK, ens.atomic_mass_amu)
+    if not math.isfinite(tau_free):
+        raise Refused("tau_free", f"the spin-wave wave vector k_A + k_B ({k_len:.6g} rad/um) gives no finite motional "
+                      "coherence time 1/(|k2| sigma_v)")
+    phase = np.abs(t_grid_us).max() / tau_free  # sigma_D t_max, the Doppler phase of the window
     if flags.motion and not phase <= DOPPLER_PHASE_MAX:
         raise Refused("doppler", f"Doppler phase sigma_D t_max = {phase:.3g} rad, above the {DOPPLER_PHASE_MAX:.4g} "
                       f"rad up to which the Doppler mean meets its tolerance {DOPPLER_TOL:g}")
@@ -529,12 +532,16 @@ def simulate_single_excitation(
     if not stiffness <= STIFFNESS_TOL:
         raise Refused("stiffness", f"gamma_e {gamma:.6g} rad/s is too stiff to propagate: eps gamma t_max = "
                       f"{stiffness:.3g}, above {STIFFNESS_TOL:g}")
+    w_c, w_e = geo.beams["C"].waist_um, geo.beams["E"].waist_um
+    ratio = min(w_c, w_e) / max(ens.cloud_sigma_um[:2])  # the Gauss-Jacobi axis is in the narrower beam
+    if flags.inhomo and not 0.5 * ratio * ratio >= MIN_JACOBI_B:
+        raise Refused("jacobi", f"the narrower Raman beam gives b = w^2 / (2 sigma^2) = {0.5 * ratio * ratio:.3g}, "
+                      f"below the {MIN_JACOBI_B:g} down to which the atom rule keeps its nodes clear of rounding")
     sizes = rule_sizes(ens, flags, n_samples, phase)
     if len(t_grid_us) * math.prod(sizes) > MAX_DEPHASING_VALUES:
         raise Refused("values", f"{len(t_grid_us)} points at the {math.prod(sizes)} nodes of the rule take more "
                       f"than {MAX_DEPHASING_VALUES} values per array")
 
-    w_c, w_e = geo.beams["C"].waist_um, geo.beams["E"].waist_um
     rho_sq, doppler, weights = atom_nodes(ens, k_sw, min(w_c, w_e), flags, sizes)
     s1 = np.exp(-rho_sq / w_c**2)
     s2 = np.exp(-rho_sq / w_e**2)
@@ -568,7 +575,7 @@ def simulate_single_excitation(
         "tau_free_us": tau_free,
         "metadata": {
             "omega_eff_rad_s": omega_eff,
-            "spinwave_k_rad_um": float(np.linalg.norm(k_sw)),
+            "spinwave_k_rad_um": float(k_len),
             "tau_convention": (
                 "tau_osc: 1/e time of the fitted Gaussian envelope of the projection "
                 "(intensity level); tau_free: 1/e time of the free retrieved-signal "

@@ -2,8 +2,9 @@
 the two envelope fits that ``dephasing.fit_envelope_time_us`` replaced (scipy's
 curve_fit, then the variable-projection fit that stopped only when no step lowered
 the residual), the fixed Doppler rule that ``dephasing.doppler_nodes`` replaced
-and the bisection that wrote its ``DOPPLER_REACH`` table, and the per-value CSV
-formatter that ``cli.RunWriter.csv`` replaced.
+and the bisection that wrote its ``DOPPLER_REACH`` table, the Doppler phase of a
+window that ``dephasing.simulate_single_excitation`` sizes that rule at, and the
+per-value CSV formatter that ``cli.RunWriter.csv`` replaced.
 
 Each brute-force oracle evolves the complete blockaded many-atom state for
 a handful of atoms, so the tests can check the 3-level super-atom reduction
@@ -20,6 +21,7 @@ import numpy as np
 from scipy.optimize import curve_fit
 
 from rydlink import dephasing as dp
+from rydlink.geometry import protocol_modes
 
 
 @dataclass(frozen=True)
@@ -288,6 +290,13 @@ def doppler_reach(n: int, tol: float) -> float:
         first = over.argmax()
         lo, hi = x[first - 1] if first else lo, x[first]
     return float(lo)
+
+
+def doppler_phase(geo, ens, t_max_us: float) -> float:
+    """sigma_D t_max, rad, of a window of ``t_max_us``: sigma_D = 1 / tau_free is the sigma of the
+    Doppler shift v.k_sw of the Rydberg spin wave, as the dephasing run computes it."""
+    k_sw = np.linalg.norm(protocol_modes(geo).k2)
+    return t_max_us / dp.motional_coherence_time_us(k_sw, ens.temperature_uK, ens.atomic_mass_amu)
 
 
 def csv_bytes_per_value(header, rows) -> bytes:

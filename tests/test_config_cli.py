@@ -23,7 +23,7 @@ TWO_PI = 2.0 * np.pi
 def packaged_doppler_phase():
     """sigma_D t_max of the packaged config, 2.56 rad."""
     cfg = load_config()
-    return dephasing.doppler_phase(cfg.geometry, cfg.ensemble, cfg.parsed["simulation"]["dephasing_t_max"] * 1e6)
+    return oracles.doppler_phase(cfg.geometry, cfg.ensemble, cfg.parsed["simulation"]["dephasing_t_max"] * 1e6)
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +89,16 @@ class TestSchema:
         raw = yaml.safe_load(yaml.safe_dump(default_raw))
         raw["ensemble"]["tempreture"] = "150 uK"
         with pytest.raises(ConfigError, match=r"config\.ensemble\.tempreture"):
+            load_config(write_config(tmp_path, raw))
+
+    def test_every_unknown_key_is_named_in_one_refusal(self, tmp_path, default_raw):
+        # at every level, and whatever the YAML type of the key (sorting an int with a str key raised TypeError)
+        raw = copy.deepcopy(default_raw)
+        raw[1] = "x"
+        raw["ensemble"]["tempreture"] = "150 uK"
+        raw["geometry"]["beams"]["A"]["wasit"] = "7 um"
+        expected = "config.1, config.geometry.beams.A.wasit, config.ensemble.tempreture: unknown keys"
+        with pytest.raises(ConfigError, match=f"^{re.escape(expected)}$"):
             load_config(write_config(tmp_path, raw))
 
     def test_missing_key_names_path(self, tmp_path, default_raw):
@@ -164,6 +174,29 @@ K2_ZERO_KEYS = (
     "ensemble.temperature",
     "ensemble.atomic_mass",
 )
+# beam B at beam A's wavelength and opposite to it: k2 = k_A + k_B = 0, so the free spin wave never
+# dephases and tau_free_us is infinite
+K2_ZERO_VALUES = ("795 nm", [0.0, 0.0, 1.0], "795 nm", [0.0, 0.0, -1.0], "150 uK", "86.909 amu")
+
+# a config for each limit that only the dephasing gate checks, and that no other command reads
+MOVED_RULES = {
+    "detunings": {"geometry.detuning_2": "610 MHz"},
+    "thermal": {"ensemble.temperature": "1e-300 uK"},  # sqrt(kB T / m) underflows to 0
+    "tau_free": dict(zip(K2_ZERO_KEYS, K2_ZERO_VALUES)),
+    "jacobi": {"geometry.beams.C.waist": "1e-6 um"},  # b = 4e-14 across the packaged cloud
+}
+
+
+def with_values(raw, changes):
+    """A copy of ``raw`` with each dotted key of ``changes`` set to its value."""
+    raw = copy.deepcopy(raw)
+    for dotted, value in changes.items():
+        *path, leaf = dotted.split(".")
+        node = raw
+        for key in path:
+            node = node[key]
+        node[leaf] = value
+    return raw
 
 
 @pytest.fixture
@@ -192,13 +225,13 @@ def _mutable(node):
 class TestConfigCache:
     def test_one_check_per_content(self, tmp_path, default_raw, parses, monkeypatch):
         checks = []
-        # the schema walk, and the rule across keys on the spin-wave wave vector
-        for name in ("_validate", "protocol_modes"):
+        # the schema walk, and the mode gate
+        for name in ("_validate", "modes_distinguishable"):
             original = getattr(config, name)
             monkeypatch.setattr(config, name, lambda *a, _f=original, _n=name: checks.append(_n) or _f(*a))
         path = write_config(tmp_path, default_raw)
         first = load_config(path)
-        assert "protocol_modes" in checks and "_validate" in checks
+        assert "modes_distinguishable" in checks and "_validate" in checks
         per_load = sorted(checks)
         # the same bytes again: no parse, no check, and the one RunConfig
         assert load_config(path) is first
@@ -269,13 +302,13 @@ class TestConfigCache:
             with pytest.raises(ConfigError, match="bad YAML"):
                 load_config(str(bad))
         assert len(parses) == 5
-        # a rule across keys, through the command line: exit 2 naming its keys on every call
+        # the mode gate, through the command line: exit 2 naming its keys on every call
         raw = copy.deepcopy(default_raw)
-        raw["geometry"]["beams"]["C"]["waist"] = "1e-6 um"
+        raw["geometry"]["beams"]["A"]["waist"] = "1 um"
         path = write_config(tmp_path, raw, "narrow.yaml")
         for _ in range(2):
             assert cli.main(["--config", path, "--out", str(tmp_path / "o"), "rabi", "--single"]) == 2
-            assert "geometry.beams.C.waist, geometry.beams.E.waist" in capsys.readouterr().err
+            assert "geometry.beams.A.waist: the kicked spin-wave modes overlap" in capsys.readouterr().err
         assert len(parses) == 7 and not (tmp_path / "o").exists()
 
     def test_cache_is_bounded(self, tmp_path, default_raw):
@@ -485,6 +518,10 @@ class TestCli:
 
     # the config keys each limit of dephasing.simulate_single_excitation depends on
     LIMIT_KEYS = {
+        "detunings": ("geometry.detuning_1", "geometry.detuning_2"),
+        "thermal": ("ensemble.temperature", "ensemble.atomic_mass"),
+        "tau_free": K2_ZERO_KEYS,
+        "jacobi": ("geometry.beams.C.waist", "geometry.beams.E.waist", "ensemble.cloud_sigma"),
         "splitting": ("geometry.beams.C.rabi", "geometry.beams.E.rabi", "geometry.detuning_1", "geometry.detuning_2"),
         "fit_phase": (
             "simulation.dephasing_t_max", "geometry.beams.C.rabi", "geometry.beams.E.rabi", "geometry.detuning_1",
@@ -502,6 +539,9 @@ class TestCli:
     @pytest.mark.parametrize(
         "limit, changes, flags",
         [
+            *[(limit, MOVED_RULES[limit], "motion,inhomo,scatter") for limit in MOVED_RULES],
+            # tau_free is written by every run, so it is refused with no mechanism on
+            ("tau_free", MOVED_RULES["tau_free"], "none"),
             ("splitting", {"geometry.detuning_2": "-1e+12 MHz"}, "motion,inhomo,scatter"),
             ("fit_phase", {"geometry.detuning_2": "-1e+4 MHz"}, "motion,inhomo,scatter"),
             # both mechanisms on: the Doppler refusal names no scattering key
@@ -530,7 +570,10 @@ class TestCli:
                 "motion,inhomo",
             ),
         ],
-        ids=["splitting", "fit_phase", "doppler", "stiffness", "values", "values-doppler-nodes"],
+        ids=[
+            *MOVED_RULES, "tau_free-none", "splitting", "fit_phase", "doppler", "stiffness", "values",
+            "values-doppler-nodes",
+        ],
     )
     def test_each_limit_is_refused_before_propagation_naming_its_own_keys(
         self, tmp_path, capsys, monkeypatch, default_raw, limit, changes, flags
@@ -539,15 +582,9 @@ class TestCli:
             raise AssertionError("a refused run propagated")
 
         monkeypatch.setattr(dephasing, "_propagate", propagate)
-        raw = yaml.safe_load(yaml.safe_dump(default_raw))
-        for dotted, value in changes.items():
-            *path, leaf = dotted.split(".")
-            node = raw
-            for key in path:
-                node = node[key]
-            node[leaf] = value
         out = tmp_path / "o"
-        argv = ["--config", write_config(tmp_path, raw), "--out", str(out), "dephasing", "--flags", flags]
+        argv = ["--config", write_config(tmp_path, with_values(default_raw, changes)), "--out", str(out)]
+        argv += ["dephasing", "--flags", flags]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         own = self.LIMIT_KEYS[limit] + (self.LIMIT_KEYS["doppler"] if limit == "values" and "motion" in flags else ())
@@ -556,6 +593,28 @@ class TestCli:
         assert not [key for key in others if key in err], err
         assert not out.exists()
         assert set(cli.REFUSAL_KEYS) == set(self.LIMIT_KEYS)
+
+    @pytest.mark.parametrize("limit", MOVED_RULES)
+    def test_a_limit_of_dephasing_alone_refuses_no_other_command(self, tmp_path, capsys, default_raw, limit):
+        # the keys of each rule are read by dephasing alone: every other command runs as on the packaged
+        # config and writes the same artifacts; so does dephasing without inhomo on a too-narrow beam C,
+        # since the Gauss-Jacobi rule it protects is the inhomo axis
+        path = write_config(tmp_path, with_values(default_raw, MOVED_RULES[limit]))
+        commands = [["rabi", "--pair"], ["entangle", "--fidelity"], ["g2", "--field", "single"]]
+        commands.append(["repeater", "--source", "semi"])
+        if limit == "jacobi":
+            commands.append(["dephasing", "--flags", "motion,scatter"])
+        for i, args in enumerate(commands):
+            packaged, changed = tmp_path / f"packaged{i}", tmp_path / f"changed{i}"
+            assert cli.main(["--out", str(packaged), *args]) == 0
+            assert cli.main(["--config", path, "--out", str(changed), *args]) == 0
+            outputs = json.loads((packaged / "manifest.json").read_text())["outputs"]
+            assert json.loads((changed / "manifest.json").read_text())["outputs"] == outputs
+            assert all((changed / name).read_bytes() == (packaged / name).read_bytes() for name in outputs)
+        out = tmp_path / "o"
+        assert cli.main(["--config", path, "--out", str(out), "dephasing", "--flags", "motion,inhomo,scatter"]) == 2
+        assert f"config error: {cli.REFUSAL_KEYS[limit]}: " in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flags, named",
@@ -737,14 +796,20 @@ class TestCli:
                 ("1e-150 Hz", "1e-150 Hz", "1e290 Hz"),
                 ["rabi", "--collective"],
             ),
-            # beam B at beam A's wavelength and opposite to it: k2 = k_A + k_B = 0, so the free spin
-            # wave never dephases and tau_free_us is infinite; every command refuses the config
+            # no finite tau_free_us, which every dephasing record writes
             *[
-                (K2_ZERO_KEYS, ("795 nm", [0.0, 0.0, 1.0], "795 nm", [0.0, 0.0, -1.0], "150 uK", "86.909 amu"), args)
-                for args in (["dephasing", "--flags", "none"], ["dephasing", "--flags", "motion"], ["rabi", "--single"])
+                (K2_ZERO_KEYS, K2_ZERO_VALUES, ["dephasing", "--flags", flags])
+                for flags in ("none", "motion")
             ],
             # numpy's multinomial takes the count as a C long
             ("repeater.trials", 2**63, ["repeater", "--source", "dlcz"]),
+            # a config written before these keys left the schema: one run names every one of them
+            (
+                ("geometry.beams.read", "geometry.beams.B.waist", "geometry.beams.D.waist", "geometry.beams.D.rabi"),
+                ({"wavelength": "474 nm", "direction": [0.0, 0.0, -1.0], "waist": "7 um", "rabi": "23 MHz"},
+                 "7 um", "520 um", "23 MHz"),
+                ["rabi", "--pair"],
+            ),
         ],
         ids=[
             "nan-wavelength", "nan-direction", "string-direction", "short-direction",
@@ -768,7 +833,7 @@ class TestCli:
             "underflowing-calibration-fidelity", "underflowing-calibration-g2",
             "period-beyond-ns-single", "period-beyond-ns-pair", "overflowing-excitation-rabi",
             "underflowing-excitation-rabi", "zero-spin-wave-vector-none", "zero-spin-wave-vector-motion",
-            "zero-spin-wave-vector-rabi", "repeater-trials-past-c-long",
+            "repeater-trials-past-c-long", "removed-keys-together",
         ],
     )
     def test_bad_config_value_exits_2_naming_key(self, tmp_path, capsys, default_raw, key, value, args):

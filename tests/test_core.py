@@ -24,6 +24,7 @@ from rydlink import dephasing as dp
 from rydlink.config import load_config
 from rydlink.geometry import Beam, BeamGeometry
 
+import oracles
 import spectral_kernels as sk
 
 CONVERGENCE_TOL = 1e-8
@@ -260,7 +261,7 @@ class TestQuantumJumps:
         t_max = cfg.parsed["simulation"]["dephasing_t_max"]
         k_sw = dp.protocol_modes(geo).k2
         flags = dp.SimulationFlags(True, True)
-        sizes = dp.rule_sizes(cfg.ensemble, flags, 2000, dp.doppler_phase(geo, cfg.ensemble, t_max * 1e6))
+        sizes = dp.rule_sizes(cfg.ensemble, flags, 2000, oracles.doppler_phase(geo, cfg.ensemble, t_max * 1e6))
         rho_sq, doppler, _ = dp.atom_nodes(cfg.ensemble, k_sw, geo.beams["C"].waist_um, flags, sizes)
         wing = np.argmin(np.abs(np.exp(-rho_sq / geo.beams["C"].waist_um ** 2) - 0.5))
         fastest = np.argmax(np.abs(doppler))

@@ -37,7 +37,7 @@ def dk_norm(cfg):
 def packaged_phase(cfg):
     """sigma_D t_max of the packaged config, 2.56 rad."""
     t_max_us = cfg.parsed["simulation"]["dephasing_t_max"] * 1e6
-    return dp.doppler_phase(cfg.geometry, cfg.ensemble, t_max_us)
+    return oracles.doppler_phase(cfg.geometry, cfg.ensemble, t_max_us)
 
 
 class TestThermalMotion:
@@ -367,7 +367,7 @@ class TestPropagator:
         k_sw = protocol_modes(cfg.geometry).k2
         waist = cfg.geometry.beams["C"].waist_um
         flags = SimulationFlags(True, True)
-        phase = dp.doppler_phase(cfg.geometry, cfg.ensemble, cfg.parsed["simulation"]["dephasing_t_max"] * 1e6)
+        phase = oracles.doppler_phase(cfg.geometry, cfg.ensemble, cfg.parsed["simulation"]["dephasing_t_max"] * 1e6)
         rho_sq, doppler, _ = dp.atom_nodes(cfg.ensemble, k_sw, waist, flags, dp.rule_sizes(cfg.ensemble, flags, 2000, phase))
         s1, s2 = (np.exp(-rho_sq[::97] / cfg.geometry.beams[b].waist_um**2) for b in ("C", "E"))
         packaged = dp._four_level_hamiltonian(cfg.geometry, s1, s2, doppler[::97])
@@ -493,7 +493,7 @@ class TestQuadratureRule:
         if anisotropic:
             ens = dataclasses.replace(ens, cloud_sigma_um=(3.5, 5.0, 6.5))
         flags = SimulationFlags(motion=True, inhomo=True)
-        phase = dp.doppler_phase(cfg.geometry, ens, 4.0)  # the window of written_values
+        phase = oracles.doppler_phase(cfg.geometry, ens, 4.0)  # the window of written_values
         full = dp.rule_sizes(ens, flags, 10**6, phase)
         sizes = dp.rule_sizes(ens, flags, budget, phase)
         if math.prod(full) <= budget:
@@ -842,7 +842,7 @@ class TestSimulation:
         )
         assert "tau_convention" in record["metadata"]
         assert record["seed"] == 5
-        phase = dp.doppler_phase(cfg.geometry, cfg.ensemble, 4.0)
+        phase = oracles.doppler_phase(cfg.geometry, cfg.ensemble, 4.0)
         assert (record["n_samples"], record["n_nodes"]) == (dp.MIN_SAMPLES, dp.doppler_nodes(phase))
         assert record["flags"] == {"motion": True, "inhomo": False, "scatter": False}
         # the Doppler axis states its tolerance and meets it at every written time
