@@ -2,10 +2,10 @@
 
 Dimensioned values are strings like ``"3 MHz"`` or ``"7 um"``; frequencies
 are understood as cycles and converted to angular units (a "3 MHz" Rabi
-frequency becomes 2 pi x 3e6 rad/s). Unknown keys anywhere in the tree are
-rejected together, each with its dotted path, so typos fail loudly instead of
-silently falling back to defaults. Each leaf of ``_SCHEMA`` also holds its
-key's range, so an out-of-range value fails at load naming its key.
+frequency becomes 2 pi x 3e6 rad/s). Unknown and missing keys anywhere in the
+tree are rejected together, each with its dotted path, so typos fail loudly
+instead of silently falling back to defaults. Each leaf of ``_SCHEMA`` also
+holds its key's range, so an out-of-range value fails at load naming its key.
 
 ``load_config`` reads the file on every call, but parses, checks, builds and
 hashes it only when the content differs from the last one loaded: every call
@@ -212,23 +212,25 @@ def _parse_leaf(value, kind, check, path: str):
     return value
 
 
-def _unknown_keys(node, schema, path: str) -> list:
-    """The dotted path of every key the schema lacks, at every level of the tree under known keys."""
+def _key_faults(node, schema, path: str) -> tuple:
+    """(unknown, missing): the dotted path of every key the schema lacks and of every key the tree
+    lacks, at every level of the tree under known keys."""
     if not isinstance(node, dict):
-        return []
-    found = [f"{path}.{key}" for key in sorted(set(node) - set(schema), key=str)]
+        return [], []
+    unknown = [f"{path}.{key}" for key in sorted(set(node) - set(schema), key=str)]
+    missing = [f"{path}.{key}" for key in sorted(set(schema) - set(node))]
     for key, spec in schema.items():
         if isinstance(spec, dict) and key in node:
-            found += _unknown_keys(node[key], spec, f"{path}.{key}")
-    return found
+            more_unknown, more_missing = _key_faults(node[key], spec, f"{path}.{key}")
+            unknown += more_unknown
+            missing += more_missing
+    return unknown, missing
 
 
 def _validate(node, schema, path: str):
+    """The parsed tree of ``node``, which has every key of ``schema`` (``_key_faults``)."""
     if not isinstance(node, dict):
         raise ConfigError(f"{path}: expected a mapping")
-    missing = sorted(set(schema) - set(node))
-    if missing:
-        raise ConfigError(f"{path}.{missing[0]}: missing key")
     return types.MappingProxyType({
         key: _validate(node[key], spec, f"{path}.{key}")
         if isinstance(spec, dict)
@@ -303,11 +305,14 @@ def _run_config(data: bytes, name: str, loader) -> RunConfig:
     stream = io.BytesIO(data)
     stream.name = name
     raw = yaml.load(stream, Loader=loader)
-    if not isinstance(raw, dict):
-        raise ConfigError("top level must be a mapping")
-    unknown = _unknown_keys(raw, _SCHEMA, "config")  # all of them in one refusal, before any leaf is parsed
-    if unknown:
-        raise ConfigError(f"{', '.join(unknown)}: unknown key{'s' if len(unknown) > 1 else ''}")
+    # every unknown and every missing key in one refusal, before any leaf is parsed
+    faults = [
+        f"{', '.join(paths)}: {what} key{'s' if len(paths) > 1 else ''}"
+        for what, paths in zip(("unknown", "missing"), _key_faults(raw, _SCHEMA, "config"))
+        if paths
+    ]
+    if faults:
+        raise ConfigError("; ".join(faults))
     parsed = _validate(raw, _SCHEMA, "config")
     geometry = _build_geometry(parsed)
     ensemble = _build_ensemble(parsed)

@@ -193,8 +193,6 @@ class EnvelopeTime(float):
 
 def thermal_velocity_sigma(temperature_uK: float, mass_amu: float) -> float:
     """1-d Maxwell-Boltzmann sigma, sqrt(kB T / m), in um/us."""
-    if temperature_uK <= 0:
-        raise ValueError("temperature must be positive")
     return float(np.sqrt(K_BOLTZMANN * temperature_uK * 1e-6 / (mass_amu * AMU)))
 
 

@@ -66,8 +66,6 @@ def mode_overlap(k_a: np.ndarray, k_b: np.ndarray, waist_um: float) -> float:
     Only the momentum mismatch transverse to the optical axis (z) matters;
     purely longitudinal mismatch gives overlap 1.
     """
-    if waist_um <= 0:
-        raise ValueError("waist must be positive")
     dk_perp = np.linalg.norm((k_a - k_b)[:2])
     return float(np.exp(-(dk_perp**2) * waist_um**2 / 4.0))
 

@@ -28,8 +28,6 @@ COINCIDENCE_STREAM = 2
 
 def rng_stream(seed: int, *key: int) -> np.random.Generator:
     """Generator of stream ``key`` under ``seed``; ``rng_stream(seed)`` draws as ``default_rng(seed)``."""
-    if seed is None:
-        raise ValueError("Monte Carlo draws need an explicit seed")
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
@@ -42,24 +40,13 @@ class DetectorModel:
     efficiency: float = 1.0
     background_prob: float = 0.0  # per detection gate (dark counts + stray light)
 
-    def __post_init__(self):
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ValueError("efficiency must lie in [0, 1]")
-        if not 0.0 <= self.background_prob < 1.0:
-            raise ValueError("background probability must lie in [0, 1)")
-
 
 def _basis_vectors(basis: str):
-    if basis == "hv":
-        return np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)
-    if basis == "pm":
-        s = 1.0 / np.sqrt(2.0)
-        return np.array([s, s], dtype=complex), np.array([s, -s], dtype=complex)
-    if basis == "circ":
-        # sigma+ = (|H> - i|V>)/sqrt(2); the sign convention is ours to fix
-        s = 1.0 / np.sqrt(2.0)
-        return np.array([s, -1j * s], dtype=complex), np.array([s, 1j * s], dtype=complex)
-    raise ValueError(f"basis must be one of {BASES}")
+    """The two analyzer outputs of ``basis``, one of BASES; an unknown basis raises KeyError."""
+    s = 1.0 / np.sqrt(2.0)
+    # circ: sigma+ = (|H> - i|V>)/sqrt(2); the sign convention is ours to fix
+    pair = {"hv": ([1.0, 0.0], [0.0, 1.0]), "pm": ([s, s], [s, -s]), "circ": ([s, -1j * s], [s, 1j * s])}[basis]
+    return tuple(np.array(v, dtype=complex) for v in pair)
 
 
 def born_probabilities(amps, phase, coherence: float, basis: str) -> np.ndarray:
@@ -142,8 +129,6 @@ def measure_three_bases(amps, phase: float, coherence: float, det: DetectorModel
     (COINCIDENCE_STREAM, i). Returns V_hv, V_pm and V_circ, their binomial
     standard errors V_errors, the bound F and its error F_error.
     """
-    if trials <= 0:
-        raise ValueError("trials must be positive")
     counts = np.empty((len(BASES), 4), dtype=np.int64)
     for i, basis in enumerate(BASES):
         probs = coincidence_probabilities(born_probabilities(amps, phase, coherence, basis), det)
@@ -165,8 +150,6 @@ def measure_three_bases(amps, phase: float, coherence: float, det: DetectorModel
 # ---------------------------------------------------------------------------
 # photon-number statistics and Hanbury Brown-Twiss g2(0)
 
-FIELD_KINDS = ("single_photon", "coherent", "thermal", "dlcz_pair")
-
 FOCK_CUTOFF = 30
 FOCK_TAIL_TOL = 1e-9  # largest probability a coherent or thermal field may leave beyond FOCK_CUTOFF
 DLCZ_CUTOFF = 4  # photon-number truncation of the DLCZ source
@@ -175,7 +158,8 @@ ROUND_TRIP_TOL = 1e-12  # largest relative g2 error of a calibrated background
 
 
 def occupation(kind: str, parameter: float) -> np.ndarray:
-    """P(n), n = 0, 1, ..., of a field of ``kind``; a ``parameter`` outside the kind's range raises ValueError.
+    """P(n), n = 0, 1, ..., of a field of ``kind``; a ``parameter`` outside the kind's range raises ValueError,
+    an unknown kind KeyError.
 
     single_photon: one photon kept with probability ``parameter`` in [0, 1]. coherent, thermal: the
     Poisson and Bose-Einstein laws of mean photon number ``parameter`` > 0, truncated at FOCK_CUTOFF.
@@ -183,8 +167,6 @@ def occupation(kind: str, parameter: float) -> np.ndarray:
     the heralded-arm marginal of a weakly driven two-mode squeezed state (Duan, Lukin, Cirac and
     Zoller, Nature 414, 413 (2001)). A truncated law is renormalized.
     """
-    if kind not in FIELD_KINDS:
-        raise ValueError(f"kind must be one of {FIELD_KINDS}")
     if kind == "single_photon":
         if not 0.0 <= parameter <= 1.0:
             raise ValueError("retrieval efficiency must lie in [0, 1]")
@@ -197,10 +179,10 @@ def occupation(kind: str, parameter: float) -> np.ndarray:
     if not 0.0 < parameter < np.inf:  # also rejects NaN
         raise ValueError("mean photon number must be positive and finite")
     n = np.arange(FOCK_CUTOFF + 1)
-    if kind == "coherent":
-        p = np.exp(n * np.log(parameter) - np.cumsum(np.log(np.maximum(n, 1))) - parameter)
-    else:  # thermal
-        p = (parameter / (1.0 + parameter)) ** n / (1.0 + parameter)
+    p = {
+        "coherent": lambda: np.exp(n * np.log(parameter) - np.cumsum(np.log(np.maximum(n, 1))) - parameter),
+        "thermal": lambda: (parameter / (1.0 + parameter)) ** n / (1.0 + parameter),
+    }[kind]()
     if not 1.0 - p.sum() <= FOCK_TAIL_TOL:
         raise ValueError(f"{1.0 - p.sum():.3g} of the distribution lies past the Fock cutoff {FOCK_CUTOFF}")
     return p / p.sum()
@@ -297,13 +279,12 @@ def calibrate_background(target_g2: float, field: PhotonFieldModel) -> float:
     With x = 1 - b and (p1, p12) the click probabilities at b = 0, the model
     of ``_hbt_click_probs`` gives P1 = 1 - x(1 - p1) and
     P12 = 1 - 2x(1 - p1) + x^2(1 - 2 p1 + p12), so g2(b) = T is a quadratic
-    in x. Its root in [0, 1), written without cancellation, exists exactly
-    when p12 <= T p1^2 < p1^2: the field's own g2 is at most T and it clicks.
+    in x. For a target T in (0, 1), its root in [0, 1), written without
+    cancellation, exists exactly when p12 <= T p1^2 < p1^2: the field's own
+    g2 is at most T and it clicks.
     A root whose g2 misses T by more than ROUND_TRIP_TOL relative, as when the
     click probabilities underflow, raises ValueError.
     """
-    if not 0.0 < target_g2 < 1.0:
-        raise ValueError("target g2 must lie in (0, 1)")
     dist, eta = field.occupation_distribution(), field.detector.efficiency
     p1, _, p12 = _hbt_click_probs(dist, DetectorModel(eta, 0.0))
     if p1 <= 0.0:

@@ -71,10 +71,6 @@ def cfg():
 
 
 class TestSampling:
-    def test_seed_required(self, cfg):
-        with pytest.raises(ValueError, match="explicit seed"):
-            sample_atoms(cfg.ensemble, 10, None)
-
     def test_per_index_streams_are_stable(self, cfg):
         # sample i must not depend on how many samples are drawn, also across block boundaries
         sizes = (5, BLOCK + 1, 2 * BLOCK + 3)

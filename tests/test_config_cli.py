@@ -119,6 +119,21 @@ class TestSchema:
         with pytest.raises(ConfigError, match=r"config\.geometry\.beams\.E: missing key"):
             load_config(write_config(tmp_path, raw))
 
+    def test_every_missing_key_is_named_in_one_refusal(self, tmp_path, capsys, default_raw):
+        # in two sections, then with a typo that the one refusal names once as unknown and once as missing
+        raw = copy.deepcopy(default_raw)
+        del raw["ensemble"]["temperature"], raw["ensemble"]["atomic_mass"], raw["simulation"]["seed"]
+        missing = "config.ensemble.atomic_mass, config.ensemble.temperature, config.simulation.seed: missing keys"
+        raw_typo = copy.deepcopy(raw)
+        raw_typo["ensemble"]["temperatur"] = "150 uK"
+        for config_raw, expected in ((raw, missing), (raw_typo, f"config.ensemble.temperatur: unknown key; {missing}")):
+            path = write_config(tmp_path, config_raw)
+            with pytest.raises(ConfigError, match=f"^{re.escape(expected)}$"):
+                load_config(path)
+            assert cli.main(["--config", path, "--out", str(tmp_path / "o"), "rabi", "--single"]) == cli.EXIT_CONFIG
+            assert capsys.readouterr().err == f"config error: {expected}\n"
+            assert not (tmp_path / "o").exists()
+
     def test_calibration_protocol_rabi(self):
         cfg = load_config()
         assert TWO_PI / cfg.protocol_rabi == pytest.approx(492e-9)
@@ -394,6 +409,9 @@ class TestCli:
             (["g2", "--field", "dlcz", "--parameter", "1.5"], "--parameter"),
             (["g2", "--field", "single", "--parameter", "2"], "--parameter"),
             (["g2", "--field", "coherent", "--parameter", "0"], "--parameter"),
+            # the vacuum has no g2: PhotonFieldModel's rule is the one check these meet
+            (["g2", "--field", "single", "--parameter", "0"], "--parameter"),
+            (["g2", "--field", "dlcz", "--parameter", "0"], "--parameter"),
             (["g2", "--field", "thermal", "--parameter", "inf"], "--parameter"),
             (["g2", "--field", "single", "--parameter", "nan"], "--parameter"),
             (["dephasing", "--flags", ","], "--flags"),
@@ -412,7 +430,7 @@ class TestCli:
             (["g2", "--field", "coherent", "--parameter", "1000"], "--parameter"),
         ],
         ids=[
-            "dlcz-p-above-range", "single-efficiency-above-1", "coherent-vacuum",
+            "dlcz-p-above-range", "single-efficiency-above-1", "coherent-vacuum", "single-vacuum", "dlcz-vacuum",
             "thermal-infinite", "single-efficiency-nan", "empty-flag-list", "no-flags",
             "repeated-flag", "empty-flag", "p-sweep-of-semi-source", "g2-no-singles",
             "thermal-beyond-fock-cutoff", "coherent-beyond-fock-cutoff", "coherent-far-beyond-fock-cutoff",

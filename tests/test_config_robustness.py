@@ -12,6 +12,10 @@ A key that no command reads is a knob that silently does nothing: each leaf, and
 element of a list of quantities on its own, is moved by a small step, and the commands
 of the default dataset must then change an artifact or an exit code, unless GATE_ONLY or
 UNREAD lists the leaf with its reason.
+
+Each leaf, and the first element of each list, given a value of the wrong kind, and each
+section given a scalar, exits 2 at load naming its key; so does a config that is empty
+or a list.
 """
 
 import copy
@@ -189,6 +193,61 @@ def test_detuning_table_exits_0_or_2_naming_the_detuning(tmp_path, capsys, key, 
             assert f"geometry.{key}" in err and not outdir.exists(), f"{label}: {err}"
         else:
             _check_outputs(outdir, label)
+
+
+# a value of the wrong kind for a leaf (or a list element) of kind ``kind``: a bare number for a quantity,
+# a string for a plain number or an integer; then, for every kind, a list, a mapping, a bool, null and a
+# quantity whose number does not parse. No value is a list of three, so each is wrong for a list leaf too.
+def _wrong_kinds(kind):
+    own = "1" if kind in ("dimensionless", int) else 1.0
+    return [own, [1.0, 2.0], {"a": 1}, True, None, "abc us"]
+
+
+def _refused(tmp_path, capsys, path, named):
+    """The config at ``path`` exits 2 at load, naming ``named``, with no traceback and no output directory."""
+    outdir = tmp_path / "o"
+    code = cli.main(["--config", str(path), "--out", str(outdir), "rabi", "--single"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG and err.startswith(f"config error: {named}") and "Traceback" not in err, err
+    assert not outdir.exists()
+
+
+# every leaf, and element 0 of every list leaf, with each value of the wrong kind
+KIND_PROBES = [
+    (".".join(leaf) + ("" if index is None else f"[{index}]"), leaf, kind, index)
+    for leaf, kind in _leaves(config._SCHEMA)
+    for index in ((None, 0) if isinstance(_packaged(leaf), list) else (None,))
+]
+
+
+@pytest.mark.parametrize("name, leaf, kind, index", KIND_PROBES, ids=[probe[0] for probe in KIND_PROBES])
+def test_wrong_kind_exits_2_naming_the_key(tmp_path, capsys, name, leaf, kind, index):
+    for wrong in _wrong_kinds(kind):
+        value = wrong if index is None else [wrong, *_packaged(leaf)[1:]]
+        _refused(tmp_path, capsys, _config(tmp_path, leaf, value), f"config.{name}: ")
+
+
+def _sections(schema, path=()):
+    """The key path of every mapping in the schema below the top level."""
+    for key, spec in schema.items():
+        if isinstance(spec, dict):
+            yield (*path, key)
+            yield from _sections(spec, (*path, key))
+
+
+SECTIONS = list(_sections(config._SCHEMA))
+
+
+@pytest.mark.parametrize("section", SECTIONS, ids=[".".join(s) for s in SECTIONS])
+def test_scalar_section_exits_2_naming_it(tmp_path, capsys, section):
+    _refused(tmp_path, capsys, _config(tmp_path, section, 5), "config." + ".".join(section) + ": expected a mapping")
+
+
+@pytest.mark.parametrize("content", ["", "[]\n", yaml.safe_dump([PACKAGED])], ids=["empty", "empty-list", "list"])
+def test_top_level_that_is_no_mapping_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(content)
+    _refused(tmp_path, capsys, path, "config: expected a mapping")
 
 
 DATASET = runpy.run_path(str(Path(__file__).resolve().parents[1] / "scripts" / "run_default_dataset.py"))["COMMANDS"]

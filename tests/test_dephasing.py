@@ -59,10 +59,6 @@ class TestThermalMotion:
     def test_zero_mismatch_never_dephases(self):
         assert dp.motional_coherence_time_us(0.0, 150.0, 86.909) == np.inf
 
-    def test_rejects_nonpositive_temperature(self):
-        with pytest.raises(ValueError):
-            dp.thermal_velocity_sigma(0.0, 86.909)
-
 
 class TestRamanCoupling:
     def test_branch_weights_cancel_light_shift(self, cfg):

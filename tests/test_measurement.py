@@ -119,7 +119,8 @@ class TestBornProbabilities:
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_unknown_basis(self):
-        with pytest.raises(ValueError):
+        # a name lookup, so an unknown basis raises rather than falling through to one of BASES
+        with pytest.raises(KeyError, match="diag"):
             bell_probs(0.0, "diag")
 
     @settings(max_examples=300, deadline=None)
@@ -292,10 +293,6 @@ class TestSampling:
         assert res["F"] == ms.fidelity_bound(*v.tolist())
         assert res["F_error"] == pytest.approx(0.25 * np.sqrt(sum(e**2 for e in errors)), rel=1e-15)
 
-    def test_rejects_no_trials(self):
-        with pytest.raises(ValueError, match="trials"):
-            ms.measure_three_bases(BELL, np.pi, 1.0, IDEAL, 0, 1)
-
     def test_largest_trial_count_gives_finite_errors(self):
         # 2**63 - 1 is the largest count multinomial takes; par * perp would overflow int64
         res = ms.measure_three_bases(BELL, np.pi, 1.0, DetectorModel(0.5, 0.01), 2**63 - 1, 1)
@@ -351,9 +348,10 @@ class TestPhotonStatistics:
         assert d[1] / d[0] == pytest.approx(0.1, rel=1e-12)
 
     def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
+        # a name lookup: an unknown kind in range of the mean-photon check must not fall through to a law
+        with pytest.raises(KeyError, match="squeezed"):
             PhotonFieldModel("squeezed", 0.1, IDEAL)
-        with pytest.raises(ValueError, match="kind must be one of"):
+        with pytest.raises(KeyError, match="squeezed"):
             ms.occupation("squeezed", 0.1)
 
     @pytest.mark.parametrize(
@@ -454,11 +452,6 @@ class TestG2:
         mc, _ = ms.g2_from_counts(*ms.hbt_counts(f, 400_000, 13), 400_000)
         assert mc == pytest.approx(exact, rel=0.03)
 
-    def test_mc_requires_seed(self):
-        f = PhotonFieldModel("coherent", 1.0, IDEAL)
-        with pytest.raises(ValueError):
-            ms.hbt_counts(f, 1000, None)
-
     def test_mc_deterministic(self):
         f = PhotonFieldModel("thermal", 0.5, DetectorModel(1.0, 0.01))
         assert ms.hbt_counts(f, 50_000, 3) == ms.hbt_counts(f, 50_000, 3)
@@ -551,13 +544,6 @@ class TestBackgroundCalibration:
         b_high = ms.calibrate_background(0.12, f)
         assert 0.0 < b_low < b_high
 
-    def test_rejects_bad_target(self):
-        f = PhotonFieldModel("single_photon", 1.0, DetectorModel(0.008))
-        with pytest.raises(ValueError):
-            ms.calibrate_background(0.0, f)
-        with pytest.raises(ValueError):
-            ms.calibrate_background(1.0, f)
-
     @pytest.mark.parametrize(
         "parameter, eta, target, rel",
         [
@@ -592,13 +578,3 @@ class TestBackgroundCalibration:
         f = PhotonFieldModel("single_photon", 1.0, DetectorModel(0.0))
         with pytest.raises(ValueError, match="no clicks"):
             ms.calibrate_background(0.062, f)
-
-
-class TestDetectorValidation:
-    def test_efficiency_range(self):
-        with pytest.raises(ValueError):
-            DetectorModel(efficiency=1.5)
-
-    def test_background_range(self):
-        with pytest.raises(ValueError):
-            DetectorModel(background_prob=1.0)

