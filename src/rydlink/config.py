@@ -2,10 +2,11 @@
 
 Dimensioned values are strings like ``"3 MHz"`` or ``"7 um"``; frequencies
 are understood as cycles and converted to angular units (a "3 MHz" Rabi
-frequency becomes 2 pi x 3e6 rad/s). Unknown and missing keys anywhere in the
-tree are rejected together, each with its dotted path, so typos fail loudly
-instead of silently falling back to defaults. Each leaf of ``_SCHEMA`` also
-holds its key's range, so an out-of-range value fails at load naming its key.
+frequency becomes 2 pi x 3e6 rad/s). One walk over ``_SCHEMA`` parses the tree
+and names, in one refusal, every unknown or missing key, section that is not a
+mapping, and value of the wrong kind, unit or range (each leaf holds its key's
+range), so typos fail loudly instead of silently falling back to defaults. The
+YAML loader refuses a key repeated in one mapping, naming its line.
 
 ``load_config`` reads the file on every call, but parses, checks, builds and
 hashes it only when the content differs from the last one loaded: every call
@@ -71,11 +72,11 @@ class ConfigError(ValueError):
 def parse_quantity(value, dimension: str, path: str = "value") -> float:
     """Parse '3 MHz' -> 2 pi x 3e6 etc.; checks the dimension matches.
 
-    A "dimensionless" value is a plain finite int or float (YAML booleans are
-    not numbers).
+    A "dimensionless" value is a plain int or float that a float holds finite
+    (YAML booleans are not numbers).
     """
     if dimension == "dimensionless":
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
             raise ConfigError(f"{path}: expected a finite plain number, got {value!r}")
         return float(value)
     if not isinstance(value, str):
@@ -126,15 +127,16 @@ _FLOAT_COUNT = (lambda v: 1 <= v <= sys.float_info.max, f"lie in [1, {sys.float_
 _SQUARABLE = (lambda v: v > 0.0 and 0.0 < v * v < math.inf, "be positive, with a finite nonzero square")
 
 # Schema leaves are (kind, check). A kind is a quantity dimension,
-# "dimensionless" (a plain number), int, or (element kind, length) for
-# a list, whose elements are checked one by one as key[i]. A check is a
-# (test, requirement) pair or None. The records built from the parsed tree
-# do not check again. _run_config adds the mode gate and the two Rabi
-# frequencies RunConfig derives; the limits of a dephasing run are in its
-# own gate, dephasing.simulate_single_excitation.
+# "dimensionless" (a plain number), int, or (element leaf, length) for a
+# list, whose elements are checked one by one as key[i] before the list's
+# own check. A check is a (test, requirement) pair or None. The records
+# built from the parsed tree do not check again. _run_config adds the mode
+# gate and the two Rabi frequencies RunConfig derives; the limits of a
+# dephasing run are in its own gate, dephasing.simulate_single_excitation.
 _BEAM_SCHEMA = {
     "wavelength": ("length", _SQUARABLE),
-    "direction": (("dimensionless", 3), None),  # Beam requires a unit vector
+    # Beam divides by the norm, so a direction written to a few digits keeps its bytes
+    "direction": ((("dimensionless", None), 3), (lambda v: abs(math.hypot(*v) - 1.0) <= 1e-6, "have norm 1 to 1e-6")),
     "waist": ("length", _SQUARABLE),
     "rabi": ("frequency", _SQUARABLE),
 }
@@ -164,7 +166,7 @@ _SCHEMA = {
     "ensemble": {
         "effective_atom_number": (int, _FLOAT_COUNT),
         "temperature": ("temperature", _POSITIVE),
-        "cloud_sigma": (("length", 3), _POSITIVE),
+        "cloud_sigma": ((("length", _POSITIVE), 3), None),
         "ground_spinwave_lifetime": ("time", _POSITIVE),
         "atomic_mass": ("mass", _POSITIVE),
     },
@@ -202,8 +204,8 @@ def _parse_leaf(value, kind, check, path: str):
         element, length = kind
         if not isinstance(value, list) or len(value) != length:
             raise ConfigError(f"{path}: expected a list of {length} values, got {value!r}")
-        return tuple(_parse_leaf(v, element, check, f"{path}[{i}]") for i, v in enumerate(value))
-    if isinstance(kind, str):
+        value = tuple(_parse_leaf(v, *element, f"{path}[{i}]") for i, v in enumerate(value))
+    elif isinstance(kind, str):
         value = parse_quantity(value, kind, path)
     elif not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(f"{path}: expected an integer")
@@ -212,31 +214,24 @@ def _parse_leaf(value, kind, check, path: str):
     return value
 
 
-def _key_faults(node, schema, path: str) -> tuple:
-    """(unknown, missing): the dotted path of every key the schema lacks and of every key the tree
-    lacks, at every level of the tree under known keys."""
+def _walk(node, spec, path: str, keys: dict, bad: list):
+    """``node`` parsed by ``spec``, a ``_SCHEMA`` section or leaf, read-only at every level. Adds, level by
+    level, the dotted path of each key the schema lacks to ``keys["unknown"]`` and of each key the tree
+    lacks to ``keys["missing"]``, and the refusal of every other fault to ``bad``, in schema order."""
+    if not isinstance(spec, dict):
+        try:
+            return _parse_leaf(node, *spec, path)
+        except ConfigError as exc:
+            bad.append(str(exc))
+            return None
     if not isinstance(node, dict):
-        return [], []
-    unknown = [f"{path}.{key}" for key in sorted(set(node) - set(schema), key=str)]
-    missing = [f"{path}.{key}" for key in sorted(set(schema) - set(node))]
-    for key, spec in schema.items():
-        if isinstance(spec, dict) and key in node:
-            more_unknown, more_missing = _key_faults(node[key], spec, f"{path}.{key}")
-            unknown += more_unknown
-            missing += more_missing
-    return unknown, missing
-
-
-def _validate(node, schema, path: str):
-    """The parsed tree of ``node``, which has every key of ``schema`` (``_key_faults``)."""
-    if not isinstance(node, dict):
-        raise ConfigError(f"{path}: expected a mapping")
-    return types.MappingProxyType({
-        key: _validate(node[key], spec, f"{path}.{key}")
-        if isinstance(spec, dict)
-        else _parse_leaf(node[key], *spec, f"{path}.{key}")
-        for key, spec in schema.items()
-    })
+        bad.append(f"{path}: expected a mapping")
+        return None
+    keys["unknown"] += [f"{path}.{key}" for key in sorted(set(node) - set(spec), key=str)]
+    keys["missing"] += [f"{path}.{key}" for key in sorted(set(spec) - set(node))]
+    return types.MappingProxyType(
+        {key: _walk(node[key], sub, f"{path}.{key}", keys, bad) for key, sub in spec.items() if key in node}
+    )
 
 
 @dataclass(frozen=True)
@@ -264,17 +259,10 @@ class RunConfig:
 
 def _build_geometry(parsed: types.MappingProxyType) -> BeamGeometry:
     g = parsed["geometry"]
-    beams = {}
-    for bid, spec in g["beams"].items():
-        try:
-            beams[bid] = Beam(
-                wavelength_nm=spec["wavelength"] * 1e3,  # canonical um -> nm
-                direction=spec["direction"],
-                waist_um=spec.get("waist"),
-                rabi=spec.get("rabi"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"geometry.beams.{bid}.direction: {exc}") from None
+    beams = {  # the wavelength from canonical um to nm
+        bid: Beam(spec["wavelength"] * 1e3, spec["direction"], waist_um=spec.get("waist"), rabi=spec.get("rabi"))
+        for bid, spec in g["beams"].items()
+    }
     geo = BeamGeometry(beams=beams, detuning_1=g["detuning_1"], detuning_2=g["detuning_2"])
     if not modes_distinguishable(geo):
         raise ConfigError(
@@ -296,6 +284,24 @@ def _build_ensemble(parsed: types.MappingProxyType) -> EnsembleConfig:
     )
 
 
+@functools.cache
+def _loader(base):
+    """``base`` refusing a key repeated in one mapping, which YAML would give its last value."""
+
+    class Loader(base):
+        def construct_mapping(self, node, deep=False):
+            keys = []
+            for key_node, _ in node.value:
+                if key_node.tag != "tag:yaml.org,2002:merge":  # merged pairs are there to be overridden
+                    key = self.construct_object(key_node, deep)
+                    if key in keys:
+                        raise yaml.MarkedYAMLError(None, None, f"repeated key {key!r}", key_node.start_mark)
+                    keys.append(key)
+            return super().construct_mapping(node, deep)
+
+    return Loader
+
+
 @functools.lru_cache(maxsize=1)  # the CLI, the dataset script and a benchmark pass each load one content
 def _run_config(data: bytes, name: str, loader) -> RunConfig:
     """The checked RunConfig of a file's bytes, shared by every call with the same arguments, so
@@ -305,15 +311,12 @@ def _run_config(data: bytes, name: str, loader) -> RunConfig:
     stream = io.BytesIO(data)
     stream.name = name
     raw = yaml.load(stream, Loader=loader)
-    # every unknown and every missing key in one refusal, before any leaf is parsed
-    faults = [
-        f"{', '.join(paths)}: {what} key{'s' if len(paths) > 1 else ''}"
-        for what, paths in zip(("unknown", "missing"), _key_faults(raw, _SCHEMA, "config"))
-        if paths
-    ]
+    keys, bad = {"unknown": [], "missing": []}, []
+    parsed = _walk(raw, _SCHEMA, "config", keys, bad)
+    # every fault in one refusal: the unknown keys, the missing keys, then the rest in schema order
+    faults = [f"{', '.join(paths)}: {what} key{'s' * (len(paths) > 1)}" for what, paths in keys.items() if paths] + bad
     if faults:
         raise ConfigError("; ".join(faults))
-    parsed = _validate(raw, _SCHEMA, "config")
     geometry = _build_geometry(parsed)
     ensemble = _build_ensemble(parsed)
     config_hash = hashlib.sha256(json.dumps(raw, sort_keys=True).encode()).hexdigest()
@@ -331,7 +334,7 @@ def load_config(path=None) -> RunConfig:
     """Load and validate a YAML run configuration (default: packaged)."""
     source = DEFAULT_CONFIG_RESOURCE if path is None else path
     # libyaml when PyYAML was built with it: the same tree, about 6x faster
-    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    loader = _loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     try:
         if path is None:
             data, name = (importlib.resources.files("rydlink.data") / DEFAULT_CONFIG_RESOURCE).read_bytes(), source

@@ -34,6 +34,10 @@ def default_raw():
     return yaml.safe_load(text)
 
 
+class Twice(list):
+    """The values of a key that a config writes twice in one mapping, in order."""
+
+
 def write_config(tmp_path, raw, name="cfg.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(raw))
@@ -241,12 +245,12 @@ class TestConfigCache:
     def test_one_check_per_content(self, tmp_path, default_raw, parses, monkeypatch):
         checks = []
         # the schema walk, and the mode gate
-        for name in ("_validate", "modes_distinguishable"):
+        for name in ("_walk", "modes_distinguishable"):
             original = getattr(config, name)
             monkeypatch.setattr(config, name, lambda *a, _f=original, _n=name: checks.append(_n) or _f(*a))
         path = write_config(tmp_path, default_raw)
         first = load_config(path)
-        assert "modes_distinguishable" in checks and "_validate" in checks
+        assert "modes_distinguishable" in checks and "_walk" in checks
         per_load = sorted(checks)
         # the same bytes again: no parse, no check, and the one RunConfig
         assert load_config(path) is first
@@ -373,8 +377,12 @@ class TestCli:
         elif not hasattr(yaml, loader):
             pytest.skip("PyYAML built without libyaml")
         bad = tmp_path / "bad.yaml"
-        # an unclosed list, marked by its line, and a byte that is not UTF-8, marked by its position
-        for content, mark in ((b"geometry: [1, 2\n", ", line 1, column 11"), (b"seed: \xff\n", ", position 6")):
+        # an unclosed list, marked by its line, a byte that is not UTF-8, marked by its position,
+        # and a key repeated in one mapping, marked by its second line
+        for content, mark in (
+            (b"geometry: [1, 2\n", ", line 1, column 11"), (b"seed: \xff\n", ", position 6"),
+            (b"seed: 1\nseed: 2\n", ", line 2, column 1"),
+        ):
             bad.write_bytes(content)
             for _ in range(2):  # no bad file is cached, so a repeated run names it again
                 assert cli.main(["--config", str(bad), "--out", str(tmp_path / "o"), "g2", "--field", "single"]) == 2
@@ -828,6 +836,17 @@ class TestCli:
                  "7 um", "520 um", "23 MHz"),
                 ["rabi", "--pair"],
             ),
+            # a direction that is no finite unit vector, refused by the schema walk
+            ("geometry.beams.B.direction", [1.0, 1.0, 0.0], ["rabi", "--pair"]),
+            ("geometry.beams.C.direction", [float("nan"), 0.0, 1.0], ["entangle", "--fidelity"]),
+            ("geometry.beams.D.direction", [float("inf"), 0.0, 1.0], ["dephasing", "--flags", "none"]),
+            # a key written twice in one mapping, of which YAML would keep the last value
+            (
+                "readout",
+                Twice([{"second_read_delay": "300 ns", "phase_shift": f"{np.pi!r} rad"}] * 2),
+                ["entangle", "--fidelity"],
+            ),
+            ("ensemble.temperature", Twice(["150 uK", "15000 uK"]), ["dephasing", "--flags", "motion"]),
         ],
         ids=[
             "nan-wavelength", "nan-direction", "string-direction", "short-direction",
@@ -852,6 +871,7 @@ class TestCli:
             "period-beyond-ns-single", "period-beyond-ns-pair", "overflowing-excitation-rabi",
             "underflowing-excitation-rabi", "zero-spin-wave-vector-none", "zero-spin-wave-vector-motion",
             "repeater-trials-past-c-long", "removed-keys-together",
+            "unnormalized-B-direction", "nan-C-direction", "inf-D-direction", "repeated-section", "repeated-leaf",
         ],
     )
     def test_bad_config_value_exits_2_naming_key(self, tmp_path, capsys, default_raw, key, value, args):
@@ -864,11 +884,17 @@ class TestCli:
             node = raw
             for part in parents:
                 node = node[part]
-            node[leaf] = v
+            node[leaf] = "TWICE" if isinstance(v, Twice) else v
         config = write_config(tmp_path, raw)
+        if isinstance(value, Twice):  # the key's line once per value: the refusal names the key and its second line
+            text = Path(config).read_text()
+            line = re.search(r"^( *)(\S+): TWICE\n", text, re.M)
+            Path(config).write_text(text.replace(line[0], "".join(f"{line[1]}{line[2]}: {json.dumps(v)}\n" for v in value)))
+            second = text.count("\n", 0, line.start()) + 2
+            keys = (f"repeated key {line[2]!r}\n  in \"{config}\", line {second},",)
         assert cli.main(["--config", config, "--out", str(tmp_path / "o"), *args]) == 2
         err = capsys.readouterr().err
-        assert all(k in err for k in keys)
+        assert all(k in err for k in keys), err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(

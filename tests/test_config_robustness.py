@@ -15,7 +15,8 @@ UNREAD lists the leaf with its reason.
 
 Each leaf, and the first element of each list, given a value of the wrong kind, and each
 section given a scalar, exits 2 at load naming its key; so does a config that is empty
-or a list.
+or a list. Each wrong kind beside a fault in another section, and a config with one fault
+of each sort, exit 2 with one refusal that names every fault.
 """
 
 import copy
@@ -64,13 +65,15 @@ def _packaged(leaf):
     return node
 
 
-def _config(tmp_path, leaf, value):
-    """The path of the packaged config with ``value`` at the key path ``leaf``."""
+def _config(tmp_path, leaf, value, *more):
+    """The path of the packaged config with ``value`` at the key path ``leaf``, and so on for each
+    (key path, value) pair of ``more``."""
     raw = copy.deepcopy(PACKAGED)
-    node = raw
-    for key in leaf[:-1]:
-        node = node[key]
-    node[leaf[-1]] = value
+    for leaf, value in ((leaf, value), *more):
+        node = raw
+        for key in leaf[:-1]:
+            node = node[key]
+        node[leaf[-1]] = value
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump(raw))
     return path
@@ -82,7 +85,7 @@ def _leaves(schema, path=()):
         if isinstance(spec, dict):
             yield from _leaves(spec, (*path, key))
         else:
-            yield (*path, key), spec[0][0] if isinstance(spec[0], tuple) else spec[0]
+            yield (*path, key), spec[0][0][0] if isinstance(spec[0], tuple) else spec[0]
 
 
 LEAVES = [leaf for leaf, kind in _leaves(config._SCHEMA) if isinstance(kind, str)]
@@ -196,19 +199,23 @@ def test_detuning_table_exits_0_or_2_naming_the_detuning(tmp_path, capsys, key, 
 
 
 # a value of the wrong kind for a leaf (or a list element) of kind ``kind``: a bare number for a quantity,
-# a string for a plain number or an integer; then, for every kind, a list, a mapping, a bool, null and a
-# quantity whose number does not parse. No value is a list of three, so each is wrong for a list leaf too.
+# a string for a plain number or an integer; then, for every kind, a list, a mapping, a bool, null, a
+# quantity whose number does not parse and an integer past float range (out of range for an integer key).
+# No value is a list of three, so each is wrong for a list leaf too.
 def _wrong_kinds(kind):
     own = "1" if kind in ("dimensionless", int) else 1.0
-    return [own, [1.0, 2.0], {"a": 1}, True, None, "abc us"]
+    return [own, [1.0, 2.0], {"a": 1}, True, None, "abc us", 10**400]
 
 
-def _refused(tmp_path, capsys, path, named):
-    """The config at ``path`` exits 2 at load, naming ``named``, with no traceback and no output directory."""
+def _refused(tmp_path, capsys, path, *named):
+    """The config at ``path`` exits 2 at load with one refusal, one of whose faults starts with each of
+    ``named``, with no traceback and no output directory."""
     outdir = tmp_path / "o"
     code = cli.main(["--config", str(path), "--out", str(outdir), "rabi", "--single"])
     err = capsys.readouterr().err
-    assert code == cli.EXIT_CONFIG and err.startswith(f"config error: {named}") and "Traceback" not in err, err
+    assert code == cli.EXIT_CONFIG and err.startswith("config error: ") and err.count("\n") == 1, err
+    faults = "; " + err.removeprefix("config error: ")
+    assert all(f"; {n}" in faults for n in named) and "Traceback" not in err, err
     assert not outdir.exists()
 
 
@@ -225,6 +232,40 @@ def test_wrong_kind_exits_2_naming_the_key(tmp_path, capsys, name, leaf, kind, i
     for wrong in _wrong_kinds(kind):
         value = wrong if index is None else [wrong, *_packaged(leaf)[1:]]
         _refused(tmp_path, capsys, _config(tmp_path, leaf, value), f"config.{name}: ")
+
+
+# (key path, value, refusal) of a fault to set beside a kind probe, in a section other than the probe's
+SEED_FAULT = (("simulation", "seed"), -1, "config.simulation.seed: must be >= 0 and < 2**53")
+TRIALS_FAULT = (("repeater", "trials"), 0, "config.repeater.trials: must lie in [1, 2**63)")
+
+
+@pytest.mark.parametrize("name, leaf, kind, index", KIND_PROBES, ids=[probe[0] for probe in KIND_PROBES])
+def test_wrong_kind_beside_a_fault_elsewhere_names_both(tmp_path, capsys, name, leaf, kind, index):
+    other, other_value, other_fault = TRIALS_FAULT if leaf[0] == "simulation" else SEED_FAULT
+    for wrong in _wrong_kinds(kind):
+        value = wrong if index is None else [wrong, *_packaged(leaf)[1:]]
+        path = _config(tmp_path, leaf, value, (other, other_value))
+        _refused(tmp_path, capsys, path, f"config.{name}: ", other_fault)
+
+
+def test_one_fault_of_each_sort_is_named_in_one_refusal(tmp_path, capsys):
+    raw = copy.deepcopy(PACKAGED)
+    raw["ensemble"]["free_rydberg_lifetime"] = "1.6 us"  # unknown
+    del raw["readout"]["phase_shift"]  # missing
+    raw["raman"] = 5  # a section that is no mapping
+    raw["simulation"]["seed"] = "1"  # a leaf of the wrong kind
+    raw["repeater"]["trials"] = 0  # out of range
+    raw["geometry"]["beams"]["B"]["direction"] = [1.0, 1.0, 0.0]  # no unit vector
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    outdir = tmp_path / "o"
+    assert cli.main(["--config", str(path), "--out", str(outdir), "rabi", "--single"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: config.ensemble.free_rydberg_lifetime: unknown key; config.readout.phase_shift: missing key; "
+        "config.geometry.beams.B.direction: must have norm 1 to 1e-6; config.raman: expected a mapping; "
+        "config.simulation.seed: expected an integer; config.repeater.trials: must lie in [1, 2**63)\n"
+    )
+    assert not outdir.exists()
 
 
 def _sections(schema, path=()):
@@ -258,7 +299,7 @@ TILT = 0.02
 
 def _moves():
     """(name, key path, list index or None) of each leaf, and of each element of a list of quantities
-    on its own; a direction is moved as one leaf, since Beam requires a unit vector."""
+    on its own; a direction is moved as one leaf, since the schema requires a unit vector."""
     for leaf, kind in _leaves(config._SCHEMA):
         dotted, packaged = ".".join(leaf), _packaged(leaf)
         if isinstance(packaged, list) and kind != "dimensionless":

@@ -40,16 +40,9 @@ class TestWavevectorArrays:
         assert mode_overlap(np.array([3.0, 4.0, 12.0]), np.zeros(3), 0.5) == pytest.approx(np.exp(-25.0 * 0.25 / 4.0), rel=1e-12)
 
 
+# a direction that is not a finite unit vector is refused at load (config._SCHEMA): see the
+# nan-, inf- and unnormalized-direction rows of test_config_cli's bad-value table
 class TestBeamValidation:
-    def test_rejects_unnormalized_direction(self):
-        with pytest.raises(ValueError):
-            Beam(795.0, np.array([1.0, 1.0, 0.0]), 7.0, 1.0)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_rejects_nonfinite_direction(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            Beam(795.0, np.array([bad, 0.0, 1.0]), 7.0, 1.0)
-
     def test_unknown_beam(self, geo):
         with pytest.raises(KeyError):
             beam_wavevector("Z", geo)
