@@ -6,7 +6,9 @@ frequency becomes 2 pi x 3e6 rad/s). One walk over ``_SCHEMA`` parses the tree
 and names, in one refusal, every unknown or missing key, section that is not a
 mapping, and value of the wrong kind, unit or range (each leaf holds its key's
 range), so typos fail loudly instead of silently falling back to defaults. The
-YAML loader refuses a key repeated in one mapping, naming its line.
+YAML loader refuses a key repeated in one mapping, and an integer int() cannot
+read (one of more digits than the interpreter converts), naming its line. A refusal echoes a value through
+``reprlib``, so a long one is shown cut short.
 
 ``load_config`` reads the file on every call, but parses, checks, builds and
 hashes it only when the content differs from the last one loaded: every call
@@ -24,6 +26,7 @@ import importlib.resources
 import io
 import json
 import math
+import reprlib
 import sys
 import types
 from dataclasses import dataclass
@@ -77,28 +80,28 @@ def parse_quantity(value, dimension: str, path: str = "value") -> float:
     """
     if dimension == "dimensionless":
         if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
-            raise ConfigError(f"{path}: expected a finite plain number, got {value!r}")
+            raise ConfigError(f"{path}: expected a finite plain number, got {reprlib.repr(value)}")
         return float(value)
     if not isinstance(value, str):
-        raise ConfigError(f"{path}: expected a unit-suffixed string, got {value!r}")
+        raise ConfigError(f"{path}: expected a unit-suffixed string, got {reprlib.repr(value)}")
     parts = value.split()
     if len(parts) != 2:
-        raise ConfigError(f"{path}: expected '<number> <unit>', got {value!r}")
+        raise ConfigError(f"{path}: expected '<number> <unit>', got {reprlib.repr(value)}")
     try:
         mag = float(parts[0])
     except ValueError:
-        raise ConfigError(f"{path}: bad number in {value!r}") from None
+        raise ConfigError(f"{path}: bad number in {reprlib.repr(value)}") from None
     if not math.isfinite(mag):
-        raise ConfigError(f"{path}: magnitude must be finite, got {value!r}")
+        raise ConfigError(f"{path}: magnitude must be finite, got {reprlib.repr(value)}")
     unit = parts[1]
     if unit not in _UNITS:
-        raise ConfigError(f"{path}: unknown unit {unit!r}")
+        raise ConfigError(f"{path}: unknown unit {reprlib.repr(unit)}")
     dim, factor = _UNITS[unit]
     if dim != dimension:
         raise ConfigError(f"{path}: expected a {dimension}, got {unit!r} ({dim})")
     converted = mag * factor
     if not math.isfinite(converted):
-        raise ConfigError(f"{path}: {value!r} overflows in canonical units")
+        raise ConfigError(f"{path}: {reprlib.repr(value)} overflows in canonical units")
     return converted
 
 
@@ -203,7 +206,7 @@ def _parse_leaf(value, kind, check, path: str):
     if isinstance(kind, tuple):
         element, length = kind
         if not isinstance(value, list) or len(value) != length:
-            raise ConfigError(f"{path}: expected a list of {length} values, got {value!r}")
+            raise ConfigError(f"{path}: expected a list of {length} values, got {reprlib.repr(value)}")
         value = tuple(_parse_leaf(v, *element, f"{path}[{i}]") for i, v in enumerate(value))
     elif isinstance(kind, str):
         value = parse_quantity(value, kind, path)
@@ -286,9 +289,18 @@ def _build_ensemble(parsed: types.MappingProxyType) -> EnsembleConfig:
 
 @functools.cache
 def _loader(base):
-    """``base`` refusing a key repeated in one mapping, which YAML would give its last value."""
+    """``base`` refusing a key repeated in one mapping, which YAML would give its last value, and an
+    integer int() cannot read (no digits after a base prefix, or more than it converts), whose
+    ValueError is no YAML error."""
 
     class Loader(base):
+        def construct_yaml_int(self, node):
+            try:
+                return super().construct_yaml_int(node)
+            except ValueError:
+                problem = f"an integer int() cannot read: it has no digits or more than {sys.get_int_max_str_digits()}"
+                raise yaml.MarkedYAMLError(None, None, problem, node.start_mark) from None
+
         def construct_mapping(self, node, deep=False):
             keys = []
             for key_node, _ in node.value:
@@ -299,6 +311,7 @@ def _loader(base):
                     keys.append(key)
             return super().construct_mapping(node, deep)
 
+    Loader.add_constructor("tag:yaml.org,2002:int", Loader.construct_yaml_int)
     return Loader
 
 

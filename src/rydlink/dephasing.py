@@ -27,8 +27,9 @@ Per-node generators are time independent and the time grid is uniform from
 t = 0, so exp(G t_i) = P^i with P = exp(G dt). P comes from Taylor-24 scaling
 and squaring (Al-Mohy and Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)),
 and the n_t values of a node from about 2 sqrt(n_t) row and column powers of P
-and one batched product written in place into the output, all matrix products
-over a stack of nodes. On the 16
+and one batched product, all matrix products over a stack of nodes. The nodes
+go through BLOCK at a time, each stack reduced to its weighted sums before the
+next is propagated, so no (points, nodes) array is held. On the 16
 real coordinates of rho (populations, then Re and Im of each coherence) the
 Liouvillian is a real matrix, and the no-jump generator -i H_eff is built real,
 on the 8 coordinates (Re psi, Im psi) of the state.
@@ -53,8 +54,10 @@ AMU = 1.66053906892e-27  # kg
 LEVEL_S, LEVEL_E1, LEVEL_E2, LEVEL_R = 0, 1, 2, 3
 
 BOUNDS_TOL = 1e-9  # rounding allowed in 0 <= projection <= population <= 1
-# a run allocates (points, nodes) arrays: at 640 nodes, 2**16 points hold 0.7 GB of complex
-# amplitudes, and a rule of more nodes is refused beyond that many values
+# a run holds (points, BLOCK) arrays, so its memory grows with the points, not the nodes: the packaged
+# 400 nodes at 2**16 points allocate about 100 MiB (0.6 GB when whole (points, nodes) arrays were held).
+# The values, points x nodes, bound the propagation's work: 640 nodes take 2**16 points, and a rule of
+# more nodes is refused beyond that many
 MAX_DEPHASING_POINTS = 2**16
 MAX_DEPHASING_VALUES = 640 * MAX_DEPHASING_POINTS
 # smallest node budget, set under the fixed 32-node Doppler rule that the sized one replaced: the rule
@@ -354,14 +357,14 @@ def atom_nodes(ens: EnsembleConfig, k_sw, waist_um: float, flags: SimulationFlag
 # 1/k! to degree 24 in rows of six; the largest 1-norm at which that polynomial's backward error is <= 2^-53
 TAYLOR_24 = np.array([1.0 / math.factorial(k) if k <= 24 else 0.0 for k in range(30)]).reshape(5, 6)
 THETA_24 = 2.2190488693650896
-# nodes propagated at once: bounds the temporaries of _expm and _powers. At 256 a warm ensemble pass
-# (budget 4000, 640 points, three runs) faults about 2,250 pages (8,800 when each block's values
-# were copied into the output): each block's temporaries outgrow the free heap glibc keeps (twice
-# the largest block freed, the 6.5 MiB (n_t, n) output) and are faulted in again by the next block;
-# at 128, none. The packaged motion + inhomo + scatter run still faults about 1,800 per call when
-# run alone in a loop (_expm 890, _propagate 800, _powers 80, _batched_amplitudes 50) on trims
-# between runs of other node counts, which a once-per-call workspace does not end.
-BLOCK = 128
+# nodes propagated, and reduced to their weighted sums, at once: bounds the temporaries of _expm and
+# _powers and the (points, BLOCK) values a stack returns. The packaged motion + inhomo + scatter run at
+# 640 points allocates at most 1.5 MiB above what is live before it (2.8 MiB at 128, 6.9 MiB when the
+# whole (points, nodes) arrays were held). At 128 the Lindblad stack of a chunk outgrows twice the
+# amplitude stack, the largest block glibc has mapped, so the heap is trimmed after each chunk: a warm
+# benchmark ensemble pass faults about 1,600 pages in it, and about 400 at 64, though a call that
+# faults at neither size computes 2-8% longer at 64.
+BLOCK = 64
 
 
 def _expm(A):
@@ -416,9 +419,9 @@ def _propagate(G, rows, t_grid_s):
     The grid must start at t = 0 and be uniform to within the rounding of its points (any
     other raises ValueError), so exp(G t_i) = P^i with P = exp(G dt). Writing i = a B + b with
     B the least power of two >= sqrt(n_t), each value is the row e_j^T P^b times the column
-    Q^a e_k, Q = P^B, k = rows[0]: the rows and columns come by doubling, and the values of
-    BLOCK nodes at a time from one batched product, written into the output in place. The
-    output holds all n_a B values of a <= n_a = ceil(n_t / B) and is returned as its first n_t.
+    Q^a e_k, Q = P^B, k = rows[0]: the rows and columns come by doubling, and the values from
+    one batched product over the stack, which holds all n_a B values of a < n_a = ceil(n_t / B)
+    and is returned as its first n_t. simulate_single_excitation hands it BLOCK nodes at a time.
     """
     t = np.asarray(t_grid_s, dtype=float)
     n_t = len(t)
@@ -428,15 +431,11 @@ def _propagate(G, rows, t_grid_s):
     eye = np.eye(G.shape[-1])
     n_b = 1 << math.ceil(math.log2(n_t) / 2)
     n_a = -(-n_t // n_b)
-    out = np.empty((len(G), n_a * n_b, len(rows)))
-    for lo in range(0, len(G), BLOCK):
-        g = G[lo : lo + BLOCK]
-        powers, half = _powers(_expm(g * dt), eye[rows], n_b)  # e_j^T P^b, and P^(B/2)
-        Q = half @ half
-        cols, _ = _powers(Q.transpose(0, 2, 1), eye[rows[:1]], n_a)  # (Q^a e_k)^T
-        # (n, a, b j): each value at a B + b in place
-        np.matmul(cols, powers.transpose(0, 2, 1), out=out[lo : lo + BLOCK].reshape(len(g), n_a, -1))
-    return out[:, :n_t]
+    powers, half = _powers(_expm(G * dt), eye[rows], n_b)  # e_j^T P^b, and P^(B/2)
+    Q = half @ half
+    cols, _ = _powers(Q.transpose(0, 2, 1), eye[rows[:1]], n_a)  # (Q^a e_k)^T
+    # (n, a, b j): each value at a B + b
+    return (cols @ powers.transpose(0, 2, 1)).reshape(len(G), n_a * n_b, -1)[:, :n_t]
 
 
 def _real_liouvillian(H, gamma):
@@ -546,15 +545,21 @@ def simulate_single_excitation(
 
     H = _four_level_hamiltonian(geo, s1, s2, doppler)
 
+    # the weighted sums of the coherent r amplitude and of the Rydberg population, BLOCK nodes at a time
+    amplitude, population = np.zeros(len(t_grid_s), dtype=complex), np.zeros(len(t_grid_s))
     with np.errstate(over="ignore", invalid="ignore"):  # too fast a rate overflows: see the bounds check
-        amps = _batched_amplitudes(H, gamma, t_grid_s)
-        projection = np.abs(amps @ weights) ** 2
+        for lo in range(0, len(weights), BLOCK):
+            h, w = H[lo : lo + BLOCK], weights[lo : lo + BLOCK]
+            amps = _batched_amplitudes(h, gamma, t_grid_s)
+            amplitude += amps @ w
+            if flags.scatter:
+                del amps  # freed before the Lindblad batch allocates its stacks
+                population += _batched_lindblad_trace(h, gamma, t_grid_s) @ w
+            else:
+                population += (np.abs(amps) ** 2) @ w
+                del amps  # freed before the next chunk propagates
+        projection = np.abs(amplitude) ** 2
         projection = projection / projection[0]
-        if flags.scatter:
-            del amps  # freed before the Lindblad batch allocates its stacks and output
-            population = _batched_lindblad_trace(H, gamma, t_grid_s) @ weights
-        else:
-            population = (np.abs(amps) ** 2) @ weights
     bad = ~((np.abs(population - 0.5) <= 0.5 + BOUNDS_TOL) & (projection <= population + BOUNDS_TOL))
     if bad.any():
         raise BatchError(f"a population outside [0, 1] or a projection above it at {bad.sum()} of {len(bad)} times")

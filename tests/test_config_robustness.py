@@ -17,6 +17,10 @@ Each leaf, and the first element of each list, given a value of the wrong kind, 
 section given a scalar, exits 2 at load naming its key; so does a config that is empty
 or a list. Each wrong kind beside a fault in another section, and a config with one fault
 of each sort, exit 2 with one refusal that names every fault.
+
+An integer int() cannot read (more digits than it converts, or none after a base prefix) exits
+2 as bad YAML naming its line, and one past float range exits 2 naming its key; no such refusal
+has a line of more than 200 characters.
 """
 
 import copy
@@ -289,6 +293,34 @@ def test_top_level_that_is_no_mapping_exits_2(tmp_path, capsys, content):
     path = tmp_path / "cfg.yaml"
     path.write_text(content)
     _refused(tmp_path, capsys, path, "config: expected a mapping")
+
+
+LONG_KEY = "entanglement_chain_efficiency"
+# (YAML text of the value at LONG_KEY, what its refusal at load must hold)
+BAD_INTEGERS = [
+    # past the 4300 digits int() converts: PyYAML's ValueError while it parses, refused as bad YAML at the key's line
+    ("1" + "0" * 5000, ["bad YAML: an integer int() cannot read: it has no digits or more than 4300", "line {line},"]),
+    # a hexadecimal prefix with no digits, which YAML's int pattern admits and int() refuses
+    ("0x_", ["bad YAML: an integer int() cannot read", "line {line},"]),
+    # a plain number past float range, refused by the schema walk with its echo cut short
+    ("1" + "0" * 400, [f"config.detector.{LONG_KEY}: expected a finite plain number, got 1000"]),
+]
+
+
+@pytest.mark.parametrize("text, named", BAD_INTEGERS, ids=["5001-digits", "no-hex-digits", "401-digits"])
+def test_bad_integer_exits_2_with_a_short_refusal(tmp_path, capsys, text, named):
+    packaged = (importlib.resources.files("rydlink.data") / config.DEFAULT_CONFIG_RESOURCE).read_text()
+    line = f"  {LONG_KEY}: {_packaged(('detector', LONG_KEY))}\n"
+    assert packaged.count(line) == 1
+    path = tmp_path / "cfg.yaml"
+    path.write_text(packaged.replace(line, f"  {LONG_KEY}: {text}\n"))
+    outdir = tmp_path / "o"
+    assert cli.main(["--config", str(path), "--out", str(outdir), "rabi", "--single"]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    number = packaged[: packaged.index(line)].count("\n") + 1
+    assert all(n.format(line=number) in err for n in named) and "Traceback" not in err, err
+    assert max(map(len, err.splitlines())) <= 200, err
+    assert not outdir.exists()
 
 
 DATASET = runpy.run_path(str(Path(__file__).resolve().parents[1] / "scripts" / "run_default_dataset.py"))["COMMANDS"]

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -370,6 +371,56 @@ class TestPropagator:
         for H in (drawn, packaged):
             evals = np.linalg.eigvals(dp._real_liouvillian(H, gamma))
             assert np.abs(evals.real).max() <= gamma * (1.0 + 1e-12)
+
+
+class TestStreaming:
+    """simulate_single_excitation propagates the nodes BLOCK at a time and keeps only their weighted sums."""
+
+    @staticmethod
+    def streamed_and_whole(monkeypatch, cfg, gamma_e, flags, n_t):
+        """(population, projection) of the packaged run with ``flags`` at n_t points, the same from the
+        two kernels on all its nodes at once and one weighted product each, and the node count of each
+        kernel call."""
+        kernel, rule, chunks, nodes = dp._batched_amplitudes, dp.atom_nodes, [], []
+        monkeypatch.setattr(dp, "_batched_amplitudes", lambda H, *args: chunks.append(H) or kernel(H, *args))
+        monkeypatch.setattr(dp, "atom_nodes", lambda *args: nodes.append(rule(*args)) or nodes[-1])
+        t = np.linspace(0.0, cfg.parsed["simulation"]["dephasing_t_max"] * 1e6, n_t)
+        population, projection, _ = dp.simulate_single_excitation(
+            cfg.geometry, cfg.ensemble, gamma_e, flags, cfg.parsed["simulation"]["dephasing_samples"], 1, t
+        )
+        H, ((_, _, w),), gamma = np.concatenate(chunks), nodes, gamma_e if flags.scatter else 0.0
+        amps = kernel(H, gamma, t * 1e-6)
+        whole_population = (dp._batched_lindblad_trace(H, gamma, t * 1e-6) if flags.scatter else np.abs(amps) ** 2) @ w
+        whole_projection = np.abs(amps @ w) ** 2
+        whole = np.clip(whole_population, 0.0, 1.0), np.clip(whole_projection / whole_projection[0], 0.0, 1.0)
+        return (population, projection), whole, [len(h) for h in chunks]
+
+    @pytest.mark.parametrize(
+        "flags, n_nodes",
+        [(SimulationFlags(True, True, True), 400), (SimulationFlags(True, True), 400), (SimulationFlags(True), 20)],
+        ids=["motion-inhomo-scatter", "motion-inhomo", "motion"],
+    )
+    def test_streamed_sums_match_the_whole_batch(self, monkeypatch, cfg, gamma_e, flags, n_nodes):
+        # 400 nodes stream as 6 x 64 + 16, and 20 as one chunk of fewer than BLOCK
+        streamed, whole, sizes = self.streamed_and_whole(monkeypatch, cfg, gamma_e, flags, 640)
+        assert sizes == [min(dp.BLOCK, n_nodes - lo) for lo in range(0, n_nodes, dp.BLOCK)]
+        for got, want in zip(streamed, whole):
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_peak_memory_stays_below_one_amplitude_array(self, cfg, gamma_e):
+        # what the run allocates above what is live before it, against the 16 bytes per point and node
+        # of one complex (points, nodes) amplitude array, which it no longer holds (6.9 MiB held before)
+        t = np.linspace(0.0, cfg.parsed["simulation"]["dephasing_t_max"] * 1e6, 640)
+        args = (cfg.geometry, cfg.ensemble, gamma_e, SimulationFlags(True, True, True), 2000, 1, t)
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            _, _, record = dp.simulate_single_excitation(*args)
+            peak = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+        assert record["n_nodes"] == 400
+        assert peak < 16 * len(t) * record["n_nodes"]
 
 
 class TestDopplerRule:

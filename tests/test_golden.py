@@ -56,7 +56,7 @@ GOLDEN = {
     # the only command that runs the Lindblad batch
     ("dephasing", "--flags", "motion,inhomo,scatter"): {
         "dephasing_motion-inhomo-scatter.csv": "98fb63cfe7001f4ac7a369122cfc9dbbe5c8b606de9e0e0fe7bc3f85e6e8ac0f",
-        "dephasing_motion-inhomo-scatter.json": "fceb3acaa5b193aeaf65012ca8bd4ac0302d523cb81b56df325b1d2b2c3301b1",
+        "dephasing_motion-inhomo-scatter.json": "8f083bf79300a86d03e52116425f329f2694b7faf0d89d0fbba552fb843290d4",
     },
     ("g2", "--field", "single"): {
         "g2_single.json": "65f76bd7f2cbcf3958a20e01ef094c90f9febfcdcf7c22b965fc05d6d11f1715",
